@@ -84,27 +84,6 @@ impl<E> Calendar<E> {
         EventId(seq)
     }
 
-    /// Bulk-schedules a block of events in one call, amortizing the
-    /// per-call bookkeeping of [`Calendar::schedule`] across the whole
-    /// block (the heap is extended in a single pass). Sequence numbers
-    /// are assigned in iteration order, so equal-time entries within the
-    /// block still pop FIFO. Returns the number of entries scheduled.
-    ///
-    /// Batch entries are not individually cancellable (no [`EventId`]s
-    /// are returned); use [`Calendar::schedule`] for events that may be
-    /// cancelled.
-    pub fn schedule_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, events: I) -> usize {
-        let heap = &mut self.heap;
-        let next_seq = &mut self.next_seq;
-        let before = heap.len();
-        heap.extend(events.into_iter().map(|(time, payload)| {
-            let seq = *next_seq;
-            *next_seq += 1;
-            Entry { time, seq, payload }
-        }));
-        heap.len() - before
-    }
-
     /// Cancels a previously scheduled event. Returns `true` if the event
     /// was still pending (not yet popped or cancelled).
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -140,8 +119,13 @@ impl<E> Calendar<E> {
         self.compactions += 1;
     }
 
-    /// Removes cancelled entries from the top of the heap.
+    /// Removes cancelled entries from the top of the heap. Returns at
+    /// once when nothing is cancelled, so calendars that never cancel pay
+    /// no tombstone hash lookup per peek or pop.
     fn skip_tombstones(&mut self) {
+        if self.cancelled.is_empty() {
+            return;
+        }
         while let Some(top) = self.heap.peek() {
             if self.cancelled.remove(&top.seq) {
                 self.heap.pop();
@@ -224,35 +208,6 @@ mod tests {
         }
         for i in 0..10 {
             assert_eq!(cal.pop(), Some((t(5.0), i)));
-        }
-    }
-
-    #[test]
-    fn batch_scheduling_matches_one_at_a_time() {
-        let times = [3.0, 1.0, 2.0, 1.0, 5.0, 1.0];
-        let mut one = Calendar::new();
-        for (i, x) in times.iter().enumerate() {
-            one.schedule(t(*x), i);
-        }
-        let mut bulk = Calendar::new();
-        let n = bulk.schedule_batch(times.iter().enumerate().map(|(i, x)| (t(*x), i)));
-        assert_eq!(n, times.len());
-        loop {
-            let (a, b) = (one.pop(), bulk.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn batch_then_single_scheduling_keeps_fifo_ties() {
-        let mut cal = Calendar::new();
-        cal.schedule_batch([(t(1.0), 0), (t(1.0), 1)]);
-        cal.schedule(t(1.0), 2);
-        for i in 0..3 {
-            assert_eq!(cal.pop(), Some((t(1.0), i)));
         }
     }
 

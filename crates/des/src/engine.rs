@@ -290,30 +290,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Bulk-schedules a block of events at absolute times in a single
-    /// calendar operation (see [`Calendar::schedule_batch`]), amortizing
-    /// per-event scheduling overhead for generator loops that produce
-    /// whole arrival blocks at once. Returns the number of events
-    /// scheduled. Batch entries are not individually cancellable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any time precedes the current clock (the same contract
-    /// as [`Engine::schedule_at`]).
-    pub fn schedule_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, events: I) -> usize {
-        let now = self.now;
-        let count = self
-            .calendar
-            .schedule_batch(events.into_iter().inspect(|(time, _)| {
-                assert!(
-                    *time >= now,
-                    "cannot schedule into the past: t={time} < now={now}"
-                );
-            }));
-        self.scheduled += count as u64;
-        count
-    }
-
     /// Cancels a pending event; `true` if it was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
         let before = self.calendar.compactions();
@@ -472,24 +448,6 @@ mod tests {
     fn negative_delay_panics_with_the_typed_message() {
         let mut eng = Engine::new();
         eng.schedule_in(-1.0, ());
-    }
-
-    #[test]
-    fn batch_scheduling_delivers_in_order_with_fifo_ties() {
-        let mut one = Engine::new();
-        let mut bulk = Engine::new();
-        let times = [2.0, 1.0, 1.0, 3.0];
-        for (i, x) in times.iter().enumerate() {
-            one.schedule_at(SimTime::new(*x), i);
-        }
-        let n = bulk.schedule_batch(times.iter().enumerate().map(|(i, x)| (SimTime::new(*x), i)));
-        assert_eq!(n, times.len());
-        let drain = |eng: &mut Engine<usize>| {
-            let mut seen = Vec::new();
-            eng.run_with(|_, i| seen.push(i));
-            seen
-        };
-        assert_eq!(drain(&mut one), drain(&mut bulk));
     }
 
     #[test]

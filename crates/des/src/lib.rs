@@ -17,8 +17,8 @@
 //!   deterministic for sensitivity extensions).
 //! * [`station`] — a single-server FCFS run-to-completion station (the
 //!   paper's computer model) with run-queue-length observation.
-//! * [`shard`] — a per-station event shard: one small calendar per
-//!   station with batched arrival generation and alias-table user
+//! * [`shard`] — a per-station shard: one FCFS station simulated by the
+//!   Lindley recursion over batched arrival blocks, with alias-table user
 //!   attribution, the building block of the parallel sharded simulator.
 //! * [`multiserver`] — a c-server FCFS pool (M/M/c) for the multicore
 //!   extension.

@@ -1,4 +1,5 @@
-//! Per-station event sharding: one small calendar per station.
+//! Per-station sharding: one FCFS station simulated by the Lindley
+//! recursion.
 //!
 //! In the paper's model, stations stop interacting the moment the flow
 //! split is fixed: user `j` routes a Poisson stream of rate `φ_j` across
@@ -6,29 +7,30 @@
 //! superposition each station `i` then receives an *independent* Poisson
 //! stream of rate `λ_i = Σ_j s_ji φ_j`. Nothing a station does can ever
 //! influence another station's event order, so a replication does not need
-//! one big serial calendar — each station can run its own tiny event
-//! stream on its own [`RngStream`], embarrassingly parallel, and the
-//! per-station measurements merge deterministically in station-index
-//! order.
+//! one big serial calendar — each station can run on its own
+//! [`RngStream`]s, embarrassingly parallel, and the per-station
+//! measurements merge deterministically in station-index order.
 //!
-//! [`run_station_shard`] is that per-station engine: it generates the
-//! station's arrival process in vectorized blocks (one
-//! [`RngStream::fill_exponential`] call plus one bulk
-//! [`Engine::schedule_batch`] per block, instead of one `schedule_in` per
-//! job), attributes each arrival to a user with an O(1) Walker
-//! [`AliasTable`] draw, runs the FCFS station to the horizon, and returns
-//! warmup-aware per-user statistics. The calendar never holds more than
-//! one arrival block plus one completion, so event scheduling stays cheap
-//! regardless of run length.
+//! [`run_station_shard`] is that per-station simulator. A single FCFS
+//! server fed by a time-ordered arrival stream needs no event calendar:
+//! job `k` starts at `max(a_k, d_{k-1})` and departs at that start plus
+//! its service demand (the Lindley recursion). The shard generates the
+//! arrival process in vectorized blocks (one
+//! [`RngStream::fill_exponential`] call per block), attributes each
+//! arrival to a user with an O(1) Walker [`AliasTable`] draw, walks the
+//! block in arrival order to the horizon, and returns warmup-aware
+//! per-user statistics. Its results, draw counts and `account.des`
+//! totals are bit-identical to driving the same streams through an
+//! [`Engine`](crate::engine::Engine) with an
+//! [`FcfsStation`](crate::station::FcfsStation); the test module keeps
+//! that event-driven loop as its reference.
 //!
 //! The splitting argument is exact only for Poisson (exponential
 //! interarrival) user sources; the `lb-sim` crate routes non-Poisson
 //! arrival models to the classic single-calendar engine instead.
 
-use crate::engine::Engine;
 use crate::monitor::ResponseTimeMonitor;
 use crate::rng::{AliasTable, Distribution, RngStream, SampleBlock};
-use crate::station::{Arrival, FcfsStation, Job};
 use crate::time::SimTime;
 use lb_telemetry::{Collector, Span, SpanHandle};
 use std::sync::Arc;
@@ -67,21 +69,14 @@ pub struct ShardOutcome {
     pub utilization: f64,
 }
 
-/// Event payload of a shard engine: arrivals carry no data (user and
-/// service demand are drawn at delivery, keeping the block cheap).
-enum ShardEvent {
-    Arrive,
-    Complete,
-}
-
-/// Generates one arrival block: a vectorized exponential fill followed by
-/// one bulk calendar insertion. Returns the absolute time of the last
-/// scheduled arrival. Emits a `sim.batch` span per block when tracing.
-fn schedule_block(
-    engine: &mut Engine<ShardEvent>,
+/// Draws one arrival block: a vectorized exponential fill of the gaps,
+/// accumulated into absolute arrival times after `from`. Returns the
+/// block's last arrival. Emits a `sim.batch` span per block when tracing.
+fn draw_block(
     rng: &mut RngStream,
     rate: f64,
-    buf: &mut [f64],
+    gaps: &mut [f64],
+    arrivals: &mut [SimTime],
     from: SimTime,
     span_parent: Option<&SpanHandle>,
 ) -> SimTime {
@@ -90,23 +85,23 @@ fn schedule_block(
             "sim.batch",
             &[
                 ("from", from.as_secs().into()),
-                ("events", (buf.len() as u64).into()),
+                ("events", (gaps.len() as u64).into()),
             ],
         )
     });
-    rng.fill_exponential(rate, buf);
+    rng.fill_exponential(rate, gaps);
     let mut t = from;
-    engine.schedule_batch(buf.iter().map(|dt| {
+    for (slot, dt) in arrivals.iter_mut().zip(gaps.iter()) {
         t = t + *dt;
-        (t, ShardEvent::Arrive)
-    }));
+        *slot = t;
+    }
     if let Some(span) = span {
         span.close_with(&[("to", t.as_secs().into())]);
     }
     t
 }
 
-/// Runs one station's independent event stream to the horizon.
+/// Runs one station's independent arrival stream to the horizon.
 ///
 /// `attribution` maps each served job back to the user that generated it
 /// (weights `s_ji φ_j` over users), so per-user response statistics
@@ -118,10 +113,19 @@ fn schedule_block(
 /// `sink` observes every *measured* (post-warmup) response as
 /// `(user, response_seconds)` in this station's completion order.
 ///
+/// Event semantics match a calendar-driven run with the horizon as its
+/// delivery bound: every arrival at or before the horizon draws its user
+/// and service demand, and a job is measured only if it departs at or
+/// before the horizon. The `account.des` snapshot counts the logical
+/// events such a run would schedule (each arrival block, plus one
+/// departure per job whose service starts by the horizon) and execute
+/// (arrivals and departures by the horizon).
+///
 /// # Panics
 ///
 /// Panics on a non-positive arrival rate, an attribution table whose
-/// width disagrees with `spec.users`, or a zero batch size.
+/// width disagrees with `spec.users`, a zero batch size, or a negative
+/// or non-finite service demand.
 #[allow(clippy::too_many_arguments)]
 pub fn run_station_shard<F: FnMut(usize, f64)>(
     spec: &ShardSpec,
@@ -156,83 +160,83 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
     });
     let shard_handle = shard_span.as_ref().map(Span::handle);
 
-    let mut engine: Engine<ShardEvent> = Engine::new();
-    engine.set_horizon(spec.horizon);
-    if let Some(c) = collector {
-        engine.set_collector(Arc::clone(c));
-    }
-    if let Some(h) = &shard_handle {
-        engine.set_span_parent(h.clone());
-    }
-
-    let mut station = FcfsStation::new();
+    let horizon = spec.horizon;
     let mut monitor = ResponseTimeMonitor::new(spec.users, spec.warmup);
     let mut service = SampleBlock::new(spec.service, spec.batch);
-    let mut interarrivals = vec![0.0; spec.batch];
+    let mut gaps = vec![0.0; spec.batch];
+    let mut arrivals = vec![SimTime::ZERO; spec.batch];
 
-    let mut block_end = schedule_block(
-        &mut engine,
-        arrival_rng,
-        spec.arrival_rate,
-        &mut interarrivals,
-        SimTime::ZERO,
-        shard_handle.as_ref(),
-    );
-    let mut outstanding = interarrivals.len();
     let mut jobs: u64 = 0;
+    let mut departed: u64 = 0;
+    // Events a calendar would hold: every drawn arrival, plus the
+    // departure of each job whose service starts by the horizon.
+    let mut scheduled: u64 = 0;
+    // Departure of the previous job: the server is free from then on.
+    let mut free_at = SimTime::ZERO;
+    // Busy time summed per completed job, in completion order, plus the
+    // start of the one job still in service at the horizon — the same
+    // sums, in the same order, as `FcfsStation::utilization`.
+    let mut busy = 0.0;
+    let mut in_service: Option<SimTime> = None;
+    let mut block_end = SimTime::ZERO;
 
-    while let Some(ev) = engine.next_event() {
-        match ev {
-            ShardEvent::Arrive => {
-                outstanding -= 1;
-                // Refill as the block's last arrival is delivered, so the
-                // calendar holds at most one block plus one completion.
-                if outstanding == 0 && block_end <= spec.horizon {
-                    block_end = schedule_block(
-                        &mut engine,
-                        arrival_rng,
-                        spec.arrival_rate,
-                        &mut interarrivals,
-                        block_end,
-                        shard_handle.as_ref(),
-                    );
-                    outstanding = interarrivals.len();
-                }
-                jobs += 1;
-                let now = engine.now();
-                let job = Job {
-                    id: jobs,
-                    user: attribution.sample(attribution_rng),
-                    arrival: now,
-                    service_time: service.next(service_rng),
-                };
-                if let Arrival::StartService(done) = station.arrive(job, now) {
-                    engine.schedule_at(done, ShardEvent::Complete);
-                }
+    // The next block is drawn only once the previous block's last
+    // arrival fell within the horizon.
+    'blocks: loop {
+        block_end = draw_block(
+            arrival_rng,
+            spec.arrival_rate,
+            &mut gaps,
+            &mut arrivals,
+            block_end,
+            shard_handle.as_ref(),
+        );
+        scheduled += spec.batch as u64;
+        for &arrival in &arrivals {
+            if arrival > horizon {
+                break 'blocks;
             }
-            ShardEvent::Complete => {
-                let now = engine.now();
-                let (finished, next) = station.complete(now);
-                monitor.record(finished.user, finished.arrival, now);
-                if finished.arrival >= spec.warmup {
-                    sink(finished.user, now - finished.arrival);
-                }
-                if let Some((_, done)) = next {
-                    engine.schedule_at(done, ShardEvent::Complete);
-                }
+            jobs += 1;
+            let user = attribution.sample(attribution_rng);
+            let demand = service.next(service_rng);
+            assert!(
+                demand.is_finite() && demand >= 0.0,
+                "invalid service time {demand}"
+            );
+            let start = arrival.max(free_at);
+            if start > horizon {
+                // The server is busy past the horizon: this job only waits.
+                continue;
+            }
+            scheduled += 1;
+            let done = start + demand;
+            free_at = done;
+            if done > horizon {
+                in_service = Some(start);
+                continue;
+            }
+            departed += 1;
+            busy += done.since(start);
+            monitor.record(user, arrival, done);
+            if arrival >= spec.warmup {
+                sink(user, done - arrival);
             }
         }
     }
 
-    let utilization = station.utilization(spec.horizon);
+    let utilization = if horizon.as_secs() == 0.0 {
+        0.0
+    } else {
+        (busy + in_service.map_or(0.0, |start| horizon.since(start))) / horizon.as_secs()
+    };
     // Resource-accounting snapshot: one `account.des` event per shard,
     // emitted inside the shard span so diff/analyze can attribute it.
     if let Some(c) = collector.and_then(|c| lb_telemetry::enabled(Some(c))) {
         c.emit(
             "account.des",
             &[
-                ("scheduled", engine.events_scheduled().into()),
-                ("executed", engine.events_processed().into()),
+                ("scheduled", scheduled.into()),
+                ("executed", (jobs + departed).into()),
                 (
                     "rng_draws",
                     (arrival_rng.draws() + service_rng.draws() + attribution_rng.draws()).into(),
@@ -257,6 +261,10 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::station::{Arrival, FcfsStation, Job};
+    use lb_telemetry::MemoryCollector;
+    use proptest::prelude::*;
 
     fn spec(rate: f64, horizon: f64) -> ShardSpec {
         ShardSpec {
@@ -284,6 +292,251 @@ mod tests {
             None,
             |u, r| sink.push((u, r)),
         )
+    }
+
+    /// The `scheduled`, `executed` and `rng_draws` fields of the one
+    /// `account.des` snapshot a collector saw.
+    fn account_des(mem: &MemoryCollector) -> [u64; 3] {
+        let (_, fields) = mem
+            .events()
+            .into_iter()
+            .find(|(name, _)| *name == "account.des")
+            .expect("one account.des snapshot");
+        ["scheduled", "executed", "rng_draws"].map(|key| {
+            fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, v)| match v {
+                    lb_telemetry::FieldValue::U64(n) => Some(*n),
+                    _ => None,
+                })
+                .expect("integer account field")
+        })
+    }
+
+    /// Arrival payload of the reference engine: user and service demand
+    /// are drawn at delivery, as the shard draws them.
+    enum ShardEvent {
+        Arrive,
+        Complete,
+    }
+
+    /// The event-driven reference: the same streams driven through an
+    /// [`Engine`] calendar and an [`FcfsStation`], arrivals scheduled in
+    /// blocks as each block's last arrival is delivered. Returns the
+    /// outcome, the sink's responses and the engine's scheduled and
+    /// executed event counts.
+    fn reference_shard(
+        spec: &ShardSpec,
+        attribution: &AliasTable,
+        arrival_rng: &mut RngStream,
+        service_rng: &mut RngStream,
+        attribution_rng: &mut RngStream,
+    ) -> (ShardOutcome, Vec<(usize, f64)>, u64, u64) {
+        let schedule_block = |engine: &mut Engine<ShardEvent>,
+                              rng: &mut RngStream,
+                              buf: &mut [f64],
+                              from: SimTime| {
+            rng.fill_exponential(spec.arrival_rate, buf);
+            let mut t = from;
+            for dt in buf.iter() {
+                t = t + *dt;
+                engine.schedule_at(t, ShardEvent::Arrive);
+            }
+            t
+        };
+        let mut engine: Engine<ShardEvent> = Engine::new();
+        engine.set_horizon(spec.horizon);
+        let mut station = FcfsStation::new();
+        let mut monitor = ResponseTimeMonitor::new(spec.users, spec.warmup);
+        let mut service = SampleBlock::new(spec.service, spec.batch);
+        let mut interarrivals = vec![0.0; spec.batch];
+        let mut sink = Vec::new();
+        let mut block_end =
+            schedule_block(&mut engine, arrival_rng, &mut interarrivals, SimTime::ZERO);
+        let mut outstanding = interarrivals.len();
+        let mut jobs: u64 = 0;
+        while let Some(ev) = engine.next_event() {
+            match ev {
+                ShardEvent::Arrive => {
+                    outstanding -= 1;
+                    if outstanding == 0 && block_end <= spec.horizon {
+                        block_end =
+                            schedule_block(&mut engine, arrival_rng, &mut interarrivals, block_end);
+                        outstanding = interarrivals.len();
+                    }
+                    jobs += 1;
+                    let now = engine.now();
+                    let job = Job {
+                        id: jobs,
+                        user: attribution.sample(attribution_rng),
+                        arrival: now,
+                        service_time: service.next(service_rng),
+                    };
+                    if let Arrival::StartService(done) = station.arrive(job, now) {
+                        engine.schedule_at(done, ShardEvent::Complete);
+                    }
+                }
+                ShardEvent::Complete => {
+                    let now = engine.now();
+                    let (finished, next) = station.complete(now);
+                    monitor.record(finished.user, finished.arrival, now);
+                    if finished.arrival >= spec.warmup {
+                        sink.push((finished.user, now - finished.arrival));
+                    }
+                    if let Some((_, done)) = next {
+                        engine.schedule_at(done, ShardEvent::Complete);
+                    }
+                }
+            }
+        }
+        let outcome = ShardOutcome {
+            monitor,
+            jobs_generated: jobs,
+            utilization: station.utilization(spec.horizon),
+        };
+        (
+            outcome,
+            sink,
+            engine.events_scheduled(),
+            engine.events_processed(),
+        )
+    }
+
+    /// Service distributions with mean `1/mu`: exponential, Erlang-k,
+    /// a balanced-means hyperexponential with the given phase-A share,
+    /// and deterministic.
+    fn service_with_mean(kind: u32, mu: f64, k: u32, p: f64) -> Distribution {
+        match kind {
+            0 => Distribution::Exponential { rate: mu },
+            1 => Distribution::Erlang {
+                k,
+                rate: f64::from(k) * mu,
+            },
+            2 => Distribution::HyperExponential {
+                p,
+                rate_a: 2.0 * p * mu,
+                rate_b: 2.0 * (1.0 - p) * mu,
+            },
+            _ => Distribution::Deterministic { value: 1.0 / mu },
+        }
+    }
+
+    /// Runs the kernel and the event-driven reference on the same
+    /// streams and requires bitwise agreement on every output, every
+    /// stream's draw count and the `account.des` snapshot. Returns the
+    /// kernel's outcome.
+    fn check_against_reference(
+        spec: &ShardSpec,
+        weights: &[f64],
+        seed: u64,
+    ) -> Result<ShardOutcome, String> {
+        let attribution = AliasTable::new(weights);
+        let streams = || {
+            (
+                RngStream::new(seed, 0),
+                RngStream::new(seed, 1),
+                RngStream::new(seed, 2),
+            )
+        };
+
+        let (mut a, mut s, mut u) = streams();
+        let (want, want_sink, scheduled, executed) =
+            reference_shard(spec, &attribution, &mut a, &mut s, &mut u);
+        let want_draws = [a.draws(), s.draws(), u.draws()];
+
+        let mem = Arc::new(MemoryCollector::default());
+        let collector: Arc<dyn Collector> = mem.clone();
+        let (mut a, mut s, mut u) = streams();
+        let mut got_sink = Vec::new();
+        let got = run_station_shard(
+            spec,
+            &attribution,
+            &mut a,
+            &mut s,
+            &mut u,
+            Some(&collector),
+            None,
+            |user, r| got_sink.push((user, r)),
+        );
+
+        prop_assert_eq!(got.jobs_generated, want.jobs_generated);
+        prop_assert_eq!(got.utilization.to_bits(), want.utilization.to_bits());
+        for (g, w) in got
+            .monitor
+            .user_accumulators()
+            .iter()
+            .zip(want.monitor.user_accumulators())
+        {
+            prop_assert_eq!(g.count(), w.count());
+            prop_assert_eq!(g.mean().to_bits(), w.mean().to_bits());
+            prop_assert_eq!(g.sample_variance().to_bits(), w.sample_variance().to_bits());
+        }
+        prop_assert_eq!(
+            got.monitor.system_mean().to_bits(),
+            want.monitor.system_mean().to_bits()
+        );
+        let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(user, r)| (user, r.to_bits())).collect()
+        };
+        prop_assert_eq!(bits(&got_sink), bits(&want_sink));
+        prop_assert_eq!([a.draws(), s.draws(), u.draws()], want_draws);
+        prop_assert_eq!(
+            account_des(&mem),
+            [scheduled, executed, want_draws.iter().sum::<u64>()]
+        );
+        Ok(got)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn lindley_kernel_matches_the_event_driven_reference(
+            seed in 0u64..u64::MAX,
+            rho in 0.05f64..0.95,
+            mu in 0.5f64..20.0,
+            (kind, k, p) in (0u32..4, 1u32..6, 0.05f64..0.95),
+            horizon_jobs in prop_oneof![0.0f64..2.0, 2.0f64..200.0, 200.0f64..3_000.0],
+            warmup_share in prop_oneof![Just(0.0), 0.0f64..0.5],
+            batch in prop_oneof![Just(1usize), Just(7usize), Just(1024usize)],
+            weights in prop::collection::vec(0.05f64..1.0, 1..5),
+        ) {
+            let arrival_rate = rho * mu;
+            let horizon = horizon_jobs / arrival_rate;
+            let spec = ShardSpec {
+                arrival_rate,
+                service: service_with_mean(kind, mu, k, p),
+                horizon: SimTime::new(horizon),
+                warmup: SimTime::new(horizon * warmup_share),
+                users: weights.len(),
+                batch,
+            };
+            check_against_reference(&spec, &weights, seed)?;
+        }
+    }
+
+    #[test]
+    fn arrivals_and_departures_exactly_at_the_horizon_are_delivered() {
+        // A deterministic demand puts the first departure at a known
+        // time: the arrival stream's first gap plus the demand. Random
+        // horizons never land on an event, so pin one on each edge.
+        let seed = 5;
+        let demand = 0.25;
+        let first = SimTime::ZERO + RngStream::new(seed, 0).exponential(2.0);
+        for (horizon, measured) in [(first, 0), (first + demand, 1)] {
+            let spec = ShardSpec {
+                arrival_rate: 2.0,
+                service: Distribution::Deterministic { value: demand },
+                horizon,
+                warmup: SimTime::ZERO,
+                users: 1,
+                batch: 7,
+            };
+            let out = check_against_reference(&spec, &[1.0], seed).unwrap();
+            assert!(out.jobs_generated >= 1, "arrival at the horizon dropped");
+            assert_eq!(out.monitor.count(0), measured, "horizon {horizon}");
+        }
     }
 
     #[test]
@@ -342,8 +595,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid service time")]
+    fn negative_service_demand_panics() {
+        let mut s = spec(6.0, 100.0);
+        s.service = Distribution::Deterministic { value: -1.0 };
+        run(&s, 1, &mut Vec::new());
+    }
+
+    #[test]
     fn sampling_collector_does_not_perturb_the_shard() {
-        use lb_telemetry::{MemoryCollector, SamplingCollector, SamplingConfig};
+        use lb_telemetry::{SamplingCollector, SamplingConfig};
         let s = spec(4.0, 1_000.0);
         let mut plain_sink = Vec::new();
         let plain = run(&s, 9, &mut plain_sink);
@@ -387,7 +648,6 @@ mod tests {
 
     #[test]
     fn tracing_does_not_perturb_the_shard() {
-        use lb_telemetry::MemoryCollector;
         let s = spec(4.0, 1_000.0);
         let mut plain_sink = Vec::new();
         let plain = run(&s, 9, &mut plain_sink);
@@ -417,8 +677,8 @@ mod tests {
             traced.monitor.system_mean().to_bits()
         );
         assert_eq!(plain_sink, traced_sink);
-        // The span stream contains the shard span, its sim.batch blocks,
-        // and the engine's des.batch spans — all opened and closed.
+        // The span stream contains the shard span and its sim.batch
+        // blocks — all opened and closed.
         assert!(mem.count(lb_telemetry::SPAN_OPEN) >= 3);
         assert_eq!(
             mem.count(lb_telemetry::SPAN_OPEN),
@@ -428,23 +688,9 @@ mod tests {
         // every delivered event was scheduled first, and the three RNG
         // streams drew at least once per generated job.
         assert_eq!(mem.count("account.des"), 1);
-        let (_, fields) = mem
-            .events()
-            .into_iter()
-            .find(|(name, _)| *name == "account.des")
-            .unwrap();
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| match v {
-                    lb_telemetry::FieldValue::U64(n) => Some(*n),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert!(get("scheduled") >= get("executed"));
-        assert!(get("executed") >= traced.jobs_generated);
-        assert!(get("rng_draws") >= 2 * traced.jobs_generated);
+        let [scheduled, executed, rng_draws] = account_des(&mem);
+        assert!(scheduled >= executed);
+        assert!(executed >= traced.jobs_generated);
+        assert!(rng_draws >= 2 * traced.jobs_generated);
     }
 }

@@ -244,10 +244,12 @@ pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
 
 /// Like [`run_replication_with_sink`], additionally wiring the engine
 /// into the telemetry pipeline: the collector receives the engine's
-/// `des.compact` events, and — when `span_parent` is given — `des.shard`
-/// / `sim.batch` / `des.batch` spans partition the event machinery under
-/// that parent (typically the caller's `sim.replication` span). Purely
-/// observational; results are bit-identical with or without either hook.
+/// `des.compact` events and the shards' `account.des` snapshots, and —
+/// when `span_parent` is given — spans partition the event machinery
+/// under that parent (typically the caller's `sim.replication` span):
+/// `des.shard` → `sim.batch` on the sharded engine, `des.batch` on the
+/// single calendar. Purely observational; results are bit-identical with
+/// or without either hook.
 ///
 /// This is the routing point for the simulation fast paths:
 ///
@@ -256,7 +258,8 @@ pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
 ///   fires (there are no per-job events to observe).
 /// * [`SimFidelity::Full`] with Poisson (exponential) arrivals → the
 ///   sharded per-station engine ([`crate::shard`]), which exploits
-///   Poisson splitting to run one small calendar per station.
+///   Poisson splitting to run each station on its own, by the Lindley
+///   recursion instead of an event calendar.
 /// * Non-Poisson arrivals → the classic single-calendar engine
 ///   ([`run_replication_single_calendar_spanned`]), the only one whose
 ///   renewal arrival streams couple stations through dispatch order.

@@ -127,15 +127,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a limit a hostile document such as a
+/// million `[` would overflow the stack; the event log and the bench
+/// summaries nest only a few levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// [`ParseError`] with the offending byte offset.
+/// [`ParseError`] with the offending byte offset, including for arrays
+/// and objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -149,6 +157,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -187,10 +197,24 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one array or object with `inner`, one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = inner(self);
+        self.depth -= 1;
+        value
+    }
+
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -498,6 +522,38 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "01x", "\"\\q\"", "1 2", "nul"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let balanced = format!("{}{}", deep, "]".repeat(1_000_000));
+        assert!(parse(&balanced).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+
+        let nest = |levels: usize| {
+            let open: String = (0..levels)
+                .map(|i| if i % 2 == 0 { "[" } else { "{\"k\":" })
+                .collect();
+            let close: String = (0..levels)
+                .rev()
+                .map(|i| if i % 2 == 0 { "]" } else { "}" })
+                .collect();
+            format!("{open}1{close}")
+        };
+        let mut v = parse(&nest(MAX_DEPTH)).unwrap();
+        for level in 0..MAX_DEPTH {
+            v = if level % 2 == 0 {
+                v.as_array().unwrap()[0].clone()
+            } else {
+                v.get("k").unwrap().clone()
+            };
+        }
+        assert_eq!(v, Json::UInt(1));
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -572,6 +572,7 @@ mod tests {
                 ),
                 "non-scalar",
             ),
+            (format!("{header}\n{}", "[".repeat(1_000_000)), "nesting"),
             (ok, "header"),
         ];
         for (text, why) in cases {
