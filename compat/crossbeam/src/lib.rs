@@ -1,20 +1,10 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the API subset it actually uses: `channel::unbounded`
-//! with cloneable senders *and* receivers, blocking/timeout receives, and
-//! disconnect detection. The distributed token-ring runtime depends on two
-//! semantic details that match real crossbeam:
-//!
-//! * `send` fails with [`channel::SendError`] once every `Receiver` clone
-//!   is gone (this is how a live ring participant detects that its
-//!   successor's thread has died), and
-//! * `recv`/`recv_timeout` fail with a disconnect error once every
-//!   `Sender` clone is gone.
-//!
-//! It also vendors `thread::scope` (the `crossbeam-utils` subset used by
-//! the deterministic parallel runner), layered over `std::thread::scope`,
-//! which has been stable since Rust 1.63.
+//! workspace vendors the API subset it actually uses: `thread::scope`
+//! (the `crossbeam-utils` subset used by the deterministic parallel
+//! runners), layered over `std::thread::scope`, which has been stable
+//! since Rust 1.63.
 
 pub mod thread {
     //! Scoped threads (the `crossbeam-utils::thread` subset).
@@ -136,376 +126,6 @@ pub mod thread {
                 s.spawn(|_| panic!("boom"));
             });
             assert!(result.is_err());
-        }
-    }
-}
-
-pub mod channel {
-    //! Unbounded MPMC channels (the `crossbeam-channel` subset).
-
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-    }
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    /// The sending half of an unbounded channel. Cloneable.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half of an unbounded channel. Cloneable (MPMC).
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone;
-    /// carries the unsent message back to the caller.
-    #[derive(PartialEq, Eq, Clone, Copy)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and
-    /// all senders are gone.
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum RecvTimeoutError {
-        /// The timeout elapsed with no message available.
-        Timeout,
-        /// The channel is empty and all senders are gone.
-        Disconnected,
-    }
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
-    pub enum TryRecvError {
-        /// No message was ready.
-        Empty,
-        /// The channel is empty and all senders are gone.
-        Disconnected,
-    }
-
-    impl<T> fmt::Debug for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("receiving on an empty, disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                Self::Timeout => f.write_str("timed out waiting on a channel"),
-                Self::Disconnected => f.write_str("receiving on an empty, disconnected channel"),
-            }
-        }
-    }
-
-    impl<T> std::error::Error for SendError<T> {}
-    impl std::error::Error for RecvError {}
-    impl std::error::Error for RecvTimeoutError {}
-
-    /// Creates an unbounded channel, returning its sender and receiver.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-            }),
-            ready: Condvar::new(),
-        });
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, State<T>> {
-        // The internal mutex is only held for push/pop; a panic while
-        // holding it is impossible from user code, but recover anyway.
-        match shared.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Appends a message to the queue.
-        ///
-        /// # Errors
-        ///
-        /// [`SendError`] (returning the message) when every receiver has
-        /// been dropped — for the token ring this means the destination
-        /// thread is dead.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut state = lock(&self.shared);
-            if state.receivers == 0 {
-                return Err(SendError(value));
-            }
-            state.queue.push_back(value);
-            drop(state);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or all senders disconnect.
-        ///
-        /// # Errors
-        ///
-        /// [`RecvError`] when the queue is empty and every sender has been
-        /// dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut state = lock(&self.shared);
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvError);
-                }
-                state = match self.shared.ready.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        }
-
-        /// Blocks until a message arrives, all senders disconnect, or
-        /// `timeout` elapses.
-        ///
-        /// # Errors
-        ///
-        /// [`RecvTimeoutError::Timeout`] on timeout,
-        /// [`RecvTimeoutError::Disconnected`] when the queue is empty and
-        /// every sender has been dropped.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut state = lock(&self.shared);
-            loop {
-                if let Some(value) = state.queue.pop_front() {
-                    return Ok(value);
-                }
-                if state.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (guard, _result) = match self.shared.ready.wait_timeout(state, deadline - now) {
-                    Ok(pair) => pair,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                state = guard;
-            }
-        }
-
-        /// Pops a message if one is ready, without blocking.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] when no message is queued,
-        /// [`TryRecvError::Disconnected`] when additionally every sender
-        /// has been dropped.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut state = lock(&self.shared);
-            if let Some(value) = state.queue.pop_front() {
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            lock(&self.shared).senders += 1;
-            Self {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            lock(&self.shared).receivers += 1;
-            Self {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let remaining = {
-                let mut state = lock(&self.shared);
-                state.senders -= 1;
-                state.senders
-            };
-            if remaining == 0 {
-                // Wake blocked receivers so they observe the disconnect.
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            let remaining = {
-                let mut state = lock(&self.shared);
-                state.receivers -= 1;
-                state.receivers
-            };
-            if remaining == 0 {
-                // Wake anyone who might care (no blocking sends on an
-                // unbounded channel, but keep the invariant tidy).
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    impl<T> fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::thread;
-        use std::time::Duration;
-
-        #[test]
-        fn send_and_recv_preserve_fifo_order() {
-            let (tx, rx) = unbounded();
-            for i in 0..10 {
-                tx.send(i).unwrap();
-            }
-            for i in 0..10 {
-                assert_eq!(rx.recv().unwrap(), i);
-            }
-        }
-
-        #[test]
-        fn recv_blocks_until_a_cross_thread_send() {
-            let (tx, rx) = unbounded();
-            let h = thread::spawn(move || {
-                thread::sleep(Duration::from_millis(20));
-                tx.send(7_u32).unwrap();
-            });
-            assert_eq!(rx.recv().unwrap(), 7);
-            h.join().unwrap();
-        }
-
-        #[test]
-        fn send_fails_once_all_receivers_are_dropped() {
-            let (tx, rx) = unbounded();
-            let rx2 = rx.clone();
-            drop(rx);
-            tx.send(1).unwrap();
-            drop(rx2);
-            assert_eq!(tx.send(2), Err(SendError(2)));
-        }
-
-        #[test]
-        fn recv_fails_once_all_senders_are_dropped_and_queue_drains() {
-            let (tx, rx) = unbounded();
-            tx.send(1).unwrap();
-            drop(tx);
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Err(RecvError));
-        }
-
-        #[test]
-        fn recv_timeout_times_out_then_succeeds() {
-            let (tx, rx) = unbounded::<u8>();
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Timeout)
-            );
-            tx.send(3).unwrap();
-            assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(3));
-            drop(tx);
-            assert_eq!(
-                rx.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Disconnected)
-            );
-        }
-
-        #[test]
-        fn dropping_a_receiver_inside_a_panicking_thread_disconnects() {
-            let (tx, rx) = unbounded::<u8>();
-            let h = thread::spawn(move || {
-                let _rx = rx;
-                panic!("simulated user-thread crash");
-            });
-            assert!(h.join().is_err());
-            assert!(tx.send(1).is_err());
-        }
-
-        #[test]
-        fn mpmc_distributes_messages_exactly_once() {
-            let (tx, rx) = unbounded();
-            let consumers: Vec<_> = (0..4)
-                .map(|_| {
-                    let rx = rx.clone();
-                    thread::spawn(move || {
-                        let mut got = Vec::new();
-                        while let Ok(v) = rx.recv() {
-                            got.push(v);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            drop(rx);
-            for i in 0..1000 {
-                tx.send(i).unwrap();
-            }
-            drop(tx);
-            let mut all: Vec<u32> = consumers
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, (0..1000).collect::<Vec<_>>());
         }
     }
 }

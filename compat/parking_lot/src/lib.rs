@@ -4,8 +4,7 @@
 //! workspace vendors the small API subset it actually uses. Semantics
 //! match `parking_lot` where they matter here: `read`/`write`/`lock`
 //! return guards directly (no poisoning — a lock held by a panicked
-//! thread is recovered, which the fault-tolerant distributed runtime
-//! relies on when a user thread dies while publishing to the board).
+//! thread is recovered).
 
 use std::sync::{self, LockResult};
 

@@ -2,8 +2,8 @@
 //!
 //! * update order — Gauss–Seidel (paper) vs Jacobi (simultaneous);
 //! * GOS decomposition — Sequential (paper-like, unfair) vs Uniform;
-//! * deployment — sequential in-process solver vs the threaded
-//!   token-ring runtime (message-passing overhead).
+//! * deployment — sequential in-process solver vs the token-ring
+//!   runtime (message-passing overhead on the virtual network).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_distributed::runtime::{DistributedNash, RingInit};
@@ -96,7 +96,7 @@ fn bench_deployment(c: &mut Criterion) {
                 .unwrap()
         });
     });
-    group.bench_function("threaded_token_ring", |b| {
+    group.bench_function("token_ring", |b| {
         b.iter(|| {
             DistributedNash::new()
                 .init(RingInit::Proportional)
@@ -109,8 +109,8 @@ fn bench_deployment(c: &mut Criterion) {
 }
 
 fn bench_ring_scaling(c: &mut Criterion) {
-    // Wall-clock of the threaded ring as the user population grows
-    // (thread + channel overhead vs the sequential solver's loop).
+    // Wall-clock of the ring as the user population grows (per-hop
+    // message and coordinator overhead vs the sequential solver's loop).
     let mut group = c.benchmark_group("ablation_ring_scaling");
     group.sample_size(10);
     for m in [2usize, 8, 32] {

@@ -192,21 +192,30 @@ fn proportional_rows(cfg: &Cfg) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Pre/post-update regret of `row` against the full board: `(∞, ∞)`
-/// when the row does not place the user's whole (nominal) demand —
-/// nothing can be certified about a shed or unseeded row.
+/// Pre/post-update regret of `user`'s row against the full board.
 fn measure(cfg: &Cfg, rows: &[Vec<f64>], user: usize) -> (f64, f64) {
-    let n = cfg.mu.len();
-    let mut loads = vec![0.0; n];
+    row_regret(cfg, &board_loads(cfg, rows), &rows[user], user)
+}
+
+/// Aggregate flow per computer, summed over the rows in index order.
+fn board_loads(cfg: &Cfg, rows: &[Vec<f64>]) -> Vec<f64> {
+    let mut loads = vec![0.0; cfg.mu.len()];
     for row in rows {
         for (l, x) in loads.iter_mut().zip(row) {
             *l += x;
         }
     }
+    loads
+}
+
+/// Regret of `user`'s `row` against `loads`: `(∞, ∞)` when the row
+/// does not place the user's whole (nominal) demand — nothing can be
+/// certified about a shed or unseeded row.
+fn row_regret(cfg: &Cfg, loads: &[f64], row: &[f64], user: usize) -> (f64, f64) {
     let phi = cfg.phis[user];
-    let placed: f64 = rows[user].iter().sum();
+    let placed: f64 = row.iter().sum();
     if (placed - phi).abs() <= 1e-9 * phi {
-        user_regret(&cfg.mu, &loads, &rows[user], phi)
+        user_regret(&cfg.mu, loads, row, phi)
     } else {
         (f64::INFINITY, f64::INFINITY)
     }
@@ -1359,7 +1368,8 @@ impl AsyncNash {
 }
 
 /// Per-user `(regret, D_j)` over the final board — the pure reduction
-/// the `threads` knob parallelizes. Chunk results are merged in index
+/// the `threads` knob parallelizes. The loads are summed once, exactly
+/// as [`measure`] sums them, and chunk results are merged in index
 /// order, so the output is bitwise identical at any thread count.
 fn certificate_rows(
     cfg: &Cfg,
@@ -1367,7 +1377,8 @@ fn certificate_rows(
     alive: &[usize],
     threads: usize,
 ) -> Vec<(f64, f64)> {
-    let compute = |&j: &usize| measure(cfg, rows, j);
+    let loads = board_loads(cfg, rows);
+    let compute = |&j: &usize| row_regret(cfg, &loads, &rows[j], j);
     if threads <= 1 || alive.len() <= 1 {
         return alive.iter().map(compute).collect();
     }

@@ -7,8 +7,9 @@
 //! its available rate) from it without ever reading another user's
 //! strategy object.
 //!
-//! Only the token holder mutates the board, but all user threads share it,
-//! so it sits behind a `parking_lot::RwLock`.
+//! Only the token holder mutates the board, while every user and the
+//! coordinator read it; it sits behind a `parking_lot::RwLock`, so a
+//! shared `&LoadBoard` is safe to use from any thread.
 
 use parking_lot::RwLock;
 

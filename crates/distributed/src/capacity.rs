@@ -18,13 +18,13 @@
 //!    survivors' nominal demand, producing per-user *admitted* rates;
 //! 4. bumps the epoch and reconfigures every live user with the new
 //!    rate vector and its admitted demand, then regenerates the token —
-//!    FIFO channel order guarantees each user sees the reconfiguration
+//!    FIFO link order guarantees each user sees the reconfiguration
 //!    before any new-epoch token, so no user ever best-responds against
 //!    stale capacity.
 //!
 //! Each application appends a [`ShedRecord`] to the run's shed
 //! trajectory. The trajectory is a pure function of the event schedule,
-//! the nominal rates and the policy — thread timing never enters — so
+//! the nominal rates and the policy — host timing never enters — so
 //! the same plan and seed reproduce it byte for byte.
 
 /// A change to one computer's service rate, applied between rounds.

@@ -2,7 +2,7 @@
 //!
 //! Distributed failure modes are miserable to test when they depend on
 //! timing. A [`FaultPlan`] makes them reproducible: it maps
-//! `(user, round)` pairs to a [`FaultAction`] that the user thread
+//! `(user, round)` pairs to a [`FaultAction`] that the user node
 //! executes when it holds the token at that round. Because the token
 //! serializes the ring, a plan produces the same failure at the same
 //! point of the computation on every run — crash tests become ordinary
@@ -11,9 +11,9 @@
 //! The actions cover the classic failure taxonomy for this protocol:
 //!
 //! * crash faults — [`FaultAction::PanicHoldingToken`] (the token dies
-//!   with the thread) and [`FaultAction::PanicAfterForward`] (the thread
-//!   dies but the token survives, so the failure is discovered later by
-//!   the predecessor's failed send);
+//!   with the node) and [`FaultAction::PanicAfterForward`] (the node
+//!   stops but the token survives, so the failure is discovered later by
+//!   the predecessor's refused send);
 //! * omission faults — [`FaultAction::DropToken`] (the user processes
 //!   the round but never forwards);
 //! * timing faults — [`FaultAction::DelayForward`] (a slow participant,
@@ -30,22 +30,22 @@ use std::time::Duration;
 /// What a user does when it holds the token at a planned `(user, round)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic immediately on receiving the token, before processing the
+    /// Stop (crash) on receiving the token, before processing the
     /// round. The token is lost; only the coordinator's timeout can
     /// recover the ring.
     PanicHoldingToken,
-    /// Process the round and forward the token normally, then panic. The
+    /// Process the round and forward the token normally, then stop. The
     /// token survives, so the ring keeps running until someone tries to
-    /// send to the dead thread and splices around it via `next2`.
+    /// send to the stopped node and splices around it via `next2`.
     PanicAfterForward,
     /// Process the round but silently discard the token instead of
     /// forwarding it. Indistinguishable from a crash to the rest of the
     /// ring.
     DropToken,
-    /// Sleep for the given duration before forwarding the token. A delay
-    /// longer than the round timeout makes the failure detector declare
-    /// this user dead even though it is merely slow — the classic
-    /// false-positive of timeout-based detection.
+    /// Hold the token for the given virtual time before forwarding it. A
+    /// delay longer than the round timeout makes the failure detector
+    /// declare this user dead even though it is merely slow — the
+    /// classic false-positive of timeout-based detection.
     DelayForward(Duration),
     /// Best-respond to the previous round's cached observation instead of
     /// re-reading the board, then publish those (stale) flows.
@@ -106,12 +106,12 @@ impl FaultPlan {
         self
     }
 
-    /// `user` panics while holding the token at `round`.
+    /// `user` crashes while holding the token at `round`.
     pub fn panic_at(self, user: usize, round: u32) -> Self {
         self.with(user, round, FaultAction::PanicHoldingToken)
     }
 
-    /// `user` forwards the token at `round`, then panics.
+    /// `user` forwards the token at `round`, then crashes.
     pub fn panic_after_forward_at(self, user: usize, round: u32) -> Self {
         self.with(user, round, FaultAction::PanicAfterForward)
     }
@@ -121,7 +121,8 @@ impl FaultPlan {
         self.with(user, round, FaultAction::DropToken)
     }
 
-    /// `user` sleeps for `delay` before forwarding at `round`.
+    /// `user` holds the token for `delay` of virtual time before
+    /// forwarding at `round`.
     pub fn delay_at(self, user: usize, round: u32, delay: Duration) -> Self {
         self.with(user, round, FaultAction::DelayForward(delay))
     }

@@ -8,8 +8,9 @@
 //! decides termination.
 //!
 //! `lb-game::nash` implements that dynamics sequentially. This crate runs
-//! it **for real**: one OS thread per user, crossbeam channels for the
-//! token ring, and a shared load board standing in for the computers'
+//! it as a message-passing protocol: every user is a node of a seeded
+//! virtual network, the token and the coordinator's control traffic are
+//! messages on it, and a shared load board stands in for the computers'
 //! observable run-queue state:
 //!
 //! * [`messages`] — the token protocol (with repair epochs and ring
@@ -24,8 +25,8 @@
 //! * [`capacity`] — computer-side churn: crash / degrade / recover
 //!   events and the shed trajectory the coordinator records when its
 //!   overload policy sheds load.
-//! * [`runtime`] — thread spawning, the ring, failure detection and
-//!   repair, termination, and result collection.
+//! * [`runtime`] — the ring as an event loop over [`net`]: failure
+//!   detection and repair, termination, and result collection.
 //! * [`net`] — a seeded virtual network: per-link drop / duplicate /
 //!   reorder / bounded-delay faults and scheduled partitions over a
 //!   deterministic virtual clock.
@@ -33,15 +34,15 @@
 //!   dynamics over that network, terminating via a certified ε-Nash
 //!   gap accepted only from a provably fresh view.
 //!
-//! The runtime is fault-tolerant: every receive has a timeout, a lost
-//! token is detected by the coordinator and regenerated under a new
-//! epoch, dead users are spliced out of the ring and their load cleared
-//! from the board, and the survivors re-converge on the residual
-//! capacity. See the [`runtime`] module docs for the failure model.
+//! The runtime is fault-tolerant: a lost token is detected by the
+//! coordinator's timeout and regenerated under a new epoch, dead users
+//! are spliced out of the ring and their load cleared from the board,
+//! and the survivors re-converge on the residual capacity. Timeouts and
+//! injected delays are virtual time, so every run is deterministic. See
+//! the [`runtime`] module docs for the failure model.
 //!
-//! The integration tests verify the threaded runtime reaches the same
-//! equilibrium as the sequential solver, and that it survives injected
-//! crashes.
+//! The integration tests verify the ring reaches the same equilibrium as
+//! the sequential solver, and that it survives injected crashes.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

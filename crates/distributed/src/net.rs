@@ -505,7 +505,7 @@ impl<M: Clone> VirtualNet<M> {
         msg: M,
     ) {
         let env = Env {
-            at: self.now + delay,
+            at: self.now.saturating_add(delay),
             tie: self.tie,
             from,
             to,

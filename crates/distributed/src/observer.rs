@@ -24,7 +24,7 @@ pub enum ObservationModel {
     },
 }
 
-/// A stateful observer owned by one user thread.
+/// A stateful observer owned by one user.
 #[derive(Debug, Clone)]
 pub struct Observer {
     model: ObservationModel,

@@ -1,14 +1,19 @@
-//! The fault-tolerant threaded token-ring runtime for the distributed
-//! NASH algorithm.
+//! The fault-tolerant token-ring runtime for the distributed NASH
+//! algorithm.
 //!
-//! One OS thread per user, connected in a ring by unbounded crossbeam
-//! channels. The control token ([`crate::messages::Token`]) circulates
-//! round-robin exactly as in the paper's pseudocode; strategies are
-//! *never* exchanged — users observe each other only through the shared
-//! [`crate::board::LoadBoard`], matching the paper's run-queue-inspection
-//! model. The ring tail (the highest-indexed live user) owns the
-//! convergence test and initiates a final terminate lap; every user then
-//! reports its strategy to the coordinator and exits.
+//! The ring is a sequential discrete-event simulation over
+//! [`crate::net::VirtualNet`]: users `0..m` and a coordinator (node `m`)
+//! exchange the token, progress notes and reconfigurations as messages
+//! with one constant virtual delay. The control token
+//! ([`crate::messages::Token`]) circulates round-robin exactly as in the
+//! paper's pseudocode; strategies are *never* exchanged — users observe
+//! each other only through the shared [`crate::board::LoadBoard`],
+//! matching the paper's run-queue-inspection model. The ring tail (the
+//! highest-indexed live user) owns the convergence test and initiates a
+//! final terminate lap; every user then reports its strategy to the
+//! coordinator and stops. Timeouts and injected delays run on the
+//! virtual clock, so a run is a pure function of (model, configuration,
+//! fault plan) and never waits on the host's clock.
 //!
 //! # Failure model
 //!
@@ -16,18 +21,16 @@
 //! omission and timing faults (injectable deterministically via
 //! [`crate::fault::FaultPlan`]):
 //!
-//! * every receive — user and coordinator alike — carries a timeout, so a
-//!   lost token can never hang the run;
 //! * every token forward is announced to the coordinator, which tracks
-//!   the expected holder; when no progress happens for
-//!   [`DistributedNash::round_timeout`], the holder is declared failed,
-//!   its board row is zeroed, the ring is spliced around it, and the
-//!   token is regenerated under a new *epoch* (stale tokens from the old
-//!   epoch are dropped on receipt);
-//! * each user also keeps a channel to its successor's successor: when a
-//!   forward fails because the successor's thread is gone, the user
-//!   splices around it immediately and tells the coordinator, without
-//!   waiting for the timeout;
+//!   the expected holder; when no note reaches it for
+//!   [`DistributedNash::round_timeout`] of virtual time, the holder is
+//!   declared failed, its board row is zeroed, the ring is spliced
+//!   around it, and the token is regenerated under a new *epoch* (stale
+//!   tokens from the old epoch are dropped on receipt);
+//! * a stopped node refuses sends, and each user also knows its
+//!   successor's successor: when a forward is refused, the user splices
+//!   around the stopped successor immediately and tells the
+//!   coordinator, without waiting for the timeout;
 //! * survivors then re-converge on the residual capacity, and the
 //!   [`DistributedOutcome`] names the failed users instead of discarding
 //!   the partial result;
@@ -46,16 +49,15 @@
 //! The failure detector is timeout-based and therefore *not* perfect: a
 //! user that is merely slower than `round_timeout` (e.g. a
 //! [`crate::fault::FaultAction::DelayForward`] longer than the patience)
-//! is declared failed, shut down, and excluded like a real crash. That is
-//! the standard trade-off of synchronous-detector designs; pick a
-//! `round_timeout` comfortably above the per-round compute time.
+//! is declared failed, stopped, and excluded like a real crash. That is
+//! the standard trade-off of synchronous-detector designs.
 
 use crate::board::LoadBoard;
 use crate::capacity::{CapacityEvent, ShedRecord};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::messages::{FinalReport, Reconfigure, RingMsg, Termination, Token};
+use crate::messages::{Termination, Token};
+use crate::net::{NetFaultPlan, VirtualNet};
 use crate::observer::{ObservationModel, Observer};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use lb_game::best_reply::water_fill_flows;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
@@ -66,13 +68,20 @@ use lb_game::{Certificate, StoppingRule};
 use lb_stats::IterationTrace;
 use lb_telemetry::{Collector, Field, Span};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How often an idle user thread wakes up to check the stop flag.
-const IDLE_CHECK: Duration = Duration::from_millis(50);
+/// Virtual delay of every ring message, µs. One constant delay on every
+/// link keeps each link FIFO (the network orders deliveries by time,
+/// then by send order), so a user always sees its `Reconfigure` before
+/// any token of the new epoch.
+const HOP_US: u64 = 100;
+
+/// A duration as virtual microseconds, rounded up so that a non-zero
+/// duration stays non-zero, and saturated at `u64::MAX`.
+fn virtual_us(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos().div_ceil(1_000)).unwrap_or(u64::MAX)
+}
 
 /// Initial board state, mirroring the paper's two NASH variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +102,7 @@ pub struct DistributedNash {
     max_rounds: u32,
     round_timeout: Duration,
     run_deadline: Option<Duration>,
-    faults: Arc<FaultPlan>,
+    faults: FaultPlan,
     overload_policy: OverloadPolicy,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -131,7 +140,7 @@ impl DistributedNash {
             max_rounds: 500,
             round_timeout: Duration::from_secs(5),
             run_deadline: None,
-            faults: Arc::new(FaultPlan::new()),
+            faults: FaultPlan::new(),
             overload_policy: OverloadPolicy::Reject,
             collector: None,
         }
@@ -177,16 +186,16 @@ impl DistributedNash {
         self
     }
 
-    /// Sets the failure detector's patience: if the coordinator sees no
-    /// ring progress for this long, it declares the expected token holder
-    /// failed and regenerates the token. Must exceed the per-round
-    /// compute time by a healthy margin.
+    /// Sets the failure detector's patience, in virtual time: if no
+    /// progress note reaches the coordinator for this long, it declares
+    /// the expected token holder failed and regenerates the token. Must
+    /// exceed every delay the plan injects into a healthy user.
     pub fn round_timeout(mut self, timeout: Duration) -> Self {
         self.round_timeout = timeout;
         self
     }
 
-    /// Sets a hard wall-clock deadline for the whole run. When it
+    /// Sets a hard deadline for the whole run, in virtual time. When it
     /// expires, `run` returns [`GameError::RingTimeout`] instead of
     /// continuing to repair.
     pub fn run_deadline(mut self, deadline: Duration) -> Self {
@@ -197,7 +206,7 @@ impl DistributedNash {
     /// Installs a deterministic fault-injection plan (see
     /// [`crate::fault`]).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Arc::new(plan);
+        self.faults = plan;
         self
     }
 
@@ -216,7 +225,7 @@ impl DistributedNash {
     /// forward, `ring.round` per completed round, plus `ring.splice`,
     /// `ring.fault`, `ring.token_lost`, `ring.capacity`, `ring.shed`,
     /// `ring.epoch`, `ring.report` and `ring.done` as the run unfolds.
-    /// All events are emitted from the coordinator thread *after* the
+    /// All events are emitted by the coordinator node *after* the
     /// state change they describe, so the run's results (trace, profile,
     /// shed trajectory) are identical with or without a collector.
     pub fn collector(mut self, collector: Arc<dyn Collector>) -> Self {
@@ -254,7 +263,7 @@ impl DistributedNash {
     /// * [`GameError::ZeroIterationBudget`] when `max_rounds == 0`, and
     ///   [`GameError::ZeroDuration`] when `round_timeout` or
     ///   `run_deadline` is zero — such a run could not be reported
-    ///   honestly, so it is rejected before any thread spawns.
+    ///   honestly, so it is rejected before any message is sent.
     /// * [`GameError::RingTimeout`] when the deadline expired or no users
     ///   survived to produce a result.
     /// * [`GameError::InfeasibleStrategy`] on protocol violations
@@ -278,7 +287,7 @@ impl DistributedNash {
         }
         let m = model.num_users();
         let n = model.num_computers();
-        let board = Arc::new(LoadBoard::new(m, n));
+        let board = LoadBoard::new(m, n);
         match self.init {
             RingInit::Zero => {}
             RingInit::Proportional => {
@@ -296,42 +305,6 @@ impl DistributedNash {
                 board.seed(&rows);
             }
         }
-
-        // Initial D_j must be computed from the seeded board *before* any
-        // user starts updating — doing it inside each thread would race
-        // with earlier users' round-0 publishes.
-        let initial_d: Vec<f64> = {
-            let totals = board.total_flows();
-            let mut row = Vec::with_capacity(n);
-            (0..m)
-                .map(|j| {
-                    board.row_into(j, &mut row);
-                    let phi = model.user_rate(j);
-                    row.iter()
-                        .enumerate()
-                        .filter(|(_, &x)| x > 0.0)
-                        .map(|(i, &x)| {
-                            x / phi
-                                * lb_queueing::mm1::response_time(totals[i], model.computer_rate(i))
-                        })
-                        .sum()
-                })
-                .collect()
-        };
-
-        // Ring channels: user j receives on rxs[j], sends to txs[(j+1)%m].
-        // The receivers move into the threads — the coordinator must not
-        // hold clones, so that a dead user makes sends to it fail and the
-        // fast splice path can trigger.
-        let mut rxs: Vec<Option<Receiver<RingMsg>>> = Vec::with_capacity(m);
-        let mut txs: Vec<Sender<RingMsg>> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-        let (event_tx, event_rx) = unbounded::<Event>();
-        let stop = Arc::new(AtomicBool::new(false));
 
         if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
             c.emit(
@@ -354,40 +327,29 @@ impl DistributedNash {
             );
         }
 
-        let mut handles = Vec::with_capacity(m);
-        for (j, rx) in rxs.iter_mut().enumerate() {
-            let ctx = UserContext {
-                user: j,
-                is_tail: j == m - 1,
-                epoch: 0,
-                mu: model.computer_rates().to_vec(),
-                phi: model.user_rate(j),
-                board: Arc::clone(&board),
-                rx: rx.take().expect("receiver moved twice"),
-                next_id: (j + 1) % m,
-                next: txs[(j + 1) % m].clone(),
-                next2_id: (j + 2) % m,
-                next2: txs[(j + 2) % m].clone(),
-                events: event_tx.clone(),
-                observer: Observer::new(self.observation, j),
-                tolerance: self.tolerance,
-                stopping: self.stopping,
-                max_rounds: self.max_rounds,
-                initial_d: initial_d[j],
-                faults: Arc::clone(&self.faults),
-                stop: Arc::clone(&stop),
-                scratch_others: Vec::with_capacity(n),
-                scratch_totals: Vec::with_capacity(n),
-                scratch_row: Vec::with_capacity(n),
-            };
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("nash-user-{j}"))
-                    .spawn(move || user_main(ctx))
-                    .expect("failed to spawn user thread"),
-            );
-        }
-        drop(event_tx);
+        let mut users: Vec<UserNode> = (0..m)
+            .map(|j| {
+                let mut user = UserNode {
+                    user: j,
+                    is_tail: j == m - 1,
+                    epoch: 0,
+                    mu: model.computer_rates().to_vec(),
+                    phi: model.user_rate(j),
+                    next: (j + 1) % m,
+                    next2: (j + 2) % m,
+                    observer: Observer::new(self.observation, j),
+                    prev_d: 0.0,
+                    updates: 0,
+                    pending: None,
+                    scratch_others: Vec::with_capacity(n),
+                    scratch_totals: Vec::with_capacity(n),
+                    scratch_row: Vec::with_capacity(n),
+                };
+                // D_j of the seeded board, read before anyone updates.
+                user.prev_d = user.response_time_from_board(&board);
+                user
+            })
+            .collect();
 
         // Root span for the whole distributed run; the coordinator rolls
         // `ring.round` / `ring.hold` children under it as the token moves.
@@ -398,9 +360,13 @@ impl DistributedNash {
         );
         let mut coord = Coordinator {
             m,
-            board: Arc::clone(&board),
-            txs,
-            events: event_rx,
+            board: &board,
+            links: Links {
+                // The seed is irrelevant: the ring's links never drop,
+                // duplicate or reorder, so no fault roll decides anything.
+                net: VirtualNet::new(m + 1, 0, NetFaultPlan::new().delay_us(HOP_US, HOP_US)),
+                stopped: vec![false; m],
+            },
             alive: vec![true; m],
             failed: Vec::new(),
             reports: (0..m).map(|_| None).collect(),
@@ -408,13 +374,14 @@ impl DistributedNash {
             holder: 0,
             mirror: Vec::new(),
             termination: None,
-            round_timeout: self.round_timeout,
+            round_timeout_us: virtual_us(self.round_timeout),
+            quiet_since: 0,
             nominal_mu: model.computer_rates().to_vec(),
             current_mu: model.computer_rates().to_vec(),
             nominal_phi: model.user_rates().to_vec(),
             current_phi: model.user_rates().to_vec(),
             policy: self.overload_policy,
-            faults: Arc::clone(&self.faults),
+            faults: &self.faults,
             shed_log: Vec::new(),
             collector: self.collector.clone(),
             hold_span: None,
@@ -422,20 +389,7 @@ impl DistributedNash {
             run_span,
         };
         coord.inject(0, Token::initial());
-        let driven = coord.drive(self.run_deadline);
-
-        // Teardown runs on every path, success or error: raise the stop
-        // flag, nudge any parked threads, and reap them all (panicked
-        // threads return Err from join — that is the expected fate of
-        // fault-injected users, so it is ignored).
-        stop.store(true, Ordering::Relaxed);
-        for tx in &coord.txs {
-            let _ = tx.send(RingMsg::Shutdown);
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-        driven?;
+        coord.drive(&mut users, self)?;
 
         let termination = coord
             .termination
@@ -615,7 +569,7 @@ impl DistributedOutcome {
     /// Every admission-control decision the coordinator took, in order.
     /// Byte-identical across runs with the same model, plan and policy —
     /// the trajectory depends only on the event schedule and the nominal
-    /// rates, never on thread timing.
+    /// rates.
     pub fn shed_trajectory(&self) -> &[ShedRecord] {
         &self.shed_log
     }
@@ -630,34 +584,96 @@ fn termination_label(t: Termination) -> &'static str {
     }
 }
 
-/// Progress reports from user threads to the coordinator. Every token
-/// forward is announced, so the coordinator always knows which user
-/// should be holding the token — that user is the suspect when the ring
-/// goes quiet.
-enum Event {
-    /// A user handed the token to `to`.
+/// Everything the ring's nodes deliver to each other, plus their local
+/// timers.
+#[derive(Debug, Clone)]
+enum Msg {
+    /// The circulating control token (to a user).
+    Token(Token),
+    /// New ring topology and capacity from the coordinator (to a user):
+    /// the successor, the successor's successor (the splice target if
+    /// the successor stops before the coordinator notices), whether the
+    /// user is now the tail, the service rates in force (0 = crashed
+    /// computer), and the user's admitted arrival rate. Carrying
+    /// `mu`/`phi` on every reconfiguration keeps the protocol uniform.
+    Reconfigure {
+        epoch: u32,
+        next: usize,
+        next2: usize,
+        is_tail: bool,
+        mu: Vec<f64>,
+        phi: f64,
+    },
+    /// A user's timer for [`FaultAction::DelayForward`]: forward the
+    /// held token now.
+    Release(Token),
+    /// Progress note: a user handed the token to `to`. Every forward is
+    /// announced, so the coordinator always knows which user should be
+    /// holding the token — that user is the suspect when the ring goes
+    /// quiet.
     Forwarded { to: usize, epoch: u32 },
-    /// The tail completed a round with this norm (and possibly decided
-    /// termination). `certificate` carries the round's certified
-    /// relative regret bound when the stopping rule computes one.
+    /// Progress note: the tail completed a round with this norm (and
+    /// possibly decided termination). `certificate` carries the round's
+    /// certified relative regret bound when the stopping rule computes
+    /// one.
     RoundComplete {
         norm: f64,
         certificate: Option<f64>,
         termination: Termination,
         epoch: u32,
     },
-    /// A forward to `skipped` failed because its thread is gone; the
-    /// sender spliced around it.
+    /// Progress note: a forward to `skipped` was refused because it has
+    /// stopped; the sender spliced around it.
     Spliced { skipped: usize, epoch: u32 },
     /// A user's final report from the terminate lap.
     Report(FinalReport),
+    /// The coordinator's failure-detector timer.
+    Detector,
+    /// The coordinator's `run_deadline` timer.
+    Deadline,
 }
 
-struct Coordinator {
+/// A user's final report to the coordinator.
+#[derive(Debug, Clone)]
+struct FinalReport {
+    user: usize,
+    /// The user's final strategy (job fractions).
+    fractions: Vec<f64>,
+    /// The user's final expected response time `D_j`.
+    response_time: f64,
+    /// Best replies the user computed.
+    updates: u32,
+}
+
+/// The ring's links: the virtual net plus which users have stopped
+/// (crashed, declared failed, or reported and done). A send to a stopped
+/// user is refused, which is how a predecessor learns to splice.
+struct Links {
+    net: VirtualNet<Msg>,
+    stopped: Vec<bool>,
+}
+
+impl Links {
+    /// Sends `msg` to user `to`, handing it back if `to` has stopped.
+    fn send(&mut self, from: usize, to: usize, msg: Msg) -> Result<(), Msg> {
+        if self.stopped[to] {
+            return Err(msg);
+        }
+        self.net.send(from, to, msg);
+        Ok(())
+    }
+
+    /// Sends a progress note from user `from` to the coordinator.
+    fn note(&mut self, from: usize, msg: Msg) {
+        let coordinator = self.stopped.len();
+        self.net.send(from, coordinator, msg);
+    }
+}
+
+struct Coordinator<'a> {
     m: usize,
-    board: Arc<LoadBoard>,
-    txs: Vec<Sender<RingMsg>>,
-    events: Receiver<Event>,
+    board: &'a LoadBoard,
+    links: Links,
     alive: Vec<bool>,
     failed: Vec<usize>,
     reports: Vec<Option<FinalReport>>,
@@ -665,7 +681,10 @@ struct Coordinator {
     holder: usize,
     mirror: Vec<f64>,
     termination: Option<Termination>,
-    round_timeout: Duration,
+    round_timeout_us: u64,
+    /// Virtual time of the last note received (or the last repair):
+    /// the failure detector's patience runs from here.
+    quiet_since: u64,
     /// Capacity vector the model started with (recovery target).
     nominal_mu: Vec<f64>,
     /// Capacity vector currently in force (0 = crashed).
@@ -675,7 +694,7 @@ struct Coordinator {
     /// Per-user admitted rates currently in force.
     current_phi: Vec<f64>,
     policy: OverloadPolicy,
-    faults: Arc<FaultPlan>,
+    faults: &'a FaultPlan,
     shed_log: Vec<ShedRecord>,
     collector: Option<Arc<dyn Collector>>,
     // Span fields are declared leaf-first so that, if the coordinator is
@@ -689,10 +708,10 @@ struct Coordinator {
     run_span: Option<Span>,
 }
 
-impl Coordinator {
+impl Coordinator<'_> {
     /// Emits a telemetry event if a collector is attached and enabled.
-    /// Runs on the coordinator thread only, so the event stream has a
-    /// single deterministic writer.
+    /// Only the coordinator emits, so the event stream has a single
+    /// deterministic writer.
     fn emit(&self, name: &'static str, fields: &[Field]) {
         if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
             c.emit(name, fields);
@@ -773,67 +792,65 @@ impl Coordinator {
             ]);
         }
     }
-    /// The event loop: applies progress events, detects token loss via
+
+    /// The event loop: delivers every message in virtual-time order,
+    /// applies the coordinator's progress notes, detects token loss by
     /// timeout, and repairs the ring until every surviving user has
     /// reported.
-    fn drive(&mut self, run_deadline: Option<Duration>) -> Result<(), GameError> {
-        let started = Instant::now();
-        let deadline = run_deadline.map(|d| started + d);
-        loop {
-            if self.termination.is_some() && self.all_alive_reported() {
-                return Ok(());
+    fn drive(&mut self, users: &mut [UserNode], cfg: &DistributedNash) -> Result<(), GameError> {
+        if let Some(deadline) = cfg.run_deadline {
+            self.links
+                .net
+                .schedule(self.m, virtual_us(deadline), Msg::Deadline);
+        }
+        self.arm_detector();
+        while !(self.termination.is_some() && self.all_alive_reported()) {
+            let d = self
+                .links
+                .net
+                .step()
+                .expect("the failure detector always has a timer armed");
+            if d.to < self.m {
+                if !self.links.stopped[d.to] {
+                    users[d.to].handle(d.msg, cfg, self.board, &mut self.links);
+                }
+                continue;
             }
-            let wait = match deadline {
-                Some(dl) => {
-                    let now = Instant::now();
-                    if now >= dl {
-                        return Err(self.deadline_error(started));
+            match d.msg {
+                Msg::Deadline => return Err(self.deadline_error()),
+                Msg::Detector => {
+                    if d.at_us - self.quiet_since >= self.round_timeout_us {
+                        self.repair_token_loss()?;
+                        self.quiet_since = d.at_us;
                     }
-                    self.round_timeout.min(dl - now)
+                    self.arm_detector();
                 }
-                None => self.round_timeout,
-            };
-            match self.events.recv_timeout(wait) {
-                Ok(ev) => self.apply(ev)?,
-                Err(RecvTimeoutError::Timeout) => {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        return Err(self.deadline_error(started));
-                    }
-                    self.repair_token_loss()?;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every user thread is gone. Anyone who did not
-                    // report is failed; if some did, salvage the partial
-                    // outcome, otherwise the run is unrecoverable.
-                    for j in 0..self.m {
-                        if self.alive[j] && self.reports[j].is_none() {
-                            self.declare_failed(j);
-                        }
-                    }
-                    if self.termination.is_some() && self.reports.iter().any(Option::is_some) {
-                        continue;
-                    }
-                    return Err(GameError::RingTimeout {
-                        round: self.mirror.len() as u32,
-                        waited_ms: started.elapsed().as_millis() as u64,
-                        reason: format!(
-                            "all user threads exited before the run completed; failed users: {:?}",
-                            self.failed
-                        ),
-                    });
+                note => {
+                    self.quiet_since = d.at_us;
+                    self.apply(note)?;
                 }
             }
         }
+        Ok(())
     }
 
-    fn apply(&mut self, ev: Event) -> Result<(), GameError> {
-        match ev {
-            Event::Forwarded { to, epoch } if epoch == self.epoch => {
+    /// Keeps exactly one detector timer in flight, due `round_timeout`
+    /// after the last note. A timer that finds a newer note re-arms
+    /// for the remainder instead of firing.
+    fn arm_detector(&mut self) {
+        let due = self.quiet_since.saturating_add(self.round_timeout_us);
+        let now = self.links.net.now();
+        self.links.net.schedule(self.m, due - now, Msg::Detector);
+    }
+
+    fn apply(&mut self, note: Msg) -> Result<(), GameError> {
+        match note {
+            Msg::Forwarded { to, epoch } if epoch == self.epoch => {
                 self.holder = to;
                 self.emit("ring.hop", &[("to", to.into()), ("epoch", epoch.into())]);
                 self.begin_hold(to);
             }
-            Event::RoundComplete {
+            Msg::RoundComplete {
                 norm,
                 certificate,
                 termination,
@@ -864,7 +881,7 @@ impl Coordinator {
                     }
                 }
             }
-            Event::Spliced { skipped, epoch } if epoch == self.epoch => {
+            Msg::Spliced { skipped, epoch } if epoch == self.epoch => {
                 self.emit(
                     "ring.splice",
                     &[("skipped", skipped.into()), ("epoch", epoch.into())],
@@ -874,7 +891,7 @@ impl Coordinator {
                     self.reconfigure();
                 }
             }
-            Event::Report(r) => {
+            Msg::Report(r) => {
                 let user = r.user;
                 if self.reports[user].is_some() {
                     return Err(GameError::InfeasibleStrategy {
@@ -891,9 +908,9 @@ impl Coordinator {
                 );
                 self.reports[user] = Some(r);
             }
-            // Events stamped with an old epoch come from a user that was
+            // Notes stamped with an old epoch come from a user that was
             // (rightly or wrongly) declared failed; its token is stale.
-            Event::Forwarded { .. } | Event::RoundComplete { .. } | Event::Spliced { .. } => {}
+            _ => {}
         }
         Ok(())
     }
@@ -904,7 +921,7 @@ impl Coordinator {
     /// bump the epoch, reconfigure every live user with the new rates
     /// and admitted demand, and regenerate the token for the next round.
     ///
-    /// FIFO channel order makes this safe: each user receives its
+    /// FIFO link order makes this safe: each user receives its
     /// `Reconfigure` (carrying `mu`/`phi`) before any token of the new
     /// epoch, so nobody best-responds against stale capacity. A stale
     /// old-epoch token still in flight is dropped on receipt.
@@ -1006,7 +1023,7 @@ impl Coordinator {
     }
 
     /// No progress for a full `round_timeout`: the expected holder took
-    /// the token down with it. Kill it, splice, and regenerate the token
+    /// the token down with it. Stop it, splice, and regenerate the token
     /// under a fresh epoch.
     fn repair_token_loss(&mut self) -> Result<(), GameError> {
         let suspect = self.holder;
@@ -1024,7 +1041,7 @@ impl Coordinator {
         if ring.is_empty() {
             return Err(GameError::RingTimeout {
                 round: self.mirror.len() as u32,
-                waited_ms: self.round_timeout.as_millis() as u64,
+                waited_ms: self.round_timeout_us / 1_000,
                 reason: format!("token lost at user {suspect}; no users survive"),
             });
         }
@@ -1076,9 +1093,9 @@ impl Coordinator {
         // A dead user places no demand; its admitted rate must not count
         // toward feasibility nor show up as shed load in the outcome.
         self.current_phi[j] = 0.0;
-        // If the thread is merely slow rather than dead, this tells it to
-        // exit without reporting once it wakes up.
-        let _ = self.txs[j].send(RingMsg::Shutdown);
+        // A user that is merely slow rather than dead stops here: its
+        // pending wake-up is discarded and later sends to it are refused.
+        self.links.stopped[j] = true;
     }
 
     /// Sends every live user its post-splice topology: successor,
@@ -1087,25 +1104,22 @@ impl Coordinator {
         let ring = self.alive_ring();
         let k = ring.len();
         for (pos, &j) in ring.iter().enumerate() {
-            let next_id = ring[(pos + 1) % k];
-            let next2_id = ring[(pos + 2) % k];
-            let _ = self.txs[j].send(RingMsg::Reconfigure(Reconfigure {
+            let rc = Msg::Reconfigure {
                 epoch: self.epoch,
-                next_id,
-                next: self.txs[next_id].clone(),
-                next2_id,
-                next2: self.txs[next2_id].clone(),
+                next: ring[(pos + 1) % k],
+                next2: ring[(pos + 2) % k],
                 is_tail: pos == k - 1,
                 mu: self.current_mu.clone(),
                 phi: self.current_phi[j],
-            }));
+            };
+            let _ = self.links.send(self.m, j, rc);
         }
     }
 
     fn inject(&mut self, target: usize, token: Token) {
         self.holder = target;
         self.begin_hold(target);
-        let _ = self.txs[target].send(RingMsg::Token(token));
+        let _ = self.links.send(self.m, target, Msg::Token(token));
     }
 
     fn alive_ring(&self) -> Vec<usize> {
@@ -1116,35 +1130,32 @@ impl Coordinator {
         (0..self.m).all(|j| !self.alive[j] || self.reports[j].is_some())
     }
 
-    fn deadline_error(&self, started: Instant) -> GameError {
+    fn deadline_error(&self) -> GameError {
         GameError::RingTimeout {
             round: self.mirror.len() as u32,
-            waited_ms: started.elapsed().as_millis() as u64,
+            waited_ms: self.links.net.now() / 1_000,
             reason: "run deadline exceeded".into(),
         }
     }
 }
 
-struct UserContext {
+/// One user's local state.
+struct UserNode {
     user: usize,
     is_tail: bool,
     epoch: u32,
     mu: Vec<f64>,
     phi: f64,
-    board: Arc<LoadBoard>,
-    rx: Receiver<RingMsg>,
-    next_id: usize,
-    next: Sender<RingMsg>,
-    next2_id: usize,
-    next2: Sender<RingMsg>,
-    events: Sender<Event>,
+    next: usize,
+    next2: usize,
     observer: Observer,
-    tolerance: f64,
-    stopping: StoppingRule,
-    max_rounds: u32,
-    initial_d: f64,
-    faults: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
+    /// `D_j` after the user's last turn; before its first turn, `D_j` of
+    /// the initial board (0 for the unseeded NASH_0 start).
+    prev_d: f64,
+    updates: u32,
+    /// A token whose forward was refused in both directions, parked
+    /// until the coordinator sends the repaired topology.
+    pending: Option<Token>,
     // Board-read buffers reused across token rounds so the steady-state
     // update loop performs no per-token allocations.
     scratch_others: Vec<f64>,
@@ -1152,263 +1163,232 @@ struct UserContext {
     scratch_row: Vec<f64>,
 }
 
-fn user_main(mut ctx: UserContext) {
-    // D_j of the initial board state, computed race-free by the
-    // coordinator (0 for the unseeded NASH_0 start).
-    let mut prev_d = ctx.initial_d;
-    let mut updates = 0_u32;
-    // A token whose forward failed in both directions, parked until the
-    // coordinator sends us the repaired topology.
-    let mut pending: Option<Token> = None;
-
-    loop {
-        let msg = match ctx.rx.recv_timeout(IDLE_CHECK) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => {
-                if ctx.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+impl UserNode {
+    fn handle(&mut self, msg: Msg, cfg: &DistributedNash, board: &LoadBoard, links: &mut Links) {
         match msg {
-            RingMsg::Shutdown => return,
-            RingMsg::Reconfigure(rc) => {
-                if rc.epoch < ctx.epoch {
-                    continue;
-                }
-                ctx.epoch = rc.epoch;
-                ctx.next_id = rc.next_id;
-                ctx.next = rc.next;
-                ctx.next2_id = rc.next2_id;
-                ctx.next2 = rc.next2;
-                ctx.is_tail = rc.is_tail;
-                ctx.mu = rc.mu;
-                ctx.phi = rc.phi;
-                if let Some(token) = pending.take() {
+            Msg::Reconfigure {
+                epoch,
+                next,
+                next2,
+                is_tail,
+                mu,
+                phi,
+            } if epoch >= self.epoch => {
+                self.epoch = epoch;
+                self.next = next;
+                self.next2 = next2;
+                self.is_tail = is_tail;
+                self.mu = mu;
+                self.phi = phi;
+                if let Some(token) = self.pending.take() {
                     // Only forward the parked token if the coordinator
                     // spliced in-place; after an epoch bump it already
                     // regenerated a replacement.
-                    if token.epoch == ctx.epoch {
-                        forward_token(&mut ctx, &mut pending, token);
+                    if token.epoch == self.epoch {
+                        self.forward(token, links);
                     }
                 }
             }
-            RingMsg::Token(token) => {
-                if token.epoch != ctx.epoch {
-                    continue; // stale token from before a repair
+            Msg::Token(token) if token.epoch == self.epoch => {
+                self.handle_token(token, cfg, board, links);
+            }
+            Msg::Release(token) => self.forward(token, links),
+            // A reconfiguration or token from before a repair is stale.
+            _ => {}
+        }
+    }
+
+    /// Processes one token of the current epoch.
+    fn handle_token(
+        &mut self,
+        mut token: Token,
+        cfg: &DistributedNash,
+        board: &LoadBoard,
+        links: &mut Links,
+    ) {
+        if token.terminate != Termination::Continue {
+            // Terminate lap: report, forward unless tail, and stop.
+            board.row_into(self.user, &mut self.scratch_row);
+            let fractions: Vec<f64> = self.scratch_row.iter().map(|x| x / self.phi).collect();
+            links.note(
+                self.user,
+                Msg::Report(FinalReport {
+                    user: self.user,
+                    fractions,
+                    response_time: self.prev_d,
+                    updates: self.updates,
+                }),
+            );
+            if !self.is_tail {
+                self.forward(token, links);
+            }
+            links.stopped[self.user] = true;
+            return;
+        }
+        let fault = cfg.faults.action(self.user, token.round);
+        match fault {
+            // The node stops with the token: only the detector recovers.
+            Some(FaultAction::PanicHoldingToken) => {
+                links.stopped[self.user] = true;
+                return;
+            }
+            Some(FaultAction::DropToken) => return,
+            _ => {}
+        }
+
+        // Certified stopping measures each user's *current* strategy
+        // against the live board BEFORE it updates — measuring after
+        // a best reply is vacuous (a fresh reply has ~zero regret by
+        // construction). The regret is read from the true board, so
+        // observation noise cannot launder it, and an ε-optimal user
+        // skips its update entirely: once every user skips, the
+        // board is static, the round's norm is exactly zero, and the
+        // state all regrets were measured against is the state the
+        // ring returns.
+        let mut skip = false;
+        if cfg.stopping.needs_certificate() {
+            board.total_flows_into(&mut self.scratch_totals);
+            board.row_into(self.user, &mut self.scratch_row);
+            let placed: f64 = self.scratch_row.iter().sum();
+            let (regret, dj) = if (placed - self.phi).abs() <= 1e-9 * self.phi {
+                user_regret(&self.mu, &self.scratch_totals, &self.scratch_row, self.phi)
+            } else {
+                // The row does not carry the admitted demand — an
+                // unseeded NASH_0 start, or a stale allocation from
+                // before a capacity event changed φ. Nothing can be
+                // certified about it, and it must update.
+                (f64::INFINITY, f64::INFINITY)
+            };
+            token.certificate.absorb(regret, dj);
+            skip = relative_regret(regret, dj) <= cfg.tolerance;
+        }
+
+        // Observe, best-respond, publish. A stale-round fault replays
+        // the previous observation instead of re-reading the board.
+        if !skip {
+            let avail = match fault {
+                Some(FaultAction::StaleRound) => {
+                    self.observer.last_observation().map(<[f64]>::to_vec)
                 }
-                if handle_token(&mut ctx, &mut pending, token, &mut prev_d, &mut updates) {
-                    return;
+                _ => None,
+            };
+            let avail = avail.unwrap_or_else(|| {
+                board.flows_excluding_into(self.user, &mut self.scratch_others);
+                self.observer.observe(&self.mu, &self.scratch_others)
+            });
+            match water_fill_flows(&avail, self.phi) {
+                Ok(flows) => {
+                    board.publish(self.user, &flows);
+                    self.updates += 1;
+                }
+                Err(_) => {
+                    // A (noisy or stale) observation made the
+                    // subproblem look infeasible; keep the current
+                    // strategy.
                 }
             }
         }
-    }
-}
+        let d = self.response_time_from_board(board);
+        token.norm_acc += (d - self.prev_d).abs();
+        token.d_acc += d;
+        self.prev_d = d;
 
-/// Processes one token. Returns `true` when the user has reported and
-/// must exit.
-fn handle_token(
-    ctx: &mut UserContext,
-    pending: &mut Option<Token>,
-    mut token: Token,
-    prev_d: &mut f64,
-    updates: &mut u32,
-) -> bool {
-    match token.terminate {
-        Termination::Continue => {
-            let fault = ctx.faults.action(ctx.user, token.round);
-            match fault {
-                Some(FaultAction::PanicHoldingToken) => panic!(
-                    "injected fault: user {} panics at round {} holding the token",
-                    ctx.user, token.round
-                ),
-                Some(FaultAction::DropToken) => return false,
-                _ => {}
-            }
-
-            // Certified stopping measures each user's *current* strategy
-            // against the live board BEFORE it updates — measuring after
-            // a best reply is vacuous (a fresh reply has ~zero regret by
-            // construction). The regret is read from the true board, so
-            // observation noise cannot launder it, and an ε-optimal user
-            // skips its update entirely: once every user skips, the
-            // board is static, the round's norm is exactly zero, and the
-            // state all regrets were measured against is the state the
-            // ring returns.
-            let mut skip = false;
-            if ctx.stopping.needs_certificate() {
-                ctx.board.total_flows_into(&mut ctx.scratch_totals);
-                ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-                let placed: f64 = ctx.scratch_row.iter().sum();
-                let (regret, dj) = if (placed - ctx.phi).abs() <= 1e-9 * ctx.phi {
-                    user_regret(&ctx.mu, &ctx.scratch_totals, &ctx.scratch_row, ctx.phi)
-                } else {
-                    // The row does not carry the admitted demand — an
-                    // unseeded NASH_0 start, or a stale allocation from
-                    // before a capacity event changed φ. Nothing can be
-                    // certified about it, and it must update.
-                    (f64::INFINITY, f64::INFINITY)
-                };
-                token.certificate.absorb(regret, dj);
-                skip = relative_regret(regret, dj) <= ctx.tolerance;
-            }
-
-            // Observe, best-respond, publish. A stale-round fault replays
-            // the previous observation instead of re-reading the board.
-            if !skip {
-                let avail = match fault {
-                    Some(FaultAction::StaleRound) => {
-                        ctx.observer.last_observation().map(<[f64]>::to_vec)
-                    }
-                    _ => None,
-                };
-                let avail = avail.unwrap_or_else(|| {
-                    ctx.board
-                        .flows_excluding_into(ctx.user, &mut ctx.scratch_others);
-                    ctx.observer.observe(&ctx.mu, &ctx.scratch_others)
-                });
-                match water_fill_flows(&avail, ctx.phi) {
-                    Ok(flows) => {
-                        ctx.board.publish(ctx.user, &flows);
-                        *updates += 1;
-                    }
-                    Err(_) => {
-                        // A (noisy or stale) observation made the
-                        // subproblem look infeasible; keep the current
-                        // strategy.
-                    }
+        if self.is_tail {
+            let norm = token.norm_acc;
+            let total_d = token.d_acc;
+            let certificate = token.certificate;
+            token.round += 1;
+            token.norm_acc = 0.0;
+            token.d_acc = 0.0;
+            token.certificate = Certificate::zero();
+            let converged = match cfg.stopping {
+                // Regrets are measured pre-update at each user's
+                // turn; requiring a quiescent round (norm exactly
+                // zero — nobody moved, so the board the regrets
+                // were measured against IS the returned state)
+                // makes the acceptance a sound ε-Nash certificate.
+                StoppingRule::CertifiedGap { epsilon } => {
+                    certificate.relative <= epsilon && norm == 0.0
                 }
+                rule => rule.accepts(cfg.tolerance, norm, total_d, Some(&certificate)),
+            };
+            if converged {
+                token.terminate = Termination::Converged;
+            } else if token.round >= cfg.max_rounds {
+                token.terminate = Termination::Exhausted;
             }
-            let d = response_time_from_board(ctx);
-            token.norm_acc += (d - *prev_d).abs();
-            token.d_acc += d;
-            *prev_d = d;
-
-            if ctx.is_tail {
-                let norm = token.norm_acc;
-                let total_d = token.d_acc;
-                let certificate = token.certificate;
-                token.round += 1;
-                token.norm_acc = 0.0;
-                token.d_acc = 0.0;
-                token.certificate = Certificate::zero();
-                let converged = match ctx.stopping {
-                    // Regrets are measured pre-update at each user's
-                    // turn; requiring a quiescent round (norm exactly
-                    // zero — nobody moved, so the board the regrets
-                    // were measured against IS the returned state)
-                    // makes the acceptance a sound ε-Nash certificate.
-                    StoppingRule::CertifiedGap { epsilon } => {
-                        certificate.relative <= epsilon && norm == 0.0
-                    }
-                    rule => rule.accepts(ctx.tolerance, norm, total_d, Some(&certificate)),
-                };
-                if converged {
-                    token.terminate = Termination::Converged;
-                } else if token.round >= ctx.max_rounds {
-                    token.terminate = Termination::Exhausted;
-                }
-                let _ = ctx.events.send(Event::RoundComplete {
+            links.note(
+                self.user,
+                Msg::RoundComplete {
                     norm,
-                    certificate: ctx
+                    certificate: cfg
                         .stopping
                         .needs_certificate()
                         .then_some(certificate.relative),
                     termination: token.terminate,
-                    epoch: ctx.epoch,
-                });
-                // When capacity events are scheduled after the round that
-                // just completed, the coordinator bumps the epoch and
-                // regenerates the token itself — forwarding the old one
-                // here would let the head race a stale round against the
-                // reconfiguration and perturb the norm trace. Drop it;
-                // the next round starts only from the regenerated token.
-                if token.terminate == Termination::Continue
-                    && !ctx.faults.capacity_events_at(token.round - 1).is_empty()
-                {
-                    return false;
-                }
+                    epoch: self.epoch,
+                },
+            );
+            // When capacity events are scheduled after the round that
+            // just completed, the coordinator bumps the epoch and
+            // regenerates the token itself — forwarding the old one
+            // here would let the head race a stale round against the
+            // reconfiguration and perturb the norm trace. Drop it;
+            // the next round starts only from the regenerated token.
+            if token.terminate == Termination::Continue
+                && !cfg.faults.capacity_events_at(token.round - 1).is_empty()
+            {
+                return;
             }
-            if let Some(FaultAction::DelayForward(delay)) = fault {
-                thread::sleep(delay);
-            }
-            let round = token.round;
-            forward_token(ctx, pending, token);
-            if fault == Some(FaultAction::PanicAfterForward) {
-                panic!(
-                    "injected fault: user {} panics after forwarding at round {round}",
-                    ctx.user
-                );
-            }
-            false
         }
-        _ => {
-            // Terminate lap: report and (unless tail) forward.
-            ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-            let fractions: Vec<f64> = ctx.scratch_row.iter().map(|x| x / ctx.phi).collect();
-            let _ = ctx.events.send(Event::Report(FinalReport {
-                user: ctx.user,
-                fractions,
-                response_time: *prev_d,
-                updates: *updates,
-            }));
-            if !ctx.is_tail {
-                forward_token(ctx, pending, token);
+        match fault {
+            Some(FaultAction::DelayForward(delay)) => {
+                links
+                    .net
+                    .schedule(self.user, virtual_us(delay), Msg::Release(token));
             }
-            true
+            Some(FaultAction::PanicAfterForward) => {
+                self.forward(token, links);
+                links.stopped[self.user] = true;
+            }
+            _ => self.forward(token, links),
         }
     }
-}
 
-/// Forwards the token to the successor, splicing around dead threads via
-/// the successor's successor. Announces every hop (and every splice) to
-/// the coordinator; if both forwards fail the token is parked until a
-/// `Reconfigure` arrives.
-fn forward_token(ctx: &mut UserContext, pending: &mut Option<Token>, token: Token) {
-    let _ = ctx.events.send(Event::Forwarded {
-        to: ctx.next_id,
-        epoch: ctx.epoch,
-    });
-    let token = match ctx.next.send(RingMsg::Token(token)) {
-        Ok(()) => return,
-        Err(SendError(RingMsg::Token(t))) => t,
-        Err(_) => return,
-    };
-    let _ = ctx.events.send(Event::Spliced {
-        skipped: ctx.next_id,
-        epoch: ctx.epoch,
-    });
-    let _ = ctx.events.send(Event::Forwarded {
-        to: ctx.next2_id,
-        epoch: ctx.epoch,
-    });
-    let token = match ctx.next2.send(RingMsg::Token(token)) {
-        Ok(()) => return,
-        Err(SendError(RingMsg::Token(t))) => t,
-        Err(_) => return,
-    };
-    let _ = ctx.events.send(Event::Spliced {
-        skipped: ctx.next2_id,
-        epoch: ctx.epoch,
-    });
-    *pending = Some(token);
-}
-
-/// The user's actual expected response time given the *true* board state.
-/// Reads the board through the context's scratch buffers (no allocation).
-fn response_time_from_board(ctx: &mut UserContext) -> f64 {
-    ctx.board.total_flows_into(&mut ctx.scratch_totals);
-    ctx.board.row_into(ctx.user, &mut ctx.scratch_row);
-    let mut d = 0.0;
-    for i in 0..ctx.mu.len() {
-        if ctx.scratch_row[i] > 0.0 {
-            let f = lb_queueing::mm1::response_time(ctx.scratch_totals[i], ctx.mu[i]);
-            d += ctx.scratch_row[i] / ctx.phi * f;
+    /// Forwards the token to the successor, splicing around a stopped
+    /// successor via the successor's successor. Announces every hop (and
+    /// every splice) to the coordinator; if both forwards are refused the
+    /// token is parked until a `Reconfigure` arrives.
+    fn forward(&mut self, token: Token, links: &mut Links) {
+        let epoch = self.epoch;
+        let mut msg = Msg::Token(token);
+        for to in [self.next, self.next2] {
+            links.note(self.user, Msg::Forwarded { to, epoch });
+            match links.send(self.user, to, msg) {
+                Ok(()) => return,
+                Err(refused) => msg = refused,
+            }
+            links.note(self.user, Msg::Spliced { skipped: to, epoch });
+        }
+        if let Msg::Token(token) = msg {
+            self.pending = Some(token);
         }
     }
-    d
+
+    /// The user's actual expected response time given the *true* board
+    /// state, read through the scratch buffers (no allocation).
+    fn response_time_from_board(&mut self, board: &LoadBoard) -> f64 {
+        board.total_flows_into(&mut self.scratch_totals);
+        board.row_into(self.user, &mut self.scratch_row);
+        let mut d = 0.0;
+        for i in 0..self.mu.len() {
+            if self.scratch_row[i] > 0.0 {
+                let f = lb_queueing::mm1::response_time(self.scratch_totals[i], self.mu[i]);
+                d += self.scratch_row[i] / self.phi * f;
+            }
+        }
+        d
+    }
 }
 
 #[cfg(test)]

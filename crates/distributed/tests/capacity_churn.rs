@@ -243,7 +243,7 @@ fn shed_trajectory_replays_byte_identically() {
     let b = run();
     // The trajectory is a pure function of (plan, nominal rates,
     // policy): every record — capacities, admitted and shed vectors —
-    // must match bit for bit across runs, thread timing notwithstanding.
+    // must match bit for bit across runs, host timing notwithstanding.
     assert_eq!(a.shed_trajectory(), b.shed_trajectory());
     assert_eq!(a.admitted_rates(), b.admitted_rates());
     assert_eq!(a.shed_rates(), b.shed_rates());
@@ -291,11 +291,9 @@ fn churn_free_runs_log_no_shed_records() {
     assert_eq!(out.final_capacity(), full.computer_rates());
 }
 
-/// Long-haul soak: many crash/degrade/recover cycles in one run, each
-/// cycle replayed twice and required to be byte-identical. Run by the CI
-/// `soak` job (`cargo test -- --ignored`).
+/// Long-haul churn: many crash/degrade/recover cycles in one run,
+/// replayed twice and required to be byte-identical.
 #[test]
-#[ignore = "long-running soak; exercised by the CI soak job"]
 fn repeated_churn_cycles_stay_deterministic() {
     let full = model();
     let mut plan = FaultPlan::new();

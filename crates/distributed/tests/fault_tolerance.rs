@@ -14,6 +14,8 @@ use lb_game::equilibrium::epsilon_nash_gap;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::{Strategy, StrategyProfile};
+use lb_telemetry::MemoryCollector;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Four users on four heterogeneous computers, comfortably underloaded
@@ -104,13 +106,12 @@ fn dropped_token_is_detected_and_regenerated() {
 #[test]
 fn death_after_forwarding_is_spliced_without_waiting_for_the_timeout() {
     let full = model();
-    // The patience is deliberately huge: if the repair needed the
-    // failure detector, the run would take > 30 s. The predecessor's
-    // failed send must splice around the corpse instead. The benign
-    // delay at the tail keeps the next round from reaching user 1's
-    // channel before its thread has finished unwinding (a forward that
-    // lands in a still-dying thread's queue is a token loss, which is
-    // the detector's job, not the splice path's).
+    // The patience is deliberately huge (30 s of virtual time): the
+    // predecessor's refused send must splice around the corpse instead
+    // of waiting for the failure detector, so the collector sees a
+    // splice and no token loss. The benign delay at the tail stays well
+    // inside the patience and must not trip the detector either.
+    let mem = Arc::new(MemoryCollector::default());
     let started = Instant::now();
     let out = DistributedNash::new()
         .fault_plan(FaultPlan::new().panic_after_forward_at(1, 2).delay_at(
@@ -119,8 +120,11 @@ fn death_after_forwarding_is_spliced_without_waiting_for_the_timeout() {
             Duration::from_millis(300),
         ))
         .round_timeout(Duration::from_secs(30))
+        .collector(mem.clone())
         .run(&full)
         .unwrap();
+    assert_eq!(mem.count("ring.token_lost"), 0, "the detector fired");
+    assert!(mem.count("ring.splice") >= 1, "no splice was announced");
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "splice fast-path did not trigger"
@@ -233,9 +237,8 @@ fn losing_every_user_is_an_error_not_a_hang() {
         .run(&m)
         .unwrap_err();
     match err {
-        // Either detection path is acceptable: the event channel
-        // disconnecting (every thread gone) or the token timeout firing
-        // with nobody left to regenerate for. Both must name user 0.
+        // The token timeout fires with nobody left to regenerate for;
+        // the reason must name user 0.
         GameError::RingTimeout { reason, .. } => {
             assert!(
                 reason.contains("no users survive") || reason.contains("failed users: [0]"),

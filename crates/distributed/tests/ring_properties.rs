@@ -20,7 +20,7 @@ fn arb_system() -> impl Strategy<Value = SystemModel> {
 }
 
 proptest! {
-    // Thread-spawning tests are slower; keep the case count moderate.
+    // Keep the case count moderate: each case runs the whole ring.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]

@@ -98,6 +98,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
                     .ok_or("--jobs needs a value")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
+                if opts.jobs == 0 {
+                    return Err(format!("--jobs must be at least 1\n{}", usage()));
+                }
             }
             "--replications" => {
                 opts.replications = args
@@ -105,6 +108,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
                     .ok_or("--replications needs a value")?
                     .parse()
                     .map_err(|e| format!("--replications: {e}"))?;
+                if opts.replications == 0 {
+                    return Err(format!("--replications must be at least 1\n{}", usage()));
+                }
             }
             "--port" => {
                 opts.port = args
@@ -292,6 +298,14 @@ mod tests {
         assert!(parse(args(&["fig2", "--jobs", "abc"])).is_err());
         assert!(parse(args(&["fig2", "--frobnicate"])).is_err());
         assert!(parse(args(&["fig2", "--out"])).is_err());
+    }
+
+    #[test]
+    fn zero_jobs_or_replications_is_a_usage_error() {
+        for flag in ["--jobs", "--replications"] {
+            let err = parse(args(&["fig4", "--simulate", flag, "0"])).unwrap_err();
+            assert!(err.contains(flag) && err.contains("usage:"), "{err}");
+        }
     }
 
     #[test]

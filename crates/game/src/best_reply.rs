@@ -228,16 +228,7 @@ pub fn best_reply(
 ) -> Result<Strategy, GameError> {
     let rates = available_rates(model, profile, j)?;
     let phi_j = model.user_rate(j);
-    let flows = water_fill_flows(&rates, phi_j).map_err(|e| match e {
-        GameError::InfeasibleBestReply {
-            available, demand, ..
-        } => GameError::InfeasibleBestReply {
-            user: j,
-            available,
-            demand,
-        },
-        other => other,
-    })?;
+    let flows = water_fill_flows(&rates, phi_j).map_err(|e| e.with_user(j))?;
     Strategy::new(flows.iter().map(|x| x / phi_j).collect())
 }
 

@@ -70,9 +70,9 @@ pub enum GameError {
         /// Final value of the convergence norm.
         final_norm: f64,
     },
-    /// An iterative solver was asked to run with `max_iterations == 0`:
-    /// no sweep can execute, so no convergence norm exists and nothing
-    /// can be reported honestly.
+    /// An iterative solver was asked to run with `max_iterations == 0`,
+    /// or a replication plan with zero replications: nothing can
+    /// execute, so nothing can be reported honestly.
     ZeroIterationBudget,
     /// A timeout or deadline was configured as zero: the run would
     /// either hang (never fire) or abort before any work, depending on
@@ -86,7 +86,8 @@ pub enum GameError {
     RingTimeout {
         /// Rounds the ring had completed when it stalled.
         round: u32,
-        /// How long the coordinator waited before giving up, in ms.
+        /// How long the coordinator waited before giving up, in ms of
+        /// the ring's virtual clock.
         waited_ms: u64,
         /// What the coordinator was waiting for when it gave up.
         reason: String,
@@ -110,6 +111,23 @@ impl GameError {
             total_capacity,
             utilization,
             min_shed: (total_arrival_rate - total_capacity).max(0.0),
+        }
+    }
+
+    /// Names user `j` in an [`GameError::InfeasibleBestReply`] raised by
+    /// a kernel that knows only the rates and the demand; every other
+    /// error passes through unchanged.
+    #[must_use]
+    pub(crate) fn with_user(self, j: usize) -> Self {
+        match self {
+            Self::InfeasibleBestReply {
+                available, demand, ..
+            } => Self::InfeasibleBestReply {
+                user: j,
+                available,
+                demand,
+            },
+            other => other,
         }
     }
 }
@@ -152,7 +170,7 @@ impl fmt::Display for GameError {
                 "did not converge after {iterations} iterations (norm {final_norm})"
             ),
             Self::ZeroIterationBudget => {
-                write!(f, "iteration budget is zero: no sweep can run, so convergence is undefined")
+                write!(f, "iteration budget is zero: nothing can run, so no result is defined")
             }
             Self::ZeroDuration { what } => {
                 write!(f, "duration `{what}` must be positive, got zero")

@@ -191,16 +191,7 @@ impl PoolSystem {
                     .collect();
                 let reply =
                     minimize_general_split(&refs, &base, self.user_rates[j], inner_iterations)
-                        .map_err(|e| match e {
-                            GameError::InfeasibleBestReply {
-                                available, demand, ..
-                            } => GameError::InfeasibleBestReply {
-                                user: j,
-                                available,
-                                demand,
-                            },
-                            other => other,
-                        })?;
+                        .map_err(|e| e.with_user(j))?;
                 flows[j] = reply;
                 let d = self.user_time(&flows, j);
                 norm += (d - prev_d[j]).abs();
@@ -259,18 +250,8 @@ impl PoolSystem {
                 .zip(&flows[j])
                 .map(|(&t, &own)| t - own)
                 .collect();
-            minimize_general_split(&refs, &base, self.user_rates[j], inner_iterations).map_err(
-                |e| match e {
-                    GameError::InfeasibleBestReply {
-                        available, demand, ..
-                    } => GameError::InfeasibleBestReply {
-                        user: j,
-                        available,
-                        demand,
-                    },
-                    other => other,
-                },
-            )
+            minimize_general_split(&refs, &base, self.user_rates[j], inner_iterations)
+                .map_err(|e| e.with_user(j))
         };
         if threads <= 1 || m <= 1 {
             return (0..m).map(reply_for).collect();

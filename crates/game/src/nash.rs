@@ -358,25 +358,13 @@ impl NashSolver {
                             &[("users", m.into()), ("threads", self.threads.into())],
                         )
                     });
-                    if self.threads > 1 && m > 1 {
-                        jacobi_replies_parallel(
-                            model,
-                            &ws.flows,
-                            &ws.loads,
-                            &mut ws.next_flows,
-                            self.threads,
-                        )?;
-                    } else {
-                        jacobi_replies_sequential(
-                            model,
-                            &ws.flows,
-                            &ws.loads,
-                            &mut ws.avail,
-                            &mut ws.wf,
-                            &mut ws.reply,
-                            &mut ws.next_flows,
-                        )?;
-                    }
+                    jacobi_replies(
+                        model,
+                        &ws.flows,
+                        &ws.loads,
+                        &mut ws.next_flows,
+                        self.threads,
+                    )?;
                     // One water-fill per user per Jacobi batch, whether
                     // the batch ran sequentially or fanned out.
                     ws.best_replies += m as u64;
@@ -623,10 +611,6 @@ impl FlowMatrix {
         self.data.chunks_exact(self.computers.max(1))
     }
 
-    fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, f64> {
-        self.data.chunks_exact_mut(self.computers.max(1))
-    }
-
     fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -742,7 +726,7 @@ impl Workspace {
         self.best_replies += 1;
         self.water_fills += 1;
         water_fill_flows_into(&self.avail, phi, &mut self.wf, &mut self.reply)
-            .map_err(|e| rename_infeasible(e, j))?;
+            .map_err(|e| e.with_user(j))?;
         let row = self.flows.row_mut(j);
         for (i, &flow) in row.iter().enumerate().take(n) {
             self.loads[i] += self.reply[i] - flow;
@@ -815,45 +799,6 @@ fn order_label(order: &UpdateOrder) -> &'static str {
     }
 }
 
-/// Restamps an infeasible-best-reply error with the updating user.
-fn rename_infeasible(e: GameError, j: usize) -> GameError {
-    match e {
-        GameError::InfeasibleBestReply {
-            available, demand, ..
-        } => GameError::InfeasibleBestReply {
-            user: j,
-            available,
-            demand,
-        },
-        other => other,
-    }
-}
-
-/// The sequential twin of [`jacobi_replies_parallel`]: same per-user
-/// kernel against the same frozen snapshot, using the shared workspace
-/// scratch so the sweep stays allocation-free.
-fn jacobi_replies_sequential(
-    model: &SystemModel,
-    flows: &FlowMatrix,
-    loads: &[f64],
-    avail: &mut [f64],
-    wf: &mut WaterFillScratch,
-    reply: &mut Vec<f64>,
-    next: &mut FlowMatrix,
-) -> Result<(), GameError> {
-    let n = loads.len();
-    for (j, out_row) in next.rows_mut().enumerate() {
-        let row = flows.row(j);
-        for i in 0..n {
-            avail[i] = model.computer_rate(i) - (loads[i] - row[i]);
-        }
-        water_fill_flows_into(&*avail, model.user_rate(j), wf, reply)
-            .map_err(|e| rename_infeasible(e, j))?;
-        out_row.copy_from_slice(reply);
-    }
-    Ok(())
-}
-
 /// One standalone Jacobi round: every user's exact best reply to the
 /// frozen `profile`, fanned out over up to `threads` workers. Replies
 /// are pure functions of the snapshot, so the result is bit-identical
@@ -896,31 +841,18 @@ pub fn jacobi_round(
         ws.active[j] = true;
     }
     ws.refresh_loads();
-    if threads > 1 && m > 1 {
-        jacobi_replies_parallel(model, &ws.flows, &ws.loads, &mut ws.next_flows, threads)?;
-    } else {
-        jacobi_replies_sequential(
-            model,
-            &ws.flows,
-            &ws.loads,
-            &mut ws.avail,
-            &mut ws.wf,
-            &mut ws.reply,
-            &mut ws.next_flows,
-        )?;
-    }
+    jacobi_replies(model, &ws.flows, &ws.loads, &mut ws.next_flows, threads)?;
     std::mem::swap(&mut ws.flows, &mut ws.next_flows);
     ws.assemble(model)
 }
 
 /// Computes every user's Jacobi reply to the frozen `(flows, loads)`
-/// snapshot across `threads` workers. Each reply is a pure function of
-/// the snapshot, so the result is bit-identical to the sequential sweep
-/// for any thread count; the contiguous flow matrix splits into disjoint
-/// row-aligned chunks (no per-row pointer indirection), and the
-/// lowest-indexed failing user wins error reporting just like the
-/// sequential loop.
-fn jacobi_replies_parallel(
+/// snapshot into `next`. The contiguous flow matrix splits into up to
+/// `threads` row-aligned chunks; a single chunk runs on the calling
+/// thread. Each reply is a pure function of the snapshot, so the result
+/// is bit-identical for any thread count, and the lowest-indexed failing
+/// user wins error reporting.
+fn jacobi_replies(
     model: &SystemModel,
     flows: &FlowMatrix,
     loads: &[f64],
@@ -929,47 +861,41 @@ fn jacobi_replies_parallel(
 ) -> Result<(), GameError> {
     let m = flows.num_users();
     let n = loads.len();
-    let chunk = m.div_ceil(threads.min(m));
-    let failure = crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (t, rows) in next.data_mut().chunks_mut(chunk * n).enumerate() {
-            let start = t * chunk;
-            handles.push(s.spawn(move |_| {
-                let mut avail = vec![0.0; n];
-                let mut wf = WaterFillScratch::default();
-                let mut reply: Vec<f64> = Vec::with_capacity(n);
-                for (off, out_row) in rows.chunks_exact_mut(n).enumerate() {
-                    let j = start + off;
-                    let row = flows.row(j);
-                    for i in 0..n {
-                        avail[i] = model.computer_rate(i) - (loads[i] - row[i]);
-                    }
-                    if let Err(e) =
-                        water_fill_flows_into(&avail, model.user_rate(j), &mut wf, &mut reply)
-                    {
-                        return Some((j, rename_infeasible(e, j)));
-                    }
-                    out_row.copy_from_slice(&reply);
-                }
-                None
-            }));
-        }
-        let mut first: Option<(usize, GameError)> = None;
-        for h in handles {
-            let outcome = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            if let Some((j, e)) = outcome {
-                if first.as_ref().is_none_or(|(fj, _)| j < *fj) {
-                    first = Some((j, e));
-                }
+    let chunk = m.div_ceil(threads.clamp(1, m.max(1)));
+    let replies = |start: usize, rows: &mut [f64]| -> Result<(), GameError> {
+        let mut avail = vec![0.0; n];
+        let mut wf = WaterFillScratch::default();
+        let mut reply: Vec<f64> = Vec::with_capacity(n);
+        for (off, out_row) in rows.chunks_exact_mut(n).enumerate() {
+            let j = start + off;
+            let row = flows.row(j);
+            for i in 0..n {
+                avail[i] = model.computer_rate(i) - (loads[i] - row[i]);
             }
+            water_fill_flows_into(&avail, model.user_rate(j), &mut wf, &mut reply)
+                .map_err(|e| e.with_user(j))?;
+            out_row.copy_from_slice(&reply);
         }
-        first
+        Ok(())
+    };
+    if chunk >= m {
+        return replies(0, next.data_mut());
+    }
+    let outcomes: Vec<Result<(), GameError>> = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = next
+            .data_mut()
+            .chunks_mut(chunk * n)
+            .enumerate()
+            .map(|(t, rows)| s.spawn(move |_| replies(t * chunk, rows)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     })
     .unwrap_or_else(|p| std::panic::resume_unwind(p));
-    match failure {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
+    // Chunks run in user order, so the first error is the lowest user's.
+    outcomes.into_iter().collect()
 }
 
 /// Deterministic Fisher–Yates permutation of `0..m` from a seed, written

@@ -368,7 +368,7 @@ impl SampledNashSolver {
                         Err(GameError::InfeasibleBestReply { .. }) if draw < n => {
                             draw = draw.saturating_mul(2).min(n);
                         }
-                        Err(e) => return Err(stamp_user(e, j)),
+                        Err(e) => return Err(e.with_user(j)),
                     }
                 }
                 // Damped step: `(1−β)·old + β·reply` over the selected
@@ -632,19 +632,6 @@ fn splitmix64(mut z: u64) -> u64 {
 
 fn draw_key(seed: u64, sweep: u32, user: u64) -> u64 {
     splitmix64(seed ^ splitmix64(u64::from(sweep)) ^ user.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-fn stamp_user(e: GameError, j: usize) -> GameError {
-    match e {
-        GameError::InfeasibleBestReply {
-            available, demand, ..
-        } => GameError::InfeasibleBestReply {
-            user: j,
-            available,
-            demand,
-        },
-        other => other,
-    }
 }
 
 fn support_stats(rows: &[SparseRow]) -> (u64, u64, f64) {

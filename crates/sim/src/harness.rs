@@ -102,7 +102,9 @@ pub fn simulate_profile_with(
 ///
 /// # Errors
 ///
-/// Propagates scenario errors (shape mismatches, saturated profiles).
+/// * [`GameError::ZeroIterationBudget`] for a plan of zero
+///   replications, which could estimate nothing.
+/// * Scenario errors (shape mismatches, saturated profiles).
 pub fn simulate_profile_traced(
     runner: &ParallelRunner,
     model: &SystemModel,
@@ -111,6 +113,9 @@ pub fn simulate_profile_traced(
     config: SimulationConfig,
     collector: Option<&Arc<dyn Collector>>,
 ) -> Result<SimulatedMetrics, GameError> {
+    if plan.replications == 0 {
+        return Err(GameError::ZeroIterationBudget);
+    }
     let m = model.num_users();
     let mut names: Vec<String> = (0..m).map(|j| format!("user{j}")).collect();
     names.push("system".into());
@@ -387,6 +392,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn zero_replications_is_a_typed_error() {
+        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
+        let profile = ProportionalScheme.compute(&model).unwrap();
+        let plan = ReplicationPlan {
+            replications: 0,
+            ..ReplicationPlan::paper()
+        };
+        let err = simulate_profile(&model, &profile, &plan, SimulationConfig::quick()).unwrap_err();
+        assert_eq!(err, GameError::ZeroIterationBudget);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The NASH algorithm as a real distributed system: one thread per user,
-//! a token ring over channels, and users that observe each other only
-//! through the computers' load — exactly the deployment story of the
-//! paper's §3.
+//! The NASH algorithm as a distributed protocol: every user is a node of
+//! a deterministic virtual network, the token travels between them as a
+//! message, and users observe each other only through the computers'
+//! load — exactly the deployment story of the paper's §3.
 //!
 //! ```text
 //! cargo run --release --example distributed_nash
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // computers, 10 users.
     let model = SystemModel::table1_system(0.6)?;
     println!(
-        "spawning {} user threads over {} computers (token ring)…\n",
+        "running {} users over {} computers (token ring)…\n",
         model.num_users(),
         model.num_computers()
     );
