@@ -94,7 +94,18 @@ fn bench_simulation_throughput(c: &mut Criterion) {
         };
         group.throughput(Throughput::Elements(jobs));
         group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, _| {
-            b.iter(|| run_replication(black_box(&model), black_box(&profile), config, 42).unwrap());
+            b.iter(|| {
+                run_replication(
+                    black_box(&model),
+                    black_box(&profile),
+                    config,
+                    42,
+                    None,
+                    None,
+                    |_, _| {},
+                )
+                .unwrap()
+            });
         });
     }
     group.finish();

@@ -44,7 +44,7 @@ fn bench_full_figures_analytic(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure_regeneration");
     group.sample_size(10);
     group.bench_function("fig4_full_sweep", |b| {
-        b.iter(|| fig4::run(None).unwrap());
+        b.iter(|| fig4::run(None, None).unwrap());
     });
     group.bench_function("fig5_per_user", |b| {
         b.iter(|| fig5::run(None).unwrap());

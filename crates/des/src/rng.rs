@@ -12,6 +12,7 @@
 //! deterministic — the latter three power sensitivity extensions where the
 //! exponential service assumption is relaxed.
 
+use lb_stats::splitmix64_finalize;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,10 +33,7 @@ impl RngStream {
     /// spreading, the same construction `lb-stats` uses for replication
     /// seeds).
     pub fn new(master_seed: u64, stream: u64) -> Self {
-        let mut z = master_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64_finalize(master_seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         Self {
             rng: StdRng::seed_from_u64(z),
             draws: 0,

@@ -29,6 +29,7 @@
 
 use crate::fault::FaultPlan;
 use crate::messages::TraceContext;
+use lb_stats::splitmix64_finalize;
 use lb_telemetry::{enabled, Collector};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,10 +40,7 @@ use std::sync::Arc;
 /// sequential.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_finalize(*state)
 }
 
 fn unit(state: &mut u64) -> f64 {

@@ -8,6 +8,8 @@
 //! error of a finite run-queue estimate — the "uncertainty" direction the
 //! paper names as future work.
 
+use lb_stats::splitmix64_finalize;
+
 /// How a user turns board state into available-rate estimates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ObservationModel {
@@ -94,11 +96,8 @@ impl Observer {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn splitmix(z: u64) -> u64 {
+    splitmix64_finalize(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

@@ -25,8 +25,10 @@ use lb_game::sampled::SampledNashSolver;
 use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
 use lb_sim::harness::simulate_profile_with;
 use lb_sim::parallel::ParallelRunner;
-use lb_sim::scenario::{run_replication_single_calendar, SimFidelity, SimulationConfig};
-use lb_sim::{run_replication_analytic, run_replication_sharded_with};
+use lb_sim::scenario::{
+    run_replication, run_replication_single_calendar, SimFidelity, SimulationConfig,
+};
+use lb_sim::shard::run_replication_sharded;
 use lb_stats::ReplicationPlan;
 use lb_telemetry::{Collector, Json, JsonlCollector, NullCollector};
 use std::fmt::Write as _;
@@ -337,8 +339,16 @@ fn bench_sim_throughput(c: &mut Criterion) -> Result<Vec<(&'static str, u64)>, G
     let mut generated = 0_u64;
     g.bench_function("single_calendar_seed", |b| {
         b.iter(|| {
-            let r = run_replication_single_calendar(&model, &profile, config, SIM_THROUGHPUT_SEED)
-                .expect("single-calendar replication");
+            let r = run_replication_single_calendar(
+                &model,
+                &profile,
+                config,
+                SIM_THROUGHPUT_SEED,
+                None,
+                None,
+                |_, _| {},
+            )
+            .expect("single-calendar replication");
             generated = r.jobs_generated;
             r.system_mean
         });
@@ -352,14 +362,9 @@ fn bench_sim_throughput(c: &mut Criterion) -> Result<Vec<(&'static str, u64)>, G
         let mut generated = 0_u64;
         g.bench_function(id, |b| {
             b.iter(|| {
-                let r = run_replication_sharded_with(
-                    &runner,
-                    &model,
-                    &profile,
-                    config,
-                    SIM_THROUGHPUT_SEED,
-                )
-                .expect("sharded replication");
+                let r =
+                    run_replication_sharded(&runner, &model, &profile, config, SIM_THROUGHPUT_SEED)
+                        .expect("sharded replication");
                 generated = r.jobs_generated;
                 r.system_mean
             });
@@ -371,9 +376,16 @@ fn bench_sim_throughput(c: &mut Criterion) -> Result<Vec<(&'static str, u64)>, G
     let mut generated = 0_u64;
     g.bench_function("analytic", |b| {
         b.iter(|| {
-            let r =
-                run_replication_analytic(&model, &profile, analytic_config, SIM_THROUGHPUT_SEED)
-                    .expect("analytic replication");
+            let r = run_replication(
+                &model,
+                &profile,
+                analytic_config,
+                SIM_THROUGHPUT_SEED,
+                None,
+                None,
+                |_, _| {},
+            )
+            .expect("analytic replication");
             generated = r.jobs_generated;
             r.system_mean
         });

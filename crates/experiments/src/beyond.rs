@@ -856,9 +856,15 @@ pub fn server_churn(replications: u32) -> Result<Vec<ChurnRow>, GameError> {
         // Churn replications are pure functions of their seed; fan them
         // out and fold in replication order (byte-identical to the old
         // sequential loop).
-        let results = runner.try_run(reps as usize, |seed| {
-            run_churn_replication(&model, &phases, policy, backoff, 100.0, 4000 + seed as u64)
-        })?;
+        let results = runner.try_run(
+            reps as usize,
+            |seed, _| {
+                let seed = 4000 + seed as u64;
+                run_churn_replication(&model, &phases, policy, backoff, 100.0, seed, None)
+            },
+            None,
+            None,
+        )?;
         let mut measured = 0.0;
         let mut measured_shed = 0.0;
         let mut predicted = 0.0;

@@ -66,7 +66,7 @@ fn run(opts: &Options) -> Result<(), String> {
                 emit(&fig3::render(&points), &opts.out, "fig3")?;
             }
             "fig4" => {
-                let points = fig4::run(sim).map_err(|e| e.to_string())?;
+                let points = fig4::run(sim, None).map_err(|e| e.to_string())?;
                 emit(&fig4::render_times(&points), &opts.out, "fig4_times")?;
                 emit(&fig4::render_fairness(&points), &opts.out, "fig4_fairness")?;
             }

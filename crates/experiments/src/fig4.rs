@@ -92,25 +92,15 @@ pub struct SchemeRow {
 /// Evaluates the four paper schemes on a model, optionally also by
 /// simulation. Shared by Figures 4, 5 and 6.
 ///
+/// With a `collector`, the NASH solver streams its `solver.*`
+/// convergence events and any simulation runs stream `sim.*` events
+/// through it. Collection never perturbs the numbers — results are
+/// bit-identical with or without a collector.
+///
 /// # Errors
 ///
 /// Propagates scheme and simulation failures.
 pub fn evaluate_schemes(
-    model: &SystemModel,
-    sim: Option<SimOptions>,
-) -> Result<Vec<SchemeRow>, GameError> {
-    evaluate_schemes_traced(model, sim, None)
-}
-
-/// [`evaluate_schemes`] with an optional telemetry collector: the NASH
-/// solver streams its `solver.*` convergence events and any simulation
-/// runs stream `sim.*` events through it. Collection never perturbs the
-/// numbers — results are bit-identical with or without a collector.
-///
-/// # Errors
-///
-/// Propagates scheme and simulation failures.
-pub fn evaluate_schemes_traced(
     model: &SystemModel,
     sim: Option<SimOptions>,
     collector: Option<&Arc<dyn Collector>>,
@@ -189,58 +179,48 @@ impl Fig4Point {
 /// [`ParallelRunner::from_env`]; results come back in sweep order, so
 /// the output is identical to the sequential loop.
 ///
-/// # Errors
-///
-/// Propagates model/scheme/simulation failures.
-pub fn run(sim: Option<SimOptions>) -> Result<Vec<Fig4Point>, GameError> {
-    run_traced(sim, None)
-}
-
-/// [`run`] with an optional telemetry collector. When collecting, the
-/// sweep runs sequentially (so the `solver.*`/`sim.*` streams of the
-/// nine utilization points do not interleave) and a `fig4.point {rho,
-/// nash, gos, ios, ps}` summary event closes each point. The numbers are
-/// bit-identical to the plain parallel sweep — the fan-out already
-/// guarantees index-order results, so serializing it changes nothing.
+/// With a `collector`, every point's solver and simulation events flow
+/// through it, and after the sweep joins a `fig4.point {rho, nash, gos,
+/// ios, ps}` summary event per point is emitted in sweep order. The
+/// numbers are bit-identical with or without a collector.
 ///
 /// # Errors
 ///
 /// Propagates model/scheme/simulation failures.
-pub fn run_traced(
+pub fn run(
     sim: Option<SimOptions>,
     collector: Option<&Arc<dyn Collector>>,
 ) -> Result<Vec<Fig4Point>, GameError> {
-    let Some(c) = collector.filter(|c| c.enabled()) else {
-        return ParallelRunner::from_env().try_run(UTILIZATION_SWEEP.len(), |idx| {
+    // The sweep's own fan-out stays untraced: its `runner.worker` events
+    // would mix with those of the simulations nested inside it.
+    let points = ParallelRunner::from_env().try_run(
+        UTILIZATION_SWEEP.len(),
+        |idx, _| {
             let rho = UTILIZATION_SWEEP[idx];
             let model = SystemModel::table1_system(rho)?;
-            Ok(Fig4Point {
+            Ok::<_, GameError>(Fig4Point {
                 rho,
-                rows: evaluate_schemes(&model, sim)?,
+                rows: evaluate_schemes(&model, sim, collector)?,
             })
-        });
-    };
-    UTILIZATION_SWEEP
-        .iter()
-        .map(|&rho| {
-            let model = SystemModel::table1_system(rho)?;
-            let point = Fig4Point {
-                rho,
-                rows: evaluate_schemes_traced(&model, sim, collector)?,
-            };
+        },
+        None,
+        None,
+    )?;
+    if let Some(c) = lb_telemetry::enabled(collector) {
+        for point in &points {
             c.emit(
                 "fig4.point",
                 &[
-                    ("rho", rho.into()),
+                    ("rho", point.rho.into()),
                     ("nash", point.scheme("NASH").overall_time.into()),
                     ("gos", point.scheme("GOS").overall_time.into()),
                     ("ios", point.scheme("IOS").overall_time.into()),
                     ("ps", point.scheme("PS").overall_time.into()),
                 ],
             );
-            Ok(point)
-        })
-        .collect()
+        }
+    }
+    Ok(points)
 }
 
 /// Renders the response-time panel of Figure 4.
@@ -301,7 +281,7 @@ mod tests {
     use super::*;
 
     fn sweep() -> Vec<Fig4Point> {
-        run(None).unwrap()
+        run(None, None).unwrap()
     }
 
     #[test]
@@ -400,10 +380,10 @@ mod tests {
     #[test]
     fn csv_artifacts_are_byte_identical_with_collection_enabled() {
         use lb_telemetry::JsonlCollector;
-        let plain = run(None).unwrap();
+        let plain = run(None, None).unwrap();
         let collector: Arc<dyn Collector> =
             Arc::new(JsonlCollector::new(Box::new(std::io::sink())));
-        let traced = run_traced(None, Some(&collector)).unwrap();
+        let traced = run(None, Some(&collector)).unwrap();
 
         let dir = std::env::temp_dir().join(format!("lb_fig4_csv_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

@@ -52,7 +52,7 @@ pub fn run(sim: Option<SimOptions>) -> Result<Fig5Result, GameError> {
 pub fn run_at(rho: f64, sim: Option<SimOptions>) -> Result<Fig5Result, GameError> {
     let model = SystemModel::table1_system(rho)?;
     Ok(Fig5Result {
-        rows: evaluate_schemes(&model, sim)?,
+        rows: evaluate_schemes(&model, sim, None)?,
         users: model.num_users(),
     })
 }

@@ -44,14 +44,19 @@ impl Fig6Point {
 pub fn run(sim: Option<SimOptions>) -> Result<Vec<Fig6Point>, GameError> {
     // Independent skew points fan out like the Figure 4 sweep; index-order
     // merge keeps the output identical to the sequential loop.
-    lb_sim::parallel::ParallelRunner::from_env().try_run(SKEW_SWEEP.len(), |idx| {
-        let skew = SKEW_SWEEP[idx];
-        let model = SystemModel::skewed_system(skew, MEDIUM_LOAD)?;
-        Ok(Fig6Point {
-            skew,
-            rows: evaluate_schemes(&model, sim)?,
-        })
-    })
+    lb_sim::parallel::ParallelRunner::from_env().try_run(
+        SKEW_SWEEP.len(),
+        |idx, _| {
+            let skew = SKEW_SWEEP[idx];
+            let model = SystemModel::skewed_system(skew, MEDIUM_LOAD)?;
+            Ok(Fig6Point {
+                skew,
+                rows: evaluate_schemes(&model, sim, None)?,
+            })
+        },
+        None,
+        None,
+    )
 }
 
 /// Renders the response-time panel (simulated columns appended when the

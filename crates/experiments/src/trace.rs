@@ -36,7 +36,7 @@ use lb_game::model::SystemModel;
 use lb_game::nash::{Initialization, NashSolver};
 use lb_game::overload::OverloadPolicy;
 use lb_game::StoppingRule;
-use lb_sim::churn::{run_churn_replication_traced, ChurnPhase, RetryBackoff};
+use lb_sim::churn::{run_churn_replication, ChurnPhase, RetryBackoff};
 use lb_sim::harness::simulate_profile_traced;
 use lb_sim::parallel::ParallelRunner;
 use lb_sim::scenario::SimulationConfig;
@@ -232,7 +232,7 @@ pub fn run(out: &Path, verbose: bool) -> Result<TraceReport, String> {
             capacity: vec![10.0, 20.0, 30.0],
         },
     ];
-    run_churn_replication_traced(
+    run_churn_replication(
         &churn_model,
         &phases,
         OverloadPolicy::ShedProportional { headroom: 0.8 },

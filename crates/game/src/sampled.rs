@@ -46,6 +46,7 @@ use crate::error::GameError;
 use crate::model::SystemModel;
 use crate::stopping::{marginal_cost, Certificate};
 use crate::strategy::{Strategy, StrategyProfile};
+use lb_stats::splitmix64_finalize;
 use lb_telemetry::Collector;
 use std::fmt;
 use std::sync::Arc;
@@ -621,13 +622,10 @@ fn resolve_threads(requested: usize) -> usize {
         })
 }
 
-/// splitmix64 finalizer — the draw stream is a pure function of
+/// One splitmix64 step — the draw stream is a pure function of
 /// `(seed, sweep, user, t)`, never of thread or timing.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn splitmix64(z: u64) -> u64 {
+    splitmix64_finalize(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn draw_key(seed: u64, sweep: u32, user: u64) -> u64 {

@@ -38,13 +38,9 @@ use lb_game::strategy::StrategyProfile;
 /// construction (there is nothing to parallelize).
 ///
 /// Only valid for the exponential arrival/service model —
-/// [`crate::scenario::run_replication_spanned`] checks
+/// [`crate::scenario::run_replication`] checks
 /// [`SimulationConfig::is_analytic`] before routing here.
-///
-/// # Errors
-///
-/// As for [`crate::scenario::run_replication`].
-pub fn run_replication_analytic(
+pub(crate) fn run_replication_analytic(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
@@ -180,12 +176,12 @@ mod tests {
     fn analytic_replication_is_deterministic_per_seed() {
         let (model, profile) = table1_like();
         let config = SimulationConfig::quick().with_fidelity(SimFidelity::Analytic);
-        let a = run_replication(&model, &profile, config, 42).unwrap();
-        let b = run_replication(&model, &profile, config, 42).unwrap();
+        let a = run_replication(&model, &profile, config, 42, None, None, |_, _| {}).unwrap();
+        let b = run_replication(&model, &profile, config, 42, None, None, |_, _| {}).unwrap();
         assert_eq!(a.jobs_generated, b.jobs_generated);
         assert_eq!(a.user_counts, b.user_counts);
         assert_eq!(a.system_mean.to_bits(), b.system_mean.to_bits());
-        let c = run_replication(&model, &profile, config, 43).unwrap();
+        let c = run_replication(&model, &profile, config, 43, None, None, |_, _| {}).unwrap();
         assert_ne!(
             a.system_mean.to_bits(),
             c.system_mean.to_bits(),
@@ -201,8 +197,9 @@ mod tests {
             ..SimulationConfig::quick()
         };
         let analytic_cfg = full_cfg.with_fidelity(SimFidelity::Analytic);
-        let analytic = run_replication(&model, &profile, analytic_cfg, 7).unwrap();
-        let full = run_replication(&model, &profile, full_cfg, 7).unwrap();
+        let analytic =
+            run_replication(&model, &profile, analytic_cfg, 7, None, None, |_, _| {}).unwrap();
+        let full = run_replication(&model, &profile, full_cfg, 7, None, None, |_, _| {}).unwrap();
         let theory = lb_game::metrics::evaluate_profile(&model, &profile).unwrap();
 
         assert!(
@@ -314,7 +311,7 @@ mod tests {
         assert!(!config.is_analytic());
         // The router must land on a real engine: per-job sink fires.
         let mut jobs = 0u64;
-        crate::scenario::run_replication_with_sink(&model, &profile, config, 3, |_, _| jobs += 1)
+        crate::scenario::run_replication(&model, &profile, config, 3, None, None, |_, _| jobs += 1)
             .unwrap();
         assert!(jobs > 0, "fallback engine must simulate per-job events");
     }

@@ -142,7 +142,9 @@ mod tests {
         let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
         let cfg = SimulationConfig::quick();
-        let poisson = crate::scenario::run_replication(&model, &profile, cfg, 41).unwrap();
+        let poisson =
+            crate::scenario::run_replication(&model, &profile, cfg, 41, None, None, |_, _| {})
+                .unwrap();
         let mild = run_replication_mmpp(
             &model,
             &profile,

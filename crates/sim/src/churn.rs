@@ -159,27 +159,7 @@ enum Event {
 /// crashed-out jobs per `backoff`, discarding the first `warmup`
 /// seconds.
 ///
-/// # Errors
-///
-/// * [`GameError::DimensionMismatch`] when a phase's capacity vector has
-///   the wrong width.
-/// * [`GameError::Overloaded`] when a phase is infeasible under
-///   [`OverloadPolicy::Reject`].
-/// * [`GameError::InvalidRate`] on non-finite durations/rates or an
-///   empty/too-short schedule.
-pub fn run_churn_replication(
-    model: &SystemModel,
-    phases: &[ChurnPhase],
-    policy: OverloadPolicy,
-    backoff: RetryBackoff,
-    warmup: f64,
-    seed: u64,
-) -> Result<ChurnResult, GameError> {
-    run_churn_replication_traced(model, phases, policy, backoff, warmup, seed, None)
-}
-
-/// [`run_churn_replication`] with an optional telemetry collector. When
-/// collecting, the run emits one `sim.phase {phase, start, end,
+/// With a `collector`, the run emits one `sim.phase {phase, start, end,
 /// admitted_total, capacity_total, predicted_time}` per resolved phase,
 /// then `sim.goodput {t, phase, served, shed, lost, retries}` plus a
 /// `des.calendar {t, depth, tombstones, compactions, processed}`
@@ -192,9 +172,14 @@ pub fn run_churn_replication(
 ///
 /// # Errors
 ///
-/// As [`run_churn_replication`].
+/// * [`GameError::DimensionMismatch`] when a phase's capacity vector has
+///   the wrong width.
+/// * [`GameError::Overloaded`] when a phase is infeasible under
+///   [`OverloadPolicy::Reject`].
+/// * [`GameError::InvalidRate`] on non-finite durations/rates or an
+///   empty/too-short schedule.
 #[allow(clippy::too_many_lines)]
-pub fn run_churn_replication_traced(
+pub fn run_churn_replication(
     model: &SystemModel,
     phases: &[ChurnPhase],
     policy: OverloadPolicy,
@@ -580,6 +565,7 @@ mod tests {
                 backoff(),
                 100.0,
                 seed,
+                None,
             )
             .unwrap()
         };
@@ -602,10 +588,10 @@ mod tests {
         let m = model();
         let policy = OverloadPolicy::ShedProportional { headroom: 0.8 };
         let plain =
-            run_churn_replication(&m, &crash_phases(), policy, backoff(), 100.0, 7).unwrap();
+            run_churn_replication(&m, &crash_phases(), policy, backoff(), 100.0, 7, None).unwrap();
         let mem = Arc::new(MemoryCollector::default());
         let collector: Arc<dyn Collector> = mem.clone();
-        let traced = run_churn_replication_traced(
+        let traced = run_churn_replication(
             &m,
             &crash_phases(),
             policy,
@@ -662,6 +648,7 @@ mod tests {
             backoff(),
             100.0,
             3,
+            None,
         )
         .unwrap();
         // Phase 2 sheds 28 − 24 = 4 of 28 jobs/s for 400 of 1100
@@ -699,8 +686,16 @@ mod tests {
                 capacity: vec![10.0, 0.0, 0.0],
             },
         ];
-        let err = run_churn_replication(&m, &phases, OverloadPolicy::Reject, backoff(), 10.0, 3)
-            .unwrap_err();
+        let err = run_churn_replication(
+            &m,
+            &phases,
+            OverloadPolicy::Reject,
+            backoff(),
+            10.0,
+            3,
+            None,
+        )
+        .unwrap_err();
         assert!(matches!(err, GameError::Overloaded { .. }), "{err:?}");
     }
 
@@ -715,6 +710,7 @@ mod tests {
             backoff(),
             100.0,
             3,
+            None,
         )
         .unwrap();
         assert_eq!(r.shed, 0);
@@ -743,18 +739,18 @@ mod tests {
     fn rejects_bad_schedules() {
         let m = model();
         let policy = OverloadPolicy::ShedProportional { headroom: 0.8 };
-        assert!(run_churn_replication(&m, &[], policy, backoff(), 0.0, 1).is_err());
+        assert!(run_churn_replication(&m, &[], policy, backoff(), 0.0, 1, None).is_err());
         let phases = vec![ChurnPhase {
             duration: 10.0,
             capacity: vec![10.0, 20.0, 30.0],
         }];
         // Warmup past the horizon.
-        assert!(run_churn_replication(&m, &phases, policy, backoff(), 10.0, 1).is_err());
+        assert!(run_churn_replication(&m, &phases, policy, backoff(), 10.0, 1, None).is_err());
         // Wrong capacity width.
         let bad = vec![ChurnPhase {
             duration: 10.0,
             capacity: vec![10.0],
         }];
-        assert!(run_churn_replication(&m, &bad, policy, backoff(), 1.0, 1).is_err());
+        assert!(run_churn_replication(&m, &bad, policy, backoff(), 1.0, 1, None).is_err());
     }
 }

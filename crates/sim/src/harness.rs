@@ -3,7 +3,7 @@
 //! over replications".
 
 use crate::parallel::ParallelRunner;
-use crate::scenario::{run_replication_spanned, SimulationConfig};
+use crate::scenario::{run_replication, SimulationConfig};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
@@ -147,7 +147,7 @@ pub fn simulate_profile_traced(
 
     // Fan out: one task per replication, each fully determined by its
     // seed. The fold below happens in replication order.
-    let replications = runner.try_run_spanned(
+    let replications = runner.try_run(
         plan.replications as usize,
         |r, worker| {
             let seed = plan.seed_for(r as u32);
@@ -164,7 +164,7 @@ pub fn simulate_profile_traced(
             // is order-insensitive and costs a sort, trivial next to the
             // simulation itself.
             let mut responses: Vec<f64> = Vec::new();
-            let result = run_replication_spanned(
+            let result = run_replication(
                 model,
                 profile,
                 config,

@@ -37,6 +37,16 @@
 //! * [`analytic`] — the closed-form fast path: stationary M/M/1 sojourn
 //!   sampling (Poisson counts, Gamma sums) replacing the event loop when
 //!   [`scenario::SimFidelity::Analytic`] is requested.
+//!
+//! Each simulation operation has one entrypoint, and it takes its
+//! telemetry hooks as arguments: `collector: Option<&Arc<dyn Collector>>`
+//! and, where spans nest under a caller's, `span_parent:
+//! Option<&SpanHandle>`. Passing `None` turns collection off; results are
+//! bit-identical either way. [`scenario::run_replication`] is the one
+//! replication (it picks the engine from the config),
+//! [`ParallelRunner::run`] the one fan-out. The replicated study keeps
+//! three forms ([`simulate_profile`], [`simulate_profile_with`],
+//! [`simulate_profile_traced`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -52,16 +62,11 @@ pub mod scenario;
 pub mod shard;
 pub mod validate;
 
-pub use analytic::{analytic_system_p95, run_replication_analytic};
-pub use churn::{
-    breakdown_schedule, run_churn_replication, run_churn_replication_traced, ChurnPhase,
-    ChurnResult,
-};
+pub use analytic::analytic_system_p95;
+pub use churn::{breakdown_schedule, run_churn_replication, ChurnPhase, ChurnResult};
 pub use harness::{
     simulate_profile, simulate_profile_traced, simulate_profile_with, SimulatedMetrics,
 };
 pub use parallel::ParallelRunner;
 pub use scenario::{DistributionFamily, SimFidelity, SimulationConfig, SimulationResult};
-pub use shard::{
-    run_replication_sharded, run_replication_sharded_spanned, run_replication_sharded_with,
-};
+pub use shard::run_replication_sharded;

@@ -16,7 +16,7 @@
 use lb_telemetry::{Collector, FieldValue, Span, SpanHandle};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Environment variable controlling the default worker count.
 pub const THREADS_ENV: &str = "LB_SIM_THREADS";
@@ -77,292 +77,163 @@ impl ParallelRunner {
     /// index order. Tasks are claimed from a shared counter (work
     /// stealing), so uneven task costs do not idle workers; because each
     /// result lands in its own slot, the output is byte-identical to the
-    /// sequential `map` for any thread count.
+    /// sequential `map` for any thread count. One worker runs on the
+    /// calling thread; more run on scoped threads.
     ///
-    /// # Panics
-    ///
-    /// A panic inside `task` is resumed on the calling thread.
-    pub fn run<T, F>(&self, count: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if self.threads <= 1 || count <= 1 {
-            return (0..count).map(task).collect();
-        }
-        let workers = self.threads.min(count);
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|_| {
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= count {
-                                break;
-                            }
-                            local.push((idx, task(idx)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                let local = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (idx, value) in local {
-                    slots[idx] = Some(value);
-                }
-            }
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task index is claimed exactly once"))
-            .collect()
-    }
-
-    /// [`ParallelRunner::run`] with per-worker telemetry: after the pool
-    /// joins, one `runner.worker {worker, tasks, busy_us, idle_us}` event
-    /// is emitted per worker **in worker-index order** (so the event
-    /// stream is as deterministic as the results; only the timing field
-    /// values vary run to run), and the run is wrapped in a causal span
-    /// tree (see [`ParallelRunner::run_spanned`]). Falls back to the
-    /// plain path — no timing probes at all — when the collector is
-    /// absent or disabled, so results are byte-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// A panic inside `task` is resumed on the calling thread.
-    pub fn run_traced<T, F>(
-        &self,
-        count: usize,
-        task: F,
-        collector: Option<&Arc<dyn Collector>>,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_spanned(count, |i, _| task(i), collector, None)
-    }
-
-    /// The fully-instrumented fan-out: like [`ParallelRunner::run_traced`]
-    /// but additionally opens a `runner.pool` span (a child of `parent`
-    /// when given, a root span otherwise) for the whole run and one live
-    /// `runner.worker` span per worker, **from the worker's own thread**,
-    /// so span timestamps bracket the actual concurrent execution. Each
-    /// task receives a handle to its worker's span and may parent its own
+    /// With an enabled `collector` the run is wrapped in a causal span
+    /// tree: a `runner.pool` span (a child of `span_parent` when given, a
+    /// root span otherwise) and one `runner.worker` span per worker,
+    /// opened **from the worker's own thread** so span timestamps bracket
+    /// the actual concurrent execution. Each task receives its worker's
+    /// span handle (`None` when not collecting) and may parent its own
     /// spans under it (e.g. one `sim.replication` span per task). Worker
-    /// spans close with `{tasks, busy_us, idle_us}`; the flat
-    /// `runner.worker` events of `run_traced` are still emitted after the
-    /// join, in worker-index order.
-    ///
-    /// When the collector is absent or disabled the task is invoked with
-    /// `None` and the untimed [`ParallelRunner::run`] path is used, so
-    /// results are byte-identical with collection on or off.
+    /// spans close with `{tasks, busy_us, idle_us}`, and after the join
+    /// one flat `runner.worker {worker, tasks, busy_us, idle_us}` event
+    /// per worker is emitted **in worker-index order** (so the event
+    /// stream is as deterministic as the results; only the timing field
+    /// values vary run to run). Without a collector no timing probes run
+    /// at all, so results are byte-identical with collection on or off.
     ///
     /// # Panics
     ///
     /// A panic inside `task` is resumed on the calling thread.
-    pub fn run_spanned<T, F>(
+    pub fn run<T, F>(
         &self,
         count: usize,
         task: F,
         collector: Option<&Arc<dyn Collector>>,
-        parent: Option<&SpanHandle>,
+        span_parent: Option<&SpanHandle>,
     ) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, Option<&SpanHandle>) -> T + Sync,
     {
-        let Some(c) = lb_telemetry::enabled(collector) else {
-            return self.run(count, |i| task(i, None));
-        };
-        let workers = if self.threads <= 1 || count <= 1 {
-            1
-        } else {
-            self.threads.min(count)
-        };
-        let pool_fields = [
-            ("tasks", FieldValue::U64(count as u64)),
-            ("workers", FieldValue::U64(workers as u64)),
-        ];
-        let pool = match parent {
-            Some(p) => p.child("runner.pool", &pool_fields),
-            None => Span::root(collector, "runner.pool", &pool_fields)
-                .expect("collector enablement was checked above"),
-        };
-        if workers == 1 {
-            let start = Instant::now();
-            let mut busy = std::time::Duration::ZERO;
-            let wspan = pool.child("runner.worker", &[("worker", 0u64.into())]);
-            let whandle = wspan.handle();
-            let out = (0..count)
-                .map(|i| {
-                    let t0 = Instant::now();
-                    let v = task(i, Some(&whandle));
-                    busy += t0.elapsed();
-                    v
-                })
-                .collect();
-            let idle = start.elapsed().saturating_sub(busy);
-            let busy_us = busy.as_micros() as u64;
-            let idle_us = idle.as_micros() as u64;
-            wspan.close_with(&[
-                ("tasks", (count as u64).into()),
-                ("busy_us", busy_us.into()),
-                ("idle_us", idle_us.into()),
-            ]);
-            c.emit(
-                "runner.worker",
-                &[
-                    ("worker", 0u64.into()),
-                    ("tasks", (count as u64).into()),
-                    ("busy_us", busy_us.into()),
-                    ("idle_us", idle_us.into()),
-                ],
-            );
-            pool.close();
-            return out;
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let mut stats: Vec<(u64, u64, u64)> = Vec::with_capacity(workers);
-        let pool_handle = pool.handle();
-        let task = &task;
-        let next_ref = &next;
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let handle = pool_handle.clone();
-                    s.spawn(move |_| {
-                        let start = Instant::now();
-                        let mut busy = std::time::Duration::ZERO;
-                        let wspan = handle.child("runner.worker", &[("worker", (w as u64).into())]);
-                        let whandle = wspan.handle();
-                        let mut local = Vec::new();
-                        loop {
-                            let idx = next_ref.fetch_add(1, Ordering::Relaxed);
-                            if idx >= count {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let value = task(idx, Some(&whandle));
-                            busy += t0.elapsed();
-                            local.push((idx, value));
-                        }
-                        let idle = start.elapsed().saturating_sub(busy);
-                        let busy_us = busy.as_micros() as u64;
-                        let idle_us = idle.as_micros() as u64;
-                        wspan.close_with(&[
-                            ("tasks", (local.len() as u64).into()),
-                            ("busy_us", busy_us.into()),
-                            ("idle_us", idle_us.into()),
-                        ]);
-                        (local, busy_us, idle_us)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (local, busy_us, idle_us) =
-                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                stats.push((local.len() as u64, busy_us, idle_us));
-                for (idx, value) in local {
-                    slots[idx] = Some(value);
-                }
+        let workers = self.threads.min(count).max(1);
+        let collect = lb_telemetry::enabled(collector);
+        let pool = collect.map(|_| {
+            let fields = [
+                ("tasks", FieldValue::U64(count as u64)),
+                ("workers", FieldValue::U64(workers as u64)),
+            ];
+            match span_parent {
+                Some(p) => p.child("runner.pool", &fields),
+                None => Span::root(collector, "runner.pool", &fields)
+                    .expect("collector enablement was checked above"),
             }
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        for (worker, (tasks, busy_us, idle_us)) in stats.into_iter().enumerate() {
-            c.emit(
-                "runner.worker",
-                &[
-                    ("worker", (worker as u64).into()),
-                    ("tasks", tasks.into()),
-                    ("busy_us", busy_us.into()),
-                    ("idle_us", idle_us.into()),
-                ],
-            );
+        });
+        let pool_handle = pool.as_ref().map(Span::handle);
+        let next = AtomicUsize::new(0);
+        let work = |w: usize| work_through(w, count, &next, &task, pool_handle.as_ref());
+        let finished: Vec<WorkerOutput<T>> = if workers == 1 {
+            vec![work(0)]
+        } else {
+            crossbeam::thread::scope(|s| {
+                let work = &work;
+                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move |_| work(w))).collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))
+        };
+        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+        for (worker, (done, timing)) in finished.into_iter().enumerate() {
+            if let (Some(c), Some((busy_us, idle_us))) = (collect, timing) {
+                c.emit(
+                    "runner.worker",
+                    &[
+                        ("worker", (worker as u64).into()),
+                        ("tasks", (done.len() as u64).into()),
+                        ("busy_us", busy_us.into()),
+                        ("idle_us", idle_us.into()),
+                    ],
+                );
+            }
+            for (idx, value) in done {
+                slots[idx] = Some(value);
+            }
         }
-        pool.close();
+        if let Some(pool) = pool {
+            pool.close();
+        }
         slots
             .into_iter()
             .map(|slot| slot.expect("every task index is claimed exactly once"))
             .collect()
     }
 
-    /// Fallible variant of [`ParallelRunner::run_traced`], with
-    /// [`ParallelRunner::try_run`]'s error semantics (lowest-indexed
-    /// failure wins). Note the traced path runs every task even after a
-    /// failure — tasks are expected to be effect-free.
+    /// Fallible variant of [`ParallelRunner::run`], with the same
+    /// telemetry: collects `Ok` values in index order, or returns the
+    /// error of the **lowest-indexed** failing task — the same error the
+    /// sequential loop would surface. Every task runs even after a
+    /// failure; tasks are expected to be effect-free.
     ///
     /// # Errors
     ///
     /// The lowest-indexed task error.
-    pub fn try_run_traced<T, E, F>(
+    pub fn try_run<T, E, F>(
         &self,
         count: usize,
         task: F,
         collector: Option<&Arc<dyn Collector>>,
-    ) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        self.try_run_spanned(count, |i, _| task(i), collector, None)
-    }
-
-    /// Fallible variant of [`ParallelRunner::run_spanned`], with
-    /// [`ParallelRunner::try_run`]'s error semantics (lowest-indexed
-    /// failure wins). The spanned path runs every task even after a
-    /// failure — tasks are expected to be effect-free.
-    ///
-    /// # Errors
-    ///
-    /// The lowest-indexed task error.
-    pub fn try_run_spanned<T, E, F>(
-        &self,
-        count: usize,
-        task: F,
-        collector: Option<&Arc<dyn Collector>>,
-        parent: Option<&SpanHandle>,
+        span_parent: Option<&SpanHandle>,
     ) -> Result<Vec<T>, E>
     where
         T: Send,
         E: Send,
         F: Fn(usize, Option<&SpanHandle>) -> Result<T, E> + Sync,
     {
-        if lb_telemetry::enabled(collector).is_none() {
-            return self.try_run(count, |i| task(i, None));
-        }
-        self.run_spanned(count, &task, collector, parent)
+        self.run(count, task, collector, span_parent)
             .into_iter()
             .collect()
     }
+}
 
-    /// Fallible variant of [`ParallelRunner::run`]: collects `Ok` values
-    /// in index order, or returns the error of the **lowest-indexed**
-    /// failing task — the same error the sequential loop would surface.
-    /// (The parallel path may still execute tasks after a failing index;
-    /// tasks are expected to be effect-free.)
-    ///
-    /// # Errors
-    ///
-    /// The lowest-indexed task error.
-    pub fn try_run<T, E, F>(&self, count: usize, task: F) -> Result<Vec<T>, E>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize) -> Result<T, E> + Sync,
-    {
-        if self.threads <= 1 || count <= 1 {
-            return (0..count).map(task).collect();
+/// One worker's `(index, result)` pairs, plus its `(busy_us, idle_us)`
+/// when the run is traced.
+type WorkerOutput<T> = (Vec<(usize, T)>, Option<(u64, u64)>);
+
+/// One worker's loop: claims task indices from `next` until they run
+/// out. Under a `pool` span it opens its `runner.worker` span and times
+/// each task; without one it takes no timestamps.
+fn work_through<T, F>(
+    worker: usize,
+    count: usize,
+    next: &AtomicUsize,
+    task: &F,
+    pool: Option<&SpanHandle>,
+) -> WorkerOutput<T>
+where
+    F: Fn(usize, Option<&SpanHandle>) -> T,
+{
+    let start = pool.map(|_| Instant::now());
+    let span = pool.map(|p| p.child("runner.worker", &[("worker", (worker as u64).into())]));
+    let handle = span.as_ref().map(Span::handle);
+    let mut busy = Duration::ZERO;
+    let mut done = Vec::new();
+    loop {
+        let idx = next.fetch_add(1, Ordering::Relaxed);
+        if idx >= count {
+            break;
         }
-        self.run(count, &task).into_iter().collect()
+        let t0 = start.map(|_| Instant::now());
+        done.push((idx, task(idx, handle.as_ref())));
+        if let Some(t0) = t0 {
+            busy += t0.elapsed();
+        }
     }
+    let timing = start.zip(span).map(|(start, span)| {
+        let busy_us = busy.as_micros() as u64;
+        let idle_us = start.elapsed().saturating_sub(busy).as_micros() as u64;
+        span.close_with(&[
+            ("tasks", (done.len() as u64).into()),
+            ("busy_us", busy_us.into()),
+            ("idle_us", idle_us.into()),
+        ]);
+        (busy_us, idle_us)
+    });
+    (done, timing)
 }
 
 #[cfg(test)]
@@ -374,39 +245,50 @@ mod tests {
         let runner = ParallelRunner::new(8);
         // Make early tasks the slowest so completion order differs from
         // index order.
-        let out = runner.run(32, |i| {
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            i * i
-        });
+        let out = runner.run(
+            32,
+            |i, _| {
+                if i < 4 {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                i * i
+            },
+            None,
+            None,
+        );
         assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_matches_sequential_for_any_thread_count() {
         let task = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let reference = ParallelRunner::sequential().run(100, task);
+        let reference = ParallelRunner::sequential().run(100, |i, _| task(i), None, None);
         for threads in [2, 3, 8] {
-            assert_eq!(ParallelRunner::new(threads).run(100, task), reference);
+            let out = ParallelRunner::new(threads).run(100, |i, _| task(i), None, None);
+            assert_eq!(out, reference);
         }
     }
 
     #[test]
     fn try_run_reports_the_lowest_failing_index() {
+        use lb_telemetry::MemoryCollector;
         let runner = ParallelRunner::new(4);
-        let result: Result<Vec<usize>, usize> =
-            runner.try_run(64, |i| if i % 10 == 7 { Err(i) } else { Ok(i) });
+        let task = |i: usize, _: Option<&SpanHandle>| if i % 10 == 7 { Err(i) } else { Ok(i) };
+        let result: Result<Vec<usize>, usize> = runner.try_run(64, task, None, None);
         assert_eq!(result, Err(7));
-        let ok: Result<Vec<usize>, usize> = runner.try_run(16, Ok);
+        let ok: Result<Vec<usize>, usize> = runner.try_run(16, |i, _| Ok(i), None, None);
         assert_eq!(ok.unwrap(), (0..16).collect::<Vec<_>>());
+        // Traced, the same lowest-indexed error wins.
+        let collector: Arc<dyn Collector> = Arc::new(MemoryCollector::default());
+        let traced: Result<Vec<usize>, usize> = runner.try_run(64, task, Some(&collector), None);
+        assert_eq!(traced, Err(7));
     }
 
     #[test]
     fn zero_and_single_task_counts_work() {
         let runner = ParallelRunner::new(4);
-        assert_eq!(runner.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(runner.run(1, |i| i + 1), vec![1]);
+        assert_eq!(runner.run(0, |i, _| i, None, None), Vec::<usize>::new());
+        assert_eq!(runner.run(1, |i, _| i + 1, None, None), vec![1]);
     }
 
     #[test]
@@ -419,12 +301,12 @@ mod tests {
     fn traced_run_matches_plain_and_accounts_every_task() {
         use lb_telemetry::{MemoryCollector, SPAN_CLOSE, SPAN_OPEN};
         let task = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let reference = ParallelRunner::sequential().run(64, task);
+        let reference = ParallelRunner::sequential().run(64, |i, _| task(i), None, None);
         for threads in [1usize, 4] {
             let runner = ParallelRunner::new(threads);
             let mem = Arc::new(MemoryCollector::default());
             let collector: Arc<dyn Collector> = mem.clone();
-            let out = runner.run_traced(64, task, Some(&collector));
+            let out = runner.run(64, |i, _| task(i), Some(&collector), None);
             assert_eq!(out, reference, "{threads} threads");
             // One pool span plus one worker span per worker wrap the run.
             assert_eq!(mem.count(SPAN_OPEN), 1 + threads, "pool + worker spans");
@@ -455,12 +337,12 @@ mod tests {
             let _child = worker.map(|w| w.child("test.task", &[("i", (i as u64).into())]));
             (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         };
-        let reference = ParallelRunner::sequential().run_spanned(32, task, None, None);
+        let reference = ParallelRunner::sequential().run(32, task, None, None);
         for threads in [1usize, 4] {
             let runner = ParallelRunner::new(threads);
             let mem = Arc::new(MemoryCollector::default());
             let collector: Arc<dyn Collector> = mem.clone();
-            let out = runner.run_spanned(32, task, Some(&collector), None);
+            let out = runner.run(32, task, Some(&collector), None);
             assert_eq!(out, reference, "{threads} threads");
             // pool + workers + one span per task, all closed.
             assert_eq!(mem.count("span_open"), 1 + threads + 32);
@@ -471,9 +353,9 @@ mod tests {
     #[test]
     fn traced_run_without_collector_is_the_plain_path() {
         let runner = ParallelRunner::new(3);
-        let out = runner.run_traced(10, |i| i * 2, None);
+        let out = runner.run(10, |i, _| i * 2, None, None);
         assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        let ok: Result<Vec<usize>, usize> = runner.try_run_traced(10, Ok, None);
+        let ok: Result<Vec<usize>, usize> = runner.try_run(10, |i, _| Ok(i), None, None);
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
     }
 
@@ -481,10 +363,15 @@ mod tests {
     fn task_panics_propagate() {
         let runner = ParallelRunner::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            runner.run(8, |i| {
-                assert!(i != 5, "boom");
-                i
-            })
+            runner.run(
+                8,
+                |i, _| {
+                    assert!(i != 5, "boom");
+                    i
+                },
+                None,
+                None,
+            )
         }));
         assert!(caught.is_err());
     }

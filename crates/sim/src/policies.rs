@@ -285,6 +285,9 @@ mod tests {
             &profile,
             SimulationConfig::quick(),
             5,
+            None,
+            None,
+            |_, _| {},
         )
         .unwrap();
         // Identical streams and identical dispatch logic: identical runs.

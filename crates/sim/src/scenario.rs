@@ -202,56 +202,20 @@ enum Event {
     Completion { computer: usize },
 }
 
-/// Runs one replication of `profile` on `model` with the given seed.
+/// Runs one replication of `profile` on `model` with the given seed,
+/// streaming every *measured* (post-warmup) job's `(user,
+/// response_time)` to `sink` — the hook for custom estimators
+/// (histograms, percentile trackers); pass `|_, _| {}` to ignore it.
 ///
-/// # Errors
+/// Telemetry: the collector receives the engine's `des.compact` events
+/// and the shards' `account.des` snapshots, and — when `span_parent` is
+/// given — spans partition the event machinery under that parent
+/// (typically the caller's `sim.replication` span): `des.shard` →
+/// `sim.batch` on the sharded engine, `des.batch` on the single
+/// calendar. Purely observational; results are bit-identical with or
+/// without either hook.
 ///
-/// [`GameError::DimensionMismatch`] on shape mismatch;
-/// [`GameError::InfeasibleStrategy`] if the profile saturates a computer
-/// (the simulation would never reach steady state).
-pub fn run_replication(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    config: SimulationConfig,
-    seed: u64,
-) -> Result<SimulationResult, GameError> {
-    run_replication_with_sink(model, profile, config, seed, |_, _| {})
-}
-
-/// Like [`run_replication`], additionally streaming every *measured*
-/// (post-warmup) job's `(user, response_time)` to `sink` — the hook for
-/// custom estimators (histograms, percentile trackers).
-///
-/// Ordering caveat: on the sharded engine (the default for Poisson
-/// arrivals) the stream is grouped by station, not globally
-/// time-ordered. Order-insensitive estimators are unaffected;
-/// order-sensitive ones (e.g. batch means over the global completion
-/// sequence) should run on
-/// [`run_replication_single_calendar_spanned`] instead.
-///
-/// # Errors
-///
-/// As for [`run_replication`].
-pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    config: SimulationConfig,
-    seed: u64,
-    sink: F,
-) -> Result<SimulationResult, GameError> {
-    run_replication_spanned(model, profile, config, seed, None, None, sink)
-}
-
-/// Like [`run_replication_with_sink`], additionally wiring the engine
-/// into the telemetry pipeline: the collector receives the engine's
-/// `des.compact` events and the shards' `account.des` snapshots, and —
-/// when `span_parent` is given — spans partition the event machinery
-/// under that parent (typically the caller's `sim.replication` span):
-/// `des.shard` → `sim.batch` on the sharded engine, `des.batch` on the
-/// single calendar. Purely observational; results are bit-identical with
-/// or without either hook.
-///
-/// This is the routing point for the simulation fast paths:
+/// This is the routing point for the simulation engines:
 ///
 /// * [`SimFidelity::Analytic`] on the exponential model → closed-form
 ///   stationary sampling ([`crate::analytic`]); the per-job `sink` never
@@ -261,13 +225,21 @@ pub fn run_replication_with_sink<F: FnMut(usize, f64)>(
 ///   Poisson splitting to run each station on its own, by the Lindley
 ///   recursion instead of an event calendar.
 /// * Non-Poisson arrivals → the classic single-calendar engine
-///   ([`run_replication_single_calendar_spanned`]), the only one whose
-///   renewal arrival streams couple stations through dispatch order.
+///   ([`run_replication_single_calendar`]), the only one whose renewal
+///   arrival streams couple stations through dispatch order.
+///
+/// Ordering caveat: on the sharded engine the sink stream is grouped by
+/// station, not globally time-ordered. Order-insensitive estimators are
+/// unaffected; order-sensitive ones (e.g. batch means over the global
+/// completion sequence) should run on
+/// [`run_replication_single_calendar`] instead.
 ///
 /// # Errors
 ///
-/// As for [`run_replication`].
-pub fn run_replication_spanned<F: FnMut(usize, f64)>(
+/// [`GameError::DimensionMismatch`] on shape mismatch;
+/// [`GameError::InfeasibleStrategy`] if the profile saturates a computer
+/// (the simulation would never reach steady state).
+pub fn run_replication<F: FnMut(usize, f64)>(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
@@ -280,7 +252,7 @@ pub fn run_replication_spanned<F: FnMut(usize, f64)>(
         return crate::analytic::run_replication_analytic(model, profile, config, seed);
     }
     if config.arrivals == DistributionFamily::Exponential {
-        return crate::shard::run_replication_sharded_spanned(
+        return crate::shard::run_shards_in_order(
             model,
             profile,
             config,
@@ -290,20 +262,14 @@ pub fn run_replication_spanned<F: FnMut(usize, f64)>(
             sink,
         );
     }
-    run_replication_single_calendar_spanned(
-        model,
-        profile,
-        config,
-        seed,
-        collector,
-        span_parent,
-        sink,
-    )
+    run_replication_single_calendar(model, profile, config, seed, collector, span_parent, sink)
 }
 
 /// Runs one replication on the classic single-calendar engine — the seed
 /// reference path: every user's renewal arrival process, every dispatch
-/// decision and every station share one global event calendar.
+/// decision and every station share one global event calendar, so the
+/// `sink` sees completions in global time order. Hooks as for
+/// [`run_replication`].
 ///
 /// [`run_replication`] routes here only for non-Poisson arrival models;
 /// the function stays public as the cross-validation reference for the
@@ -312,21 +278,7 @@ pub fn run_replication_spanned<F: FnMut(usize, f64)>(
 /// # Errors
 ///
 /// As for [`run_replication`].
-pub fn run_replication_single_calendar(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    config: SimulationConfig,
-    seed: u64,
-) -> Result<SimulationResult, GameError> {
-    run_replication_single_calendar_spanned(model, profile, config, seed, None, None, |_, _| {})
-}
-
-/// The spanned form of [`run_replication_single_calendar`].
-///
-/// # Errors
-///
-/// As for [`run_replication`].
-pub fn run_replication_single_calendar_spanned<F: FnMut(usize, f64)>(
+pub fn run_replication_single_calendar<F: FnMut(usize, f64)>(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
@@ -451,18 +403,11 @@ mod tests {
         };
         // Batch means needs the *global* completion order, so it runs on
         // the single-calendar engine (the sharded sink groups by station).
-        let r = run_replication_single_calendar_spanned(
-            &model,
-            &profile,
-            cfg,
-            17,
-            None,
-            None,
-            |_, resp| {
+        let r =
+            run_replication_single_calendar(&model, &profile, cfg, 17, None, None, |_, resp| {
                 bm.push(resp);
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         assert!(bm.batches() >= 20, "batches {}", bm.batches());
         assert!(
             (bm.mean() - r.system_mean).abs() < 1e-3 * r.system_mean.max(1e-9) + 1e-4,
@@ -490,11 +435,16 @@ mod tests {
     fn sink_sees_only_post_warmup_jobs() {
         let (model, profile) = small();
         let mut count = 0u64;
-        let r =
-            run_replication_with_sink(&model, &profile, SimulationConfig::quick(), 3, |_, _| {
-                count += 1
-            })
-            .unwrap();
+        let r = run_replication(
+            &model,
+            &profile,
+            SimulationConfig::quick(),
+            3,
+            None,
+            None,
+            |_, _| count += 1,
+        )
+        .unwrap();
         assert_eq!(count, r.user_counts.iter().sum::<u64>());
         assert!(count < r.jobs_generated, "warmup jobs must be excluded");
     }
@@ -503,11 +453,11 @@ mod tests {
     fn replication_is_deterministic_per_seed() {
         let (model, profile) = small();
         let cfg = SimulationConfig::quick();
-        let a = run_replication(&model, &profile, cfg, 7).unwrap();
-        let b = run_replication(&model, &profile, cfg, 7).unwrap();
+        let a = run_replication(&model, &profile, cfg, 7, None, None, |_, _| {}).unwrap();
+        let b = run_replication(&model, &profile, cfg, 7, None, None, |_, _| {}).unwrap();
         assert_eq!(a.user_means, b.user_means);
         assert_eq!(a.jobs_generated, b.jobs_generated);
-        let c = run_replication(&model, &profile, cfg, 8).unwrap();
+        let c = run_replication(&model, &profile, cfg, 8, None, None, |_, _| {}).unwrap();
         assert_ne!(a.user_means, c.user_means);
     }
 
@@ -515,7 +465,7 @@ mod tests {
     fn generates_roughly_target_jobs() {
         let (model, profile) = small();
         let cfg = SimulationConfig::quick();
-        let r = run_replication(&model, &profile, cfg, 1).unwrap();
+        let r = run_replication(&model, &profile, cfg, 1, None, None, |_, _| {}).unwrap();
         let target = cfg.target_jobs as f64;
         assert!(
             (r.jobs_generated as f64 - target).abs() < 0.05 * target,
@@ -530,7 +480,16 @@ mod tests {
         // PS on this model: each queue at rho = 0.4 -> F = 1/(mu - lambda).
         let (model, profile) = small();
         let analytic = lb_game::metrics::evaluate_profile(&model, &profile).unwrap();
-        let r = run_replication(&model, &profile, SimulationConfig::quick(), 3).unwrap();
+        let r = run_replication(
+            &model,
+            &profile,
+            SimulationConfig::quick(),
+            3,
+            None,
+            None,
+            |_, _| {},
+        )
+        .unwrap();
         for (sim, theory) in r.user_means.iter().zip(&analytic.user_times) {
             let rel = (sim - theory).abs() / theory;
             assert!(rel < 0.08, "simulated {sim} vs theory {theory} (rel {rel})");
@@ -547,7 +506,15 @@ mod tests {
         let profile =
             StrategyProfile::new(vec![lb_game::strategy::Strategy::singleton(2, 0)]).unwrap();
         assert!(matches!(
-            run_replication(&model, &profile, SimulationConfig::quick(), 0),
+            run_replication(
+                &model,
+                &profile,
+                SimulationConfig::quick(),
+                0,
+                None,
+                None,
+                |_, _| {}
+            ),
             Err(GameError::InfeasibleStrategy { .. })
         ));
     }
@@ -597,7 +564,7 @@ mod tests {
             DistributionFamily::HyperExponential { scv: 4.0 },
         ] {
             let cfg = SimulationConfig::quick().with_service(service);
-            let r = run_replication(&model, &profile, cfg, 11).unwrap();
+            let r = run_replication(&model, &profile, cfg, 11, None, None, |_, _| {}).unwrap();
             let theory = lb_queueing::mg1::response_time(7.0, 10.0, service.scv());
             let rel = (r.system_mean - theory).abs() / theory;
             assert!(
@@ -632,7 +599,7 @@ mod tests {
         ];
         for (family, theory_family) in cases {
             let cfg = SimulationConfig::quick().with_arrivals(family);
-            let r = run_replication(&model, &profile, cfg, 31).unwrap();
+            let r = run_replication(&model, &profile, cfg, 31, None, None, |_, _| {}).unwrap();
             let theory = gim1::response_time(theory_family, 7.0, 10.0).unwrap();
             let rel = (r.system_mean - theory).abs() / theory;
             assert!(
@@ -653,6 +620,9 @@ mod tests {
                 &profile,
                 SimulationConfig::quick().with_arrivals(fam),
                 37,
+                None,
+                None,
+                |_, _| {},
             )
             .unwrap()
             .system_mean
@@ -673,6 +643,9 @@ mod tests {
                 &profile,
                 SimulationConfig::quick().with_service(svc),
                 21,
+                None,
+                None,
+                |_, _| {},
             )
             .unwrap()
             .system_mean
@@ -687,7 +660,16 @@ mod tests {
     fn user_counts_track_rates() {
         let model = SystemModel::new(vec![30.0], vec![4.0, 8.0]).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
-        let r = run_replication(&model, &profile, SimulationConfig::quick(), 5).unwrap();
+        let r = run_replication(
+            &model,
+            &profile,
+            SimulationConfig::quick(),
+            5,
+            None,
+            None,
+            |_, _| {},
+        )
+        .unwrap();
         // User 1 generates twice user 0's jobs (within sampling noise).
         let ratio = r.user_counts[1] as f64 / r.user_counts[0] as f64;
         assert!((ratio - 2.0).abs() < 0.15, "ratio {ratio}");

@@ -11,8 +11,8 @@
 //! each shard is a pure function of its own `(seed, station)` streams.
 //!
 //! The factorization is exact only for exponential interarrival times;
-//! [`crate::scenario::run_replication_spanned`] routes any other arrival
-//! family to the classic single-calendar engine.
+//! [`crate::scenario::run_replication`] routes any other arrival family
+//! to the classic single-calendar engine.
 //!
 //! Stream layout (per replication seed): station `i` draws arrivals from
 //! stream `i`, service demands from stream `n + i`, and user attribution
@@ -144,16 +144,12 @@ fn merge_outcomes(outcomes: &[ShardOutcome], users: usize, horizon_secs: f64) ->
     }
 }
 
-/// Runs one replication as `n` sequential station shards, streaming every
-/// measured `(user, response)` to `sink` grouped by station (station 0's
-/// completions first, then station 1's, …; within a station, completion
-/// order). This is the default engine behind
-/// [`crate::scenario::run_replication`] for Poisson arrivals.
-///
-/// # Errors
-///
-/// As for [`crate::scenario::run_replication`].
-pub fn run_replication_sharded_spanned<F: FnMut(usize, f64)>(
+/// Runs one replication as `n` station shards on the calling thread,
+/// streaming every measured `(user, response)` to `sink` grouped by
+/// station (station 0's completions first, then station 1's, …; within
+/// a station, completion order). This is the engine
+/// [`crate::scenario::run_replication`] routes Poisson arrivals to.
+pub(crate) fn run_shards_in_order<F: FnMut(usize, f64)>(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
@@ -173,30 +169,17 @@ pub fn run_replication_sharded_spanned<F: FnMut(usize, f64)>(
     Ok(merge_outcomes(&outcomes, m, horizon_secs))
 }
 
-/// [`run_replication_sharded_spanned`] without telemetry or a sink.
+/// Runs one replication with the station shards fanned out across
+/// `runner`'s worker pool — the intra-replication parallelism used by
+/// `bench --sim` and any caller with one huge replication rather than
+/// many small ones. Outcomes merge in station-index order, so the result
+/// is byte-identical to [`crate::scenario::run_replication`]'s sharded
+/// engine at any thread count.
 ///
 /// # Errors
 ///
 /// As for [`crate::scenario::run_replication`].
 pub fn run_replication_sharded(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    config: SimulationConfig,
-    seed: u64,
-) -> Result<SimulationResult, GameError> {
-    run_replication_sharded_spanned(model, profile, config, seed, None, None, |_, _| {})
-}
-
-/// Runs one replication with the station shards fanned out across
-/// `runner`'s worker pool — the intra-replication parallelism used by
-/// `bench --sim` and any caller with one huge replication rather than
-/// many small ones. Outcomes merge in station-index order, so the result
-/// is byte-identical to [`run_replication_sharded`] at any thread count.
-///
-/// # Errors
-///
-/// As for [`crate::scenario::run_replication`].
-pub fn run_replication_sharded_with(
     runner: &ParallelRunner,
     model: &SystemModel,
     profile: &StrategyProfile,
@@ -206,9 +189,12 @@ pub fn run_replication_sharded_with(
     let (plans, horizon_secs) = station_plans(model, profile, config)?;
     let m = model.num_users();
     let n = plans.len();
-    let outcomes = runner.run(n, |i| {
-        run_plan(&plans[i], i, n, m, seed, None, None, |_, _| {})
-    });
+    let outcomes = runner.run(
+        n,
+        |i, _| run_plan(&plans[i], i, n, m, seed, None, None, |_, _| {}),
+        None,
+        None,
+    );
     Ok(merge_outcomes(&outcomes, m, horizon_secs))
 }
 
@@ -250,9 +236,10 @@ mod tests {
                 target_jobs: 10_000,
                 ..SimulationConfig::quick()
             };
-            let reference = run_replication_sharded(&model, &profile, config, seed).unwrap();
+            let reference =
+                run_shards_in_order(&model, &profile, config, seed, None, None, |_, _| {}).unwrap();
             for threads in [1usize, 2, 8] {
-                let par = run_replication_sharded_with(
+                let par = run_replication_sharded(
                     &ParallelRunner::new(threads),
                     &model,
                     &profile,
@@ -272,8 +259,10 @@ mod tests {
             target_jobs: 20_000,
             ..SimulationConfig::quick()
         };
-        let routed = run_replication(&model, &profile, config, 5).unwrap();
-        let direct = run_replication_sharded(&model, &profile, config, 5).unwrap();
+        let routed = run_replication(&model, &profile, config, 5, None, None, |_, _| {}).unwrap();
+        let direct =
+            run_replication_sharded(&ParallelRunner::sequential(), &model, &profile, config, 5)
+                .unwrap();
         assert_results_bit_identical(&routed, &direct, "router vs direct");
     }
 
@@ -286,9 +275,19 @@ mod tests {
             target_jobs: 400_000,
             ..SimulationConfig::quick()
         };
-        let sharded = run_replication_sharded(&model, &profile, config, 11).unwrap();
-        let legacy =
-            crate::scenario::run_replication_single_calendar(&model, &profile, config, 11).unwrap();
+        let sharded =
+            run_replication_sharded(&ParallelRunner::sequential(), &model, &profile, config, 11)
+                .unwrap();
+        let legacy = crate::scenario::run_replication_single_calendar(
+            &model,
+            &profile,
+            config,
+            11,
+            None,
+            None,
+            |_, _| {},
+        )
+        .unwrap();
         assert!(
             (sharded.system_mean - legacy.system_mean).abs() < 0.05 * legacy.system_mean,
             "sharded {} vs single-calendar {}",
@@ -314,8 +313,14 @@ mod tests {
             lb_game::strategy::Strategy::new(vec![1.0, 0.0]).unwrap()
         ])
         .unwrap();
-        let result =
-            run_replication_sharded(&model, &profile, SimulationConfig::quick(), 3).unwrap();
+        let result = run_replication_sharded(
+            &ParallelRunner::sequential(),
+            &model,
+            &profile,
+            SimulationConfig::quick(),
+            3,
+        )
+        .unwrap();
         assert_eq!(result.utilizations[1], 0.0);
         assert!(result.utilizations[0] > 0.1);
         assert!(result.jobs_generated > 0);
@@ -329,19 +334,11 @@ mod tests {
             ..SimulationConfig::quick()
         };
         let mut seen = 0u64;
-        let result = run_replication_sharded_spanned(
-            &model,
-            &profile,
-            config,
-            17,
-            None,
-            None,
-            |user, resp| {
-                assert!(user < 3);
-                assert!(resp >= 0.0);
-                seen += 1;
-            },
-        )
+        let result = run_shards_in_order(&model, &profile, config, 17, None, None, |user, resp| {
+            assert!(user < 3);
+            assert!(resp >= 0.0);
+            seen += 1;
+        })
         .unwrap();
         let measured: u64 = result.user_counts.iter().sum();
         assert_eq!(seen, measured);

@@ -87,7 +87,7 @@ mod tests {
         let model = SystemModel::new(vec![10.0, 40.0], vec![12.0, 13.0]).unwrap();
         let nash = nash_equilibrium(&model).unwrap();
         let mut acc = [Welford::new(), Welford::new()];
-        crate::scenario::run_replication_with_sink(
+        crate::scenario::run_replication(
             &model,
             nash.profile(),
             SimulationConfig {
@@ -95,6 +95,8 @@ mod tests {
                 ..SimulationConfig::quick()
             },
             8,
+            None,
+            None,
             |user, resp| acc[user].push(resp),
         )
         .unwrap();

@@ -39,7 +39,7 @@ pub mod welford;
 pub use batchmeans::BatchMeans;
 pub use fairness::jain_index;
 pub use quantile::P2Quantile;
-pub use replication::{ReplicationPlan, ReplicationSet};
+pub use replication::{splitmix64_finalize, ReplicationPlan, ReplicationSet};
 pub use summary::SampleSummary;
 pub use timeseries::IterationTrace;
 pub use welford::Welford;

@@ -47,13 +47,23 @@ impl ReplicationPlan {
     /// Seed for replication index `r` (`0 <= r < replications`), spread by
     /// SplitMix64 so adjacent replications get decorrelated streams.
     pub fn seed_for(&self, replication: u32) -> u64 {
-        let mut z = self
-            .base_seed
-            .wrapping_add(u64::from(replication).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_finalize(
+            self.base_seed
+                .wrapping_add(u64::from(replication).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
     }
+}
+
+/// The SplitMix64 output finalizer: two xor-shift-multiply rounds and a
+/// final xor-shift, a bijection on `u64` that spreads every input bit
+/// over the whole output. Callers supply their own input step (usually
+/// adding or xoring in multiples of the golden-ratio increment
+/// `0x9E37_79B9_7F4A_7C15`) and pass the result through this.
+#[inline]
+pub fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl Default for ReplicationPlan {

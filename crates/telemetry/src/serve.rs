@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared state the routes render from.
 struct Routes {
@@ -107,17 +107,28 @@ impl Drop for LiveServer {
     }
 }
 
+/// How long a client has to deliver its whole request line. Connections
+/// are served one at a time, so this also bounds how long one client can
+/// hold up the others and [`LiveServer::shutdown`].
+const REQUEST_LINE_DEADLINE: Duration = Duration::from_millis(500);
+
 /// Handles one connection: read the request line, route, respond.
 /// Errors (slow clients, disconnects) drop the connection; the server
 /// must never panic on malformed input.
 fn serve_one(mut stream: TcpStream, routes: &Routes) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + REQUEST_LINE_DEADLINE;
     let mut buf = [0u8; 2048];
     let mut len = 0;
     // Read until the request line is complete (first CRLF); ignore the
-    // rest of the headers — all routes are parameterless GETs.
+    // rest of the headers — all routes are parameterless GETs. Each read
+    // may only wait for what is left of the deadline, so a client that
+    // trickles bytes cannot re-arm the timeout read after read.
     while len < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
         match stream.read(&mut buf[len..]) {
             Ok(0) => break,
             Ok(n) => {
@@ -341,5 +352,57 @@ mod tests {
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
         assert!(response.contains("405"), "{response}");
+    }
+
+    #[test]
+    fn a_trickling_client_stalls_neither_other_clients_nor_shutdown() {
+        let (registry, engine, ring) = fixture();
+        let mut server = LiveServer::start(0, registry, engine, ring).expect("bind");
+        let addr = server.addr();
+        let done = Arc::new(AtomicBool::new(false));
+        let (connected, first_connection) = std::sync::mpsc::channel();
+        // For about 3 s, send one byte of a request line every 150 ms and
+        // never finish it; reconnect whenever the server drops us.
+        let trickler = {
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let until = Instant::now() + Duration::from_secs(3);
+                let mut stream: Option<TcpStream> = None;
+                while Instant::now() < until && !done.load(Ordering::Relaxed) {
+                    if stream.is_none() {
+                        stream = TcpStream::connect(addr).ok();
+                        let _ = connected.send(());
+                    }
+                    if let Some(s) = stream.as_mut() {
+                        if s.write_all(b"G").is_err() {
+                            stream = None;
+                        }
+                    }
+                    std::thread::sleep(Duration::from_millis(150));
+                }
+            })
+        };
+        // The listener accepts in connection order, so from here on the
+        // trickler is served before the client below.
+        first_connection.recv().unwrap();
+
+        let started = Instant::now();
+        let (head, _) = http_get(addr, "/healthz");
+        let waited = started.elapsed();
+        assert!(head.contains("200 OK"), "{head}");
+        assert!(
+            waited < Duration::from_millis(1500),
+            "/healthz waited {waited:?} behind a trickling client"
+        );
+
+        let started = Instant::now();
+        server.shutdown();
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_millis(1500),
+            "shutdown waited {waited:?} behind a trickling client"
+        );
+        done.store(true, Ordering::Relaxed);
+        trickler.join().unwrap();
     }
 }

@@ -79,11 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One extra replication streamed into a histogram: the sojourn-time
     // distribution at a glance.
-    use nash_lb::sim::scenario::run_replication_with_sink;
+    use nash_lb::sim::scenario::run_replication;
     use nash_lb::stats::histogram::Histogram;
     let mut hist =
         Histogram::new(0.0, 4.0 * analytic.overall_time, 16).expect("valid histogram bounds");
-    run_replication_with_sink(&model, nash.profile(), config, 99, |_, resp| {
+    run_replication(&model, nash.profile(), config, 99, None, None, |_, resp| {
         hist.record(resp);
     })?;
     println!("\nsojourn-time distribution (one replication):");

@@ -173,8 +173,8 @@ fn churn_simulation_matches_the_quasi_static_prediction() {
     let mut acc = nash_lb::stats::Welford::new();
     let mut predicted = 0.0;
     for seed in 0..5 {
-        let r =
-            run_churn_replication(&model, &phases, policy, backoff, 100.0, 1000 + seed).unwrap();
+        let r = run_churn_replication(&model, &phases, policy, backoff, 100.0, 1000 + seed, None)
+            .unwrap();
         acc.push(r.measured_mean);
         predicted = r.predicted_mean;
         // The degraded phase dominates the mixture from above: its

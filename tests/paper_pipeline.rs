@@ -32,7 +32,7 @@ fn fig3_iterations_grow_with_users() {
 
 #[test]
 fn fig4_reproduces_the_papers_ordering() {
-    let points = fig4::run(None).unwrap();
+    let points = fig4::run(None, None).unwrap();
     // Medium load (50%): paper reports NASH ~30% below PS, ~7% above GOS.
     let p50 = &points[4];
     let nash = p50.scheme("NASH").overall_time;
@@ -56,7 +56,7 @@ fn fig4_reproduces_the_papers_ordering() {
 fn fig4_high_load_identity_ios_equals_ps() {
     // When the Wardrop equilibrium uses every computer, its job-averaged
     // response time equals PS's exactly: n / ((1-rho) * total_capacity).
-    let points = fig4::run(None).unwrap();
+    let points = fig4::run(None, None).unwrap();
     let p90 = points.last().unwrap();
     let expected = 16.0 / (0.1 * 510.0);
     assert!((p90.scheme("PS").overall_time - expected).abs() < 1e-9);
@@ -93,7 +93,7 @@ fn fig4_simulated_point_matches_analytic() {
     use nash_lb::experiments::fig4::SimOptions;
     use nash_lb::game::model::SystemModel;
     let model = SystemModel::table1_system(0.6).unwrap();
-    let rows = fig4::evaluate_schemes(&model, Some(SimOptions::quick())).unwrap();
+    let rows = fig4::evaluate_schemes(&model, Some(SimOptions::quick()), None).unwrap();
     for row in rows {
         let sim = row.simulated_time.unwrap();
         let rel = (sim - row.overall_time).abs() / row.overall_time;
