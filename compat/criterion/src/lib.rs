@@ -10,10 +10,10 @@
 //!
 //! Two extensions beyond upstream's API support offline perf tracking:
 //!
-//! * every measurement is recorded on the [`Criterion`] context
-//!   ([`Criterion::results`]) and can be serialized with
-//!   [`Criterion::write_json`]; `criterion_main!` writes the summary to
-//!   the path named by the `CRITERION_JSON` environment variable, and
+//! * every measurement is recorded on the [`Criterion`] context and can
+//!   be serialized with [`Criterion::write_json`]; `criterion_main!`
+//!   writes the summary to the path named by the `CRITERION_JSON`
+//!   environment variable, and
 //! * setting `CRITERION_QUICK=1` shrinks the calibration and sampling
 //!   windows ~10× so CI smoke jobs finish fast (numbers are noisy but the
 //!   benches still execute end to end and panics still surface).
@@ -82,7 +82,7 @@ pub enum Throughput {
 /// One recorded measurement: a benchmark's identity and its per-iteration
 /// wall-clock cost.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
+struct BenchResult {
     /// Group name (`benchmark_group` argument, or the bare id for
     /// ungrouped `bench_function` calls).
     pub group: String,
@@ -264,11 +264,6 @@ impl Criterion {
         self
     }
 
-    /// Every measurement recorded so far, in execution order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
     /// Renders the recorded measurements as a JSON document
     /// (`{"benchmarks": [{"group", "id", "ns_per_iter", "iters"}, ...]}`).
     pub fn summary_json(&self) -> String {
@@ -390,8 +385,8 @@ mod tests {
         let mut group = c.benchmark_group("record");
         group.bench_function("double", |b| b.iter(|| black_box(21_u64) * 2));
         group.finish();
-        assert_eq!(c.results().len(), 1);
-        let r = &c.results()[0];
+        assert_eq!(c.results.len(), 1);
+        let r = &c.results[0];
         assert_eq!(r.group, "record");
         assert_eq!(r.id, "double");
         assert!(r.ns_per_iter >= 0.0);

@@ -3,9 +3,11 @@
 //! * update order — Gauss–Seidel (paper) vs Jacobi (simultaneous);
 //! * GOS decomposition — Sequential (paper-like, unfair) vs Uniform;
 //! * deployment — sequential in-process solver vs the token-ring
-//!   runtime (message-passing overhead on the virtual network).
+//!   runtime and the asynchronous bounded-staleness runtime (message-
+//!   passing overhead on the virtual network).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lb_distributed::async_runtime::AsyncNash;
 use lb_distributed::runtime::{DistributedNash, RingInit};
 use lb_game::model::SystemModel;
 use lb_game::nash::{Initialization, NashSolver, UpdateOrder};
@@ -103,6 +105,12 @@ fn bench_deployment(c: &mut Criterion) {
                 .tolerance(1e-4)
                 .run(black_box(&model))
                 .unwrap()
+        });
+    });
+    group.bench_function("async_healthy", |b| {
+        b.iter(|| {
+            let out = AsyncNash::new().run(&model).expect("async solve");
+            assert!(out.converged(), "healthy async run must certify");
         });
     });
     group.finish();

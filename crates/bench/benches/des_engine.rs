@@ -1,13 +1,19 @@
 //! Simulator performance: event-calendar operations (with a sorted-Vec
-//! baseline ablation) and end-to-end M/M/1-bank throughput — the
-//! substrate cost behind the paper's 1–2M-job runs.
+//! baseline ablation), end-to-end M/M/1-bank throughput — the
+//! substrate cost behind the paper's 1–2M-job runs — and one large
+//! replication through each simulation engine (`sim_throughput_large`,
+//! the jobs/s table in README and DESIGN.md §14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lb_des::calendar::Calendar;
 use lb_des::time::SimTime;
 use lb_game::model::SystemModel;
 use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
-use lb_sim::scenario::{run_replication, SimulationConfig};
+use lb_sim::parallel::ParallelRunner;
+use lb_sim::scenario::{
+    run_replication, run_replication_single_calendar, SimFidelity, SimulationConfig,
+};
+use lb_sim::shard::run_replication_sharded;
 use std::hint::black_box;
 
 /// Deterministic pseudo-random times for calendar stress.
@@ -111,9 +117,81 @@ fn bench_simulation_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Seed shared by every engine in `sim_throughput_large`, so all four
+/// cells simulate the same workload.
+const SIM_THROUGHPUT_SEED: u64 = 42;
+
+/// One large replication (n = 32 heterogeneous computers, m = 200 users,
+/// ρ = 0.6) through each engine: the classic single-calendar reference,
+/// the sharded per-station engine at one thread and at the
+/// [`ParallelRunner::from_env`] thread count, and the analytic
+/// closed-form sampler.
+fn bench_sim_throughput_large(c: &mut Criterion) {
+    let n = 32;
+    let m = 200;
+    let rates: Vec<f64> = (0..n).map(|i| 10.0 + (i % 17) as f64).collect();
+    let phi = 0.6 * rates.iter().sum::<f64>() / m as f64;
+    let model = SystemModel::new(rates, vec![phi; m]).unwrap();
+    let profile = ProportionalScheme.compute(&model).unwrap();
+    // 2M jobs per replication; a CRITERION_QUICK smoke pass trims the
+    // horizon so the single-calendar baseline stays affordable.
+    let quick = std::env::var_os("CRITERION_QUICK").is_some_and(|v| !v.is_empty() && v != "0");
+    let config = SimulationConfig {
+        target_jobs: if quick { 100_000 } else { 2_000_000 },
+        ..SimulationConfig::paper()
+    };
+    let mut group = c.benchmark_group("sim_throughput_large");
+    group.throughput(Throughput::Elements(config.target_jobs));
+    group.bench_function("single_calendar_seed", |b| {
+        b.iter(|| {
+            run_replication_single_calendar(
+                &model,
+                &profile,
+                config,
+                SIM_THROUGHPUT_SEED,
+                None,
+                None,
+                |_, _| {},
+            )
+            .expect("single-calendar replication")
+            .system_mean
+        });
+    });
+    for (id, runner) in [
+        ("sharded_threads_1", ParallelRunner::sequential()),
+        ("sharded_threads_auto", ParallelRunner::from_env()),
+    ] {
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                run_replication_sharded(&runner, &model, &profile, config, SIM_THROUGHPUT_SEED)
+                    .expect("sharded replication")
+                    .system_mean
+            });
+        });
+    }
+    let analytic_config = config.with_fidelity(SimFidelity::Analytic);
+    group.bench_function("analytic", |b| {
+        b.iter(|| {
+            run_replication(
+                &model,
+                &profile,
+                analytic_config,
+                SIM_THROUGHPUT_SEED,
+                None,
+                None,
+                |_, _| {},
+            )
+            .expect("analytic replication")
+            .system_mean
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_calendar_ablation,
-    bench_simulation_throughput
+    bench_simulation_throughput,
+    bench_sim_throughput_large
 );
 criterion_main!(benches);

@@ -8,9 +8,20 @@
 //! * `nash_convergence` — Figures 2–3 workloads: NASH_0 vs NASH_P, user
 //!   sweeps.
 //! * `schemes` — Figures 4–6 workloads: per-scheme computation cost.
-//! * `des_engine` — simulator throughput and event-calendar ablation.
+//! * `des_engine` — simulator throughput, event-calendar ablation, and
+//!   one 2M-job replication through each engine (jobs/s).
 //! * `ablations` — Gauss–Seidel vs Jacobi, GOS decompositions,
-//!   distributed ring vs sequential solver.
+//!   sequential solver vs the token ring and the async runtime.
+//! * `telemetry_overhead` — the collector cost ladder on the Table-1
+//!   solve (none, disabled, null, JSONL, sampled JSONL).
+//! * `web_scale` — the sampled solver certifying n = 10,000 × m =
+//!   100,000, untraced and traced; minutes per run.
+//!
+//! Each target writes its measurements as JSON to the path named by
+//! `CRITERION_JSON`, and `CRITERION_QUICK=1` shrinks every measurement
+//! window for smoke runs. CI gates the telemetry and web-scale ratios
+//! from those summaries. End-to-end and per-layer claims come from the
+//! repository benchmark under `benchmark/` instead.
 //!
 //! This library crate only hosts small shared helpers.
 

@@ -53,11 +53,11 @@
 use crate::fault::FaultAction;
 use crate::messages::TraceContext;
 use crate::net::{NetFaultPlan, NetStats, VirtualNet};
-use lb_game::best_reply::water_fill_flows;
+use lb_game::best_reply::{damped_step, water_fill_flows};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
-use lb_game::stopping::{relative_regret, user_regret, StoppingRule, ViewFreshness};
+use lb_game::stopping::{placed_user_regret, relative_regret, StoppingRule, ViewFreshness};
 use lb_game::strategy::{Strategy, StrategyProfile};
 use lb_retry::DecorrelatedJitter;
 use lb_telemetry::{enabled, Collector};
@@ -194,7 +194,12 @@ fn proportional_rows(cfg: &Cfg) -> Vec<Vec<f64>> {
 
 /// Pre/post-update regret of `user`'s row against the full board.
 fn measure(cfg: &Cfg, rows: &[Vec<f64>], user: usize) -> (f64, f64) {
-    row_regret(cfg, &board_loads(cfg, rows), &rows[user], user)
+    placed_user_regret(
+        &cfg.mu,
+        &board_loads(cfg, rows),
+        &rows[user],
+        cfg.phis[user],
+    )
 }
 
 /// Aggregate flow per computer, summed over the rows in index order.
@@ -206,19 +211,6 @@ fn board_loads(cfg: &Cfg, rows: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     loads
-}
-
-/// Regret of `user`'s `row` against `loads`: `(∞, ∞)` when the row
-/// does not place the user's whole (nominal) demand — nothing can be
-/// certified about a shed or unseeded row.
-fn row_regret(cfg: &Cfg, loads: &[f64], row: &[f64], user: usize) -> (f64, f64) {
-    let phi = cfg.phis[user];
-    let placed: f64 = row.iter().sum();
-    if (placed - phi).abs() <= 1e-9 * phi {
-        user_regret(&cfg.mu, loads, row, phi)
-    } else {
-        (f64::INFINITY, f64::INFINITY)
-    }
 }
 
 fn jitter_for(cfg: &Cfg, node: usize, dest: usize, episode: u32) -> DecorrelatedJitter {
@@ -594,14 +586,7 @@ impl UserNode {
                     let mut blend: Vec<f64> = self.rows[self.id]
                         .iter()
                         .zip(&flows)
-                        .map(|(&old, &reply)| {
-                            let x = (1.0 - beta) * old + beta * reply;
-                            if x >= 1e-6 * phi {
-                                x
-                            } else {
-                                0.0
-                            }
-                        })
+                        .map(|(&old, &reply)| damped_step(old, reply, beta, phi))
                         .collect();
                     let sum: f64 = blend.iter().sum();
                     if sum > 0.0 {
@@ -1378,7 +1363,7 @@ fn certificate_rows(
     threads: usize,
 ) -> Vec<(f64, f64)> {
     let loads = board_loads(cfg, rows);
-    let compute = |&j: &usize| row_regret(cfg, &loads, &rows[j], j);
+    let compute = |&j: &usize| placed_user_regret(&cfg.mu, &loads, &rows[j], cfg.phis[j]);
     if threads <= 1 || alive.len() <= 1 {
         return alive.iter().map(compute).collect();
     }

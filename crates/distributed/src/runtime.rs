@@ -62,7 +62,7 @@ use lb_game::best_reply::water_fill_flows;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
-use lb_game::stopping::{relative_regret, user_regret};
+use lb_game::stopping::{placed_user_regret, relative_regret};
 use lb_game::strategy::{Strategy, StrategyProfile};
 use lb_game::{Certificate, StoppingRule};
 use lb_stats::IterationTrace;
@@ -1249,16 +1249,11 @@ impl UserNode {
         if cfg.stopping.needs_certificate() {
             board.total_flows_into(&mut self.scratch_totals);
             board.row_into(self.user, &mut self.scratch_row);
-            let placed: f64 = self.scratch_row.iter().sum();
-            let (regret, dj) = if (placed - self.phi).abs() <= 1e-9 * self.phi {
-                user_regret(&self.mu, &self.scratch_totals, &self.scratch_row, self.phi)
-            } else {
-                // The row does not carry the admitted demand — an
-                // unseeded NASH_0 start, or a stale allocation from
-                // before a capacity event changed φ. Nothing can be
-                // certified about it, and it must update.
-                (f64::INFINITY, f64::INFINITY)
-            };
+            // A row that does not carry the admitted demand — an
+            // unseeded NASH_0 start, or a stale allocation from before a
+            // capacity event changed φ — certifies nothing and updates.
+            let (regret, dj) =
+                placed_user_regret(&self.mu, &self.scratch_totals, &self.scratch_row, self.phi);
             token.certificate.absorb(regret, dj);
             skip = relative_regret(regret, dj) <= cfg.tolerance;
         }

@@ -20,6 +20,11 @@
 //! 4. **Folded stacks** — `root;child;leaf self_us` lines, the input
 //!    format of standard flamegraph tooling, aggregated per stack.
 //!
+//! The walks recurse once per nesting level, so [`analyze`] refuses a
+//! forest deeper than [`MAX_SPAN_LEVELS`] with a [`SpanDepthError`]
+//! instead of running off the end of the stack (real traces nest about
+//! six levels); the cap also bounds each folded-stack line.
+//!
 //! Spans still open at end-of-log (a truncated run) are legal in the
 //! schema; the analyzer extends them to the last timestamp in the log
 //! and reports how many it had to. Orphans — spans naming a parent the
@@ -181,6 +186,29 @@ pub fn build_tree(log: &EventLog) -> SpanTree {
     }
 }
 
+/// Deepest span nesting [`analyze`] accepts, counting the root as level
+/// one — the same bound `json::parse` puts on array/object nesting.
+pub const MAX_SPAN_LEVELS: usize = 128;
+
+/// A span forest nested deeper than [`MAX_SPAN_LEVELS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanDepthError {
+    /// Nesting levels of the deepest span.
+    pub levels: usize,
+}
+
+impl std::fmt::Display for SpanDepthError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "spans nest {} levels deep; the analyzer accepts at most {MAX_SPAN_LEVELS}",
+            self.levels
+        )
+    }
+}
+
+impl std::error::Error for SpanDepthError {}
+
 /// Per-name aggregate over the forest.
 #[derive(Debug, Clone)]
 pub struct NameStat {
@@ -217,8 +245,18 @@ pub struct Analysis {
 
 /// Analyzes a parsed log: reconstructs the forest and computes the
 /// critical-path and self-time attributions.
-pub fn analyze(log: &EventLog) -> Analysis {
+///
+/// # Errors
+///
+/// [`SpanDepthError`] when spans nest deeper than [`MAX_SPAN_LEVELS`].
+pub fn analyze(log: &EventLog) -> Result<Analysis, SpanDepthError> {
     let tree = build_tree(log);
+    let max_depth = tree.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
+    if max_depth >= MAX_SPAN_LEVELS {
+        return Err(SpanDepthError {
+            levels: max_depth + 1,
+        });
+    }
     let mut critical: BTreeMap<&str, u64> = BTreeMap::new();
     let mut wall_us = 0u64;
     for &root in &tree.roots {
@@ -261,14 +299,13 @@ pub fn analyze(log: &EventLog) -> Analysis {
     }
     let mut stats: Vec<NameStat> = by_name.into_values().collect();
     stats.sort_by(|a, b| b.critical_us.cmp(&a.critical_us).then(a.name.cmp(&b.name)));
-    let max_depth = tree.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
-    Analysis {
+    Ok(Analysis {
         tree,
         stats,
         wall_us,
         critical_us,
         max_depth,
-    }
+    })
 }
 
 /// Backward critical-path walk over `idx` clipped to
@@ -565,8 +602,9 @@ pub struct AnalyzeReport {
 ///
 /// # Errors
 ///
-/// I/O failures, a schema-invalid log, a log without span events, or a
-/// Chrome JSON export that fails to re-parse (encoder bug).
+/// I/O failures, a schema-invalid log, a log without span events, spans
+/// nested deeper than [`MAX_SPAN_LEVELS`], or a Chrome JSON export that
+/// fails to re-parse (encoder bug).
 pub fn run(log_path: Option<&Path>, out: &Path) -> Result<AnalyzeReport, String> {
     let log_path = log_path.map_or_else(|| out.join("trace_table1.jsonl"), Path::to_path_buf);
     // Stream the log line by line: validation never buffers the raw
@@ -578,7 +616,7 @@ pub fn run(log_path: Option<&Path>, out: &Path) -> Result<AnalyzeReport, String>
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("{}: {e}", log_path.display()))?;
     let log = EventLog { version, events };
-    let a = analyze(&log);
+    let a = analyze(&log).map_err(|e| format!("{}: {e}", log_path.display()))?;
     if a.tree.nodes.is_empty() {
         return Err(format!(
             "{}: no span events (schema v{} log without spans — \
@@ -905,7 +943,7 @@ mod tests {
             (90, SPAN_CLOSE, &close(3)),
             (100, SPAN_CLOSE, &close(1)),
         ]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         assert_eq!(a.tree.nodes.len(), 3);
         assert_eq!(a.tree.roots.len(), 1);
         assert_eq!(a.tree.orphans, 0);
@@ -939,7 +977,7 @@ mod tests {
             (70, SPAN_CLOSE, &close(3)),
             (100, SPAN_CLOSE, &close(1)),
         ]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         let by: BTreeMap<&str, u64> = a
             .stats
             .iter()
@@ -957,7 +995,7 @@ mod tests {
         let o1 = open(1, "root");
         let o2 = open_in(2, 1, "child");
         let log = log_from(&[(0, SPAN_OPEN, &o1), (10, SPAN_OPEN, &o2), (50, "tick", &[])]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         assert_eq!(a.tree.open_at_eof, 2);
         assert_eq!(a.wall_us, 50);
         assert_eq!(a.critical_us, 50);
@@ -980,7 +1018,7 @@ mod tests {
             (90, SPAN_CLOSE, &close(3)),
             (100, SPAN_CLOSE, &close(1)),
         ]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         let text = chrome_trace(&a);
         let parsed = json::parse(&text).expect("chrome JSON parses");
         let events = parsed
@@ -1026,7 +1064,7 @@ mod tests {
             (70, SPAN_CLOSE, &close(3)),
             (100, SPAN_CLOSE, &close(1)),
         ]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         let folded = folded_stacks(&a);
         assert!(folded.contains("root 50\n"), "{folded}");
         assert!(folded.contains("root;step 50\n"), "{folded}");
@@ -1042,7 +1080,7 @@ mod tests {
             (75, SPAN_CLOSE, &close(2)),
             (100, SPAN_CLOSE, &close(1)),
         ]);
-        let a = analyze(&log);
+        let a = analyze(&log).unwrap();
         let text = render_timeline(&a, 20, 10);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "header + 2 spans: {text}");
@@ -1170,6 +1208,49 @@ mod tests {
         // A log without hops produces no table.
         let plain = log_from(&[(0, "solver.start", &[])]);
         assert!(render_staleness(&plain).is_none());
+    }
+
+    /// Writes a chain of `levels` spans, each opened inside the last and
+    /// closed innermost first, as a log file under `dir`.
+    fn chain_log(dir: &Path, levels: u64) -> PathBuf {
+        let mut text = format!("{}\n", header_line());
+        let opens = (1..=levels).map(|id| match id {
+            1 => (SPAN_OPEN, open(1, "nest")),
+            _ => (SPAN_OPEN, open_in(id, id - 1, "nest")),
+        });
+        let closes = (1..=levels).rev().map(|id| (SPAN_CLOSE, close(id)));
+        for (seq, (name, fields)) in opens.chain(closes).enumerate() {
+            text.push_str(&encode_event_line(seq as u64, seq as u64, name, &fields));
+            text.push('\n');
+        }
+        let path = dir.join(format!("chain_{levels}.jsonl"));
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    #[test]
+    fn spans_nested_past_the_cap_are_an_error_not_a_stack_overflow() {
+        let dir = std::env::temp_dir().join(format!("lb_analyze_deep_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let deep = chain_log(&dir, 50_000);
+        let err = run(Some(&deep), &dir).unwrap_err();
+        assert!(err.contains("spans nest 50000 levels deep"), "{err}");
+        let err = crate::diff::run(&deep, &deep).unwrap_err();
+        assert!(err.contains("at most 128"), "{err}");
+        let err = run(Some(&chain_log(&dir, 129)), &dir).unwrap_err();
+        assert!(err.contains("129 levels"), "{err}");
+        // Real traces nest six levels (depth 5); both they and a chain
+        // exactly at the cap still analyze and diff.
+        for levels in [6, MAX_SPAN_LEVELS as u64] {
+            let path = chain_log(&dir, levels);
+            let out = run(Some(&path), &dir).unwrap();
+            assert_eq!(out.analysis.max_depth as u64, levels - 1);
+            assert!(crate::diff::run(&path, &path)
+                .unwrap()
+                .verdict
+                .is_identical());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -10,7 +10,7 @@ use lb_experiments::cli::{self, Options};
 use lb_experiments::fig4::SimOptions;
 use lb_experiments::report::Table;
 use lb_experiments::{
-    analyze, bench, beyond, config, diff, fig2, fig3, fig4, fig5, fig6, table1, trace, watch,
+    analyze, beyond, config, diff, fig2, fig3, fig4, fig5, fig6, table1, trace, watch,
 };
 use lb_sim::scenario::SimFidelity;
 use std::path::Path;
@@ -142,46 +142,6 @@ fn run(opts: &Options) -> Result<(), String> {
             "ext-async" => {
                 let rows = beyond::async_chaos().map_err(|e| e.to_string())?;
                 emit(&beyond::render_async(&rows), &opts.out, "ext_async")?;
-            }
-            "bench" => {
-                let report = bench::run(&opts.out, opts.large)?;
-                if let Some(delta) = &report.delta {
-                    println!("{}", delta.render());
-                } else {
-                    println!("(no reference {} to compare against)", bench::BENCH_FILE);
-                }
-                // Report-only: regressions are printed, never fatal —
-                // CI greps for the marker line.
-                if report.regressions.is_empty() {
-                    println!(
-                        "[bench] no regressions beyond +{:.0}% vs reference",
-                        bench::REGRESSION_THRESHOLD * 100.0
-                    );
-                } else {
-                    println!(
-                        "{}",
-                        bench::render_regressions(&report.regressions).render()
-                    );
-                    println!(
-                        "[bench] REGRESSION: {} benchmark(s) slower than reference beyond +{:.0}%",
-                        report.regressions.len(),
-                        bench::REGRESSION_THRESHOLD * 100.0
-                    );
-                }
-                println!("[bench] {}", report.path.display());
-                println!("[bench] history {}", report.history_path.display());
-                if opts.sim {
-                    let sim_report = bench::run_sim(&opts.out)?;
-                    println!("{}", sim_report.table.render());
-                    match sim_report.headline_speedup {
-                        Some(s) => println!(
-                            "[bench --sim] analytic fast path: {s:.0}x jobs/sec vs the \
-                             single-calendar seed engine"
-                        ),
-                        None => println!("[bench --sim] no single-calendar baseline recorded"),
-                    }
-                    println!("[bench] {}", sim_report.path.display());
-                }
             }
             "analyze" => {
                 let report = analyze::run(opts.input.as_deref(), &opts.out)?;

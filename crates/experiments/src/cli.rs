@@ -8,7 +8,7 @@ use std::path::PathBuf;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Subcommand (`table1`, `fig2`…`fig6`, `all`, `ext`, `ext-*`,
-    /// `bench`, `trace`, `analyze`, `diff`, `watch`).
+    /// `trace`, `analyze`, `diff`, `watch`).
     pub command: String,
     /// Whether to run the DES alongside the analytic path.
     pub simulate: bool,
@@ -20,11 +20,6 @@ pub struct Options {
     pub out: PathBuf,
     /// Mirror telemetry events to stderr (`trace` subcommand).
     pub verbose: bool,
-    /// Include the web-scale benchmark groups (`bench` subcommand).
-    pub large: bool,
-    /// Run the simulation-throughput group (`bench` subcommand), writing
-    /// `BENCH_sim.json` with a jobs/sec headline.
-    pub sim: bool,
     /// Use the analytic M/M/1 fast path for simulated figures instead of
     /// the full discrete-event engine.
     pub analytic: bool,
@@ -46,16 +41,14 @@ pub struct Options {
 /// The usage string.
 pub fn usage() -> String {
     "usage: experiments <table1|fig2|fig3|fig4|fig5|fig6|all|ext|\
-     ext-service|ext-stackelberg|ext-dynamics|ext-noise|ext-multicore|ext-poa|ext-burstiness|ext-policies|ext-tails|ext-churn|ext-anytime|ext-async|bench|trace|analyze|diff|watch> \
-     [LOG] [LOG_B] [--simulate] [--analytic] [--jobs N] [--replications R] [--out-dir DIR] [--verbose] [--large] [--sim] [--port P] [--iterations N] [--linger MS]\n\
+     ext-service|ext-stackelberg|ext-dynamics|ext-noise|ext-multicore|ext-poa|ext-burstiness|ext-policies|ext-tails|ext-churn|ext-anytime|ext-async|trace|analyze|diff|watch> \
+     [LOG] [LOG_B] [--simulate] [--analytic] [--jobs N] [--replications R] [--out-dir DIR] [--verbose] [--port P] [--iterations N] [--linger MS]\n\
      `analyze [LOG]` profiles a span trace (default LOG: <out-dir>/trace_table1.jsonl);\n\
      `diff A B` compares two trace logs or result directories (reweighted event\n\
-     counts, account.* sums, span structure/wall time, BENCH_*.json) and prints\n\
-     a machine-readable verdict line;\n\
+     counts, account.* sums, span structure/wall time) and prints a\n\
+     machine-readable verdict line;\n\
      `watch` serves /metrics /healthz /trace/recent live during an observed replay\n\
      (--port 0 picks an ephemeral port; --linger keeps serving MS after the last episode);\n\
-     `bench --large` adds the n=10,000 × m=100,000 solver groups;\n\
-     `bench --sim` adds the simulation-throughput group (BENCH_sim.json, jobs/sec headline);\n\
      `--analytic` makes `--simulate` sample closed-form M/M/1 sojourns instead of running the DES;\n\
      `--out` is accepted as an alias for `--out-dir`"
         .to_string()
@@ -76,8 +69,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
         replications: 5,
         out: PathBuf::from(config::RESULTS_DIR),
         verbose: false,
-        large: false,
-        sim: false,
         analytic: false,
         input: None,
         input2: None,
@@ -89,8 +80,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
         match a.as_str() {
             "--simulate" => opts.simulate = true,
             "--verbose" => opts.verbose = true,
-            "--large" => opts.large = true,
-            "--sim" => opts.sim = true,
             "--analytic" => opts.analytic = true,
             "--jobs" => {
                 opts.jobs = args
@@ -175,6 +164,7 @@ pub fn expand_command(command: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(ToString::to_string).collect()
@@ -191,8 +181,6 @@ mod tests {
         assert_eq!(o.out, PathBuf::from("results"));
         assert_eq!(o.input, None);
         assert_eq!(o.input2, None);
-        assert!(!o.large);
-        assert!(!o.sim);
         assert!(!o.analytic);
         assert_eq!(o.port, 0);
         assert_eq!(o.iterations, 28);
@@ -219,20 +207,6 @@ mod tests {
         assert!(parse(args(&["watch", "--port", "notaport"])).is_err());
         assert!(parse(args(&["watch", "--iterations", "-1"])).is_err());
         assert!(parse(args(&["watch", "--linger"])).is_err());
-    }
-
-    #[test]
-    fn large_flag_parses() {
-        let o = parse(args(&["bench", "--large"])).unwrap();
-        assert!(o.large);
-        assert!(!o.sim);
-    }
-
-    #[test]
-    fn sim_flag_parses() {
-        let o = parse(args(&["bench", "--sim"])).unwrap();
-        assert!(o.sim);
-        assert!(!o.large);
     }
 
     #[test]
@@ -308,6 +282,55 @@ mod tests {
         }
     }
 
+    /// Every command and flag, plus boundary, overflowing, non-numeric,
+    /// empty and non-ASCII values.
+    const TOKENS: &[&str] = &[
+        "table1",
+        "fig4",
+        "all",
+        "ext",
+        "ext-async",
+        "trace",
+        "analyze",
+        "diff",
+        "watch",
+        "bench",
+        "--simulate",
+        "--analytic",
+        "--verbose",
+        "--jobs",
+        "--replications",
+        "--out",
+        "--out-dir",
+        "--port",
+        "--iterations",
+        "--linger",
+        "0",
+        "1",
+        "-1",
+        "65536",
+        "18446744073709551616",
+        "NaN",
+        "",
+        "--",
+        "-",
+        "ρ=0.6",
+        "日本語",
+        "results",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+        #[test]
+        fn random_argument_vectors_parse_or_err_without_panicking(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..8)
+        ) {
+            if let Ok(o) = parse(picks.iter().map(|&i| TOKENS[i].to_string())) {
+                prop_assert!(o.jobs >= 1 && o.replications >= 1, "{o:?}");
+            }
+        }
+    }
+
     #[test]
     fn umbrellas_expand() {
         assert_eq!(expand_command("all").len(), 6);
@@ -323,7 +346,7 @@ mod tests {
         for c in expand_command("all")
             .iter()
             .chain(expand_command("ext").iter())
-            .chain(["bench", "trace", "analyze", "diff", "watch"].iter())
+            .chain(["trace", "analyze", "diff", "watch"].iter())
         {
             assert!(u.contains(c), "usage missing {c}");
         }

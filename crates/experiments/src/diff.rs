@@ -1,6 +1,6 @@
 //! Cross-run trace diff: `experiments diff A B`.
 //!
-//! Compares two trace logs (or result directories) along four axes,
+//! Compares two trace logs (or result directories) along three axes,
 //! ordered from exact to advisory:
 //!
 //! 1. **Reweighted event counts** — per-type totals where every
@@ -18,15 +18,14 @@
 //!    multiplicity, is a hard delta) and per-name wall-time totals
 //!    (advisory: clocks jitter, so a time row only counts toward the
 //!    verdict beyond both a ratio and an absolute floor).
-//! 4. **Benchmark artifacts** — when both inputs are directories, any
-//!    `BENCH_*.json` present in both is compared with the bench
-//!    regression machinery (B current vs A reference).
+//!
+//! Speed claims belong to the repository benchmark (`benchmark/`), whose
+//! `report <set> <set>` checks each metric against its bound.
 //!
 //! The verdict line is machine-readable JSON so CI can gate on
 //! `"verdict":"identical"` without parsing tables.
 
-use crate::analyze::analyze;
-use crate::bench;
+use crate::analyze::{analyze, SpanDepthError};
 use crate::report::Table;
 use crate::trace::digest_counts;
 use lb_telemetry::{EventLog, Json, LogReader};
@@ -54,18 +53,12 @@ pub struct Verdict {
     pub structure_deltas: usize,
     /// Span names slower in B beyond both the ratio and the floor.
     pub time_regressions: usize,
-    /// `BENCH_*.json` benchmark regressions (B vs A reference).
-    pub bench_regressions: usize,
 }
 
 impl Verdict {
     /// Total deltas across all axes.
     pub fn total(&self) -> usize {
-        self.count_deltas
-            + self.account_deltas
-            + self.structure_deltas
-            + self.time_regressions
-            + self.bench_regressions
+        self.count_deltas + self.account_deltas + self.structure_deltas + self.time_regressions
     }
 
     /// Whether the two runs are equivalent under every axis.
@@ -77,12 +70,11 @@ impl Verdict {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"count_deltas\":{},\"account_deltas\":{},\"structure_deltas\":{},\
-             \"time_regressions\":{},\"bench_regressions\":{},\"total\":{},\"verdict\":\"{}\"}}",
+             \"time_regressions\":{},\"total\":{},\"verdict\":\"{}\"}}",
             self.count_deltas,
             self.account_deltas,
             self.structure_deltas,
             self.time_regressions,
-            self.bench_regressions,
             self.total(),
             if self.is_identical() {
                 "identical"
@@ -159,12 +151,12 @@ fn account_totals(log: &EventLog) -> BTreeMap<String, BTreeMap<String, u64>> {
 }
 
 /// Per-span-name (count, total wall µs) from the reconstructed forest.
-fn span_profile(log: &EventLog) -> BTreeMap<String, (usize, u64)> {
-    analyze(log)
+fn span_profile(log: &EventLog) -> Result<BTreeMap<String, (usize, u64)>, SpanDepthError> {
+    Ok(analyze(log)?
         .stats
         .into_iter()
         .map(|s| (s.name, (s.count, s.total_us)))
-        .collect()
+        .collect())
 }
 
 fn union_keys<'a, V>(
@@ -174,62 +166,13 @@ fn union_keys<'a, V>(
     a.keys().chain(b.keys()).collect()
 }
 
-/// Compares `BENCH_*.json` files present in both directories; returns
-/// (regression rows table, regression count).
-fn diff_benchmarks(dir_a: &Path, dir_b: &Path) -> Result<(Table, usize), String> {
-    let mut table = Table::new(
-        "Diff: benchmark regressions (B vs A reference)",
-        vec![
-            "file",
-            "group",
-            "benchmark",
-            "A ns/iter",
-            "B ns/iter",
-            "ratio",
-        ],
-    );
-    let mut count = 0;
-    let mut names: Vec<String> = std::fs::read_dir(dir_a)
-        .map_err(|e| format!("{}: {e}", dir_a.display()))?
-        .filter_map(Result::ok)
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
-        .filter(|name| name != bench::HISTORY_FILE)
-        .collect();
-    names.sort();
-    for name in names {
-        let path_b = dir_b.join(&name);
-        if !path_b.is_file() {
-            continue;
-        }
-        let text_a = std::fs::read_to_string(dir_a.join(&name))
-            .map_err(|e| format!("{}: {e}", dir_a.join(&name).display()))?;
-        let text_b =
-            std::fs::read_to_string(&path_b).map_err(|e| format!("{}: {e}", path_b.display()))?;
-        // B is "current", A is "reference": a row means B got slower.
-        for reg in bench::regressions(&text_b, &text_a, bench::REGRESSION_THRESHOLD)? {
-            table.row(vec![
-                name.clone(),
-                reg.group.clone(),
-                reg.id.clone(),
-                format!("{:.0}", reg.reference_ns),
-                format!("{:.0}", reg.current_ns),
-                format!("{:.2}x", reg.ratio()),
-            ]);
-            count += 1;
-        }
-    }
-    Ok((table, count))
-}
-
 /// Diffs two runs. Each input is a trace log path or a results
-/// directory (whose `trace_table1.jsonl` is used, and whose
-/// `BENCH_*.json` files are compared when both inputs are
-/// directories).
+/// directory (whose `trace_table1.jsonl` is used).
 ///
 /// # Errors
 ///
-/// Unreadable or schema-invalid inputs.
+/// Unreadable or schema-invalid inputs, or spans nested deeper than
+/// [`crate::analyze::MAX_SPAN_LEVELS`].
 pub fn run(input_a: &Path, input_b: &Path) -> Result<DiffReport, String> {
     let log_a_path = resolve(input_a);
     let log_b_path = resolve(input_b);
@@ -290,8 +233,8 @@ pub fn run(input_a: &Path, input_b: &Path) -> Result<DiffReport, String> {
     tables.push(acct_table);
 
     // Axis 3: span forest structure (exact) and wall time (advisory).
-    let spans_a = span_profile(&log_a);
-    let spans_b = span_profile(&log_b);
+    let spans_a = span_profile(&log_a).map_err(|e| format!("{}: {e}", log_a_path.display()))?;
+    let spans_b = span_profile(&log_b).map_err(|e| format!("{}: {e}", log_b_path.display()))?;
     let mut span_table = Table::new(
         "Diff: span structure and wall time",
         vec!["span", "A count", "B count", "A ms", "B ms", "flag"],
@@ -324,13 +267,6 @@ pub fn run(input_a: &Path, input_b: &Path) -> Result<DiffReport, String> {
         ]);
     }
     tables.push(span_table);
-
-    // Axis 4: benchmark artifacts (directory inputs only).
-    if input_a.is_dir() && input_b.is_dir() {
-        let (bench_table, regressions) = diff_benchmarks(input_a, input_b)?;
-        verdict.bench_regressions = regressions;
-        tables.push(bench_table);
-    }
 
     Ok(DiffReport {
         log_a: log_a_path,

@@ -15,14 +15,14 @@
 //!
 //! [`beyond`] adds four extension experiments grounded in the paper's
 //! future-work section (service-distribution robustness, Stackelberg
-//! leaders, dynamic re-equilibration, observation noise). [`bench`] is
-//! the `bench` subcommand: a curated perf harness over the criterion
-//! shim that writes the machine-readable `BENCH_nash.json` summary.
-//! [`trace`] replays a Table-1 scenario with telemetry on; [`analyze`]
+//! leaders, dynamic re-equilibration, observation noise). [`trace`]
+//! replays a Table-1 scenario with telemetry on; [`analyze`]
 //! reconstructs the resulting span forest into a causal profile
 //! (critical path, self time, Chrome trace JSON, folded stacks);
-//! [`watch`] is the live observability runtime — an observed replay
-//! with streaming SLO windows served over a scrapeable HTTP endpoint.
+//! [`diff`] compares two runs' traces (event counts, `account.*` sums,
+//! span structure and wall time); [`watch`] is the live observability
+//! runtime — an observed replay with streaming SLO windows served over a
+//! scrapeable HTTP endpoint.
 //!
 //! Every experiment has an **analytic** path (closed-form response times
 //! under the computed profiles; deterministic) and, where the paper used
@@ -34,7 +34,6 @@
 #![warn(clippy::all)]
 
 pub mod analyze;
-pub mod bench;
 pub mod beyond;
 pub mod cli;
 pub mod config;

@@ -232,6 +232,21 @@ pub fn best_reply(
     Strategy::new(flows.iter().map(|x| x / phi_j).collect())
 }
 
+/// One entry of the damped best-reply step `(1−β)·old + β·reply`, which
+/// the sampled solver and the asynchronous runtime take instead of
+/// jumping to the reply. A result below `1e-6·φ` is dust and becomes
+/// zero; each caller then rescales its row to carry exactly φ again.
+#[inline]
+#[must_use]
+pub fn damped_step(old: f64, reply: f64, beta: f64, phi: f64) -> f64 {
+    let x = (1.0 - beta) * old + beta * reply;
+    if x >= 1e-6 * phi {
+        x
+    } else {
+        0.0
+    }
+}
+
 /// Expected response time of a flow split `flows` against (available)
 /// rates `rates`: `(1/demand) Σ x_i/(a_i − x_i)`, `+∞` if any used server
 /// is saturated.

@@ -41,7 +41,7 @@
 //! byte-identical for any worker count, including the
 //! `LB_SIM_THREADS` environment default.
 
-use crate::best_reply::{water_fill_flows_into, WaterFillScratch};
+use crate::best_reply::{damped_step, water_fill_flows_into, WaterFillScratch};
 use crate::error::GameError;
 use crate::model::SystemModel;
 use crate::stopping::{marginal_cost, Certificate};
@@ -391,8 +391,7 @@ impl SampledNashSolver {
                         } else {
                             0.0
                         };
-                        let x = (1.0 - beta) * x_old + beta * reply[slot];
-                        blend.push(if x >= 1e-6 * phi { x } else { 0.0 });
+                        blend.push(damped_step(x_old, reply[slot], beta, phi));
                     }
                     let sum: f64 = blend.iter().sum();
                     let scale = phi / sum;
@@ -1008,8 +1007,8 @@ mod tests {
     #[test]
     #[ignore = "release-build soak: ~3 s optimized, minutes unoptimized"]
     fn large_instance_stays_sparse_and_certifies() {
-        // A scaled-down rehearsal of the BENCH_nash_large shape (the
-        // full n=10⁴/m=10⁵ instance runs in the bench suite): m ≫ n
+        // A scaled-down rehearsal of the web-scale shape (the full
+        // n=10⁴/m=10⁵ instance is lb-bench's `web_scale` target): m ≫ n
         // small users, supports bounded by the default cap, acceptance
         // on a certified bound.
         let m = 4000;

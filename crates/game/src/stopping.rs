@@ -259,6 +259,20 @@ pub fn user_regret(rates: &[f64], loads: &[f64], row: &[f64], phi: f64) -> (f64,
     ((weighted - min_c).max(0.0), d)
 }
 
+/// [`user_regret`] of a row that must carry the user's whole demand φ: a
+/// row whose entries do not sum to φ within 1e-9·φ (an unseeded start, a
+/// shed or stale allocation) certifies nothing and gets `(∞, ∞)`. The
+/// distributed runtimes measure their users through this guard.
+#[must_use]
+pub fn placed_user_regret(rates: &[f64], loads: &[f64], row: &[f64], phi: f64) -> (f64, f64) {
+    let placed: f64 = row.iter().sum();
+    if (placed - phi).abs() <= 1e-9 * phi {
+        user_regret(rates, loads, row, phi)
+    } else {
+        (f64::INFINITY, f64::INFINITY)
+    }
+}
+
 /// The regret certificate of an explicit strategy profile — the
 /// standalone entry point (the solvers compute the same quantity from
 /// their internal workspaces without materializing a profile).

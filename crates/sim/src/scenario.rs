@@ -273,7 +273,8 @@ pub fn run_replication<F: FnMut(usize, f64)>(
 ///
 /// [`run_replication`] routes here only for non-Poisson arrival models;
 /// the function stays public as the cross-validation reference for the
-/// sharded engine and the baseline of the `bench --sim` speedup claims.
+/// sharded engine and the baseline of lb-bench's `sim_throughput_large`
+/// engine comparison.
 ///
 /// # Errors
 ///

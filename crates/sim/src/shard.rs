@@ -170,9 +170,9 @@ pub(crate) fn run_shards_in_order<F: FnMut(usize, f64)>(
 }
 
 /// Runs one replication with the station shards fanned out across
-/// `runner`'s worker pool — the intra-replication parallelism used by
-/// `bench --sim` and any caller with one huge replication rather than
-/// many small ones. Outcomes merge in station-index order, so the result
+/// `runner`'s worker pool — the intra-replication parallelism for any
+/// caller with one huge replication rather than many small ones (lb-bench
+/// `des_engine` measures it). Outcomes merge in station-index order, so the result
 /// is byte-identical to [`crate::scenario::run_replication`]'s sharded
 /// engine at any thread count.
 ///

@@ -1,5 +1,5 @@
 //! A minimal JSON codec: just enough to write and validate the JSONL
-//! event log and to read `BENCH_nash.json` references — no external
+//! event log and the documents exported from it — no external
 //! dependencies, matching the `compat/` shim philosophy.
 //!
 //! Encoding rules (fixed by the schema, pinned by the golden test):

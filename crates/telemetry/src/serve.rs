@@ -355,6 +355,37 @@ mod tests {
     }
 
     #[test]
+    fn garbage_requests_get_a_status_or_a_close_and_the_server_keeps_serving() {
+        let (registry, engine, ring) = fixture();
+        let mut server = LiveServer::start(0, registry, engine, ring).expect("bind");
+        let addr = server.addr();
+        let oversized = [b'A'; 4096];
+        let requests: [&[u8]; 4] = [&oversized, b"\xff\xfe\xc3\x28\r\n", b"\r\n", b"GET\r\n"];
+        for request in requests {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // The server may answer and close before reading it all; a
+            // failed write or a reset read counts as a closed connection.
+            let _ = stream.write_all(request);
+            let mut response = Vec::new();
+            let _ = stream.read_to_end(&mut response);
+            assert!(
+                response.is_empty() || response.starts_with(b"HTTP/1.1 "),
+                "{:?} got {:?}",
+                String::from_utf8_lossy(request),
+                String::from_utf8_lossy(&response)
+            );
+        }
+        // A client that connects and hangs up at once.
+        drop(TcpStream::connect(addr).expect("connect"));
+        let (head, _) = http_get(addr, "/healthz");
+        assert!(head.contains("200 OK"), "{head}");
+        server.shutdown();
+    }
+
+    #[test]
     fn a_trickling_client_stalls_neither_other_clients_nor_shutdown() {
         let (registry, engine, ring) = fixture();
         let mut server = LiveServer::start(0, registry, engine, ring).expect("bind");
