@@ -234,7 +234,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Anything convertible to a size range for [`vec`].
+    /// Anything convertible to a size range for [`vec()`].
     pub trait IntoSizeRange {
         /// Lower and inclusive upper bound on the collection length.
         fn bounds(&self) -> (usize, usize);

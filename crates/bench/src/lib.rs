@@ -28,24 +28,12 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use lb_game::model::SystemModel;
-
 /// A synthetic heterogeneous rate vector of length `n` cycling through
 /// the Table-1 speed classes — used to scale benchmarks beyond 16
 /// computers while keeping the paper's heterogeneity profile.
 pub fn scaled_rates(n: usize) -> Vec<f64> {
     const CLASSES: [f64; 4] = [10.0, 20.0, 50.0, 100.0];
     (0..n).map(|i| CLASSES[i % CLASSES.len()]).collect()
-}
-
-/// A model with `n` computers (Table-1 speed classes) and `m` equal users
-/// at the given utilization.
-///
-/// # Panics
-///
-/// Panics on invalid parameters (bench configuration error).
-pub fn scaled_model(n: usize, m: usize, rho: f64) -> SystemModel {
-    SystemModel::with_equal_users(scaled_rates(n), m, rho).expect("valid bench configuration")
 }
 
 #[cfg(test)]
@@ -56,13 +44,5 @@ mod tests {
     fn scaled_rates_cycle_classes() {
         let r = scaled_rates(6);
         assert_eq!(r, vec![10.0, 20.0, 50.0, 100.0, 10.0, 20.0]);
-    }
-
-    #[test]
-    fn scaled_model_is_valid() {
-        let m = scaled_model(64, 8, 0.6);
-        assert_eq!(m.num_computers(), 64);
-        assert_eq!(m.num_users(), 8);
-        assert!((m.system_utilization() - 0.6).abs() < 1e-12);
     }
 }

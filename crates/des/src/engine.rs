@@ -88,7 +88,6 @@ pub struct Engine<E> {
     processed: u64,
     scheduled: u64,
     horizon: Option<SimTime>,
-    max_events: Option<u64>,
     collector: Option<Arc<dyn Collector>>,
     /// Parent for `des.batch` spans (see [`Engine::set_span_parent`]).
     span_parent: Option<SpanHandle>,
@@ -111,7 +110,6 @@ impl<E> Engine<E> {
             processed: 0,
             scheduled: 0,
             horizon: None,
-            max_events: None,
             collector: None,
             span_parent: None,
             batch_span: None,
@@ -202,13 +200,6 @@ impl<E> Engine<E> {
             span.close_with(&[("events", done.into()), ("t", self.now.as_secs().into())]);
         }
         self.batch_left = 0;
-    }
-
-    /// Bounds the total number of delivered events — a runaway-model
-    /// backstop (an event handler that always schedules more work would
-    /// otherwise loop forever inside [`Engine::run_with`]).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = Some(max);
     }
 
     /// Sets the run horizon: events scheduled *after* this time are never
@@ -336,12 +327,6 @@ impl<E> Engine<E> {
     /// lies beyond the horizon (in which case the clock is left at the
     /// horizon so time-integrated statistics stay exact).
     pub fn next_event(&mut self) -> Option<E> {
-        if let Some(max) = self.max_events {
-            if self.processed >= max {
-                self.finish_batch_span();
-                return None;
-            }
-        }
         let Some(next) = self.calendar.peek_time() else {
             self.finish_batch_span();
             return None;
@@ -495,21 +480,6 @@ mod tests {
         assert_eq!(n, 6);
         assert_eq!(seen, vec![5, 4, 3, 2, 1, 0]);
         assert_eq!(eng.now(), SimTime::new(3.0));
-    }
-
-    #[test]
-    fn max_events_bound_stops_runaway_models() {
-        // An event that always reschedules itself would loop forever
-        // without the bound.
-        let mut eng = Engine::new();
-        eng.set_max_events(100);
-        eng.schedule_in(1.0, ());
-        let n = eng.run_with(|eng, ()| {
-            eng.schedule_in(1.0, ());
-        });
-        assert_eq!(n, 100);
-        assert_eq!(eng.events_processed(), 100);
-        assert_eq!(eng.next_event(), None);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`time`] — the simulation clock type [`time::SimTime`].
 //! * [`calendar`] — the future-event list: a pending-event binary heap with
 //!   deterministic FIFO tie-breaking and cancellation tombstones.
-//! * [`engine`] — the event loop: schedule / cancel / advance, with run
-//!   bounds on time and event count.
+//! * [`engine`] — the event loop: schedule / cancel / advance, with a
+//!   run bound on time.
 //! * [`rng`] — reproducible per-entity random streams (seeded from a master
 //!   seed) and the service/interarrival distributions the experiments use
 //!   (exponential for M/M/1, plus Erlang, hyperexponential and
@@ -22,10 +22,7 @@
 //!   attribution, the building block of the parallel sharded simulator.
 //! * [`multiserver`] — a c-server FCFS pool (M/M/c) for the multicore
 //!   extension.
-//! * [`source`] — a Markov-modulated Poisson source (MMPP-2) producing
-//!   *correlated* bursty arrivals for the traffic-model extensions.
-//! * [`monitor`] — warmup-aware response-time, queue-length and goodput
-//!   collectors.
+//! * [`monitor`] — warmup-aware response-time and goodput collectors.
 //! * [`breakdown`] — server breakdown/repair processes (exponential
 //!   MTBF/MTTR) and capped-exponential retry backoff for jobs preempted
 //!   by a crash.
@@ -43,17 +40,15 @@ pub mod monitor;
 pub mod multiserver;
 pub mod rng;
 pub mod shard;
-pub mod source;
 pub mod station;
 pub mod time;
 
 pub use breakdown::{BreakdownProcess, RetryBackoff};
 pub use calendar::{Calendar, EventId};
 pub use engine::{Engine, ScheduleError};
-pub use monitor::{GoodputMonitor, QueueLengthMonitor, ResponseTimeMonitor};
+pub use monitor::{GoodputMonitor, ResponseTimeMonitor};
 pub use multiserver::MultiServerStation;
 pub use rng::{AliasTable, Distribution, RngStream, SampleBlock};
 pub use shard::{run_station_shard, ShardOutcome, ShardSpec, DEFAULT_SHARD_BATCH};
-pub use source::MmppSource;
 pub use station::{FcfsStation, Job};
 pub use time::SimTime;

@@ -4,8 +4,8 @@
 //! discarding the initial transient. [`ResponseTimeMonitor`] drops every
 //! job that *arrived* before the warmup cutoff and accumulates per-user
 //! and system-wide response-time statistics with `lb-stats` Welford
-//! accumulators. [`QueueLengthMonitor`] tracks a time-averaged queue
-//! length over the measurement window.
+//! accumulators. [`GoodputMonitor`] counts served, shed and lost jobs
+//! over the same window.
 
 use crate::time::SimTime;
 use lb_stats::Welford;
@@ -57,11 +57,6 @@ impl ResponseTimeMonitor {
     /// Total measured jobs across users.
     pub fn total_count(&self) -> u64 {
         self.system.count()
-    }
-
-    /// Mean response time of `user`'s measured jobs (`0` if none).
-    pub fn user_mean(&self, user: usize) -> f64 {
-        self.per_user[user].mean()
     }
 
     /// Mean response times of every user.
@@ -184,21 +179,6 @@ impl GoodputMonitor {
         self.rate(self.shed, now)
     }
 
-    /// Lost jobs per second over `[warmup, now]`.
-    pub fn loss_rate(&self, now: SimTime) -> f64 {
-        self.rate(self.lost, now)
-    }
-
-    /// Fraction of offered (post-warmup) jobs that were actually served.
-    /// `1.0` when nothing was offered yet.
-    pub fn service_fraction(&self) -> f64 {
-        let offered = self.served + self.shed + self.lost;
-        if offered == 0 {
-            return 1.0;
-        }
-        self.served as f64 / offered as f64
-    }
-
     /// Merges another monitor's counters into this one. Used by the
     /// sharded engine to combine per-station goodput in station-index
     /// order (the counters are plain sums, so the merge is exact).
@@ -215,49 +195,6 @@ impl GoodputMonitor {
             return 0.0;
         }
         count as f64 / window
-    }
-}
-
-/// Time-average queue length over the measurement window `[warmup, ∞)`.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueLengthMonitor {
-    warmup: SimTime,
-    last: SimTime,
-    current: f64,
-    area: f64,
-}
-
-impl QueueLengthMonitor {
-    /// Creates a monitor that starts integrating at `warmup`.
-    pub fn new(warmup: SimTime) -> Self {
-        Self {
-            warmup,
-            last: warmup,
-            current: 0.0,
-            area: 0.0,
-        }
-    }
-
-    /// Reports that the tracked queue length changed to `length` at `now`.
-    /// Updates are expected in non-decreasing time order; the portion of
-    /// any interval before the warmup cutoff is discarded.
-    pub fn update(&mut self, now: SimTime, length: usize) {
-        if now > self.last && now > self.warmup {
-            let from = self.last.max(self.warmup);
-            self.area += now.since(from) * self.current;
-        }
-        self.last = self.last.max(now);
-        self.current = length as f64;
-    }
-
-    /// Time-average queue length over `[warmup, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let window = now.since(self.warmup);
-        if window == 0.0 {
-            return 0.0;
-        }
-        let tail = now.since(self.last.max(self.warmup)) * self.current;
-        (self.area + tail) / window
     }
 }
 
@@ -278,7 +215,6 @@ mod tests {
         assert_eq!(m.count(0), 1);
         assert_eq!(m.count(1), 1);
         assert_eq!(m.total_count(), 2);
-        assert!((m.user_mean(0) - 3.0).abs() < 1e-12);
         assert!((m.system_mean() - 2.0).abs() < 1e-12);
         assert_eq!(m.user_means(), vec![3.0, 1.0]);
     }
@@ -300,7 +236,7 @@ mod tests {
     #[test]
     fn empty_monitor_means_are_zero() {
         let m = ResponseTimeMonitor::new(3, SimTime::ZERO);
-        assert_eq!(m.user_mean(2), 0.0);
+        assert_eq!(m.user_means(), vec![0.0; 3]);
         assert_eq!(m.system_mean(), 0.0);
         assert_eq!(m.user_accumulators().len(), 3);
     }
@@ -329,9 +265,9 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left.total_count(), all.total_count());
-        for u in 0..2 {
+        for (u, (l, a)) in left.user_means().iter().zip(all.user_means()).enumerate() {
             assert_eq!(left.count(u), all.count(u));
-            assert!((left.user_mean(u) - all.user_mean(u)).abs() < 1e-12);
+            assert!((l - a).abs() < 1e-12);
         }
         assert!((left.system_mean() - all.system_mean()).abs() < 1e-12);
     }
@@ -365,42 +301,11 @@ mod tests {
         assert_eq!(g.retries(), 1);
         assert!((g.goodput(t(20.0)) - 0.2).abs() < 1e-12);
         assert!((g.shed_rate(t(20.0)) - 0.1).abs() < 1e-12);
-        assert!((g.loss_rate(t(20.0)) - 0.1).abs() < 1e-12);
-        assert!((g.service_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_goodput_monitor_is_benign() {
         let g = GoodputMonitor::new(t(10.0));
         assert_eq!(g.goodput(t(10.0)), 0.0);
-        assert_eq!(g.service_fraction(), 1.0);
-    }
-
-    #[test]
-    fn queue_length_time_average() {
-        let mut q = QueueLengthMonitor::new(SimTime::ZERO);
-        q.update(t(0.0), 1); // [0,2): 1
-        q.update(t(2.0), 3); // [2,3): 3
-        q.update(t(3.0), 0); // [3,5): 0
-                             // Mean over [0,5] = (2*1 + 1*3 + 2*0)/5 = 1.
-        assert!((q.mean(t(5.0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queue_monitor_discards_warmup_portion() {
-        let mut q = QueueLengthMonitor::new(t(10.0));
-        q.update(t(0.0), 4); // entirely pre-warmup
-        q.update(t(12.0), 0); // [10,12): 4
-                              // Mean over [10,14] = (2*4 + 2*0)/4 = 2.
-        assert!((q.mean(t(14.0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn queue_monitor_tail_counts_current_level() {
-        let mut q = QueueLengthMonitor::new(SimTime::ZERO);
-        q.update(t(0.0), 2);
-        // No further updates: mean over [0,4] is 2.
-        assert!((q.mean(t(4.0)) - 2.0).abs() < 1e-12);
-        assert_eq!(q.mean(t(0.0)), 0.0);
     }
 }

@@ -51,16 +51,6 @@ impl MultiServerStation {
         self.servers
     }
 
-    /// Busy servers right now.
-    pub fn busy_servers(&self) -> u32 {
-        self.busy
-    }
-
-    /// Jobs present (in service + waiting).
-    pub fn jobs_present(&self) -> usize {
-        self.busy as usize + self.queue.len()
-    }
-
     /// Jobs completed so far.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -151,8 +141,6 @@ mod tests {
             PoolArrival::StartService(t(6.0))
         );
         assert_eq!(st.arrive(job(3, 2.0, 1.0), t(2.0)), PoolArrival::Queued);
-        assert_eq!(st.busy_servers(), 2);
-        assert_eq!(st.jobs_present(), 3);
     }
 
     #[test]
@@ -177,7 +165,6 @@ mod tests {
         let (done, next) = st.complete(1, t(5.0));
         assert_eq!(done.id, 1);
         assert!(next.is_none());
-        assert_eq!(st.busy_servers(), 0);
         assert_eq!(st.completed(), 4);
     }
 

@@ -42,9 +42,6 @@ pub struct FcfsStation {
     completed: u64,
     busy_since: Option<SimTime>,
     busy_time: f64,
-    // Time-integral of the run-queue length, for time-average L.
-    queue_area: f64,
-    last_change: SimTime,
 }
 
 impl FcfsStation {
@@ -56,8 +53,6 @@ impl FcfsStation {
             completed: 0,
             busy_since: None,
             busy_time: 0.0,
-            queue_area: 0.0,
-            last_change: SimTime::ZERO,
         }
     }
 
@@ -77,13 +72,6 @@ impl FcfsStation {
         self.in_service.is_some()
     }
 
-    /// Accumulates the queue-length integral up to `now`.
-    fn integrate_to(&mut self, now: SimTime) {
-        let dt = now.since(self.last_change);
-        self.queue_area += dt * self.run_queue_length() as f64;
-        self.last_change = now;
-    }
-
     /// Handles a job arrival at time `now`.
     ///
     /// Returns [`Arrival::StartService`] with the completion time when the
@@ -99,7 +87,6 @@ impl FcfsStation {
             "invalid service time {}",
             job.service_time
         );
-        self.integrate_to(now);
         if self.in_service.is_none() {
             self.in_service = Some(job);
             self.busy_since = Some(now);
@@ -120,7 +107,6 @@ impl FcfsStation {
     /// Panics if the server was idle — a completion event without a job in
     /// service means the event wiring is broken.
     pub fn complete(&mut self, now: SimTime) -> (Job, Option<(Job, SimTime)>) {
-        self.integrate_to(now);
         let finished = self
             .in_service
             .take()
@@ -147,7 +133,6 @@ impl FcfsStation {
     /// After `fail` the station is idle and empty, ready to accept
     /// arrivals again once the model declares it repaired.
     pub fn fail(&mut self, now: SimTime) -> Vec<Job> {
-        self.integrate_to(now);
         let mut stranded = Vec::with_capacity(self.run_queue_length());
         if let Some(job) = self.in_service.take() {
             // The aborted partial service still occupied the server.
@@ -169,17 +154,6 @@ impl FcfsStation {
         }
         let in_progress = self.busy_since.map(|s| now.since(s)).unwrap_or(0.0);
         (self.busy_time + in_progress) / t
-    }
-
-    /// Time-average run-queue length over `[0, now]` (integrates the final
-    /// segment up to `now` without mutating state).
-    pub fn mean_queue_length(&self, now: SimTime) -> f64 {
-        let t = now.as_secs();
-        if t == 0.0 {
-            return 0.0;
-        }
-        let tail = now.since(self.last_change) * self.run_queue_length() as f64;
-        (self.queue_area + tail) / t
     }
 }
 
@@ -276,16 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_queue_length_integrates_piecewise() {
-        let mut st = FcfsStation::new();
-        // [0,1): empty (0). [1,3): one job (1). [3,5): two jobs (2).
-        st.arrive(job(1, 1.0, 4.0), t(1.0));
-        st.arrive(job(2, 3.0, 1.0), t(3.0));
-        // Integral to 5: 0*1 + 1*2 + 2*2 = 6; mean = 6/5.
-        assert!((st.mean_queue_length(t(5.0)) - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn fail_returns_preempted_and_stranded_jobs_in_order() {
         let mut st = FcfsStation::new();
         st.arrive(job(1, 0.0, 5.0), t(0.0));
@@ -319,6 +283,5 @@ mod tests {
     fn utilization_at_time_zero_is_zero() {
         let st = FcfsStation::new();
         assert_eq!(st.utilization(t(0.0)), 0.0);
-        assert_eq!(st.mean_queue_length(t(0.0)), 0.0);
     }
 }

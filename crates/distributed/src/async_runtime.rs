@@ -24,8 +24,7 @@
 //!   a peer unreachable.
 //! * **Partitions** are handled by epoch: a node that can reach only a
 //!   minority of users freezes its best replies (bumping its epoch) and
-//!   sheds load via the configured
-//!   [`OverloadPolicy`](lb_game::overload::OverloadPolicy) against the
+//!   sheds load via the configured [`OverloadPolicy`] against the
 //!   capacity left by the unreachable side's (stale, frozen) flows; the
 //!   majority keeps converging. The first message from a formerly
 //!   unreachable peer triggers an **anti-entropy** exchange
@@ -73,6 +72,27 @@ const EVICTED: u64 = u64::MAX;
 /// Hard ceiling on delivered events, independent of the virtual-time
 /// budget — the "never hangs" backstop for adversarial configurations.
 const MAX_EVENTS: u64 = 20_000_000;
+
+/// Virtual µs between a user's best-reply ticks.
+const UPDATE_PERIOD_US: u64 = 1_000;
+
+/// Retry backoff base and cap (virtual µs) and attempt budget for
+/// unacknowledged updates.
+const RETRY_BASE_US: u64 = 500;
+const RETRY_CAP_US: u64 = 16_000;
+const RETRY_ATTEMPTS: u32 = 8;
+
+/// Consecutive ack-less sends after which a peer counts as unreachable
+/// for partition detection.
+const UNREACHABLE_AFTER: u32 = 5;
+
+/// Best-reply step size β. Concurrent undamped replies oscillate for
+/// m ≥ 3 (the synchronous Jacobi failure mode), and asynchrony tightens
+/// the stable range further: the sampled solver's β = 0.5 still cycles
+/// when views are a full update period stale, while β = 0.3 converges
+/// across the chaos sweep. A damped stationary point is still an exact
+/// mutual best reply, so the certificate is unaffected.
+const DAMPING: f64 = 0.3;
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -175,13 +195,7 @@ struct Cfg {
     phis: Vec<f64>,
     epsilon: f64,
     tau: u64,
-    period: u64,
-    retry_base_us: u64,
-    retry_cap_us: u64,
-    retry_attempts: u32,
-    unreachable_after: u32,
     policy: OverloadPolicy,
-    damping: f64,
     seed: u64,
 }
 
@@ -215,9 +229,9 @@ fn board_loads(cfg: &Cfg, rows: &[Vec<f64>]) -> Vec<f64> {
 
 fn jitter_for(cfg: &Cfg, node: usize, dest: usize, episode: u32) -> DecorrelatedJitter {
     DecorrelatedJitter::new(
-        cfg.retry_base_us as f64,
-        cfg.retry_cap_us as f64,
-        cfg.retry_attempts,
+        RETRY_BASE_US as f64,
+        RETRY_CAP_US as f64,
+        RETRY_ATTEMPTS,
         mix(
             cfg.seed,
             ((node as u64) << 40) ^ ((dest as u64) << 20) ^ episode as u64,
@@ -373,7 +387,7 @@ impl UserNode {
         let total = alive.len() + 1;
         let reachable = alive
             .iter()
-            .filter(|&&k| self.attempts[k] < self.cfg.unreachable_after)
+            .filter(|&&k| self.attempts[k] < UNREACHABLE_AFTER)
             .count()
             + 1;
         let minority = total > 1 && 2 * reachable <= total;
@@ -393,7 +407,7 @@ impl UserNode {
     fn shed_for_group(&mut self, alive: &[usize]) {
         let mut residual = self.cfg.mu.clone();
         for &k in alive {
-            if self.attempts[k] >= self.cfg.unreachable_after {
+            if self.attempts[k] >= UNREACHABLE_AFTER {
                 for (r, x) in residual.iter_mut().zip(&self.rows[k]) {
                     *r = (*r - x).max(0.0);
                 }
@@ -402,7 +416,7 @@ impl UserNode {
         let mut members: Vec<usize> = alive
             .iter()
             .copied()
-            .filter(|&k| self.attempts[k] < self.cfg.unreachable_after)
+            .filter(|&k| self.attempts[k] < UNREACHABLE_AFTER)
             .chain([self.id])
             .collect();
         members.sort_unstable();
@@ -447,7 +461,7 @@ impl UserNode {
         net: &mut VirtualNet<Msg>,
         now: u64,
     ) {
-        let was_unreachable = self.attempts[from] >= self.cfg.unreachable_after;
+        let was_unreachable = self.attempts[from] >= UNREACHABLE_AFTER;
         self.attempts[from] = 0;
         if was_unreachable {
             let ctx = self.ctx(cause);
@@ -582,11 +596,10 @@ impl UserNode {
                     // floods the least-loaded computer, then everyone
                     // flees it. Dust below 1e-6·φ is dropped and the row
                     // rescaled to carry exactly φ again.
-                    let beta = self.cfg.damping;
                     let mut blend: Vec<f64> = self.rows[self.id]
                         .iter()
                         .zip(&flows)
-                        .map(|(&old, &reply)| damped_step(old, reply, beta, phi))
+                        .map(|(&old, &reply)| damped_step(old, reply, DAMPING, phi))
                         .collect();
                     let sum: f64 = blend.iter().sum();
                     if sum > 0.0 {
@@ -630,7 +643,7 @@ impl UserNode {
             self.dead = true;
             return;
         }
-        net.schedule(self.id, self.cfg.period, Msg::TickUpdate);
+        net.schedule(self.id, UPDATE_PERIOD_US, Msg::TickUpdate);
     }
 
     /// The node-level fault scheduled for this tick, mapped from the
@@ -1035,15 +1048,9 @@ pub struct AsyncNash {
     plan: NetFaultPlan,
     stopping: StoppingRule,
     staleness_us: u64,
-    update_period_us: u64,
     max_virtual_us: u64,
-    retry_base_us: u64,
-    retry_cap_us: u64,
-    retry_attempts: u32,
-    unreachable_after: u32,
     failure_timeout_us: Option<u64>,
     overload_policy: OverloadPolicy,
-    damping: f64,
     threads: usize,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -1054,7 +1061,6 @@ impl fmt::Debug for AsyncNash {
             .field("seed", &self.seed)
             .field("stopping", &self.stopping)
             .field("staleness_us", &self.staleness_us)
-            .field("update_period_us", &self.update_period_us)
             .field("max_virtual_us", &self.max_virtual_us)
             .field("threads", &self.threads)
             .finish_non_exhaustive()
@@ -1076,15 +1082,9 @@ impl AsyncNash {
             plan: NetFaultPlan::new(),
             stopping: StoppingRule::default(),
             staleness_us: 20_000,
-            update_period_us: 1_000,
             max_virtual_us: 30_000_000,
-            retry_base_us: 500,
-            retry_cap_us: 16_000,
-            retry_attempts: 8,
-            unreachable_after: 5,
             failure_timeout_us: None,
             overload_policy: OverloadPolicy::ShedProportional { headroom: 0.05 },
-            damping: 0.3,
             threads: 1,
             collector: None,
         }
@@ -1124,30 +1124,10 @@ impl AsyncNash {
         self
     }
 
-    /// Virtual time between a user's best-reply ticks.
-    pub fn update_period_us(mut self, period: u64) -> Self {
-        self.update_period_us = period;
-        self
-    }
-
     /// The virtual-time budget after which the run returns a typed
     /// partial outcome.
     pub fn max_virtual_us(mut self, budget: u64) -> Self {
         self.max_virtual_us = budget;
-        self
-    }
-
-    /// Retry backoff bounds (virtual µs) for unacknowledged updates.
-    pub fn retry_us(mut self, base: u64, cap: u64) -> Self {
-        self.retry_base_us = base;
-        self.retry_cap_us = cap;
-        self
-    }
-
-    /// Consecutive ack-less sends after which a peer counts as
-    /// unreachable for partition detection.
-    pub fn unreachable_after(mut self, attempts: u32) -> Self {
-        self.unreachable_after = attempts.max(1);
         self
     }
 
@@ -1161,23 +1141,6 @@ impl AsyncNash {
     /// Admission policy a minority partition uses to shed load.
     pub fn overload_policy(mut self, policy: OverloadPolicy) -> Self {
         self.overload_policy = policy;
-        self
-    }
-
-    /// Best-reply step size β ∈ (0, 1] (clamped). Concurrent undamped
-    /// replies oscillate for m ≥ 3 (the synchronous Jacobi failure
-    /// mode), and asynchrony tightens the stable range further: the
-    /// sampled solver's β = 0.5 still cycles when views are a full
-    /// update period stale, while β = 0.3 converges across the chaos
-    /// sweep — hence the smaller default. A damped stationary point is
-    /// still an exact mutual best reply, so the certificate is
-    /// unaffected.
-    pub fn damping(mut self, beta: f64) -> Self {
-        self.damping = if beta.is_finite() {
-            beta.clamp(f64::MIN_POSITIVE, 1.0)
-        } else {
-            1.0
-        };
         self
     }
 
@@ -1200,8 +1163,8 @@ impl AsyncNash {
     ///
     /// # Errors
     ///
-    /// * [`GameError::ZeroDuration`] for a zero `staleness_us`,
-    ///   `update_period_us`, or `max_virtual_us`.
+    /// * [`GameError::ZeroDuration`] for a zero `staleness_us` or
+    ///   `max_virtual_us`.
     /// * [`GameError::InfeasibleStrategy`] for a stopping rule other
     ///   than [`StoppingRule::CertifiedGap`].
     pub fn run(&self, model: &SystemModel) -> Result<AsyncOutcome, GameError> {
@@ -1224,7 +1187,6 @@ impl AsyncNash {
         }
         for (what, v) in [
             ("staleness_bound", self.staleness_us),
-            ("update_period", self.update_period_us),
             ("max_virtual_time", self.max_virtual_us),
         ] {
             if v == 0 {
@@ -1239,13 +1201,7 @@ impl AsyncNash {
             phis: model.user_rates().to_vec(),
             epsilon,
             tau: self.staleness_us,
-            period: self.update_period_us,
-            retry_base_us: self.retry_base_us,
-            retry_cap_us: self.retry_cap_us,
-            retry_attempts: self.retry_attempts,
-            unreachable_after: self.unreachable_after,
             policy: self.overload_policy,
-            damping: self.damping,
             seed: self.seed,
         };
         let failure_timeout = self
@@ -1268,7 +1224,11 @@ impl AsyncNash {
         // the async analogue of the ring's round-robin order.
         for (j, user) in users.iter().enumerate() {
             let _ = user;
-            net.schedule(j, 1 + (j as u64 * cfg.period) / m as u64, Msg::TickUpdate);
+            net.schedule(
+                j,
+                1 + (j as u64 * UPDATE_PERIOD_US) / m as u64,
+                Msg::TickUpdate,
+            );
         }
         net.schedule(m, cfg.tau, Msg::Check);
 
@@ -1507,7 +1467,6 @@ mod tests {
         let m = model();
         for (what, build) in [
             ("staleness_bound", AsyncNash::new().staleness_us(0)),
-            ("update_period", AsyncNash::new().update_period_us(0)),
             ("max_virtual_time", AsyncNash::new().max_virtual_us(0)),
         ] {
             match build.run(&m) {

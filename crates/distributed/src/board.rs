@@ -9,7 +9,9 @@
 //!
 //! Only the token holder mutates the board, while every user and the
 //! coordinator read it; it sits behind a `parking_lot::RwLock`, so a
-//! shared `&LoadBoard` is safe to use from any thread.
+//! shared `&LoadBoard` is safe to use from any thread. Every read writes
+//! into a caller-owned buffer (the `_into` forms), so the per-token hot
+//! path of the ring runtime stays allocation-free.
 
 use parking_lot::RwLock;
 
@@ -67,15 +69,8 @@ impl LoadBoard {
         self.flows.write()[j].copy_from_slice(row);
     }
 
-    /// Total flow at each computer: `λ_i = Σ_j flow[j][i]`.
-    pub fn total_flows(&self) -> Vec<f64> {
-        let mut totals = Vec::new();
-        self.total_flows_into(&mut totals);
-        totals
-    }
-
-    /// [`LoadBoard::total_flows`] written into a reused buffer, so the
-    /// per-token hot path of the ring runtime stays allocation-free.
+    /// Total flow at each computer, `λ_i = Σ_j flow[j][i]`, written into
+    /// a reused buffer.
     pub fn total_flows_into(&self, totals: &mut Vec<f64>) {
         totals.clear();
         totals.resize(self.computers, 0.0);
@@ -88,18 +83,8 @@ impl LoadBoard {
     }
 
     /// Total flow at each computer *excluding* user `j`'s contribution —
-    /// what user `j` needs for its available rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a bad index.
-    pub fn flows_excluding(&self, j: usize) -> Vec<f64> {
-        let mut totals = Vec::new();
-        self.flows_excluding_into(j, &mut totals);
-        totals
-    }
-
-    /// [`LoadBoard::flows_excluding`] written into a reused buffer.
+    /// what user `j` needs for its available rates — written into a
+    /// reused buffer.
     ///
     /// # Panics
     ///
@@ -119,12 +104,7 @@ impl LoadBoard {
         }
     }
 
-    /// Snapshot of user `j`'s current row.
-    pub fn row(&self, j: usize) -> Vec<f64> {
-        self.flows.read()[j].clone()
-    }
-
-    /// [`LoadBoard::row`] copied into a reused buffer.
+    /// Snapshot of user `j`'s current row, copied into a reused buffer.
     ///
     /// # Panics
     ///
@@ -168,12 +148,24 @@ impl LoadBoard {
 mod tests {
     use super::*;
 
+    fn totals(b: &LoadBoard) -> Vec<f64> {
+        let mut buf = Vec::new();
+        b.total_flows_into(&mut buf);
+        buf
+    }
+
+    fn row(b: &LoadBoard, j: usize) -> Vec<f64> {
+        let mut buf = Vec::new();
+        b.row_into(j, &mut buf);
+        buf
+    }
+
     #[test]
     fn starts_empty() {
         let b = LoadBoard::new(2, 3);
         assert_eq!(b.users(), 2);
         assert_eq!(b.computers(), 3);
-        assert_eq!(b.total_flows(), vec![0.0, 0.0, 0.0]);
+        assert_eq!(totals(&b), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -181,10 +173,13 @@ mod tests {
         let b = LoadBoard::new(2, 2);
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.0]);
-        assert_eq!(b.total_flows(), vec![1.5, 2.0]);
-        assert_eq!(b.flows_excluding(0), vec![0.5, 0.0]);
-        assert_eq!(b.flows_excluding(1), vec![1.0, 2.0]);
-        assert_eq!(b.row(0), vec![1.0, 2.0]);
+        let mut others = Vec::new();
+        assert_eq!(totals(&b), vec![1.5, 2.0]);
+        b.flows_excluding_into(0, &mut others);
+        assert_eq!(others, vec![0.5, 0.0]);
+        b.flows_excluding_into(1, &mut others);
+        assert_eq!(others, vec![1.0, 2.0]);
+        assert_eq!(row(&b, 0), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -193,14 +188,16 @@ mod tests {
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.0]);
         // Buffers carry garbage of the wrong length; every call must
-        // leave exactly the same contents as the allocating variant.
+        // leave exactly the board's contents.
         let mut buf = vec![9.0; 5];
         b.total_flows_into(&mut buf);
-        assert_eq!(buf, b.total_flows());
+        assert_eq!(buf, vec![1.5, 2.0]);
+        buf = vec![9.0; 5];
         b.flows_excluding_into(1, &mut buf);
-        assert_eq!(buf, b.flows_excluding(1));
+        assert_eq!(buf, vec![1.0, 2.0]);
+        buf = vec![9.0; 5];
         b.row_into(0, &mut buf);
-        assert_eq!(buf, b.row(0));
+        assert_eq!(buf, vec![1.0, 2.0]);
     }
 
     #[test]
@@ -208,14 +205,14 @@ mod tests {
         let b = LoadBoard::new(1, 2);
         b.publish(0, &[1.0, 0.0]);
         b.publish(0, &[0.0, 3.0]);
-        assert_eq!(b.total_flows(), vec![0.0, 3.0]);
+        assert_eq!(totals(&b), vec![0.0, 3.0]);
     }
 
     #[test]
     fn seed_sets_all_rows() {
         let b = LoadBoard::new(2, 2);
         b.seed(&[vec![1.0, 1.0], vec![2.0, 0.0]]);
-        assert_eq!(b.total_flows(), vec![3.0, 1.0]);
+        assert_eq!(totals(&b), vec![3.0, 1.0]);
     }
 
     #[test]
@@ -230,8 +227,8 @@ mod tests {
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.5]);
         b.clear_row(0);
-        assert_eq!(b.row(0), vec![0.0, 0.0]);
-        assert_eq!(b.total_flows(), vec![0.5, 0.5]);
+        assert_eq!(row(&b, 0), vec![0.0, 0.0]);
+        assert_eq!(totals(&b), vec![0.5, 0.5]);
     }
 
     #[test]
@@ -246,9 +243,9 @@ mod tests {
         b.publish(0, &[1.0, 2.0, 3.0]);
         b.publish(1, &[0.5, 0.5, 0.5]);
         b.clear_column(1);
-        assert_eq!(b.total_flows(), vec![1.5, 0.0, 3.5]);
-        assert_eq!(b.row(0), vec![1.0, 0.0, 3.0]);
-        assert_eq!(b.row(1), vec![0.5, 0.0, 0.5]);
+        assert_eq!(totals(&b), vec![1.5, 0.0, 3.5]);
+        assert_eq!(row(&b, 0), vec![1.0, 0.0, 3.0]);
+        assert_eq!(row(&b, 1), vec![0.5, 0.0, 0.5]);
     }
 
     #[test]
@@ -267,8 +264,7 @@ mod tests {
                 let b = Arc::clone(&b);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        let t = b.total_flows();
-                        assert_eq!(t.len(), 4);
+                        assert_eq!(totals(&b).len(), 4);
                     }
                 })
             })

@@ -156,12 +156,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds an arbitrary capacity event after `round`.
-    pub fn with_capacity_event(mut self, round: u32, event: CapacityEvent) -> Self {
-        self.capacity.push((round, event));
-        self
-    }
-
     /// Capacity events scheduled for application after `round`
     /// completes, in insertion order.
     pub fn capacity_events_at(&self, round: u32) -> Vec<CapacityEvent> {
@@ -170,11 +164,6 @@ impl FaultPlan {
             .filter(|&&(r, _)| r == round)
             .map(|&(_, e)| e)
             .collect()
-    }
-
-    /// Whether the plan schedules any capacity events at all.
-    pub fn has_capacity_events(&self) -> bool {
-        !self.capacity.is_empty()
     }
 
     /// Whether the plan schedules no faults at all.
@@ -267,7 +256,6 @@ mod tests {
             .crash_computer_at(2, 1)
             .degrade_computer_at(2, 0, 3.5)
             .recover_computer_at(5, 1);
-        assert!(p.has_capacity_events());
         assert!(!p.is_empty());
         assert_eq!(
             p.capacity_events_at(2),

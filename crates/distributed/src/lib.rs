@@ -59,6 +59,6 @@ pub mod runtime;
 pub use async_runtime::{AsyncNash, AsyncOutcome, AsyncTermination};
 pub use capacity::{CapacityEvent, ShedRecord};
 pub use fault::{FaultAction, FaultPlan};
-pub use net::{LinkFaults, NetFaultPlan, NetStats, VirtualNet};
+pub use net::{NetFaultPlan, NetStats, VirtualNet};
 pub use observer::ObservationModel;
 pub use runtime::{DistributedNash, DistributedOutcome};

@@ -6,17 +6,19 @@
 //! The asynchronous runtime has no such serializer, so this module
 //! supplies one: a discrete-event network simulator with a **virtual
 //! clock** (microseconds, advanced only by message delivery) and a
-//! seeded per-link fault model. Every roll — drop, duplicate, reorder,
-//! delay — comes from one splitmix64 stream consumed in event order, so
-//! a `(plan, seed)` pair replays the exact same network history on every
-//! run, on any machine, at any thread count. Chaos tests become
-//! ordinary deterministic unit tests, exactly like the ring's.
+//! seeded fault model rolled per link. Every roll — drop, duplicate,
+//! reorder, delay — comes from one splitmix64 stream consumed in event
+//! order, so a `(plan, seed)` pair replays the exact same network
+//! history on every run, on any machine, at any thread count. Chaos
+//! tests become ordinary deterministic unit tests, exactly like the
+//! ring's.
 //!
 //! The fault model is a [`NetFaultPlan`]:
 //!
-//! * per-link [`LinkFaults`] — drop probability, duplication
-//!   probability, reorder probability (an extra-delay roll that lets
-//!   later sends overtake), and a bounded uniform delay window;
+//! * one link fault model that every directed link rolls
+//!   independently — drop probability, duplication probability, reorder
+//!   probability (an extra-delay roll that lets later sends overtake),
+//!   and a bounded uniform delay window;
 //! * scheduled [`Partition`] windows — between `start_us` and `heal_us`
 //!   messages crossing the cut are dropped, and `net.partition` /
 //!   `net.heal` events mark the boundaries;
@@ -47,22 +49,23 @@ fn unit(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Per-link fault probabilities and delay bounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaults {
+/// Link fault probabilities and delay bounds (one model for every
+/// link).
+#[derive(Debug, Clone, Copy)]
+struct LinkFaults {
     /// Probability a message is silently lost.
-    pub drop: f64,
+    drop: f64,
     /// Probability a delivered message arrives twice (the copy takes an
     /// independent delay).
-    pub duplicate: f64,
+    duplicate: f64,
     /// Probability a message draws its delay from a 3×-wider window,
     /// letting later sends overtake it.
-    pub reorder: f64,
+    reorder: f64,
     /// Minimum propagation delay, virtual µs.
-    pub delay_min_us: u64,
+    delay_min_us: u64,
     /// Maximum propagation delay, virtual µs (inclusive bound of the
     /// uniform window; must be ≥ `delay_min_us`).
-    pub delay_max_us: u64,
+    delay_max_us: u64,
 }
 
 impl Default for LinkFaults {
@@ -113,11 +116,11 @@ pub struct Partition {
     pub side: Vec<usize>,
 }
 
-/// A deterministic schedule of network faults, composing per-link
-/// chaos, partition windows, and a node-level [`FaultPlan`].
+/// A deterministic schedule of network faults, composing link chaos,
+/// partition windows, and a node-level [`FaultPlan`].
 ///
 /// ```
-/// use lb_distributed::net::{LinkFaults, NetFaultPlan};
+/// use lb_distributed::net::NetFaultPlan;
 ///
 /// let plan = NetFaultPlan::new()
 ///     .loss(0.2)
@@ -125,55 +128,47 @@ pub struct Partition {
 ///     .reordering(0.3)
 ///     .delay_us(100, 500)
 ///     .partition_at(10_000, 60_000, vec![0]);
-/// assert!(plan.default_link().drop == 0.2);
+/// assert!(plan.partitioned(0, 1, 20_000));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NetFaultPlan {
-    default_link: LinkFaults,
-    links: Vec<((usize, usize), LinkFaults)>,
+    link: LinkFaults,
     partitions: Vec<Partition>,
     node_faults: FaultPlan,
 }
 
 impl NetFaultPlan {
-    /// A healthy network: default links, no partitions, no node faults.
+    /// A healthy network: healthy links, no partitions, no node faults.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the default-link drop probability.
+    /// Sets every link's drop probability.
     pub fn loss(mut self, p: f64) -> Self {
-        self.default_link.drop = p;
-        self.default_link.validate();
+        self.link.drop = p;
+        self.link.validate();
         self
     }
 
-    /// Sets the default-link duplication probability.
+    /// Sets every link's duplication probability.
     pub fn duplication(mut self, p: f64) -> Self {
-        self.default_link.duplicate = p;
-        self.default_link.validate();
+        self.link.duplicate = p;
+        self.link.validate();
         self
     }
 
-    /// Sets the default-link reorder probability.
+    /// Sets every link's reorder probability.
     pub fn reordering(mut self, p: f64) -> Self {
-        self.default_link.reorder = p;
-        self.default_link.validate();
+        self.link.reorder = p;
+        self.link.validate();
         self
     }
 
-    /// Sets the default-link propagation-delay window, µs.
+    /// Sets every link's propagation-delay window, µs.
     pub fn delay_us(mut self, min: u64, max: u64) -> Self {
-        self.default_link.delay_min_us = min;
-        self.default_link.delay_max_us = max;
-        self.default_link.validate();
-        self
-    }
-
-    /// Overrides the fault model of the directed link `from → to`.
-    pub fn link(mut self, from: usize, to: usize, faults: LinkFaults) -> Self {
-        faults.validate();
-        self.links.push(((from, to), faults));
+        self.link.delay_min_us = min;
+        self.link.delay_max_us = max;
+        self.link.validate();
         self
     }
 
@@ -208,25 +203,9 @@ impl NetFaultPlan {
         &self.node_faults
     }
 
-    /// The default link fault model.
-    pub fn default_link(&self) -> &LinkFaults {
-        &self.default_link
-    }
-
     /// The scheduled partitions.
     pub fn partitions(&self) -> &[Partition] {
         &self.partitions
-    }
-
-    /// The fault model of the directed link `from → to` (the first
-    /// matching override wins, like [`FaultPlan::action`]; otherwise the
-    /// default link).
-    pub fn link_faults(&self, from: usize, to: usize) -> &LinkFaults {
-        self.links
-            .iter()
-            .find(|&&((f, t), _)| f == from && t == to)
-            .map(|(_, l)| l)
-            .unwrap_or(&self.default_link)
     }
 
     /// Whether `a` and `b` are on opposite sides of an active cut at
@@ -433,7 +412,7 @@ impl<M: Clone> VirtualNet<M> {
             return;
         }
 
-        let faults = *self.plan.link_faults(from, to);
+        let faults = self.plan.link;
         if faults.drop > 0.0 && unit(&mut self.rng) < faults.drop {
             self.stats.dropped += 1;
             if let Some(c) = enabled(self.collector.as_ref()) {
@@ -514,11 +493,6 @@ impl<M: Clone> VirtualNet<M> {
         };
         self.tie += 1;
         self.queue.push(env);
-    }
-
-    /// Whether any envelope (message or timer) is still in flight.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Pops the next envelope, advances the clock to its delivery time,
@@ -754,18 +728,6 @@ mod tests {
         net.schedule(0, 50, 7);
         let d = net.step().unwrap();
         assert_eq!((d.from, d.to, d.msg, d.at_us), (0, 0, 7, 50));
-    }
-
-    #[test]
-    fn per_link_override_beats_default() {
-        let plan = NetFaultPlan::new()
-            .loss(1.0)
-            .link(0, 1, LinkFaults::default());
-        let mut net = VirtualNet::new(3, 17, plan);
-        net.send(0, 1, 1); // overridden link: clean
-        net.send(0, 2, 2); // default link: loss = 1
-        assert_eq!(drain(&mut net).len(), 1);
-        assert_eq!(net.stats().dropped, 1);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! schema; the analyzer extends them to the last timestamp in the log
 //! and reports how many it had to. Orphans — spans naming a parent the
 //! log never opened — are impossible in a log that passes
-//! [`parse_log`] validation, but are counted defensively anyway.
+//! [`lb_telemetry::parse_log`] validation, but are counted defensively
+//! anyway.
 //!
 //! Schema-v3 logs additionally carry cross-node `xspan.send` /
 //! `xspan.recv` hops from the virtual network. When present, the

@@ -623,14 +623,15 @@ pub struct TailRow {
     /// (rate-weighted across users; exact for the exponential-mixture
     /// sojourn distribution).
     pub scv: f64,
-    /// Simulated p95 response time (P² streaming estimate).
+    /// Simulated p95 response time (exact nearest-rank quantile of the
+    /// measured responses).
     pub simulated_p95: f64,
 }
 
 /// Tail latency across the schemes at ρ = 60%: the game optimizes *mean*
 /// response times, but users feel the tail. Analytic variance comes from
 /// the exponential-mixture identity (`lb-game::response`); the p95 from
-/// the simulator's streaming quantile estimator.
+/// the simulator's exact nearest-rank quantile.
 ///
 /// # Errors
 ///

@@ -39,32 +39,6 @@ impl ConvergenceReport {
             tail_rate: tail.geometric_rate().filter(|r| r.is_finite() && *r > 0.0),
         })
     }
-
-    /// Predicted additional sweeps to push the norm from `from` down to
-    /// `tolerance` at contraction rate `rate` (`None` when the prediction
-    /// is undefined: rate ≥ 1 or non-positive inputs).
-    pub fn predict_iterations(from: f64, tolerance: f64, rate: f64) -> Option<u32> {
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        if !positive(from) || !positive(tolerance) || !(0.0..1.0).contains(&rate) || rate == 0.0 {
-            return None;
-        }
-        if from <= tolerance {
-            return Some(0);
-        }
-        Some(((tolerance / from).ln() / rate.ln()).ceil() as u32)
-    }
-
-    /// Predicted iteration *saving* of starting at `norm_close` instead of
-    /// `norm_far` for the same tolerance, at the report's tail rate — the
-    /// constant-offset argument of EXPERIMENTS.md. `None` when the tail
-    /// rate is unavailable.
-    pub fn predicted_saving(&self, norm_far: f64, norm_close: f64) -> Option<f64> {
-        let rate = self.tail_rate?;
-        if !(0.0..1.0).contains(&rate) || rate == 0.0 || norm_far <= 0.0 || norm_close <= 0.0 {
-            return None;
-        }
-        Some((norm_close / norm_far).ln() / rate.ln())
-    }
 }
 
 #[cfg(test)]
@@ -88,24 +62,10 @@ mod tests {
     }
 
     #[test]
-    fn prediction_matches_closed_form() {
-        // From 1.0 to 1e-4 at rate 0.5: ceil(ln(1e-4)/ln(0.5)) = 14.
-        assert_eq!(
-            ConvergenceReport::predict_iterations(1.0, 1e-4, 0.5),
-            Some(14)
-        );
-        assert_eq!(
-            ConvergenceReport::predict_iterations(1e-5, 1e-4, 0.5),
-            Some(0)
-        );
-        assert_eq!(ConvergenceReport::predict_iterations(1.0, 1e-4, 1.0), None);
-        assert_eq!(ConvergenceReport::predict_iterations(0.0, 1e-4, 0.5), None);
-    }
-
-    #[test]
     fn explains_the_fig2_gap_on_the_real_system() {
         // The real NASH_0 / NASH_P iteration gap must be within a few
-        // sweeps of the constant-offset prediction.
+        // sweeps of the constant-offset prediction
+        // log(norm0_P / norm0_0) / log r.
         let model = SystemModel::table1_system(0.6).unwrap();
         let zero = NashSolver::new(Initialization::Zero)
             .tolerance(1e-4)
@@ -116,9 +76,8 @@ mod tests {
             .solve(&model)
             .unwrap();
         let report = ConvergenceReport::from_trace(zero.trace()).unwrap();
-        let predicted = report
-            .predicted_saving(zero.trace().values()[0], prop.trace().values()[0])
-            .unwrap();
+        let rate = report.tail_rate.unwrap();
+        let predicted = (prop.trace().values()[0] / zero.trace().values()[0]).ln() / rate.ln();
         let actual = zero.iterations() as f64 - prop.iterations() as f64;
         assert!(
             (predicted - actual).abs() <= 6.0,

@@ -188,22 +188,6 @@ impl DynamicBalancer {
         &self.nominal_user_rates
     }
 
-    /// Stability probe: runs one deterministic parallel Jacobi round
-    /// ([`crate::nash::jacobi_round`]) against the current equilibrium
-    /// and returns the max-L1 distance between the equilibrium and the
-    /// replies. Near zero means no user wants to deviate — a cheap
-    /// post-churn health check that fans out over `threads` workers with
-    /// a thread-count-independent result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates best-reply failures (e.g. an infeasible reply if the
-    /// stored equilibrium no longer fits the model).
-    pub fn jacobi_probe(&self, threads: usize) -> Result<f64, GameError> {
-        let replies = crate::nash::jacobi_round(&self.model, &self.equilibrium, threads)?;
-        self.equilibrium.max_l1_distance(&replies)
-    }
-
     /// Full-width indices of the computers the current equilibrium
     /// spans (column `k` of [`Self::equilibrium`] is computer
     /// `live_computers()[k]`).
@@ -426,19 +410,6 @@ mod tests {
             a.history()[0].iterations,
             u.history()[0].iterations
         );
-    }
-
-    #[test]
-    fn jacobi_probe_is_small_at_equilibrium_and_thread_independent() {
-        let b = DynamicBalancer::new(base_model(), 1e-8).unwrap();
-        let seq = b.jacobi_probe(1).unwrap();
-        // At the converged equilibrium nobody wants to deviate.
-        assert!(seq < 1e-4, "probe distance {seq}");
-        // The fan-out must not change the probe bitwise.
-        for threads in [2, 8] {
-            let par = b.jacobi_probe(threads).unwrap();
-            assert_eq!(par.to_bits(), seq.to_bits(), "{threads} threads");
-        }
     }
 
     #[test]

@@ -51,19 +51,6 @@ pub fn epsilon_nash_gap(model: &SystemModel, profile: &StrategyProfile) -> Resul
     Ok(gap.max(0.0))
 }
 
-/// Whether `profile` is an ε-Nash equilibrium.
-///
-/// # Errors
-///
-/// See [`epsilon_nash_gap`].
-pub fn is_epsilon_nash(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    epsilon: f64,
-) -> Result<bool, GameError> {
-    Ok(epsilon_nash_gap(model, profile)? <= epsilon)
-}
-
 /// Efficiency ratio of a profile against a reference (socially optimal)
 /// profile: `D(profile) / D(reference)`. For a Nash profile against the
 /// GOS optimum this is the **price of anarchy** of the instance.
@@ -105,7 +92,6 @@ mod tests {
         let out = nash_equilibrium(&m).unwrap();
         let gap = epsilon_nash_gap(&m, out.profile()).unwrap();
         assert!(gap < 1e-3, "gap {gap}");
-        assert!(is_epsilon_nash(&m, out.profile(), 1e-3).unwrap());
     }
 
     #[test]
@@ -114,7 +100,6 @@ mod tests {
         let p = StrategyProfile::replicated(Strategy::uniform(3), 2).unwrap();
         let gap = epsilon_nash_gap(&m, &p).unwrap();
         assert!(gap > 1e-3, "uniform split should be improvable, gap {gap}");
-        assert!(!is_epsilon_nash(&m, &p, 1e-3).unwrap());
     }
 
     #[test]

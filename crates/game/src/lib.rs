@@ -80,7 +80,6 @@ pub mod overload;
 pub mod response;
 pub mod sampled;
 pub mod schemes;
-pub mod sensitivity;
 pub mod stopping;
 pub mod strategy;
 

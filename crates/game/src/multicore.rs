@@ -222,62 +222,6 @@ impl PoolSystem {
         let base = vec![0.0; self.pools.len()];
         minimize_general_split(&refs, &base, self.total_arrival_rate(), inner_iterations)
     }
-
-    /// One **Jacobi** round: every user's numeric best reply to the
-    /// frozen flow matrix `flows`, fanned out over up to `threads`
-    /// workers. Each reply is a pure function of the snapshot, so the
-    /// returned matrix is bit-identical for any thread count (the
-    /// deterministic parallel analogue of one `nash` sweep; Jacobi
-    /// rounds themselves need damping to converge for m ≥ 3, so this is
-    /// offered as a building block and ablation probe, not a solver).
-    ///
-    /// # Errors
-    ///
-    /// [`GameError::InfeasibleBestReply`] (lowest failing user wins, as
-    /// in the sequential loop); numeric solver failures propagate.
-    pub fn jacobi_sweep(
-        &self,
-        flows: &[Vec<f64>],
-        inner_iterations: u32,
-        threads: usize,
-    ) -> Result<Vec<Vec<f64>>, GameError> {
-        let m = self.num_users();
-        let totals = self.pool_totals(flows);
-        let reply_for = |j: usize| -> Result<Vec<f64>, GameError> {
-            let refs: Vec<&dyn Latency> = self.pools.iter().map(|p| p as &dyn Latency).collect();
-            let base: Vec<f64> = totals
-                .iter()
-                .zip(&flows[j])
-                .map(|(&t, &own)| t - own)
-                .collect();
-            minimize_general_split(&refs, &base, self.user_rates[j], inner_iterations)
-                .map_err(|e| e.with_user(j))
-        };
-        if threads <= 1 || m <= 1 {
-            return (0..m).map(reply_for).collect();
-        }
-        let chunk = m.div_ceil(threads.min(m));
-        let mut next: Vec<Option<Result<Vec<f64>, GameError>>> = (0..m).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (t, slots) in next.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                let reply_for = &reply_for;
-                handles.push(s.spawn(move |_| {
-                    for (off, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(reply_for(start + off));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            }
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        next.into_iter()
-            .map(|slot| slot.expect("every user's reply was computed"))
-            .collect()
-    }
 }
 
 /// Result of a converged pool-game best-reply iteration.
@@ -397,38 +341,6 @@ mod tests {
             d_pooled < d_split,
             "pooled {d_pooled} should beat split {d_split}"
         );
-    }
-
-    #[test]
-    fn jacobi_sweep_is_bit_identical_across_thread_counts() {
-        let sys = PoolSystem::new(
-            vec![(5.0, 4), (25.0, 1), (8.0, 2)],
-            vec![9.0, 13.0, 7.0, 11.0],
-        )
-        .unwrap();
-        // Start from the proportional matrix the solver itself uses.
-        let capacity = sys.total_capacity();
-        let flows: Vec<Vec<f64>> = (0..sys.num_users())
-            .map(|j| {
-                sys.pools()
-                    .iter()
-                    .map(|p| sys.user_rates()[j] * p.capacity() / capacity)
-                    .collect()
-            })
-            .collect();
-        let reference = sys.jacobi_sweep(&flows, 400, 1).unwrap();
-        for threads in [2, 8] {
-            let par = sys.jacobi_sweep(&flows, 400, threads).unwrap();
-            for (j, (a_row, b_row)) in par.iter().zip(&reference).enumerate() {
-                for (i, (a, b)) in a_row.iter().zip(b_row).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{threads} threads: flow[{j}][{i}] differs"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -30,13 +30,11 @@
 //! diverge as the margin vanishes).
 //!
 //! [`shed_to_feasible`] computes a [`ShedPlan`] from raw rate vectors so
-//! it can be applied *before* a [`SystemModel`] exists (an infeasible
-//! model cannot be constructed at all — that is the point). The
-//! [`ShedPlan::for_model`] convenience trims an already-feasible model
-//! down to the policy's headroom target.
+//! it can be applied *before* a [`SystemModel`](crate::model::SystemModel)
+//! exists (an infeasible model cannot be constructed at all — that is the
+//! point).
 
 use crate::error::GameError;
-use crate::model::SystemModel;
 
 /// What to do when total demand reaches (or exceeds the headroom share
 /// of) total capacity.
@@ -122,17 +120,6 @@ impl ShedPlan {
     #[must_use]
     pub fn sheds(&self) -> bool {
         self.shed.iter().any(|&s| s > 0.0)
-    }
-
-    /// Trims an already-feasible model down to `policy`'s headroom
-    /// target (a model with `Φ ≥ Σ μ` cannot exist, so this never sees
-    /// strict infeasibility).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`shed_to_feasible`] failures (invalid headroom).
-    pub fn for_model(model: &SystemModel, policy: OverloadPolicy) -> Result<Self, GameError> {
-        shed_to_feasible(model.computer_rates(), model.user_rates(), policy)
     }
 }
 
@@ -372,15 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn for_model_trims_a_feasible_model_to_headroom() {
-        let model = SystemModel::new(vec![10.0, 20.0], vec![14.0, 14.0]).unwrap();
+    fn feasible_load_is_trimmed_to_headroom() {
+        let (mu, phi) = ([10.0, 20.0], [14.0, 14.0]);
         // Utilization 28/30 ≈ 0.93 exceeds the 0.8 target -> shed.
-        let plan = ShedPlan::for_model(&model, OverloadPolicy::ShedProportional { headroom: 0.8 })
-            .unwrap();
+        let plan = shed_to_feasible(
+            &mu,
+            &phi,
+            OverloadPolicy::ShedProportional { headroom: 0.8 },
+        )
+        .unwrap();
         assert!(plan.sheds());
         assert!((plan.admitted_total() - 24.0).abs() < 1e-9);
-        // Reject leaves a feasible model alone.
-        let plan = ShedPlan::for_model(&model, OverloadPolicy::Reject).unwrap();
+        // Reject leaves a feasible load alone.
+        let plan = shed_to_feasible(&mu, &phi, OverloadPolicy::Reject).unwrap();
         assert!(!plan.sheds());
     }
 

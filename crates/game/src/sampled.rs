@@ -25,12 +25,12 @@
 //!
 //! Two mechanisms keep the sweep dynamics stable at scale, where
 //! thousands of near-identical small users make pure Gauss–Seidel
-//! best replies oscillate: updates are **damped**
-//! ([`SampledNashSolver::damping`]) so each user only moves β of the
-//! way to its exact reply, and the per-sweep update **order is
-//! shuffled** (deterministically, keyed by `(seed, sweep)`) so that
-//! headroom released by one user's update is re-absorbed by random
-//! users instead of piling onto whoever happens to update next.
+//! best replies oscillate: updates are **damped** (a fixed β = 0.5) so
+//! each user only moves β of the way to its exact reply, and the
+//! per-sweep update **order is shuffled** (deterministically, keyed by
+//! `(seed, sweep)`) so that headroom released by one user's update is
+//! re-absorbed by random users instead of piling onto whoever happens
+//! to update next.
 //! Neither changes what is accepted — acceptance is always the
 //! certificate.
 //!
@@ -54,6 +54,18 @@ use std::sync::Arc;
 /// A sparse flow row: `(computer index, flow)` pairs sorted by index.
 pub type SparseRow = Vec<(u32, f64)>;
 
+/// Best-reply step size β: each update moves the row to
+/// `(1−β)·old + β·best reply`. Pure best replies oscillate at web
+/// scale: with thousands of near-identical users, a momentary headroom
+/// dip attracts an outsized grab from the next user in the sweep, which
+/// re-creates the dip elsewhere, and the concentration cascades around
+/// the system decaying far too slowly to certify. The blend attenuates
+/// every hand-off by β, which collapses the oscillation mode while
+/// leaving the fixed points untouched — `x = (1−β)x + β·BR(x)` holds
+/// exactly when `x = BR(x)`, so a damped stationary point is still an
+/// exact mutual best reply.
+const DAMPING: f64 = 0.5;
+
 /// Configuration and entry point for the sampled (power-of-k-choices)
 /// best-reply solver.
 #[derive(Clone)]
@@ -63,7 +75,6 @@ pub struct SampledNashSolver {
     seed: u64,
     epsilon: f64,
     max_sweeps: u32,
-    damping: f64,
     threads: usize,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -76,7 +87,6 @@ impl fmt::Debug for SampledNashSolver {
             .field("seed", &self.seed)
             .field("epsilon", &self.epsilon)
             .field("max_sweeps", &self.max_sweeps)
-            .field("damping", &self.damping)
             .field("threads", &self.threads)
             .field(
                 "collector",
@@ -105,7 +115,6 @@ impl SampledNashSolver {
             seed: 0x5EED_CAFE,
             epsilon: 1e-3,
             max_sweeps: 256,
-            damping: 0.5,
             threads: 0,
             collector: None,
         }
@@ -153,26 +162,6 @@ impl SampledNashSolver {
     /// Sweep budget.
     pub fn max_sweeps(mut self, sweeps: u32) -> Self {
         self.max_sweeps = sweeps;
-        self
-    }
-
-    /// Best-reply step size β ∈ (0, 1] (clamped; `1` = undamped exact
-    /// replies, default `0.5`). Each update moves the row to
-    /// `(1−β)·old + β·best reply`. Pure best replies oscillate at web
-    /// scale: with thousands of near-identical users, a momentary
-    /// headroom dip attracts an outsized grab from the next user in the
-    /// sweep, which re-creates the dip elsewhere, and the concentration
-    /// cascades around the system decaying far too slowly to certify.
-    /// The blend attenuates every hand-off by β, which collapses the
-    /// oscillation mode while leaving the fixed points untouched —
-    /// `x = (1−β)x + β·BR(x)` holds exactly when `x = BR(x)`, so a
-    /// damped stationary point is still an exact mutual best reply.
-    pub fn damping(mut self, beta: f64) -> Self {
-        self.damping = if beta.is_finite() {
-            beta.clamp(f64::MIN_POSITIVE, 1.0)
-        } else {
-            1.0
-        };
         self
     }
 
@@ -262,7 +251,7 @@ impl SampledNashSolver {
                     ("seed", self.seed.into()),
                     ("epsilon", self.epsilon.into()),
                     ("max_sweeps", self.max_sweeps.into()),
-                    ("damping", self.damping.into()),
+                    ("damping", DAMPING.into()),
                     ("threads", threads.into()),
                 ],
             );
@@ -373,44 +362,32 @@ impl SampledNashSolver {
                     }
                 }
                 // Damped step: `(1−β)·old + β·reply` over the selected
-                // candidates (see [`SampledNashSolver::damping`]). Dust
-                // below `1e-6·φ` is dropped and the row rescaled to
-                // carry exactly φ_j again — the rescale also reabsorbs
-                // the mass of any entry the support cap evicted.
-                let beta = self.damping;
-                if beta < 1.0 {
-                    let old = &rows[j];
-                    let mut p = 0usize;
-                    blend.clear();
-                    for (slot, &i) in cand.iter().enumerate() {
-                        while p < old.len() && old[p].0 < i {
-                            p += 1;
-                        }
-                        let x_old = if p < old.len() && old[p].0 == i {
-                            old[p].1
-                        } else {
-                            0.0
-                        };
-                        blend.push(damped_step(x_old, reply[slot], beta, phi));
+                // candidates (β = `DAMPING`). Dust below `1e-6·φ` is
+                // dropped and the row rescaled to carry exactly φ_j
+                // again — the rescale also reabsorbs the mass of any
+                // entry the support cap evicted.
+                let old = &rows[j];
+                let mut p = 0usize;
+                blend.clear();
+                for (slot, &i) in cand.iter().enumerate() {
+                    while p < old.len() && old[p].0 < i {
+                        p += 1;
                     }
-                    let sum: f64 = blend.iter().sum();
-                    let scale = phi / sum;
-                    rows[j].clear();
-                    for (slot, &i) in cand.iter().enumerate() {
-                        let x = scale * blend[slot];
-                        if x > 0.0 {
-                            rows[j].push((i, x));
-                            loads[i as usize] += x;
-                        }
-                    }
-                } else {
-                    rows[j].clear();
-                    for (slot, &i) in cand.iter().enumerate() {
-                        let x = reply[slot];
-                        if x > 0.0 {
-                            rows[j].push((i, x));
-                            loads[i as usize] += x;
-                        }
+                    let x_old = if p < old.len() && old[p].0 == i {
+                        old[p].1
+                    } else {
+                        0.0
+                    };
+                    blend.push(damped_step(x_old, reply[slot], DAMPING, phi));
+                }
+                let sum: f64 = blend.iter().sum();
+                let scale = phi / sum;
+                rows[j].clear();
+                for (slot, &i) in cand.iter().enumerate() {
+                    let x = scale * blend[slot];
+                    if x > 0.0 {
+                        rows[j].push((i, x));
+                        loads[i as usize] += x;
                     }
                 }
                 let mut d = 0.0;
@@ -564,11 +541,6 @@ impl SampledOutcome {
     /// `Σ_j D_j` at the final profile.
     pub fn total_response_time(&self) -> f64 {
         self.total_response_time
-    }
-
-    /// Mean per-user expected response time at the final profile.
-    pub fn mean_response_time(&self) -> f64 {
-        self.total_response_time / self.flows.len() as f64
     }
 
     /// Total support size (number of nonzero flows across all users).

@@ -21,29 +21,6 @@ pub enum QueueingError {
         /// Capacity it was compared against.
         capacity: f64,
     },
-    /// A vector argument had the wrong length.
-    DimensionMismatch {
-        /// Expected length.
-        expected: usize,
-        /// Actual length.
-        actual: usize,
-    },
-    /// A flow vector violated positivity (a component was negative beyond
-    /// tolerance).
-    NegativeFlow {
-        /// Index of the offending component.
-        index: usize,
-        /// The rejected value.
-        value: f64,
-    },
-    /// A flow vector violated conservation (components do not sum to the
-    /// declared total beyond tolerance).
-    ConservationViolated {
-        /// Sum of components.
-        sum: f64,
-        /// Declared total.
-        expected: f64,
-    },
     /// An empty system (zero computers) was supplied where at least one is
     /// required.
     EmptySystem,
@@ -67,18 +44,6 @@ impl fmt::Display for QueueingError {
                 f,
                 "unstable system: arrival rate {arrival_rate} >= capacity {capacity}"
             ),
-            Self::DimensionMismatch { expected, actual } => {
-                write!(f, "dimension mismatch: expected {expected}, got {actual}")
-            }
-            Self::NegativeFlow { index, value } => {
-                write!(f, "flow component {index} is negative: {value}")
-            }
-            Self::ConservationViolated { sum, expected } => {
-                write!(
-                    f,
-                    "flow conservation violated: sum {sum} != expected {expected}"
-                )
-            }
             Self::EmptySystem => write!(f, "system must contain at least one computer"),
             Self::InvalidProbability { value } => {
                 write!(f, "probability must lie in (0, 1), got {value}")
@@ -107,24 +72,6 @@ mod tests {
             capacity: 4.0,
         };
         assert!(e.to_string().contains("unstable"));
-
-        let e = QueueingError::DimensionMismatch {
-            expected: 3,
-            actual: 2,
-        };
-        assert!(e.to_string().contains("expected 3"));
-
-        let e = QueueingError::NegativeFlow {
-            index: 1,
-            value: -0.5,
-        };
-        assert!(e.to_string().contains("component 1"));
-
-        let e = QueueingError::ConservationViolated {
-            sum: 0.9,
-            expected: 1.0,
-        };
-        assert!(e.to_string().contains("conservation"));
 
         assert!(QueueingError::EmptySystem
             .to_string()

@@ -14,12 +14,9 @@
 //!   service-distribution robustness extension.
 //! * [`gim1`] — exact GI/M/1 response times (root of `σ = A*(μ(1−σ))`),
 //!   the theory behind the arrival-burstiness extension.
-//! * [`flow`] — [`flow::FlowVector`], an allocation of job flow across
-//!   computers with the paper's feasibility constraints (positivity,
-//!   conservation, stability) as first-class checks.
 //! * [`network`] — [`network::ParallelQueues`], a bank of heterogeneous
 //!   M/M/1 queues in parallel: the "distributed system" of the paper, with
-//!   aggregate expected-response-time functionals.
+//!   aggregate capacity and utilization functionals.
 //!
 //! Everything here is deterministic, allocation-light and `f64`-based; the
 //! stochastic counterpart lives in `lb-des` (the discrete-event simulator).
@@ -28,7 +25,6 @@
 #![warn(clippy::all)]
 
 pub mod error;
-pub mod flow;
 pub mod gim1;
 pub mod mg1;
 pub mod mm1;
@@ -36,15 +32,7 @@ pub mod mmc;
 pub mod network;
 
 pub use error::QueueingError;
-pub use flow::FlowVector;
 pub use mg1::Mg1;
 pub use mm1::Mm1;
 pub use mmc::Mmc;
 pub use network::ParallelQueues;
-
-/// Absolute tolerance used by feasibility checks throughout the workspace.
-///
-/// Flow conservation and positivity are validated up to this slack so that
-/// profiles produced by floating-point solvers (water-filling, projected
-/// gradient) round-trip through validation.
-pub const FEASIBILITY_EPS: f64 = 1e-9;

@@ -112,29 +112,6 @@ impl Mm1 {
         rho * rho / (1.0 - rho)
     }
 
-    /// Stationary probability of exactly `n` jobs in the system:
-    /// `P(N = n) = (1 − ρ) ρⁿ`.
-    pub fn prob_n_jobs(&self, n: u64) -> f64 {
-        let rho = self.utilization();
-        (1.0 - rho) * rho.powi(n.min(i32::MAX as u64) as i32)
-    }
-
-    /// Probability that the sojourn time exceeds `t`:
-    /// `P(T > t) = exp(−(μ − λ) t)` (the sojourn time is exponential).
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::InvalidRate`] if `t` is negative or non-finite.
-    pub fn prob_response_exceeds(&self, t: f64) -> Result<f64, QueueingError> {
-        if !t.is_finite() || t < 0.0 {
-            return Err(QueueingError::InvalidRate {
-                name: "t",
-                value: t,
-            });
-        }
-        Ok((-(self.mu - self.lambda) * t).exp())
-    }
-
     /// `p`-percentile of the sojourn-time distribution:
     /// `T_p = −ln(1 − p)/(μ − λ)`.
     ///
@@ -146,14 +123,6 @@ impl Mm1 {
             return Err(QueueingError::InvalidProbability { value: p });
         }
         Ok(-(1.0 - p).ln() / (self.mu - self.lambda))
-    }
-
-    /// The *available* (residual) processing rate `μ − λ` seen by an
-    /// additional infinitesimal stream — the quantity the paper's users
-    /// estimate from run-queue lengths.
-    #[inline]
-    pub fn residual_rate(&self) -> f64 {
-        self.mu - self.lambda
     }
 }
 
@@ -250,25 +219,12 @@ mod tests {
     }
 
     #[test]
-    fn state_probabilities_sum_to_one() {
-        let q = Mm1::new(3.0, 5.0).unwrap();
-        let total: f64 = (0..200).map(|n| q.prob_n_jobs(n)).sum();
-        assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
-    }
-
-    #[test]
-    fn mean_from_state_probabilities_matches_l() {
-        let q = Mm1::new(3.0, 5.0).unwrap();
-        let mean: f64 = (0..500).map(|n| n as f64 * q.prob_n_jobs(n)).sum();
-        assert!((mean - q.jobs_in_system()).abs() < 1e-6);
-    }
-
-    #[test]
     fn sojourn_tail_and_percentile_are_inverses() {
         let q = Mm1::new(2.0, 5.0).unwrap();
         for &p in &[0.1, 0.5, 0.9, 0.99] {
             let t = q.response_time_percentile(p).unwrap();
-            let tail = q.prob_response_exceeds(t).unwrap();
+            // The sojourn time is exponential: P(T > t) = exp(−(μ − λ) t).
+            let tail = (-(5.0 - 2.0) * t).exp();
             assert!((tail - (1.0 - p)).abs() < 1e-9);
         }
     }
@@ -292,14 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_rejects_bad_times() {
-        let q = Mm1::new(1.0, 2.0).unwrap();
-        assert!(q.prob_response_exceeds(-1.0).is_err());
-        assert!(q.prob_response_exceeds(f64::NAN).is_err());
-        assert_eq!(q.prob_response_exceeds(0.0).unwrap(), 1.0);
-    }
-
-    #[test]
     fn free_function_matches_struct_and_saturates() {
         let q = Mm1::new(1.0, 3.0).unwrap();
         assert!((response_time(1.0, 3.0) - q.response_time()).abs() < EPS);
@@ -314,11 +262,5 @@ mod tests {
         let t3 = response_time(0.999, 1.0);
         assert!(t1 < t2 && t2 < t3);
         assert!((t2 - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn residual_rate_is_mu_minus_lambda() {
-        let q = Mm1::new(2.5, 10.0).unwrap();
-        assert!((q.residual_rate() - 7.5).abs() < EPS);
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! [`ParallelQueues`] owns the vector of processing rates `μ_1 … μ_n` and
 //! provides the aggregate functionals used by every load-balancing scheme:
-//! total capacity, utilization under a total offered rate, the system
-//! expected response time under a [`FlowVector`], and the classic
-//! *speed-skewness* heterogeneity measure used in the paper's §4.2.3.
+//! total capacity, utilization under a total offered rate, and the
+//! classic *speed-skewness* heterogeneity measure used in the paper's
+//! §4.2.3.
 
 use crate::error::QueueingError;
-use crate::flow::FlowVector;
 
 /// A parallel bank of `n` heterogeneous M/M/1 computers.
 ///
@@ -92,19 +91,6 @@ impl ParallelQueues {
         total_arrival_rate / self.total
     }
 
-    /// The total arrival rate that produces system utilization `rho`
-    /// (inverse of [`Self::system_utilization`]).
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::InvalidProbability`] unless `0 <= rho < 1`.
-    pub fn arrival_rate_for_utilization(&self, rho: f64) -> Result<f64, QueueingError> {
-        if !rho.is_finite() || !(0.0..1.0).contains(&rho) {
-            return Err(QueueingError::InvalidProbability { value: rho });
-        }
-        Ok(rho * self.total)
-    }
-
     /// Speed skewness: `max_i μ_i / min_i μ_i` (paper §4.2.3's
     /// heterogeneity measure).
     pub fn speed_skewness(&self) -> f64 {
@@ -128,55 +114,6 @@ impl ParallelQueues {
                 .then(a.cmp(&b))
         });
         idx
-    }
-
-    /// Checks that a total offered rate keeps the system stable
-    /// (`Φ < Σ μ_i`, the paper's standing assumption).
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::Unstable`] when `Φ >= Σ μ_i`.
-    pub fn check_offered_rate(&self, total_arrival_rate: f64) -> Result<(), QueueingError> {
-        if total_arrival_rate.partial_cmp(&self.total) != Some(std::cmp::Ordering::Less) {
-            return Err(QueueingError::Unstable {
-                arrival_rate: total_arrival_rate,
-                capacity: self.total,
-            });
-        }
-        Ok(())
-    }
-
-    /// System expected response time under an aggregate flow allocation
-    /// (delegates to [`FlowVector::mean_response_time`]).
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::DimensionMismatch`] on length mismatch.
-    pub fn mean_response_time(&self, flows: &FlowVector) -> Result<f64, QueueingError> {
-        flows.mean_response_time(&self.mu)
-    }
-
-    /// Builds the *proportional* aggregate allocation of a total rate
-    /// `Φ`: `λ_i = Φ · μ_i / Σ μ_k`. This is the flow pattern of the
-    /// paper's PS baseline; it keeps every computer at identical
-    /// utilization `ρ`.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::InvalidRate`] for a negative or non-finite rate.
-    pub fn proportional_flows(&self, total_arrival_rate: f64) -> Result<FlowVector, QueueingError> {
-        if !total_arrival_rate.is_finite() || total_arrival_rate < 0.0 {
-            return Err(QueueingError::InvalidRate {
-                name: "total_arrival_rate",
-                value: total_arrival_rate,
-            });
-        }
-        FlowVector::new(
-            self.mu
-                .iter()
-                .map(|m| total_arrival_rate * m / self.total)
-                .collect(),
-        )
     }
 }
 
@@ -211,45 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn utilization_round_trip() {
+    fn utilization_is_offered_rate_over_capacity() {
         let sys = ParallelQueues::new(table1_rates()).unwrap();
-        let phi = sys.arrival_rate_for_utilization(0.6).unwrap();
-        assert!((phi - 306.0).abs() < 1e-9);
-        assert!((sys.system_utilization(phi) - 0.6).abs() < 1e-12);
-        assert!(sys.arrival_rate_for_utilization(1.0).is_err());
-        assert!(sys.arrival_rate_for_utilization(-0.1).is_err());
+        assert!((sys.system_utilization(306.0) - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn descending_order_is_stable() {
         let sys = ParallelQueues::new(vec![20.0, 50.0, 20.0, 100.0]).unwrap();
         assert_eq!(sys.descending_order(), vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn offered_rate_check() {
-        let sys = ParallelQueues::new(vec![2.0, 3.0]).unwrap();
-        assert!(sys.check_offered_rate(4.9).is_ok());
-        assert!(sys.check_offered_rate(5.0).is_err());
-        assert!(sys.check_offered_rate(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn proportional_flows_equalize_utilization() {
-        let sys = ParallelQueues::new(vec![10.0, 20.0, 50.0]).unwrap();
-        let f = sys.proportional_flows(40.0).unwrap();
-        assert!((f.total() - 40.0).abs() < 1e-9);
-        let u = f.utilizations(sys.rates()).unwrap();
-        for x in u {
-            assert!((x - 0.5).abs() < 1e-12);
-        }
-        assert!(sys.proportional_flows(-1.0).is_err());
-    }
-
-    #[test]
-    fn mean_response_time_delegates() {
-        let sys = ParallelQueues::new(vec![2.0, 2.0]).unwrap();
-        let f = FlowVector::new(vec![1.0, 1.0]).unwrap();
-        assert!((sys.mean_response_time(&f).unwrap() - 1.0).abs() < 1e-12);
     }
 }

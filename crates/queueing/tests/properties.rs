@@ -1,7 +1,7 @@
 //! Property tests on the queueing formulas: parameter-free identities
 //! that must hold for every stable configuration.
 
-use lb_queueing::{mg1, mm1, FlowVector, Mg1, Mm1, Mmc, ParallelQueues};
+use lb_queueing::{mg1, mm1, Mg1, Mm1, Mmc};
 use proptest::prelude::*;
 
 /// A stable (lambda, mu) pair with utilization bounded away from 1.
@@ -53,34 +53,6 @@ proptest! {
         let mm = Mm1::new(lambda, mu).unwrap();
         let at_one = mg1::response_time(lambda, mu, 1.0);
         prop_assert!((at_one - mm.response_time()).abs() < 1e-9 * mm.response_time());
-    }
-
-    #[test]
-    fn flow_vector_add_is_commutative_and_conserves(
-        a in prop::collection::vec(0.0f64..10.0, 1..8),
-        b in prop::collection::vec(0.0f64..10.0, 1..8),
-    ) {
-        let n = a.len().min(b.len());
-        let fa = FlowVector::new(a[..n].to_vec()).unwrap();
-        let fb = FlowVector::new(b[..n].to_vec()).unwrap();
-        let ab = fa.add(&fb).unwrap();
-        let ba = fb.add(&fa).unwrap();
-        prop_assert_eq!(ab.as_slice(), ba.as_slice());
-        prop_assert!((ab.total() - fa.total() - fb.total()).abs() < 1e-9 * (1.0 + ab.total()));
-    }
-
-    #[test]
-    fn proportional_flows_always_stable_and_uniform(
-        mu in prop::collection::vec(0.1f64..100.0, 1..10),
-        rho in 0.01f64..0.99,
-    ) {
-        let sys = ParallelQueues::new(mu).unwrap();
-        let phi = sys.arrival_rate_for_utilization(rho).unwrap();
-        let f = sys.proportional_flows(phi).unwrap();
-        f.check_stability(sys.rates()).unwrap();
-        for u in f.utilizations(sys.rates()).unwrap() {
-            prop_assert!((u - rho).abs() < 1e-9);
-        }
     }
 
     #[test]

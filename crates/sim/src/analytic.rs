@@ -112,8 +112,8 @@ pub(crate) fn run_replication_analytic(
 /// The stationary 95th percentile of the system (job-averaged) response
 /// time under `profile`: the sojourn of a random job is the mixture
 /// `Σ_i (λ_i/Λ)·Exp(μ_i − λ_i)`, whose tail is solved by bisection. Used
-/// by the harness in place of the per-job P² estimate when the analytic
-/// path runs (there are no per-job responses to stream).
+/// by the harness in place of the exact per-job quantile when the
+/// analytic path runs (there are no per-job responses to collect).
 ///
 /// # Errors
 ///
@@ -289,7 +289,7 @@ mod tests {
             );
         }
         // The analytic p95 substitutes the mixture tail for the per-job
-        // estimate; the two must agree to the P² estimator's resolution.
+        // quantile; the two must agree to within its sampling error.
         assert!(
             (analytic.system_p95 - full.system_p95).abs() < 0.15 * full.system_p95,
             "analytic p95 {} vs full {}",

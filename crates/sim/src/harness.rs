@@ -121,9 +121,9 @@ pub fn simulate_profile_traced(
     names.push("system".into());
     let mut set = ReplicationSet::new(names, plan.confidence);
 
-    // The analytic fast path never streams per-job responses, so the P²
-    // estimator would come back empty; use the stationary mixture tail
-    // instead (same quantity the per-job estimate converges to).
+    // The analytic fast path never streams per-job responses, so there
+    // is no sample to take a quantile of; use the stationary mixture tail
+    // instead (same quantity the per-job quantile converges to).
     let analytic_p95 = if config.is_analytic() {
         Some(crate::analytic::analytic_system_p95(model, profile)?)
     } else {
@@ -159,10 +159,10 @@ pub fn simulate_profile_traced(
             });
             let rep_handle = rep_span.as_ref().map(Span::handle);
             // The sharded engine delivers responses grouped by station,
-            // which order-sensitive streaming estimators (like P²)
-            // misread badly — collect and take the exact quantile, which
-            // is order-insensitive and costs a sort, trivial next to the
-            // simulation itself.
+            // which an order-sensitive streaming estimator would misread
+            // badly — collect and take the exact quantile, which is
+            // order-insensitive and costs a selection, trivial next to
+            // the simulation itself.
             let mut responses: Vec<f64> = Vec::new();
             let result = run_replication(
                 model,
@@ -392,6 +392,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn exact_quantile_is_the_nearest_rank() {
+        assert!(exact_quantile(&mut [], 0.95).is_nan());
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(exact_quantile(&mut [4.5], q), 4.5);
+        }
+        // Shuffled 1..=n (7 and 37 are coprime with 20 and 100): the
+        // p95 is the ⌈0.95·n⌉-th smallest.
+        let mut twenty: Vec<f64> = (0..20).map(|i| ((i * 7) % 20 + 1) as f64).collect();
+        assert_eq!(exact_quantile(&mut twenty, 0.95), 19.0);
+        let mut hundred: Vec<f64> = (0..100).map(|i| ((i * 37) % 100 + 1) as f64).collect();
+        assert_eq!(exact_quantile(&mut hundred, 0.95), 95.0);
+        let mut ties = [2.0, 3.0, 1.0, 2.0, 2.0];
+        assert_eq!(exact_quantile(&mut ties, 0.5), 2.0);
+        assert_eq!(exact_quantile(&mut ties, 0.95), 3.0);
+        // The rank is clamped to [1, n].
+        let mut xs = [5.0, -1.0, 9.0, 3.0];
+        assert_eq!(exact_quantile(&mut xs, 0.0), -1.0);
+        assert_eq!(exact_quantile(&mut xs, 1.0), 9.0);
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   whole stack end to end).
 //! * [`pools`] — the multicore variant: M/M/c pools simulated with
 //!   multi-server stations, validating the numeric pool-game equilibria.
-//! * [`bursty`] — correlated (MMPP) arrivals, the strongest departure
-//!   from the paper's Poisson assumption.
 //! * [`policies`] — dynamic (state-aware) dispatch: JSQ, power-of-d,
 //!   shortest-expected-delay vs the paper's static profiles.
 //! * [`churn`] — capacity churn: servers crash/degrade/recover on a
@@ -52,7 +50,6 @@
 #![warn(clippy::all)]
 
 pub mod analytic;
-pub mod bursty;
 pub mod churn;
 pub mod harness;
 pub mod parallel;

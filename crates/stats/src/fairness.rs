@@ -44,32 +44,6 @@ pub fn jain_index(values: &[f64]) -> Option<f64> {
     Some(sum * sum / (values.len() as f64 * sum_sq))
 }
 
-/// Fairness of the *worst-off* user relative to the average:
-/// `min_j D_j / mean(D)` for a cost metric inverted as `mean(D) / max_j D_j`.
-///
-/// This complements Jain's index in ablation reports: Jain aggregates the
-/// spread, while this ratio exposes the single most-penalized user. Values
-/// near 1 mean nobody is much worse than average. Returns `None` under the
-/// same conditions as [`jain_index`].
-pub fn worst_case_ratio(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sum = 0.0;
-    let mut max = 0.0_f64;
-    for &v in values {
-        if !v.is_finite() || v < 0.0 {
-            return None;
-        }
-        sum += v;
-        max = max.max(v);
-    }
-    if max == 0.0 {
-        return None;
-    }
-    Some(sum / (values.len() as f64 * max))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,7 +52,6 @@ mod tests {
     fn equal_values_are_perfectly_fair() {
         assert_eq!(jain_index(&[5.0]), Some(1.0));
         assert_eq!(jain_index(&[3.0, 3.0, 3.0, 3.0]), Some(1.0));
-        assert_eq!(worst_case_ratio(&[3.0, 3.0]), Some(1.0));
     }
 
     #[test]
@@ -116,18 +89,6 @@ mod tests {
         assert_eq!(jain_index(&[1.0, -1.0]), None);
         assert_eq!(jain_index(&[1.0, f64::NAN]), None);
         assert_eq!(jain_index(&[1.0, f64::INFINITY]), None);
-        assert_eq!(worst_case_ratio(&[]), None);
-        assert_eq!(worst_case_ratio(&[0.0]), None);
-        assert_eq!(worst_case_ratio(&[-2.0]), None);
-    }
-
-    #[test]
-    fn worst_case_ratio_flags_outlier() {
-        // One user 4x the average of the others.
-        let r = worst_case_ratio(&[1.0, 1.0, 1.0, 8.0]).unwrap();
-        assert!(r < 0.5);
-        let fair = worst_case_ratio(&[1.0, 1.1, 0.9]).unwrap();
-        assert!(fair > 0.85);
     }
 
     #[test]

@@ -80,17 +80,6 @@ impl Histogram {
         )
     }
 
-    /// Fraction of in-range mass at or below the end of bin `i` (empirical
-    /// CDF evaluated at bin edges). Returns `0` when nothing is in range.
-    pub fn cdf_at_bin(&self, i: usize) -> f64 {
-        let in_range: u64 = self.bins.iter().sum();
-        if in_range == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.bins[..=i].iter().sum();
-        cum as f64 / in_range as f64
-    }
-
     /// Renders a compact ASCII bar chart (one line per bin), used by the
     /// examples. `width` is the maximum bar length in characters.
     pub fn ascii(&self, width: usize) -> String {
@@ -142,27 +131,6 @@ mod tests {
         let h = Histogram::new(2.0, 6.0, 4).unwrap();
         assert_eq!(h.bin_range(0), (2.0, 3.0));
         assert_eq!(h.bin_range(3), (5.0, 6.0));
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_reaches_one() {
-        let mut h = Histogram::new(0.0, 4.0, 4).unwrap();
-        for x in [0.5, 1.5, 1.6, 2.5, 3.5, 3.6] {
-            h.record(x);
-        }
-        let mut prev = 0.0;
-        for i in 0..4 {
-            let c = h.cdf_at_bin(i);
-            assert!(c >= prev);
-            prev = c;
-        }
-        assert!((h.cdf_at_bin(3) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_cdf_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 3).unwrap();
-        assert_eq!(h.cdf_at_bin(2), 0.0);
     }
 
     #[test]

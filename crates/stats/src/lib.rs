@@ -18,8 +18,6 @@
 //! * [`batchmeans`] — the single-long-run alternative (batch means with a
 //!   lag-1 autocorrelation diagnostic), used in methodology ablations.
 //! * [`histogram`] — fixed-bin histograms for sojourn-time distributions.
-//! * [`quantile`] — O(1)-memory streaming quantiles (P² algorithm) for
-//!   response-time tails.
 //! * [`timeseries`] — iteration traces (used for the paper's Figure 2 norm
 //!   curves).
 
@@ -29,7 +27,6 @@
 pub mod batchmeans;
 pub mod fairness;
 pub mod histogram;
-pub mod quantile;
 pub mod replication;
 pub mod summary;
 pub mod tdist;
@@ -38,7 +35,6 @@ pub mod welford;
 
 pub use batchmeans::BatchMeans;
 pub use fairness::jain_index;
-pub use quantile::P2Quantile;
 pub use replication::{splitmix64_finalize, ReplicationPlan, ReplicationSet};
 pub use summary::SampleSummary;
 pub use timeseries::IterationTrace;

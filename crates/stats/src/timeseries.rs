@@ -3,9 +3,7 @@
 //!
 //! The NASH algorithm emits one scalar per iteration (the convergence norm
 //! `Σ_j |D_j^{(l)} − D_j^{(l−1)}|`). [`IterationTrace`] stores such a
-//! series with convenience queries used by the experiments and tests:
-//! first index under a threshold, monotonicity diagnostics, and geometric
-//! decay-rate estimation.
+//! series with the geometric decay-rate estimate the experiments use.
 
 /// A per-iteration scalar series (e.g. a convergence norm).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -42,18 +40,6 @@ impl IterationTrace {
     /// Last recorded value, if any.
     pub fn last(&self) -> Option<f64> {
         self.values.last().copied()
-    }
-
-    /// First iteration index (0-based) whose value is `<= threshold`;
-    /// `None` if the series never reaches it.
-    pub fn first_below(&self, threshold: f64) -> Option<usize> {
-        self.values.iter().position(|&v| v <= threshold)
-    }
-
-    /// Number of adjacent pairs where the series *increased* — a rough
-    /// non-monotonicity diagnostic for best-reply dynamics.
-    pub fn increases(&self) -> usize {
-        self.values.windows(2).filter(|w| w[1] > w[0]).count()
     }
 
     /// Least-squares estimate of the geometric decay rate `r` fitting
@@ -106,23 +92,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.last(), Some(1.0));
         assert_eq!(t.values(), &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn first_below_finds_threshold_crossing() {
-        let t: IterationTrace = [8.0, 4.0, 2.0, 1.0, 0.5].into_iter().collect();
-        assert_eq!(t.first_below(2.0), Some(2));
-        assert_eq!(t.first_below(0.5), Some(4));
-        assert_eq!(t.first_below(0.1), None);
-        assert_eq!(t.first_below(100.0), Some(0));
-    }
-
-    #[test]
-    fn increases_counts_non_monotone_steps() {
-        let t: IterationTrace = [5.0, 3.0, 4.0, 2.0, 2.0].into_iter().collect();
-        assert_eq!(t.increases(), 1);
-        let mono: IterationTrace = [5.0, 4.0, 3.0].into_iter().collect();
-        assert_eq!(mono.increases(), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 ///     w.push(x);
 /// }
 /// assert_eq!(w.mean(), 5.0);
-/// assert_eq!(w.population_variance(), 4.0);
+/// assert_eq!(w.sample_variance(), 32.0 / 7.0);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
@@ -94,15 +94,6 @@ impl Welford {
         }
     }
 
-    /// Population variance (divides by `n`); `0` when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Sample standard deviation.
     pub fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
@@ -157,7 +148,6 @@ mod tests {
         assert_eq!(w.count(), 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
         assert_eq!(w.std_error(), 0.0);
         assert!(w.min().is_infinite());
         assert!(w.max().is_infinite());

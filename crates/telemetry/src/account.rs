@@ -19,7 +19,7 @@
 //! [`Account::add`] (or directly as event fields) at snapshot points;
 //! the atomic form is for counters that genuinely cross threads.
 
-use crate::event::{Collector, Field, FieldValue};
+use crate::event::{Field, FieldValue};
 use crate::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,15 +58,6 @@ impl Account {
         self.slot(key).fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Increments the counter `key` by one.
-    ///
-    /// # Panics
-    ///
-    /// If `key` was not declared at construction.
-    pub fn incr(&self, key: &str) {
-        self.add(key, 1);
-    }
-
     /// Current value of the counter `key`.
     ///
     /// # Panics
@@ -100,11 +91,6 @@ impl Account {
             .collect()
     }
 
-    /// Emits the snapshot as one `account.*` event through `collector`.
-    pub fn emit_to(&self, collector: &dyn Collector) {
-        collector.emit(self.event, &self.fields());
-    }
-
     /// Folds the snapshot into a metrics registry as counters named
     /// `<event>.<key>` (e.g. `account.net.bytes`), for Prometheus
     /// export.
@@ -126,14 +112,15 @@ impl Account {
 mod tests {
     use super::*;
     use crate::collectors::MemoryCollector;
+    use crate::event::Collector;
     use std::sync::Arc;
 
     #[test]
     fn counters_accumulate_and_snapshot_in_declaration_order() {
         let acct = Account::new("account.solver", &["best_replies", "water_fills"]);
-        acct.incr("best_replies");
+        acct.add("best_replies", 1);
         acct.add("water_fills", 3);
-        acct.incr("best_replies");
+        acct.add("best_replies", 1);
         assert_eq!(acct.get("best_replies"), 2);
         assert_eq!(
             acct.snapshot(),
@@ -154,7 +141,7 @@ mod tests {
                 let acct = acct.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        acct.incr("hits");
+                        acct.add("hits", 1);
                     }
                 });
             }
@@ -168,7 +155,7 @@ mod tests {
         let acct = Account::new("account.des", &["scheduled", "executed"]);
         acct.add("scheduled", 7);
         acct.add("executed", 7);
-        acct.emit_to(mem.as_ref());
+        mem.emit(acct.event(), &acct.fields());
         let events = mem.events();
         assert_eq!(events.len(), 1);
         let (name, fields) = &events[0];
@@ -192,6 +179,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "undeclared counter")]
     fn undeclared_counters_panic() {
-        Account::new("account.x", &["a"]).incr("b");
+        Account::new("account.x", &["a"]).add("b", 1);
     }
 }

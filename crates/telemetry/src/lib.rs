@@ -32,9 +32,8 @@
 //!   exposing `/metrics`, `/healthz`, and `/trace/recent` from live
 //!   state while a scenario runs.
 //! - [`sample`]: [`SamplingCollector`], deterministic seed-keyed head
-//!   sampling with per-event-type rate caps and exact reweighting via
-//!   `sample.digest` aggregates, for web-scale traces with bounded
-//!   size.
+//!   sampling with exact reweighting via `sample.digest` aggregates,
+//!   for web-scale traces with bounded size.
 //! - [`account`]: [`Account`], per-subsystem relaxed-atomic resource
 //!   counters snapshotted into `account.*` events at span close and
 //!   exportable through the metrics registry.

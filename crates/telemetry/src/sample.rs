@@ -27,11 +27,6 @@
 //!   [`SamplingConfig::digest_every`] observed events and on flush.
 //!   Downstream analysis reweights exactly: kept events plus digest
 //!   totals equal the unsampled totals, field for field.
-//!
-//! Per-event-type rates ([`SamplingConfig::rate_for`]) act as rate
-//! caps for hot event families: a type emitted a million times an
-//! epoch can be pinned to an expected ceiling by giving it a rate of
-//! `cap / expected_volume` while rarer families keep the default.
 
 use crate::event::{Collector, Field, FieldValue};
 use crate::span::{SPAN_CLOSE, SPAN_OPEN};
@@ -107,11 +102,8 @@ pub struct SamplingConfig {
     /// Keep probability for span trees (decided at the root) and
     /// cross-node traces (decided by trace id).
     pub span_rate: f64,
-    /// Default keep probability for point events.
+    /// Keep probability for every sampled point event.
     pub event_rate: f64,
-    /// Per-event-type rate overrides, matched by longest prefix, e.g.
-    /// `("sim.", 0.001)`. These are the rate caps for hot families.
-    pub rates: Vec<(&'static str, f64)>,
     /// Emit accumulated `sample.digest` events after this many
     /// observed events (0 = only on flush).
     pub digest_every: u64,
@@ -123,7 +115,6 @@ impl Default for SamplingConfig {
             seed: 0x5A4D_71D2,
             span_rate: 1.0 / 16.0,
             event_rate: 1.0 / 16.0,
-            rates: Vec::new(),
             digest_every: 65_536,
         }
     }
@@ -138,22 +129,6 @@ impl SamplingConfig {
             event_rate: rate,
             ..Self::default()
         }
-    }
-
-    /// Adds a per-event-type rate cap (longest matching prefix wins).
-    #[must_use]
-    pub fn rate(mut self, prefix: &'static str, rate: f64) -> Self {
-        self.rates.push((prefix, rate));
-        self
-    }
-
-    /// The keep probability for a point event with this name.
-    pub fn rate_for(&self, name: &str) -> f64 {
-        self.rates
-            .iter()
-            .filter(|(prefix, _)| name.starts_with(prefix))
-            .max_by_key(|(prefix, _)| prefix.len())
-            .map_or(self.event_rate, |&(_, rate)| rate)
     }
 }
 
@@ -303,7 +278,7 @@ impl SamplingCollector {
             // Every node hashes the same trace id to the same verdict.
             return unit(splitmix64(self.config.seed ^ trace)) < self.config.span_rate;
         }
-        let rate = self.config.rate_for(name);
+        let rate = self.config.event_rate;
         if rate >= 1.0 {
             return true;
         }
@@ -524,21 +499,6 @@ mod tests {
         }
         assert_eq!(kept_events as u64 + digest_count, 1000);
         assert_eq!(kept_sum + digest_sum, total, "reweighting is exact");
-    }
-
-    #[test]
-    fn per_type_rate_caps_override_the_default() {
-        let mem = Arc::new(MemoryCollector::default());
-        let config = SamplingConfig::new(11, 1.0).rate("sim.", 0.0);
-        let s = SamplingCollector::new(mem.clone(), config);
-        for i in 0..50u64 {
-            s.emit("sim.arrival", &[("job", i.into())]);
-            s.emit("ring.shed", &[("round", i.into())]);
-        }
-        s.flush();
-        assert_eq!(mem.count("sim.arrival"), 0, "capped family fully digested");
-        assert_eq!(mem.count("ring.shed"), 50, "default rate 1.0 keeps all");
-        assert_eq!(mem.count("sample.digest"), 1);
     }
 
     /// Property-style sweep (the repo carries no proptest dependency,

@@ -1,5 +1,4 @@
-//! Causal spans on top of the flat [`Collector`](crate::Collector)
-//! event stream.
+//! Causal spans on top of the flat [`Collector`] event stream.
 //!
 //! A span is a named interval of work with an identity and an optional
 //! parent, in the style of Dapper-family tracers. Opening a span emits
