@@ -1,115 +1,21 @@
-//! Server breakdown/repair processes and job-retry policies.
+//! Job-retry policy for the churn extension.
 //!
-//! The paper's computers never fail; the churn extension models each
-//! station as an alternating renewal process — exponentially distributed
-//! up-times (mean MTBF) and repair times (mean MTTR) — the standard
-//! machine-repair model. A crash preempts the job in service and strands
-//! the queue ([`crate::station::FcfsStation::fail`] returns them); the
+//! The paper's computers never fail; in the churn extension a crash
+//! preempts the job in service and strands the queue
+//! ([`crate::station::FcfsStation::fail`] returns them), and the
 //! dispatcher re-submits those jobs under a capped exponential
 //! [`RetryBackoff`], after which a job is counted *lost*, not served.
-//!
-//! Both pieces are policy objects only: they sample durations and compute
-//! delays, while the event wiring (scheduling failures, repairs and
-//! retries) stays in the model layer, keeping this crate's kernel
-//! generic.
-
-use crate::rng::RngStream;
+//! The policy only computes delays; the event wiring stays in the model
+//! layer, keeping this crate's kernel generic.
 
 // The retry policy proper lives in the shared `lb-retry` crate so the
 // asynchronous equilibration runtime can reuse it for message retries;
 // re-exported here because the DES churn model is its original home.
 pub use lb_retry::RetryBackoff;
 
-/// An alternating up/down renewal process for one station: exponential
-/// time-to-failure with mean `mtbf`, exponential repair with mean `mttr`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakdownProcess {
-    mtbf: f64,
-    mttr: f64,
-}
-
-impl BreakdownProcess {
-    /// Creates a process with the given mean time between failures and
-    /// mean time to repair, both in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when either mean is non-positive or non-finite.
-    pub fn new(mtbf: f64, mttr: f64) -> Self {
-        assert!(
-            mtbf.is_finite() && mtbf > 0.0,
-            "MTBF must be positive and finite, got {mtbf}"
-        );
-        assert!(
-            mttr.is_finite() && mttr > 0.0,
-            "MTTR must be positive and finite, got {mttr}"
-        );
-        Self { mtbf, mttr }
-    }
-
-    /// Mean time between failures.
-    pub fn mtbf(&self) -> f64 {
-        self.mtbf
-    }
-
-    /// Mean time to repair.
-    pub fn mttr(&self) -> f64 {
-        self.mttr
-    }
-
-    /// Steady-state availability `MTBF / (MTBF + MTTR)` — the long-run
-    /// fraction of time the station is up.
-    pub fn availability(&self) -> f64 {
-        self.mtbf / (self.mtbf + self.mttr)
-    }
-
-    /// Samples the next up-time (delay from repair completion — or start
-    /// of the run — to the next failure).
-    pub fn sample_uptime(&self, rng: &mut RngStream) -> f64 {
-        rng.exponential(1.0 / self.mtbf)
-    }
-
-    /// Samples the next repair duration (delay from failure to the
-    /// station coming back up).
-    pub fn sample_repair(&self, rng: &mut RngStream) -> f64 {
-        rng.exponential(1.0 / self.mttr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn availability_is_mtbf_fraction() {
-        let b = BreakdownProcess::new(90.0, 10.0);
-        assert!((b.availability() - 0.9).abs() < 1e-12);
-        assert_eq!(b.mtbf(), 90.0);
-        assert_eq!(b.mttr(), 10.0);
-    }
-
-    #[test]
-    fn samples_have_the_right_means() {
-        let b = BreakdownProcess::new(50.0, 5.0);
-        let mut rng = RngStream::new(42, 0);
-        let n = 20_000;
-        let up: f64 = (0..n).map(|_| b.sample_uptime(&mut rng)).sum::<f64>() / n as f64;
-        let down: f64 = (0..n).map(|_| b.sample_repair(&mut rng)).sum::<f64>() / n as f64;
-        assert!((up - 50.0).abs() < 2.0, "mean uptime {up}");
-        assert!((down - 5.0).abs() < 0.2, "mean repair {down}");
-    }
-
-    #[test]
-    #[should_panic(expected = "MTBF")]
-    fn rejects_bad_mtbf() {
-        BreakdownProcess::new(0.0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "MTTR")]
-    fn rejects_bad_mttr() {
-        BreakdownProcess::new(1.0, f64::NAN);
-    }
 
     /// The policy moved to `lb-retry`; the historical path must keep
     /// working for the churn model and downstream callers.

@@ -23,9 +23,8 @@
 //! * [`multiserver`] — a c-server FCFS pool (M/M/c) for the multicore
 //!   extension.
 //! * [`monitor`] — warmup-aware response-time and goodput collectors.
-//! * [`breakdown`] — server breakdown/repair processes (exponential
-//!   MTBF/MTTR) and capped-exponential retry backoff for jobs preempted
-//!   by a crash.
+//! * [`breakdown`] — the capped-exponential retry backoff for jobs
+//!   preempted by a crash.
 //!
 //! The model-specific wiring (Poisson users dispatching probabilistically
 //! over a bank of stations) lives in `lb-sim`; this crate stays generic.
@@ -43,7 +42,7 @@ pub mod shard;
 pub mod station;
 pub mod time;
 
-pub use breakdown::{BreakdownProcess, RetryBackoff};
+pub use breakdown::RetryBackoff;
 pub use calendar::{Calendar, EventId};
 pub use engine::{Engine, ScheduleError};
 pub use monitor::{GoodputMonitor, ResponseTimeMonitor};

@@ -52,7 +52,7 @@
 use crate::fault::FaultAction;
 use crate::messages::TraceContext;
 use crate::net::{NetFaultPlan, NetStats, VirtualNet};
-use lb_game::best_reply::{damped_step, water_fill_flows};
+use lb_game::best_reply::{damped_step, water_fill_flows_into, WaterFillScratch};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
@@ -260,6 +260,10 @@ struct UserNode {
     gap_msgs: u64,
     retries: u64,
     next_span: u64,
+    /// The kernel's scratch, holding this user's last sorted order, and
+    /// the reply buffer, both reused across ticks.
+    water_fill: WaterFillScratch,
+    reply: Vec<f64>,
 }
 
 impl UserNode {
@@ -284,6 +288,8 @@ impl UserNode {
             gap_msgs: 0,
             retries: 0,
             next_span: 0,
+            water_fill: WaterFillScratch::default(),
+            reply: Vec::with_capacity(cfg.mu.len()),
         }
     }
 
@@ -589,7 +595,8 @@ impl UserNode {
                     }
                 }
                 let phi = self.cfg.phis[self.id];
-                if let Ok(flows) = water_fill_flows(&avail, phi) {
+                if water_fill_flows_into(&avail, phi, &mut self.water_fill, &mut self.reply).is_ok()
+                {
                     // Damped step `(1−β)·old + β·reply` (the sampled
                     // solver's idiom): concurrent undamped best replies
                     // against stale boards oscillate for m ≥ 3 — everyone
@@ -598,7 +605,7 @@ impl UserNode {
                     // rescaled to carry exactly φ again.
                     let mut blend: Vec<f64> = self.rows[self.id]
                         .iter()
-                        .zip(&flows)
+                        .zip(&self.reply)
                         .map(|(&old, &reply)| damped_step(old, reply, DAMPING, phi))
                         .collect();
                     let sum: f64 = blend.iter().sum();

@@ -58,7 +58,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::messages::{Termination, Token};
 use crate::net::{NetFaultPlan, VirtualNet};
 use crate::observer::{ObservationModel, Observer};
-use lb_game::best_reply::water_fill_flows;
+use lb_game::best_reply::{water_fill_flows_into, WaterFillScratch};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
@@ -344,6 +344,8 @@ impl DistributedNash {
                     scratch_others: Vec::with_capacity(n),
                     scratch_totals: Vec::with_capacity(n),
                     scratch_row: Vec::with_capacity(n),
+                    water_fill: WaterFillScratch::default(),
+                    reply: Vec::with_capacity(n),
                 };
                 // D_j of the seeded board, read before anyone updates.
                 user.prev_d = user.response_time_from_board(&board);
@@ -1156,11 +1158,16 @@ struct UserNode {
     /// A token whose forward was refused in both directions, parked
     /// until the coordinator sends the repaired topology.
     pending: Option<Token>,
-    // Board-read buffers reused across token rounds so the steady-state
-    // update loop performs no per-token allocations.
+    // Board-read buffers, the kernel's scratch and the reply buffer are
+    // reused across token rounds, so the steady-state update loop
+    // allocates only the observation (`Observer::observe` returns a
+    // fresh vector). The scratch also keeps this user's last sorted
+    // order, which its next reply starts from.
     scratch_others: Vec<f64>,
     scratch_totals: Vec<f64>,
     scratch_row: Vec<f64>,
+    water_fill: WaterFillScratch,
+    reply: Vec<f64>,
 }
 
 impl UserNode {
@@ -1271,9 +1278,9 @@ impl UserNode {
                 board.flows_excluding_into(self.user, &mut self.scratch_others);
                 self.observer.observe(&self.mu, &self.scratch_others)
             });
-            match water_fill_flows(&avail, self.phi) {
-                Ok(flows) => {
-                    board.publish(self.user, &flows);
+            match water_fill_flows_into(&avail, self.phi, &mut self.water_fill, &mut self.reply) {
+                Ok(()) => {
+                    board.publish(self.user, &self.reply);
                     self.updates += 1;
                 }
                 Err(_) => {

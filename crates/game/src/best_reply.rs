@@ -19,6 +19,19 @@
 //! and set `x_i = a_i − t·√a_i` on the prefix, `0` elsewhere. The same
 //! kernel with `a = μ` and demand `Φ` yields the *global* optimum used by
 //! the GOS baseline (the social planner is a single grand user).
+//!
+//! The sort dominates the kernel, as the paper notes. It sorts integer
+//! `(key, index)` pairs whose order is total (rate descending, then
+//! index ascending), so any correct sort from any start order yields the
+//! same permutation, and with it the same flows bit for bit. That
+//! freedom is what [`WaterFillScratch`] uses: it starts each sort from
+//! the order its last call produced. The worst case is `O(n log n)`;
+//! from a warm scratch on `n <= 20` computers, where the std sort is an
+//! insertion sort, it is `O(n + inversions)`, close to one pass when the
+//! rates barely moved since the last call. The gain rests on that
+//! small-slice insertion sort. Above 20 elements the std sort finishes
+//! in one pass only when the start order is exactly right, and otherwise
+//! runs its quicksort, for which a nearly sorted start is no cheaper.
 
 use crate::error::GameError;
 use crate::model::SystemModel;
@@ -65,7 +78,9 @@ pub fn available_rates(
 /// flows `x_i` in the caller's order.
 ///
 /// This is the body of the paper's OPTIMAL algorithm; `O(n log n)` from
-/// the sort.
+/// the sort. It sorts from a fresh scratch; solver loops call
+/// [`water_fill_flows_into`] with a held scratch instead, which keeps the
+/// buffers and starts each sort from the last order.
 ///
 /// # Examples
 ///
@@ -92,17 +107,44 @@ pub fn water_fill_flows(rates: &[f64], demand: f64) -> Result<Vec<f64>, GameErro
 }
 
 /// Reusable scratch for [`water_fill_flows_into`]. Holding one of these
-/// across calls keeps the sort-index buffer warm so the kernel performs
-/// no heap allocations on the solver hot path.
+/// across calls keeps its buffers allocated, so the kernel performs no
+/// heap allocations on the solver hot path. It also keeps the order the
+/// last call sorted into, and the next call on a slice of the same
+/// length starts its sort from there. Between the sweeps of a solve a
+/// user's available rates barely move, so that order is nearly (often
+/// exactly) right, and for `n <= 20` the sort is then close to one pass;
+/// any start order gives the same result (see the
+/// [module documentation](crate::best_reply)).
 #[derive(Debug, Default, Clone)]
 pub struct WaterFillScratch {
-    order: Vec<usize>,
+    /// `(key, index)` over every index of the last call's rates, in the
+    /// order that call sorted them into. Always a permutation of
+    /// `0..len`; rebuilt as the identity when the length changes.
+    keyed: Vec<(u64, usize)>,
+    /// `(a, √a)` of the usable rates in sorted order.
+    used: Vec<(f64, f64)>,
+}
+
+/// Sort key of an available rate: ascending keys are descending rates.
+/// The bits of a positive finite `f64` are monotone in its value, so
+/// `!bits` orders them in reverse; an unusable rate (`a <= 0`) sorts
+/// last.
+fn sort_key(a: f64) -> u64 {
+    if a > 0.0 {
+        !a.to_bits()
+    } else {
+        u64::MAX
+    }
 }
 
 /// Allocation-free form of [`water_fill_flows`]: writes the per-server
 /// flows into `out` (cleared and resized to `rates.len()`), reusing the
-/// sort-index buffer in `scratch`. Bit-identical to the allocating entry
-/// point — same comparisons, same summation order.
+/// buffers and the last sorted order in `scratch`. Bit-identical to the
+/// allocating entry point, whatever the scratch held before — the sorted
+/// order is unique, and the summation order is fixed by it.
+///
+/// `O(n log n)` in the worst case; from a warm scratch on `n <= 20`
+/// computers, `O(n + inversions)`.
 ///
 /// # Errors
 ///
@@ -128,16 +170,22 @@ pub fn water_fill_flows_into(
         }
     }
     // Usable computers, sorted by available rate descending (ties by index
-    // for determinism) — step 1 of OPTIMAL.
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend((0..rates.len()).filter(|&i| rates[i] > 0.0));
-    // `total_cmp` instead of `partial_cmp(..).expect(..)`: the rates are
-    // validated finite above, but a panicking comparator would turn any
-    // future validation gap into an abort mid-solve. A total order keeps
-    // the sort well-defined no matter what reaches it.
-    order.sort_by(|&p, &q| rates[q].total_cmp(&rates[p]).then(p.cmp(&q)));
-    let total: f64 = order.iter().map(|&i| rates[i]).sum();
+    // for determinism) — step 1 of OPTIMAL. The sort starts from the
+    // order the scratch's last call produced.
+    let WaterFillScratch { keyed, used } = scratch;
+    if keyed.len() != rates.len() {
+        keyed.clear();
+        keyed.extend((0..rates.len()).map(|i| (0, i)));
+    }
+    for (key, i) in keyed.iter_mut() {
+        *key = sort_key(rates[*i]);
+    }
+    keyed.sort_unstable();
+    let usable = keyed.partition_point(|&(key, _)| key != u64::MAX);
+    let order = &keyed[..usable];
+    used.clear();
+    used.extend(order.iter().map(|&(_, i)| (rates[i], rates[i].sqrt())));
+    let total: f64 = used.iter().map(|&(a, _)| a).sum();
     if total <= demand {
         return Err(GameError::InfeasibleBestReply {
             user: usize::MAX,
@@ -147,17 +195,17 @@ pub fn water_fill_flows_into(
     }
 
     // Steps 2–3: shrink the used prefix until t < sqrt(a_c).
-    let mut c = order.len();
+    let mut c = used.len();
     let mut sum_a: f64 = total;
-    let mut sum_sqrt: f64 = order.iter().map(|&i| rates[i].sqrt()).sum();
+    let mut sum_sqrt: f64 = used.iter().map(|&(_, r)| r).sum();
     let mut t = (sum_a - demand) / sum_sqrt;
     while c > 1 {
-        let a_last = rates[order[c - 1]];
-        if t < a_last.sqrt() {
+        let (a_last, r_last) = used[c - 1];
+        if t < r_last {
             break;
         }
         sum_a -= a_last;
-        sum_sqrt -= a_last.sqrt();
+        sum_sqrt -= r_last;
         c -= 1;
         t = (sum_a - demand) / sum_sqrt;
     }
@@ -169,8 +217,9 @@ pub fn water_fill_flows_into(
     out.clear();
     out.resize(rates.len(), 0.0);
     let flows = out;
-    for &i in &order[..c] {
-        flows[i] = (rates[i] - t * rates[i].sqrt()).max(0.0).min(cap(rates[i]));
+    let prefix = || order[..c].iter().map(|&(_, i)| i).zip(&used[..c]);
+    for (i, &(a, r)) in prefix() {
+        flows[i] = (a - t * r).max(0.0).min(cap(a));
     }
     // In exact arithmetic Σ flows == demand, but the clamps above plus
     // floating-point cancellation can leave a drift of a few ulps of
@@ -179,14 +228,14 @@ pub fn water_fill_flows_into(
     // if the demand sits inside the guard sliver the leftover is
     // dropped — a ≤ GUARD·Σa conservation drift is the price of keeping
     // every 1/(a_i − x_i) bounded.
-    let assigned: f64 = order[..c].iter().map(|&i| flows[i]).sum();
+    let assigned: f64 = prefix().map(|(i, _)| flows[i]).sum();
     let mut residual = demand - assigned;
     if residual < 0.0 {
-        let fastest = order[0];
+        let fastest = order[0].1;
         flows[fastest] = (flows[fastest] + residual).max(0.0);
     } else if residual > 0.0 {
-        for &i in &order[..c] {
-            let room = (cap(rates[i]) - flows[i]).max(0.0);
+        for (i, &(a, _)) in prefix() {
+            let room = (cap(a) - flows[i]).max(0.0);
             let take = residual.min(room);
             flows[i] += take;
             residual -= take;
@@ -308,6 +357,183 @@ pub fn satisfies_kkt(rates: &[f64], flows: &[f64], rel_tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop, prop_assert, prop_oneof, proptest, ProptestConfig};
+    use std::cell::RefCell;
+
+    /// The kernel as first written, kept as the bitwise oracle for
+    /// [`water_fill_flows_into`]: indices sorted through a closure
+    /// comparing floats, each `√a` taken where it is read.
+    fn reference_water_fill(rates: &[f64], demand: f64) -> Result<Vec<f64>, GameError> {
+        if !demand.is_finite() || demand <= 0.0 {
+            return Err(GameError::InvalidRate {
+                name: "demand",
+                value: demand,
+            });
+        }
+        for &a in rates {
+            if !a.is_finite() {
+                return Err(GameError::InvalidRate {
+                    name: "available_rate",
+                    value: a,
+                });
+            }
+        }
+        let mut order: Vec<usize> = (0..rates.len()).filter(|&i| rates[i] > 0.0).collect();
+        order.sort_by(|&p, &q| rates[q].total_cmp(&rates[p]).then(p.cmp(&q)));
+        let total: f64 = order.iter().map(|&i| rates[i]).sum();
+        if total <= demand {
+            return Err(GameError::InfeasibleBestReply {
+                user: usize::MAX,
+                available: total,
+                demand,
+            });
+        }
+        let mut c = order.len();
+        let mut sum_a: f64 = total;
+        let mut sum_sqrt: f64 = order.iter().map(|&i| rates[i].sqrt()).sum();
+        let mut t = (sum_a - demand) / sum_sqrt;
+        while c > 1 {
+            let a_last = rates[order[c - 1]];
+            if t < a_last.sqrt() {
+                break;
+            }
+            sum_a -= a_last;
+            sum_sqrt -= a_last.sqrt();
+            c -= 1;
+            t = (sum_a - demand) / sum_sqrt;
+        }
+        let cap = |a: f64| a * (1.0 - SATURATION_GUARD);
+        let mut flows = vec![0.0; rates.len()];
+        for &i in &order[..c] {
+            flows[i] = (rates[i] - t * rates[i].sqrt()).max(0.0).min(cap(rates[i]));
+        }
+        let assigned: f64 = order[..c].iter().map(|&i| flows[i]).sum();
+        let mut residual = demand - assigned;
+        if residual < 0.0 {
+            let fastest = order[0];
+            flows[fastest] = (flows[fastest] + residual).max(0.0);
+        } else if residual > 0.0 {
+            for &i in &order[..c] {
+                let room = (cap(rates[i]) - flows[i]).max(0.0);
+                let take = residual.min(room);
+                flows[i] += take;
+                residual -= take;
+                if residual <= 0.0 {
+                    break;
+                }
+            }
+        }
+        Ok(flows)
+    }
+
+    /// One rate of a generated case: mostly within a 10× band of
+    /// `scale`, sometimes a duplicate of an earlier rate, a signed zero,
+    /// a negative, a subnormal, or (rarely) non-finite.
+    fn case_rate(scale: f64, kind: u32, u: f64, earlier: &[f64]) -> f64 {
+        match kind {
+            0..=69 => scale * (1.0 + 9.0 * u),
+            70..=79 if !earlier.is_empty() => earlier[(u * earlier.len() as f64) as usize],
+            80..=82 => 0.0,
+            83 => -0.0,
+            84..=88 => -scale * u,
+            89..=92 => f64::from_bits(1 + (u * (1u64 << 52) as f64) as u64),
+            93 if u < 0.01 => f64::INFINITY,
+            _ => scale * (1.0 + 9.0 * u),
+        }
+    }
+
+    /// Demand as a share of the usable capacity: from 1e-12, through
+    /// the body, into the saturation guard, to exactly Σa and past it;
+    /// rarely an invalid demand.
+    fn case_demand(total: f64, kind: u32, u: f64) -> f64 {
+        match kind {
+            0..=9 => 1e-12 * total * (1.0 + u),
+            10..=69 => total * u.max(1e-9),
+            70..=79 => total * (1.0 - 1e-9 * u),
+            80..=84 => total * (1.0 - f64::EPSILON),
+            85..=89 => total,
+            90..=96 => total * (1.0 + u),
+            97 => 0.0,
+            98 => -u,
+            _ => f64::NAN,
+        }
+    }
+
+    /// `None` when the kernel's result matches the reference bit for bit
+    /// (the same flows, or the same error), else the first difference.
+    fn first_difference(
+        got: &Result<(), GameError>,
+        out: &[f64],
+        want: &Result<Vec<f64>, GameError>,
+    ) -> Option<String> {
+        match (got, want) {
+            (Ok(()), Ok(want)) if out.len() != want.len() => {
+                Some(format!("{} flows, want {}", out.len(), want.len()))
+            }
+            (Ok(()), Ok(want)) => out
+                .iter()
+                .zip(want)
+                .position(|(g, w)| g.to_bits() != w.to_bits())
+                .map(|i| format!("flow {i} is {:e}, want {:e}", out[i], want[i])),
+            (Err(g), Err(w)) if format!("{g:?}") == format!("{w:?}") => None,
+            _ => Some(format!("got {got:?}, want {:?}", want.as_ref().map(|_| ()))),
+        }
+    }
+
+    thread_local! {
+        /// One kernel scratch shared by every case of the oracle test,
+        /// so warm, stale and length-changing start orders all occur.
+        static ORACLE_SCRATCH: RefCell<(WaterFillScratch, Vec<f64>)> =
+            RefCell::new((WaterFillScratch::default(), Vec::new()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Each case solves one rate vector four times through the shared
+        /// scratch: from whatever order the previous case left (rebuilt
+        /// when the length changed), from its own order (fully warm),
+        /// after a small jitter (nearly warm), and after a rotation of the
+        /// rates (stale).
+        #[test]
+        fn kernel_matches_the_reference_bitwise(
+            n in prop_oneof![1usize..=20, 21usize..=300],
+            scale in prop_oneof![0.01f64..1.0, 1.0f64..1000.0],
+            draws in prop::collection::vec((0u32..100, 0.0f64..1.0), 300),
+            demand_kind in 0u32..100,
+            demand_u in 0.0f64..1.0,
+            jitter in prop::collection::vec(-1e-6f64..1e-6, 300),
+            rotation in 1usize..300,
+        ) {
+            let mut rates: Vec<f64> = Vec::with_capacity(n);
+            for &(kind, u) in &draws[..n] {
+                let a = case_rate(scale, kind, u, &rates);
+                rates.push(a);
+            }
+            let total: f64 = rates.iter().filter(|a| a.is_finite() && **a > 0.0).sum();
+            let demand = case_demand(total, demand_kind, demand_u);
+            let jittered: Vec<f64> =
+                rates.iter().zip(&jitter).map(|(a, e)| a * (1.0 + e)).collect();
+            let mut rotated = rates.clone();
+            rotated.rotate_left(rotation % n);
+            let starts = [
+                ("carried", &rates),
+                ("warm", &rates),
+                ("jittered", &jittered),
+                ("rotated", &rotated),
+            ];
+            let mismatch = ORACLE_SCRATCH.with(|cell| {
+                let (scratch, out) = &mut *cell.borrow_mut();
+                starts.into_iter().find_map(|(label, rates)| {
+                    let got = water_fill_flows_into(rates, demand, scratch, out);
+                    let want = reference_water_fill(rates, demand);
+                    first_difference(&got, out, &want)
+                        .map(|diff| format!("{label}: n {n}, demand {demand:e}: {diff}"))
+                })
+            });
+            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        }
+    }
 
     #[test]
     fn single_computer_takes_everything() {

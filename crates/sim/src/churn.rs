@@ -2,12 +2,12 @@
 //! jobs keep arriving.
 //!
 //! The run is *quasi-static*: capacity is piecewise-constant over a
-//! schedule of [`ChurnPhase`]s. At each phase boundary the dispatcher
-//! re-solves the Nash equilibrium for the surviving capacity with
-//! [`DynamicBalancer::update_capacity`] (warm-started from the previous
-//! equilibrium), shedding load per the configured
-//! [`OverloadPolicy`] when the survivors cannot carry the nominal
-//! demand. Inside a phase the wiring matches [`crate::scenario`]: Poisson
+//! schedule of [`ChurnPhase`]s, written out by the caller. At each phase
+//! boundary the dispatcher re-solves the Nash equilibrium for the
+//! surviving capacity with [`DynamicBalancer::update_capacity`]
+//! (warm-started from the previous equilibrium), shedding load per the
+//! configured [`OverloadPolicy`] when the survivors cannot carry the
+//! nominal demand. Inside a phase the wiring matches [`crate::scenario`]: Poisson
 //! sources, probabilistic dispatch, FCFS M/M/1 stations.
 //!
 //! The churn mechanics on top:
@@ -35,7 +35,7 @@
 //! queues' relaxation times, which is exactly what the integration tests
 //! verify.
 
-pub use lb_des::breakdown::{BreakdownProcess, RetryBackoff};
+pub use lb_des::breakdown::RetryBackoff;
 use lb_des::calendar::EventId;
 use lb_des::engine::Engine;
 use lb_des::monitor::{GoodputMonitor, ResponseTimeMonitor};
@@ -85,51 +85,6 @@ pub struct ChurnResult {
     pub predicted_shed_fraction: f64,
     /// Jobs generated over the whole run, warmup included.
     pub jobs_generated: u64,
-}
-
-/// Expands a breakdown process on one computer into a phase schedule:
-/// alternating up/down phases sampled from the process until `horizon`
-/// seconds are covered (the last phase is truncated). The result feeds
-/// [`run_churn_replication`], which re-equilibrates at each boundary —
-/// stochastic churn with the same machinery, reproducible per seed.
-///
-/// # Panics
-///
-/// Panics when `computer` is out of range for `nominal` or `horizon` is
-/// non-positive/non-finite.
-pub fn breakdown_schedule(
-    nominal: &[f64],
-    computer: usize,
-    process: BreakdownProcess,
-    horizon: f64,
-    seed: u64,
-) -> Vec<ChurnPhase> {
-    assert!(computer < nominal.len(), "computer index {computer}");
-    assert!(
-        horizon.is_finite() && horizon > 0.0,
-        "horizon must be positive and finite, got {horizon}"
-    );
-    let mut rng = RngStream::new(seed, 0);
-    let mut down = nominal.to_vec();
-    down[computer] = 0.0;
-    let mut phases = Vec::new();
-    let mut covered = 0.0;
-    let mut up = true;
-    while covered < horizon {
-        let dur = if up {
-            process.sample_uptime(&mut rng)
-        } else {
-            process.sample_repair(&mut rng)
-        };
-        let dur = dur.min(horizon - covered);
-        phases.push(ChurnPhase {
-            duration: dur,
-            capacity: if up { nominal.to_vec() } else { down.clone() },
-        });
-        covered += dur;
-        up = !up;
-    }
-    phases
 }
 
 /// A phase with its equilibrium dispatch state resolved.
@@ -715,24 +670,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.shed, 0);
         assert_eq!(r.predicted_shed_fraction, 0.0);
-    }
-
-    #[test]
-    fn breakdown_schedule_covers_the_horizon_and_alternates() {
-        let process = BreakdownProcess::new(300.0, 60.0);
-        let phases = breakdown_schedule(&[10.0, 20.0, 30.0], 2, process, 1200.0, 5);
-        let total: f64 = phases.iter().map(|p| p.duration).sum();
-        assert!((total - 1200.0).abs() < 1e-9, "covers {total}");
-        for (k, p) in phases.iter().enumerate() {
-            let expect_up = k % 2 == 0;
-            assert_eq!(p.capacity[2] > 0.0, expect_up, "phase {k} alternation");
-            assert_eq!(p.capacity[0], 10.0);
-        }
-        // Same seed, same schedule; different seed, different schedule.
-        let again = breakdown_schedule(&[10.0, 20.0, 30.0], 2, process, 1200.0, 5);
-        assert_eq!(phases, again);
-        let other = breakdown_schedule(&[10.0, 20.0, 30.0], 2, process, 1200.0, 6);
-        assert_ne!(phases, other);
     }
 
     #[test]

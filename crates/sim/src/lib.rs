@@ -21,8 +21,7 @@
 //! * [`policies`] — dynamic (state-aware) dispatch: JSQ, power-of-d,
 //!   shortest-expected-delay vs the paper's static profiles.
 //! * [`churn`] — capacity churn: servers crash/degrade/recover on a
-//!   phase schedule (or a sampled breakdown process), the dispatcher
-//!   re-equilibrates and sheds load per an overload policy, and the
+//!   phase schedule, the dispatcher re-equilibrates and sheds load per an overload policy, and the
 //!   measured response times are validated against the quasi-static
 //!   analytic mixture.
 //! * [`parallel`] — the deterministic fan-out pool: replications are pure
@@ -60,7 +59,7 @@ pub mod shard;
 pub mod validate;
 
 pub use analytic::analytic_system_p95;
-pub use churn::{breakdown_schedule, run_churn_replication, ChurnPhase, ChurnResult};
+pub use churn::{run_churn_replication, ChurnPhase, ChurnResult};
 pub use harness::{
     simulate_profile, simulate_profile_traced, simulate_profile_with, SimulatedMetrics,
 };

@@ -153,12 +153,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Same config with a different interarrival-time family.
-    pub fn with_arrivals(mut self, arrivals: DistributionFamily) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
     /// Same config with a different fidelity.
     pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
         self.fidelity = fidelity;
@@ -599,7 +593,10 @@ mod tests {
             ),
         ];
         for (family, theory_family) in cases {
-            let cfg = SimulationConfig::quick().with_arrivals(family);
+            let cfg = SimulationConfig {
+                arrivals: family,
+                ..SimulationConfig::quick()
+            };
             let r = run_replication(&model, &profile, cfg, 31, None, None, |_, _| {}).unwrap();
             let theory = gim1::response_time(theory_family, 7.0, 10.0).unwrap();
             let rel = (r.system_mean - theory).abs() / theory;
@@ -619,7 +616,10 @@ mod tests {
             run_replication(
                 &model,
                 &profile,
-                SimulationConfig::quick().with_arrivals(fam),
+                SimulationConfig {
+                    arrivals: fam,
+                    ..SimulationConfig::quick()
+                },
                 37,
                 None,
                 None,
