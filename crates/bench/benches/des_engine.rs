@@ -10,9 +10,8 @@ use lb_des::time::SimTime;
 use lb_game::model::SystemModel;
 use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
 use lb_sim::parallel::ParallelRunner;
-use lb_sim::scenario::{
-    run_replication, run_replication_single_calendar, SimFidelity, SimulationConfig,
-};
+use lb_sim::policies::{run_policy_replication, DispatchPolicy};
+use lb_sim::scenario::{run_replication, SimFidelity, SimulationConfig};
 use lb_sim::shard::run_replication_sharded;
 use std::hint::black_box;
 
@@ -142,11 +141,12 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("sim_throughput_large");
     group.throughput(Throughput::Elements(config.target_jobs));
+    let static_policy = DispatchPolicy::Static(profile.clone());
     group.bench_function("single_calendar_seed", |b| {
         b.iter(|| {
-            run_replication_single_calendar(
+            run_policy_replication(
                 &model,
-                &profile,
+                &static_policy,
                 config,
                 SIM_THROUGHPUT_SEED,
                 None,

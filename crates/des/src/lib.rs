@@ -15,16 +15,16 @@
 //!   seed) and the service/interarrival distributions the experiments use
 //!   (exponential for M/M/1, plus Erlang, hyperexponential and
 //!   deterministic for sensitivity extensions).
-//! * [`station`] — a single-server FCFS run-to-completion station (the
-//!   paper's computer model) with run-queue-length observation.
+//! * [`station`] — an FCFS run-to-completion station of one server (the
+//!   paper's computer model) or `c` servers sharing a queue (the
+//!   multicore extension's M/M/c pool), with run-queue-length
+//!   observation.
 //! * [`shard`] — a per-station shard: one FCFS station simulated by the
 //!   Lindley recursion over batched arrival blocks, with alias-table user
 //!   attribution, the building block of the parallel sharded simulator.
-//! * [`multiserver`] — a c-server FCFS pool (M/M/c) for the multicore
-//!   extension.
 //! * [`monitor`] — warmup-aware response-time and goodput collectors.
-//! * [`breakdown`] — the capped-exponential retry backoff for jobs
-//!   preempted by a crash.
+//! * [`RetryBackoff`] — the capped-exponential retry backoff for jobs a
+//!   crash preempts, re-exported from `lb-retry`.
 //!
 //! The model-specific wiring (Poisson users dispatching probabilistically
 //! over a bank of stations) lives in `lb-sim`; this crate stays generic.
@@ -32,21 +32,18 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod breakdown;
 pub mod calendar;
 pub mod engine;
 pub mod monitor;
-pub mod multiserver;
 pub mod rng;
 pub mod shard;
 pub mod station;
 pub mod time;
 
-pub use breakdown::RetryBackoff;
 pub use calendar::{Calendar, EventId};
 pub use engine::{Engine, ScheduleError};
+pub use lb_retry::RetryBackoff;
 pub use monitor::{GoodputMonitor, ResponseTimeMonitor};
-pub use multiserver::MultiServerStation;
 pub use rng::{AliasTable, Distribution, RngStream, SampleBlock};
 pub use shard::{run_station_shard, ShardOutcome, ShardSpec, DEFAULT_SHARD_BATCH};
 pub use station::{FcfsStation, Job};

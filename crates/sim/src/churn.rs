@@ -7,8 +7,12 @@
 //! surviving capacity with [`DynamicBalancer::update_capacity`]
 //! (warm-started from the previous equilibrium), shedding load per the
 //! configured [`OverloadPolicy`] when the survivors cannot carry the
-//! nominal demand. Inside a phase the wiring matches [`crate::scenario`]: Poisson
-//! sources, probabilistic dispatch, FCFS M/M/1 stations.
+//! nominal demand. Inside a phase the wiring matches [`crate::scenario`]:
+//! Poisson sources, probabilistic dispatch, FCFS M/M/1 stations
+//! ([`FcfsStation`]). The run keeps an event loop of its own rather than
+//! the single-calendar loop of [`crate::policies`], because its phase
+//! changes, admission thinning, retries and completion cancellation
+//! belong to churn alone.
 //!
 //! The churn mechanics on top:
 //!
@@ -35,13 +39,13 @@
 //! queues' relaxation times, which is exactly what the integration tests
 //! verify.
 
-pub use lb_des::breakdown::RetryBackoff;
 use lb_des::calendar::EventId;
 use lb_des::engine::Engine;
 use lb_des::monitor::{GoodputMonitor, ResponseTimeMonitor};
 use lb_des::rng::{Distribution, RngStream, SampleBlock};
 use lb_des::station::{Arrival, FcfsStation, Job};
 use lb_des::time::SimTime;
+pub use lb_des::RetryBackoff;
 use lb_game::dynamics::{DynamicBalancer, Restart};
 use lb_game::error::GameError;
 use lb_game::metrics::evaluate_profile;

@@ -7,23 +7,29 @@
 //! computer are run-to-completion in FCFS order; each computer is modeled
 //! as an M/M/1 queueing system".
 //!
-//! * [`scenario`] — one replication: Poisson job sources per user, a
-//!   probabilistic dispatcher implementing the strategy profile, FCFS
-//!   stations per computer, warmup-aware response-time monitors.
+//! * [`scenario`] — one replication of a strategy profile: the
+//!   configuration, the result, and [`scenario::run_replication`], which
+//!   routes each run to the analytic sampler, the sharded engine or the
+//!   single-calendar loop.
+//! * [`policies`] — the single-calendar loop: every user's renewal
+//!   arrival process, every dispatch decision and every FCFS station on
+//!   one event calendar, under a static profile or a dynamic (state-aware)
+//!   dispatch rule — JSQ, power-of-d, shortest-expected-delay, weighted
+//!   round robin.
 //! * [`harness`] — the replication driver (the paper's five runs with
 //!   different random streams), producing per-user means with confidence
 //!   intervals and the empirical fairness index.
 //! * [`validate`] — compares empirical means against the analytic M/M/1
 //!   predictions of `lb-game::metrics` (used by tests to certify the
 //!   whole stack end to end).
-//! * [`pools`] — the multicore variant: M/M/c pools simulated with
-//!   multi-server stations, validating the numeric pool-game equilibria.
-//! * [`policies`] — dynamic (state-aware) dispatch: JSQ, power-of-d,
-//!   shortest-expected-delay vs the paper's static profiles.
+//! * [`pools`] — the multicore variant: M/M/c pools on the same
+//!   single-calendar loop, validating the numeric pool-game equilibria.
 //! * [`churn`] — capacity churn: servers crash/degrade/recover on a
-//!   phase schedule, the dispatcher re-equilibrates and sheds load per an overload policy, and the
-//!   measured response times are validated against the quasi-static
-//!   analytic mixture.
+//!   phase schedule, the dispatcher re-equilibrates and sheds load per
+//!   an overload policy, and the measured response times are validated
+//!   against the quasi-static analytic mixture. Churn keeps an event
+//!   loop of its own for its phases, admission thinning, retries and
+//!   event cancellation.
 //! * [`parallel`] — the deterministic fan-out pool: replications are pure
 //!   functions of their seeded index, so they spread across threads and
 //!   merge back in index order, byte-identical to the sequential loop.
@@ -41,6 +47,7 @@
 //! Option<&SpanHandle>`. Passing `None` turns collection off; results are
 //! bit-identical either way. [`scenario::run_replication`] is the one
 //! replication (it picks the engine from the config),
+//! [`policies::run_policy_replication`] the one single-calendar run,
 //! [`ParallelRunner::run`] the one fan-out. The replicated study keeps
 //! three forms ([`simulate_profile`], [`simulate_profile_with`],
 //! [`simulate_profile_traced`]).

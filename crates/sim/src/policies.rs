@@ -1,5 +1,6 @@
-//! Dynamic (state-aware) dispatch policies — the paper's "dynamic load
-//! balancing" future work, made concrete.
+//! The single-calendar simulator and its dispatch rules: static
+//! profiles and the paper's "dynamic load balancing" future work, made
+//! concrete.
 //!
 //! The paper's schemes are *static*: each job is routed by fixed
 //! probabilities, blind to the current queues. A dynamic dispatcher
@@ -18,18 +19,25 @@
 //! * [`DispatchPolicy::ShortestExpectedDelay`] — route to
 //!   `argmin (n_i + 1)/μ_i`, the heterogeneity-correct greedy rule.
 //!
-//! The `ext-policies` experiment quantifies how much the online
-//! information is worth relative to the static Nash equilibrium.
+//! Every one of them runs on one event loop, shared with the multicore
+//! pools ([`crate::pools`]) and with [`crate::scenario::run_replication`]'s
+//! non-Poisson arrivals (as [`DispatchPolicy::Static`]): each user's
+//! renewal arrival process, every dispatch decision and every FCFS
+//! station share one global calendar, so completions happen in global
+//! time order. The `ext-policies` experiment quantifies how much the
+//! online information is worth relative to the static Nash equilibrium.
 
 use crate::scenario::{SimulationConfig, SimulationResult};
 use lb_des::engine::Engine;
 use lb_des::monitor::ResponseTimeMonitor;
-use lb_des::rng::RngStream;
+use lb_des::rng::{Distribution, RngStream};
 use lb_des::station::{Arrival, FcfsStation, Job};
 use lb_des::time::SimTime;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
+use lb_telemetry::{Collector, SpanHandle};
+use std::sync::Arc;
 
 /// A job-dispatch rule, applied at every arrival.
 #[derive(Debug, Clone)]
@@ -65,18 +73,42 @@ impl DispatchPolicy {
     }
 }
 
-/// Internal dispatcher state.
-enum DispatcherState {
-    Static,
-    Wrr {
-        /// Accumulated deficit per computer (aggregate fractions).
+/// A dispatch rule as the event loop runs it, with its weight rows and
+/// round-robin state resolved.
+pub(crate) enum Rule<'a> {
+    /// A categorical draw over the arriving user's weight row.
+    Weighted(Vec<&'a [f64]>),
+    /// Smallest-deficit-first interleaving: accumulated credit and
+    /// aggregate weight per station.
+    RoundRobin {
         credit: Vec<f64>,
         weights: Vec<f64>,
     },
-    Stateless,
+    JoinShortestQueue,
+    PowerOfD(usize),
+    ShortestExpectedDelay,
 }
 
-/// Runs one replication under a dynamic dispatch policy.
+/// Events of the single-calendar simulation.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// User `user` generates a job now.
+    Arrival { user: usize },
+    /// A job in service at `station` finishes now.
+    Completion { station: usize },
+}
+
+/// Runs one replication of `model` on the single-calendar engine,
+/// routing every arrival by `policy` and streaming every *measured*
+/// (post-warmup) job's `(user, response_time)` to `sink` in global
+/// completion order; pass `|_, _| {}` to ignore it.
+///
+/// Interarrival and service times follow `config.arrivals` and
+/// `config.service`; `config.fidelity` is not consulted. Telemetry as
+/// for [`crate::scenario::run_replication`]: the collector receives the
+/// engine's `des.compact` events and, under `span_parent`, `des.batch`
+/// spans partition the event loop. Results are bit-identical with or
+/// without either hook.
 ///
 /// # Errors
 ///
@@ -85,43 +117,79 @@ enum DispatcherState {
 /// * [`GameError::InfeasibleStrategy`] when a static profile saturates a
 ///   computer.
 /// * [`GameError::InvalidRate`] for `PowerOfD(0)`.
-pub fn run_policy_replication(
+pub fn run_policy_replication<F: FnMut(usize, f64)>(
     model: &SystemModel,
     policy: &DispatchPolicy,
     config: SimulationConfig,
     seed: u64,
+    collector: Option<&Arc<dyn Collector>>,
+    span_parent: Option<&SpanHandle>,
+    sink: F,
 ) -> Result<SimulationResult, GameError> {
-    let m = model.num_users();
-    let n = model.num_computers();
-
-    // Validate policy-specific inputs.
-    let mut state = match policy {
+    let rule = match policy {
         DispatchPolicy::Static(profile) => {
             profile.check_stability(model)?;
-            DispatcherState::Static
+            Rule::Weighted(
+                (0..model.num_users())
+                    .map(|j| profile.strategy(j).fractions())
+                    .collect(),
+            )
         }
         DispatchPolicy::WeightedRoundRobin(profile) => {
             profile.check_stability(model)?;
-            let flows = profile.computer_flows(model)?;
             let phi = model.total_arrival_rate();
-            DispatcherState::Wrr {
-                credit: vec![0.0; n],
-                weights: flows.iter().map(|f| f / phi).collect(),
+            Rule::RoundRobin {
+                credit: vec![0.0; model.num_computers()],
+                weights: profile
+                    .computer_flows(model)?
+                    .iter()
+                    .map(|f| f / phi)
+                    .collect(),
             }
         }
-        DispatchPolicy::PowerOfD(d) => {
-            if *d == 0 {
-                return Err(GameError::InvalidRate {
-                    name: "d",
-                    value: 0.0,
-                });
-            }
-            DispatcherState::Stateless
+        DispatchPolicy::JoinShortestQueue => Rule::JoinShortestQueue,
+        DispatchPolicy::PowerOfD(0) => {
+            return Err(GameError::InvalidRate {
+                name: "d",
+                value: 0.0,
+            })
         }
-        _ => DispatcherState::Stateless,
+        DispatchPolicy::PowerOfD(d) => Rule::PowerOfD(*d),
+        DispatchPolicy::ShortestExpectedDelay => Rule::ShortestExpectedDelay,
     };
+    let stations: Vec<(f64, u32)> = model.computer_rates().iter().map(|&mu| (mu, 1)).collect();
+    Ok(run_single_calendar(
+        model.user_rates(),
+        &stations,
+        rule,
+        config,
+        seed,
+        collector,
+        span_parent,
+        sink,
+    ))
+}
 
-    let horizon_secs = config.target_jobs as f64 / model.total_arrival_rate();
+/// The single-calendar event loop: users of rates `user_rates` send jobs
+/// to FCFS `stations`, each given as (service rate, servers), routed by
+/// `rule`. The caller has validated every input.
+///
+/// Stream layout: user `j`'s interarrivals on stream `j`, its dispatch
+/// draws on `m + j`, station `i`'s service demands on `2m + i`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
+    user_rates: &[f64],
+    stations: &[(f64, u32)],
+    mut rule: Rule<'_>,
+    config: SimulationConfig,
+    seed: u64,
+    collector: Option<&Arc<dyn Collector>>,
+    span_parent: Option<&SpanHandle>,
+    mut sink: F,
+) -> SimulationResult {
+    let m = user_rates.len();
+    let n = stations.len();
+    let horizon_secs = config.target_jobs as f64 / user_rates.iter().sum::<f64>();
     let warmup = SimTime::new(horizon_secs * config.warmup_fraction);
 
     let mut arrival_streams: Vec<RngStream> =
@@ -132,45 +200,47 @@ pub fn run_policy_replication(
     let mut service_streams: Vec<RngStream> = (0..n)
         .map(|i| RngStream::new(seed, (2 * m + i) as u64))
         .collect();
-    let service_dists: Vec<_> = (0..n)
-        .map(|i| config.service.distribution(model.computer_rate(i)))
+    let arrival_dists: Vec<Distribution> = user_rates
+        .iter()
+        .map(|&rate| config.arrivals.distribution(rate))
         .collect();
-    let arrival_dists: Vec<_> = (0..m)
-        .map(|j| config.arrivals.distribution(model.user_rate(j)))
+    let service_dists: Vec<Distribution> = stations
+        .iter()
+        .map(|&(mu, _)| config.service.distribution(mu))
         .collect();
+    let mu: Vec<f64> = stations.iter().map(|&(mu, _)| mu).collect();
 
-    #[derive(Debug, Clone, Copy)]
-    enum Event {
-        Arrival { user: usize },
-        Completion { computer: usize },
-    }
-
-    let mut stations: Vec<FcfsStation> = (0..n).map(|_| FcfsStation::new()).collect();
+    let mut fcfs: Vec<FcfsStation> = stations
+        .iter()
+        .map(|&(_, servers)| FcfsStation::with_servers(servers))
+        .collect();
     let mut monitor = ResponseTimeMonitor::new(m, warmup);
     let mut engine: Engine<Event> = Engine::new();
     engine.set_horizon(SimTime::new(horizon_secs));
+    if lb_telemetry::enabled(collector).is_some() {
+        engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
+    }
+    if let Some(parent) = span_parent {
+        engine.set_span_parent(parent.clone());
+    }
 
+    // Prime the arrival processes.
     for j in 0..m {
         let dt = arrival_streams[j].sample(&arrival_dists[j]);
         engine.schedule_in(dt, Event::Arrival { user: j });
     }
 
-    let mu = model.computer_rates();
     let mut jobs_generated = 0_u64;
     while let Some(ev) = engine.next_event() {
         match ev {
             Event::Arrival { user } => {
+                // Next arrival of this user (renewal process).
                 let dt = arrival_streams[user].sample(&arrival_dists[user]);
                 engine.schedule_in(dt, Event::Arrival { user });
 
-                let computer = match (policy, &mut state) {
-                    (DispatchPolicy::Static(profile), _) => {
-                        dispatch_streams[user].categorical(profile.strategy(user).fractions())
-                    }
-                    (
-                        DispatchPolicy::WeightedRoundRobin(_),
-                        DispatcherState::Wrr { credit, weights },
-                    ) => {
+                let station = match &mut rule {
+                    Rule::Weighted(rows) => dispatch_streams[user].categorical(rows[user]),
+                    Rule::RoundRobin { credit, weights } => {
                         // Accumulate credit, send to the largest.
                         for (c, w) in credit.iter_mut().zip(weights.iter()) {
                             *c += w;
@@ -179,23 +249,22 @@ pub fn run_policy_replication(
                         credit[best] -= 1.0;
                         best
                     }
-                    (DispatchPolicy::JoinShortestQueue, _) => {
+                    Rule::JoinShortestQueue => {
                         // Fewest jobs present; ties to the fastest machine.
                         (0..n)
                             .min_by(|&a, &b| {
-                                stations[a]
+                                fcfs[a]
                                     .run_queue_length()
-                                    .cmp(&stations[b].run_queue_length())
+                                    .cmp(&fcfs[b].run_queue_length())
                                     .then(mu[b].partial_cmp(&mu[a]).expect("finite rates"))
                             })
                             .expect("non-empty system")
                     }
-                    (DispatchPolicy::PowerOfD(d), _) => {
-                        let d = (*d).min(n);
+                    Rule::PowerOfD(d) => {
                         let mut best = None;
-                        for _ in 0..d {
-                            let i = dispatch_streams[user].categorical(mu);
-                            let delay = (stations[i].run_queue_length() as f64 + 1.0) / mu[i];
+                        for _ in 0..(*d).min(n) {
+                            let i = dispatch_streams[user].categorical(&mu);
+                            let delay = (fcfs[i].run_queue_length() as f64 + 1.0) / mu[i];
                             best = match best {
                                 None => Some((i, delay)),
                                 Some((_, bd)) if delay < bd => Some((i, delay)),
@@ -204,17 +273,16 @@ pub fn run_policy_replication(
                         }
                         best.expect("d >= 1").0
                     }
-                    (DispatchPolicy::ShortestExpectedDelay, _) => (0..n)
+                    Rule::ShortestExpectedDelay => (0..n)
                         .min_by(|&a, &b| {
-                            let da = (stations[a].run_queue_length() as f64 + 1.0) / mu[a];
-                            let db = (stations[b].run_queue_length() as f64 + 1.0) / mu[b];
+                            let da = (fcfs[a].run_queue_length() as f64 + 1.0) / mu[a];
+                            let db = (fcfs[b].run_queue_length() as f64 + 1.0) / mu[b];
                             da.partial_cmp(&db).expect("finite delays")
                         })
                         .expect("non-empty system"),
-                    _ => unreachable!("state matches policy"),
                 };
 
-                let service = service_streams[computer].sample(&service_dists[computer]);
+                let service = service_streams[station].sample(&service_dists[station]);
                 jobs_generated += 1;
                 let job = Job {
                     id: jobs_generated,
@@ -222,30 +290,34 @@ pub fn run_policy_replication(
                     arrival: engine.now(),
                     service_time: service,
                 };
-                if let Arrival::StartService(done_at) = stations[computer].arrive(job, engine.now())
-                {
-                    engine.schedule_at(done_at, Event::Completion { computer });
+                if let Arrival::StartService(done_at) = fcfs[station].arrive(job, engine.now()) {
+                    // Completions may land past the horizon; the engine
+                    // simply never delivers those.
+                    engine.schedule_at(done_at, Event::Completion { station });
                 }
             }
-            Event::Completion { computer } => {
-                let (finished, next) = stations[computer].complete(engine.now());
+            Event::Completion { station } => {
+                let (finished, next) = fcfs[station].complete(engine.now());
                 monitor.record(finished.user, finished.arrival, engine.now());
+                if finished.arrival >= warmup {
+                    sink(finished.user, engine.now() - finished.arrival);
+                }
                 if let Some((_, done_at)) = next {
-                    engine.schedule_at(done_at, Event::Completion { computer });
+                    engine.schedule_at(done_at, Event::Completion { station });
                 }
             }
         }
     }
 
     let now = SimTime::new(horizon_secs);
-    Ok(SimulationResult {
+    SimulationResult {
         user_means: monitor.user_means(),
         system_mean: monitor.system_mean(),
         user_counts: (0..m).map(|j| monitor.count(j)).collect(),
         jobs_generated,
-        utilizations: stations.iter().map(|s| s.utilization(now)).collect(),
+        utilizations: fcfs.iter().map(|s| s.utilization(now)).collect(),
         horizon: horizon_secs,
-    })
+    }
 }
 
 fn argmax(values: &[f64]) -> usize {
@@ -264,35 +336,17 @@ mod tests {
     use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
 
     fn mean(model: &SystemModel, policy: &DispatchPolicy) -> f64 {
-        run_policy_replication(model, policy, SimulationConfig::quick(), 23)
-            .unwrap()
-            .system_mean
-    }
-
-    #[test]
-    fn static_policy_matches_the_plain_scenario() {
-        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
-        let profile = ProportionalScheme.compute(&model).unwrap();
-        let via_policy = run_policy_replication(
-            &model,
-            &DispatchPolicy::Static(profile.clone()),
+        run_policy_replication(
+            model,
+            policy,
             SimulationConfig::quick(),
-            5,
-        )
-        .unwrap();
-        let direct = crate::scenario::run_replication_single_calendar(
-            &model,
-            &profile,
-            SimulationConfig::quick(),
-            5,
+            23,
             None,
             None,
             |_, _| {},
         )
-        .unwrap();
-        // Identical streams and identical dispatch logic: identical runs.
-        assert_eq!(via_policy.user_means, direct.user_means);
-        assert_eq!(via_policy.jobs_generated, direct.jobs_generated);
+        .unwrap()
+        .system_mean
     }
 
     #[test]
@@ -352,6 +406,9 @@ mod tests {
             &DispatchPolicy::WeightedRoundRobin(nash.profile().clone()),
             SimulationConfig::quick(),
             9,
+            None,
+            None,
+            |_, _| {},
         )
         .unwrap();
         // Empirical computer utilizations track the profile's flows.
@@ -382,7 +439,10 @@ mod tests {
                 &model,
                 &DispatchPolicy::PowerOfD(0),
                 SimulationConfig::quick(),
-                0
+                0,
+                None,
+                None,
+                |_, _| {}
             ),
             Err(GameError::InvalidRate { .. })
         ));

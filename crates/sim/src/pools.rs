@@ -1,32 +1,22 @@
 //! Simulation of the **multicore** variant: computers are M/M/c pools
-//! ([`lb_des::multiserver::MultiServerStation`]) instead of single-server
-//! M/M/1 stations. Used by the multicore extension experiment to verify
-//! the numeric pool-game equilibrium against measured response times.
+//! (an [`lb_des::station::FcfsStation`] of `c` servers) instead of
+//! single-server M/M/1 stations. Used by the multicore extension
+//! experiment to verify the numeric pool-game equilibrium against
+//! measured response times. The replication runs on the same
+//! single-calendar loop as [`crate::policies`], dispatching each user's
+//! jobs by its row of the pool game's flows.
 
-use lb_des::engine::Engine;
-use lb_des::monitor::ResponseTimeMonitor;
-use lb_des::multiserver::{MultiServerStation, PoolArrival};
-use lb_des::rng::RngStream;
-use lb_des::station::Job;
-use lb_des::time::SimTime;
+use crate::policies::{run_single_calendar, Rule};
+use crate::scenario::{SimulationConfig, SimulationResult};
 use lb_game::error::GameError;
 use lb_game::latency::Latency;
 use lb_game::multicore::PoolSystem;
 
-/// Measurements from one pooled-system replication.
-#[derive(Debug, Clone)]
-pub struct PoolSimulationResult {
-    /// Mean response time per user.
-    pub user_means: Vec<f64>,
-    /// Job-averaged system response time.
-    pub system_mean: f64,
-    /// Jobs generated.
-    pub jobs_generated: u64,
-}
-
 /// Simulates the pool system under the per-user flow matrix `flows`
 /// (rows users, columns pools — e.g. a
-/// [`lb_game::multicore::PoolNashOutcome`]'s flows).
+/// [`lb_game::multicore::PoolNashOutcome`]'s flows), with exponential
+/// interarrival and service times. Each pool's utilization is its busy
+/// server-time over `c` times the horizon.
 ///
 /// # Errors
 ///
@@ -38,7 +28,7 @@ pub fn run_pool_replication(
     target_jobs: u64,
     warmup_fraction: f64,
     seed: u64,
-) -> Result<PoolSimulationResult, GameError> {
+) -> Result<SimulationResult, GameError> {
     let m = system.num_users();
     let n = system.num_pools();
     if flows.len() != m || flows.iter().any(|r| r.len() != n) {
@@ -56,86 +46,22 @@ pub fn run_pool_replication(
         }
     }
 
-    let phi = system.total_arrival_rate();
-    let horizon_secs = target_jobs as f64 / phi;
-    let warmup = SimTime::new(horizon_secs * warmup_fraction);
-
-    #[derive(Debug, Clone, Copy)]
-    enum Event {
-        Arrival { user: usize },
-        Completion { pool: usize, job_id: u64 },
-    }
-
-    let mut arrival_streams: Vec<RngStream> =
-        (0..m).map(|j| RngStream::new(seed, j as u64)).collect();
-    let mut dispatch_streams: Vec<RngStream> = (0..m)
-        .map(|j| RngStream::new(seed, (m + j) as u64))
-        .collect();
-    let mut service_streams: Vec<RngStream> = (0..n)
-        .map(|i| RngStream::new(seed, (2 * m + i) as u64))
-        .collect();
-
-    let mut pools: Vec<MultiServerStation> = system
-        .pools()
-        .iter()
-        .map(|p| MultiServerStation::new(p.servers))
-        .collect();
-    let mut monitor = ResponseTimeMonitor::new(m, warmup);
-    let mut engine: Engine<Event> = Engine::new();
-    engine.set_horizon(SimTime::new(horizon_secs));
-
-    for (j, stream) in arrival_streams.iter_mut().enumerate() {
-        let dt = stream.exponential(system.user_rates()[j]);
-        engine.schedule_in(dt, Event::Arrival { user: j });
-    }
-
-    let mut jobs_generated = 0_u64;
-    while let Some(ev) = engine.next_event() {
-        match ev {
-            Event::Arrival { user } => {
-                let dt = arrival_streams[user].exponential(system.user_rates()[user]);
-                engine.schedule_in(dt, Event::Arrival { user });
-
-                let pool = dispatch_streams[user].categorical(&flows[user]);
-                let service = service_streams[pool].exponential(system.pools()[pool].mu);
-                jobs_generated += 1;
-                let job = Job {
-                    id: jobs_generated,
-                    user,
-                    arrival: engine.now(),
-                    service_time: service,
-                };
-                if let PoolArrival::StartService(at) = pools[pool].arrive(job, engine.now()) {
-                    engine.schedule_at(
-                        at,
-                        Event::Completion {
-                            pool,
-                            job_id: job.id,
-                        },
-                    );
-                }
-            }
-            Event::Completion { pool, job_id } => {
-                let (done, next) = pools[pool].complete(job_id, engine.now());
-                monitor.record(done.user, done.arrival, engine.now());
-                if let Some((promoted, at)) = next {
-                    engine.schedule_at(
-                        at,
-                        Event::Completion {
-                            pool,
-                            job_id: promoted.id,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    Ok(PoolSimulationResult {
-        user_means: monitor.user_means(),
-        system_mean: monitor.system_mean(),
-        jobs_generated,
-    })
+    let config = SimulationConfig {
+        target_jobs,
+        warmup_fraction,
+        ..SimulationConfig::paper()
+    };
+    let stations: Vec<(f64, u32)> = system.pools().iter().map(|p| (p.mu, p.servers)).collect();
+    Ok(run_single_calendar(
+        system.user_rates(),
+        &stations,
+        Rule::Weighted(flows.iter().map(Vec::as_slice).collect()),
+        config,
+        seed,
+        None,
+        None,
+        |_, _| {},
+    ))
 }
 
 #[cfg(test)]

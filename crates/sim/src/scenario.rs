@@ -5,13 +5,11 @@
 //! (independent splitting of a Poisson process yields Poisson arrivals of
 //! rate `s_ji φ_j` at each computer — the M/M/1 model's assumption); the
 //! job's service demand is drawn exponential with the computer's rate
-//! `μ_i`; stations serve FCFS, run-to-completion.
+//! `μ_i`; stations serve FCFS, run-to-completion. [`run_replication`]
+//! picks the engine that simulates it.
 
-use lb_des::engine::Engine;
-use lb_des::monitor::ResponseTimeMonitor;
-use lb_des::rng::{Distribution, RngStream};
-use lb_des::station::{Arrival, FcfsStation, Job};
-use lb_des::time::SimTime;
+use crate::policies::{run_policy_replication, DispatchPolicy};
+use lb_des::rng::Distribution;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
@@ -187,15 +185,6 @@ pub struct SimulationResult {
     pub horizon: f64,
 }
 
-/// Events of the load-balancing simulation.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// User `user` generates a job now.
-    Arrival { user: usize },
-    /// The job in service at `computer` finishes now.
-    Completion { computer: usize },
-}
-
 /// Runs one replication of `profile` on `model` with the given seed,
 /// streaming every *measured* (post-warmup) job's `(user,
 /// response_time)` to `sink` — the hook for custom estimators
@@ -218,15 +207,16 @@ enum Event {
 ///   sharded per-station engine ([`crate::shard`]), which exploits
 ///   Poisson splitting to run each station on its own, by the Lindley
 ///   recursion instead of an event calendar.
-/// * Non-Poisson arrivals → the classic single-calendar engine
-///   ([`run_replication_single_calendar`]), the only one whose renewal
-///   arrival streams couple stations through dispatch order.
+/// * Non-Poisson arrivals → the single-calendar engine
+///   ([`run_policy_replication`] with [`DispatchPolicy::Static`]), the
+///   only one whose renewal arrival streams couple stations through
+///   dispatch order.
 ///
 /// Ordering caveat: on the sharded engine the sink stream is grouped by
 /// station, not globally time-ordered. Order-insensitive estimators are
 /// unaffected; order-sensitive ones (e.g. batch means over the global
-/// completion sequence) should run on
-/// [`run_replication_single_calendar`] instead.
+/// completion sequence) should run on [`run_policy_replication`]
+/// instead.
 ///
 /// # Errors
 ///
@@ -256,121 +246,15 @@ pub fn run_replication<F: FnMut(usize, f64)>(
             sink,
         );
     }
-    run_replication_single_calendar(model, profile, config, seed, collector, span_parent, sink)
-}
-
-/// Runs one replication on the classic single-calendar engine — the seed
-/// reference path: every user's renewal arrival process, every dispatch
-/// decision and every station share one global event calendar, so the
-/// `sink` sees completions in global time order. Hooks as for
-/// [`run_replication`].
-///
-/// [`run_replication`] routes here only for non-Poisson arrival models;
-/// the function stays public as the cross-validation reference for the
-/// sharded engine and the baseline of lb-bench's `sim_throughput_large`
-/// engine comparison.
-///
-/// # Errors
-///
-/// As for [`run_replication`].
-pub fn run_replication_single_calendar<F: FnMut(usize, f64)>(
-    model: &SystemModel,
-    profile: &StrategyProfile,
-    config: SimulationConfig,
-    seed: u64,
-    collector: Option<&Arc<dyn Collector>>,
-    span_parent: Option<&SpanHandle>,
-    mut sink: F,
-) -> Result<SimulationResult, GameError> {
-    profile.check_stability(model)?;
-    let m = model.num_users();
-    let n = model.num_computers();
-
-    let horizon_secs = config.target_jobs as f64 / model.total_arrival_rate();
-    let warmup = SimTime::new(horizon_secs * config.warmup_fraction);
-
-    // Independent streams: interarrivals per user, dispatch choices per
-    // user, service demands per computer.
-    let mut arrival_streams: Vec<RngStream> =
-        (0..m).map(|j| RngStream::new(seed, j as u64)).collect();
-    let mut dispatch_streams: Vec<RngStream> = (0..m)
-        .map(|j| RngStream::new(seed, (m + j) as u64))
-        .collect();
-    let mut service_streams: Vec<RngStream> = (0..n)
-        .map(|i| RngStream::new(seed, (2 * m + i) as u64))
-        .collect();
-    let service_dists: Vec<Distribution> = (0..n)
-        .map(|i| config.service.distribution(model.computer_rate(i)))
-        .collect();
-    let arrival_dists: Vec<Distribution> = (0..m)
-        .map(|j| config.arrivals.distribution(model.user_rate(j)))
-        .collect();
-
-    let mut stations: Vec<FcfsStation> = (0..n).map(|_| FcfsStation::new()).collect();
-    let mut monitor = ResponseTimeMonitor::new(m, warmup);
-    let mut engine: Engine<Event> = Engine::new();
-    engine.set_horizon(SimTime::new(horizon_secs));
-    if lb_telemetry::enabled(collector).is_some() {
-        engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
-    }
-    if let Some(parent) = span_parent {
-        engine.set_span_parent(parent.clone());
-    }
-
-    // Prime the arrival processes.
-    for j in 0..m {
-        let dt = arrival_streams[j].sample(&arrival_dists[j]);
-        engine.schedule_in(dt, Event::Arrival { user: j });
-    }
-
-    let mut jobs_generated: u64 = 0;
-    while let Some(ev) = engine.next_event() {
-        match ev {
-            Event::Arrival { user } => {
-                // Next arrival of this user (renewal process).
-                let dt = arrival_streams[user].sample(&arrival_dists[user]);
-                engine.schedule_in(dt, Event::Arrival { user });
-
-                // Dispatch per the user's mixed strategy.
-                let fractions = profile.strategy(user).fractions();
-                let computer = dispatch_streams[user].categorical(fractions);
-                let service = service_streams[computer].sample(&service_dists[computer]);
-                jobs_generated += 1;
-                let job = Job {
-                    id: jobs_generated,
-                    user,
-                    arrival: engine.now(),
-                    service_time: service,
-                };
-                if let Arrival::StartService(done_at) = stations[computer].arrive(job, engine.now())
-                {
-                    // Completions may land past the horizon; the engine
-                    // simply never delivers those.
-                    engine.schedule_at(done_at, Event::Completion { computer });
-                }
-            }
-            Event::Completion { computer } => {
-                let (finished, next) = stations[computer].complete(engine.now());
-                monitor.record(finished.user, finished.arrival, engine.now());
-                if finished.arrival >= warmup {
-                    sink(finished.user, engine.now() - finished.arrival);
-                }
-                if let Some((_, done_at)) = next {
-                    engine.schedule_at(done_at, Event::Completion { computer });
-                }
-            }
-        }
-    }
-
-    let now = SimTime::new(horizon_secs);
-    Ok(SimulationResult {
-        user_means: monitor.user_means(),
-        system_mean: monitor.system_mean(),
-        user_counts: (0..m).map(|j| monitor.count(j)).collect(),
-        jobs_generated,
-        utilizations: stations.iter().map(|s| s.utilization(now)).collect(),
-        horizon: horizon_secs,
-    })
+    run_policy_replication(
+        model,
+        &DispatchPolicy::Static(profile.clone()),
+        config,
+        seed,
+        collector,
+        span_parent,
+        sink,
+    )
 }
 
 #[cfg(test)]
@@ -398,11 +282,16 @@ mod tests {
         };
         // Batch means needs the *global* completion order, so it runs on
         // the single-calendar engine (the sharded sink groups by station).
-        let r =
-            run_replication_single_calendar(&model, &profile, cfg, 17, None, None, |_, resp| {
-                bm.push(resp);
-            })
-            .unwrap();
+        let r = run_policy_replication(
+            &model,
+            &DispatchPolicy::Static(profile.clone()),
+            cfg,
+            17,
+            None,
+            None,
+            |_, resp| bm.push(resp),
+        )
+        .unwrap();
         assert!(bm.batches() >= 20, "batches {}", bm.batches());
         assert!(
             (bm.mean() - r.system_mean).abs() < 1e-3 * r.system_mean.max(1e-9) + 1e-4,

@@ -278,9 +278,9 @@ mod tests {
         let sharded =
             run_replication_sharded(&ParallelRunner::sequential(), &model, &profile, config, 11)
                 .unwrap();
-        let legacy = crate::scenario::run_replication_single_calendar(
+        let legacy = crate::policies::run_policy_replication(
             &model,
-            &profile,
+            &crate::policies::DispatchPolicy::Static(profile.clone()),
             config,
             11,
             None,

@@ -2,7 +2,6 @@
 
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A single typed key/value pair attached to an event. Keys are static
 /// so emit sites never allocate for them.
@@ -124,56 +123,9 @@ impl Collector for NullCollector {
     fn emit(&self, _name: &'static str, _fields: &[Field]) {}
 }
 
-/// A scoped timer: measures wall time from construction and emits one
-/// event carrying `elapsed_us` (plus any extra fields) when dropped or
-/// finished. The span event is emitted *after* the timed work, so spans
-/// are as replay-safe as plain events.
-pub struct SpanTimer<'a> {
-    collector: &'a dyn Collector,
-    name: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl<'a> SpanTimer<'a> {
-    /// Starts a span that will emit `name` when it ends.
-    pub fn new(collector: &'a dyn Collector, name: &'static str) -> Self {
-        SpanTimer {
-            collector,
-            name,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Ends the span now, attaching `extra` fields after `elapsed_us`.
-    pub fn finish(mut self, extra: &[Field]) {
-        self.emit(extra);
-    }
-
-    fn emit(&mut self, extra: &[Field]) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let elapsed = self.start.elapsed().as_micros() as u64;
-        let mut fields: Vec<Field> = Vec::with_capacity(extra.len() + 1);
-        fields.push(("elapsed_us", FieldValue::U64(elapsed)));
-        fields.extend_from_slice(extra);
-        self.collector.emit(self.name, &fields);
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.emit(&[]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectors::MemoryCollector;
 
     #[test]
     fn enabled_resolves_none_and_disabled_to_none() {
@@ -192,30 +144,5 @@ mod tests {
         }
         let off: Arc<dyn Collector> = Arc::new(Off);
         assert!(enabled(Some(&off)).is_none());
-    }
-
-    #[test]
-    fn span_timer_emits_once_with_elapsed_and_extras() {
-        let mem = MemoryCollector::default();
-        {
-            let span = SpanTimer::new(&mem, "unit.span");
-            span.finish(&[("tag", FieldValue::from("done"))]);
-        }
-        let events = mem.events();
-        assert_eq!(events.len(), 1);
-        let (name, fields) = &events[0];
-        assert_eq!(*name, "unit.span");
-        assert_eq!(fields[0].0, "elapsed_us");
-        assert!(matches!(fields[0].1, FieldValue::U64(_)));
-        assert_eq!(fields[1], ("tag", FieldValue::from("done")));
-    }
-
-    #[test]
-    fn span_timer_emits_on_drop() {
-        let mem = MemoryCollector::default();
-        {
-            let _span = SpanTimer::new(&mem, "unit.drop");
-        }
-        assert_eq!(mem.events().len(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! `lb-telemetry`: a zero-external-dependency structured observability
 //! layer, in the spirit of the `compat/` shims.
 //!
-//! The crate has three parts:
+//! The crate's parts:
 //!
 //! - [`Collector`]: the event/span sink trait the runtime crates are
 //!   instrumented against. Hot paths hold an
@@ -23,8 +23,8 @@
 //!   with p50/p95/p99, exportable as JSON and Prometheus text format
 //!   (strictly checkable via [`validate_exposition`]).
 //! - [`stream`]: online aggregation — [`StreamAggregator`] folds the
-//!   event stream into sliding windows and EWMA gauges over a
-//!   virtual-time watermark, with no full-log buffering.
+//!   event stream into sliding windows over a virtual-time watermark,
+//!   with no full-log buffering.
 //! - [`slo`]: declarative [`SloSpec`] objectives evaluated by the
 //!   multi-window burn-rate [`SloEngine`], emitting deterministic
 //!   `alert.fire`/`alert.clear` events.
@@ -34,9 +34,10 @@
 //! - [`sample`]: [`SamplingCollector`], deterministic seed-keyed head
 //!   sampling with exact reweighting via `sample.digest` aggregates,
 //!   for web-scale traces with bounded size.
-//! - [`account`]: [`Account`], per-subsystem relaxed-atomic resource
-//!   counters snapshotted into `account.*` events at span close and
-//!   exportable through the metrics registry.
+//!
+//! Resource accounting needs no type of its own: each subsystem keeps
+//! plain counters and emits them as one `account.*` event, every field
+//! an integer, at its snapshot points.
 //!
 //! Instrumentation never perturbs results: nothing ever flows back
 //! from a collector into the computation, and emit sites are
@@ -44,7 +45,6 @@
 //! byte-identical with collection on or off (property-tested in
 //! `lb-sim` and asserted end-to-end in `lb-experiments`).
 
-pub mod account;
 pub mod collectors;
 pub mod event;
 pub mod json;
@@ -56,9 +56,8 @@ pub mod slo;
 pub mod span;
 pub mod stream;
 
-pub use account::Account;
 pub use collectors::{JsonlCollector, MemoryCollector, StderrCollector, TeeCollector};
-pub use event::{enabled, Collector, Field, FieldValue, NullCollector, SpanTimer};
+pub use event::{enabled, Collector, Field, FieldValue, NullCollector};
 pub use json::Json;
 pub use metrics::{validate_exposition, HistogramSnapshot, MetricsRegistry};
 pub use sample::{SamplingCollector, SamplingConfig};
@@ -66,4 +65,4 @@ pub use schema::{parse_log, EventLog, LogEvent, LogReader, SCHEMA_NAME, SCHEMA_V
 pub use serve::LiveServer;
 pub use slo::{AlertState, Objective, SloEngine, SloSpec, SloVerdict};
 pub use span::{Span, SpanHandle, SpanId, SPAN_CLOSE, SPAN_OPEN};
-pub use stream::{EwmaSpec, StreamAggregator, WindowSpec, WindowStats};
+pub use stream::{StreamAggregator, WindowSpec, WindowStats};

@@ -1,5 +1,5 @@
 //! Online (streaming) aggregation of the event stream into sliding
-//! windows and EWMA gauges — the live half of the observability stack.
+//! windows — the live half of the observability stack.
 //!
 //! The batch pipeline (`experiments trace` → [`crate::parse_log`] →
 //! `experiments analyze`) buffers the whole log and analyzes it after
@@ -12,10 +12,7 @@
 //! * **sliding windows** ([`WindowSpec`]) — sum/count/min/max/mean of a
 //!   numeric field over the trailing `width_us` of *virtual* time,
 //!   implemented as a ring of fixed-width buckets (memory is
-//!   `O(bins)`, independent of event rate);
-//! * **EWMA gauges** ([`EwmaSpec`]) — exponentially weighted moving
-//!   averages with a half-life in virtual µs (the SNIPPETS §1 load
-//!   smoothing idiom, generalized to any field).
+//!   `O(bins)`, independent of event rate).
 //!
 //! ## The virtual-time watermark
 //!
@@ -64,30 +61,6 @@ impl WindowSpec {
             event: event.to_string(),
             field: field.to_string(),
             width_us,
-        }
-    }
-}
-
-/// Declares an EWMA gauge over one numeric field of one event name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EwmaSpec {
-    /// Event name to match.
-    pub event: String,
-    /// Field key whose numeric value is smoothed.
-    pub field: String,
-    /// Half-life in virtual µs: an observation this old carries half
-    /// the weight of one arriving now.
-    pub half_life_us: u64,
-}
-
-impl EwmaSpec {
-    /// An EWMA of `event.field` with the given half-life.
-    pub fn new(event: &str, field: &str, half_life_us: u64) -> Self {
-        assert!(half_life_us > 0, "zero half-life");
-        Self {
-            event: event.to_string(),
-            field: field.to_string(),
-            half_life_us,
         }
     }
 }
@@ -234,45 +207,11 @@ impl WindowState {
     }
 }
 
-#[derive(Debug)]
-struct EwmaState {
-    spec: EwmaSpec,
-    value: f64,
-    last_us: u64,
-    seeded: bool,
-}
-
-impl EwmaState {
-    fn observe(&mut self, t_us: u64, v: f64) {
-        if !self.seeded {
-            self.value = v;
-            self.last_us = t_us;
-            self.seeded = true;
-            return;
-        }
-        // Time-aware EWMA: weight decays by 2^(-Δt / half_life), so
-        // irregular sampling doesn't distort the average. Out-of-order
-        // observations use Δt = 0 (full carry-over of the old value is
-        // wrong; treating them as "now" keeps the update commutative
-        // enough for bounded reordering and stays deterministic).
-        #[allow(clippy::cast_precision_loss)]
-        let dt = t_us.saturating_sub(self.last_us) as f64;
-        #[allow(clippy::cast_precision_loss)]
-        let alpha = 1.0 - (-std::f64::consts::LN_2 * dt / self.spec.half_life_us as f64).exp();
-        // dt = 0 gives alpha = 0; still blend a minimum share so bursts
-        // at one timestamp are not invisible.
-        let alpha = alpha.max(0.1);
-        self.value += alpha * (v - self.value);
-        self.last_us = self.last_us.max(t_us);
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     watermark_us: u64,
     counts: Vec<(String, u64)>,
     windows: Vec<WindowState>,
-    ewmas: Vec<EwmaState>,
     late_dropped: u64,
 }
 
@@ -312,7 +251,7 @@ fn virtual_time(fields: &[Field]) -> Option<u64> {
 }
 
 impl StreamAggregator {
-    /// An aggregator with no windows or gauges (counts only).
+    /// An aggregator with no windows (counts only).
     pub fn new() -> Self {
         Self::default()
     }
@@ -324,21 +263,6 @@ impl StreamAggregator {
             .expect("stream lock")
             .windows
             .push(WindowState::new(spec));
-        self
-    }
-
-    /// Adds an EWMA gauge.
-    pub fn ewma(self, spec: EwmaSpec) -> Self {
-        self.inner
-            .lock()
-            .expect("stream lock")
-            .ewmas
-            .push(EwmaState {
-                spec,
-                value: f64::NAN,
-                last_us: 0,
-                seeded: false,
-            });
         self
     }
 
@@ -385,18 +309,6 @@ impl StreamAggregator {
                 w.stats(watermark)
             })
     }
-
-    /// Current value of the EWMA gauge on `event.field` (`NaN` before
-    /// the first observation). `None` when no such gauge was declared.
-    pub fn ewma_value(&self, event: &str, field: &str) -> Option<f64> {
-        self.inner
-            .lock()
-            .expect("stream lock")
-            .ewmas
-            .iter()
-            .find(|e| e.spec.event == event && e.spec.field == field)
-            .map(|e| e.value)
-    }
 }
 
 impl Collector for StreamAggregator {
@@ -415,7 +327,6 @@ impl Collector for StreamAggregator {
         let watermark = inner.watermark_us;
         let Inner {
             windows,
-            ewmas,
             late_dropped,
             ..
         } = &mut *inner;
@@ -434,18 +345,6 @@ impl Collector for StreamAggregator {
                 *late_dropped += 1;
             }
         }
-        for e in ewmas.iter_mut() {
-            if e.spec.event != name {
-                continue;
-            }
-            if let Some(v) = fields
-                .iter()
-                .find(|(k, _)| *k == e.spec.field)
-                .and_then(|(_, v)| numeric(v))
-            {
-                e.observe(t_us, v);
-            }
-        }
     }
 }
 
@@ -454,9 +353,7 @@ mod tests {
     use super::*;
 
     fn agg() -> StreamAggregator {
-        StreamAggregator::new()
-            .window(WindowSpec::new("m", "v", 1_000))
-            .ewma(EwmaSpec::new("m", "v", 500))
+        StreamAggregator::new().window(WindowSpec::new("m", "v", 1_000))
     }
 
     fn emit(a: &StreamAggregator, t: u64, v: f64) {
@@ -506,25 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn ewma_converges_toward_recent_values() {
-        let a = agg();
-        emit(&a, 0, 10.0);
-        assert_eq!(a.ewma_value("m", "v"), Some(10.0));
-        for k in 1..=20 {
-            emit(&a, k * 500, 0.0);
-        }
-        let v = a.ewma_value("m", "v").unwrap();
-        assert!(v < 0.01, "EWMA must decay toward recent 0.0, got {v}");
-        assert!(v >= 0.0);
-    }
-
-    #[test]
     fn empty_window_mean_is_nan_and_unknown_specs_are_none() {
         let a = agg();
         assert!(a.window_stats("m", "v").unwrap().mean().is_nan());
         assert!(a.window_stats("other", "v").is_none());
-        assert!(a.ewma_value("m", "absent").is_none());
-        assert!(a.ewma_value("m", "v").unwrap().is_nan());
     }
 
     #[test]
@@ -536,11 +418,7 @@ mod tests {
                 emit(&a, k * 37, (k % 13) as f64 * 0.5);
             }
             let s = a.window_stats("m", "v").unwrap();
-            (
-                s.count,
-                s.sum.to_bits(),
-                a.ewma_value("m", "v").unwrap().to_bits(),
-            )
+            (s.count, s.sum.to_bits())
         };
         assert_eq!(run(), run());
     }

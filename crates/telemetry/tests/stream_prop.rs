@@ -1,10 +1,10 @@
 //! Property tests for the streaming aggregator: for a fixed event
 //! stream the windows are bit-deterministic across replays, and window
 //! contents are stable under reordering of the stream (windows are
-//! set-like over `(t_us, value)` observations — arrival order may only
-//! matter for the EWMA, never for a window).
+//! set-like over `(t_us, value)` observations, so arrival order never
+//! matters for a window).
 
-use lb_telemetry::stream::{EwmaSpec, StreamAggregator, WindowSpec};
+use lb_telemetry::stream::{StreamAggregator, WindowSpec};
 use lb_telemetry::Collector;
 use proptest::prelude::*;
 
@@ -33,8 +33,7 @@ fn build() -> StreamAggregator {
     for name in EVENT_NAMES {
         agg = agg
             .window(WindowSpec::new(name, "v", 8_000))
-            .window(WindowSpec::new(name, "v", 32_000))
-            .ewma(EwmaSpec::new(name, "v", 4_000));
+            .window(WindowSpec::new(name, "v", 32_000));
     }
     agg
 }
@@ -59,13 +58,7 @@ fn fingerprint(agg: &StreamAggregator) -> Vec<(u64, u64, u64, u64, u64)> {
                 agg.watermark_us(),
             ));
         }
-        out.push((
-            agg.count(name),
-            agg.ewma_value(name, "v").unwrap().to_bits(),
-            agg.late_dropped(),
-            0,
-            0,
-        ));
+        out.push((agg.count(name), agg.late_dropped(), 0, 0, 0));
     }
     out
 }
@@ -115,8 +108,7 @@ proptest! {
         // Windows evaluate at the final watermark, which depends only
         // on the set of observations — whether a stale observation was
         // dropped on arrival or evicted later, the surviving window
-        // content is identical. (EWMAs are order-sensitive by design
-        // and deliberately excluded here.)
+        // content is identical.
         prop_assert_eq!(a.watermark_us(), b.watermark_us());
         for name in EVENT_NAMES {
             prop_assert_eq!(a.count(name), b.count(name));

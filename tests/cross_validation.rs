@@ -148,7 +148,7 @@ fn churn_simulation_matches_the_quasi_static_prediction() {
     // agree with the analytic quasi-static mixture (throughput-weighted
     // per-phase equilibrium response times) within the replications'
     // confidence interval.
-    use nash_lb::des::breakdown::RetryBackoff;
+    use nash_lb::des::RetryBackoff;
     use nash_lb::game::overload::OverloadPolicy;
     use nash_lb::sim::churn::{run_churn_replication, ChurnPhase};
 
