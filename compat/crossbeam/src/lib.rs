@@ -1,10 +1,12 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the API subset it actually uses: `thread::scope`
-//! (the `crossbeam-utils` subset used by the deterministic parallel
-//! runners), layered over `std::thread::scope`, which has been stable
-//! since Rust 1.63.
+//! workspace vendors an API subset: `thread::scope` (the
+//! `crossbeam-utils` subset), layered over `std::thread::scope`, which
+//! has been stable since Rust 1.63. No workspace source calls it any
+//! more (`lb_game::parallel::ParallelRunner` uses `std::thread::scope`
+//! directly); three manifests still declare the dependency until the
+//! benchmark's lock file may change.
 
 pub mod thread {
     //! Scoped threads (the `crossbeam-utils::thread` subset).
@@ -62,6 +64,7 @@ pub mod thread {
     /// Returns the panic payload of the first panicking thread (or of the
     /// closure itself), matching crossbeam's contract that `scope` only
     /// errs when something inside it panicked.
+    #[allow(clippy::disallowed_methods)] // the shim wraps exactly this call
     pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
     where
         F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,

@@ -30,7 +30,7 @@ use crate::time::SimTime;
 use lb_telemetry::{Collector, Span, SpanHandle};
 use std::sync::Arc;
 
-/// Default number of delivered events covered by one `des.batch` span.
+/// Number of delivered events covered by one `des.batch` span.
 pub const DEFAULT_BATCH_EVENTS: u64 = 4096;
 
 /// Why a schedule request was rejected.
@@ -93,8 +93,6 @@ pub struct Engine<E> {
     span_parent: Option<SpanHandle>,
     /// The open `des.batch` span, when batch spans are armed.
     batch_span: Option<Span>,
-    /// Events per batch span.
-    batch_size: u64,
     /// Events remaining in the current batch; 0 disarms the per-event
     /// countdown entirely, so the unarmed hot path pays one integer
     /// compare per event.
@@ -113,7 +111,6 @@ impl<E> Engine<E> {
             collector: None,
             span_parent: None,
             batch_span: None,
-            batch_size: DEFAULT_BATCH_EVENTS,
             batch_left: 0,
         }
     }
@@ -126,7 +123,7 @@ impl<E> Engine<E> {
         self.collector = Some(collector);
     }
 
-    /// Arms per-batch causal spans: every [`Engine::batch_events`]
+    /// Arms per-batch causal spans: every [`DEFAULT_BATCH_EVENTS`]
     /// delivered events close one `des.batch` span (carrying the event
     /// count, sim time, and calendar depth) and open the next, all
     /// parented under `parent` — typically the `sim.replication` or
@@ -137,37 +134,22 @@ impl<E> Engine<E> {
     /// bit-identical whether or not batch spans are armed.
     pub fn set_span_parent(&mut self, parent: SpanHandle) {
         self.span_parent = Some(parent);
-        self.arm_batch_spans();
-    }
-
-    /// Sets the batch-span granularity (events per `des.batch` span,
-    /// clamped to ≥ 1). Takes effect from the next batch boundary, or
-    /// immediately if batch spans are already armed.
-    pub fn set_batch_events(&mut self, events: u64) {
-        self.batch_size = events.max(1);
-        if self.span_parent.is_some() {
-            self.arm_batch_spans();
-        }
-    }
-
-    /// The current batch-span granularity.
-    pub fn batch_events(&self) -> u64 {
-        self.batch_size
-    }
-
-    /// Closes any open batch span and opens a fresh one under the
-    /// configured parent.
-    fn arm_batch_spans(&mut self) {
         self.finish_batch_span();
+        self.open_batch_span();
+    }
+
+    /// Opens a batch span under the configured parent and arms the
+    /// countdown to its close.
+    fn open_batch_span(&mut self) {
         if let Some(parent) = &self.span_parent {
             self.batch_span = Some(parent.child(
                 "des.batch",
                 &[
-                    ("batch", self.batch_size.into()),
+                    ("batch", DEFAULT_BATCH_EVENTS.into()),
                     ("start", self.processed.into()),
                 ],
             ));
-            self.batch_left = self.batch_size;
+            self.batch_left = DEFAULT_BATCH_EVENTS;
         }
     }
 
@@ -175,28 +157,19 @@ impl<E> Engine<E> {
     fn roll_batch_span(&mut self) {
         if let Some(span) = self.batch_span.take() {
             span.close_with(&[
-                ("events", self.batch_size.into()),
+                ("events", DEFAULT_BATCH_EVENTS.into()),
                 ("t", self.now.as_secs().into()),
                 ("depth", (self.calendar.len_upper_bound() as u64).into()),
             ]);
         }
-        if let Some(parent) = &self.span_parent {
-            self.batch_span = Some(parent.child(
-                "des.batch",
-                &[
-                    ("batch", self.batch_size.into()),
-                    ("start", self.processed.into()),
-                ],
-            ));
-            self.batch_left = self.batch_size;
-        }
+        self.open_batch_span();
     }
 
     /// Closes the partial batch at end of delivery and disarms the
     /// countdown (re-arm with [`Engine::set_span_parent`]).
     fn finish_batch_span(&mut self) {
         if let Some(span) = self.batch_span.take() {
-            let done = self.batch_size - self.batch_left;
+            let done = DEFAULT_BATCH_EVENTS - self.batch_left;
             span.close_with(&[("events", done.into()), ("t", self.now.as_secs().into())]);
         }
         self.batch_left = 0;
@@ -349,17 +322,6 @@ impl<E> Engine<E> {
         }
         Some(payload)
     }
-
-    /// Runs the engine to completion (or horizon), delivering every event
-    /// to `handler` along with the engine itself for follow-up scheduling.
-    /// Returns the number of events delivered by this call.
-    pub fn run_with<F: FnMut(&mut Engine<E>, E)>(&mut self, mut handler: F) -> u64 {
-        let start = self.processed;
-        while let Some(ev) = self.next_event() {
-            handler(self, ev);
-        }
-        self.processed - start
-    }
 }
 
 impl<E> Default for Engine<E> {
@@ -466,23 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_drives_cascading_events() {
-        // Each event spawns the next until a counter runs out.
-        let mut eng = Engine::new();
-        eng.schedule_in(0.5, 5u32);
-        let mut seen = Vec::new();
-        let n = eng.run_with(|eng, k| {
-            seen.push(k);
-            if k > 0 {
-                eng.schedule_in(0.5, k - 1);
-            }
-        });
-        assert_eq!(n, 6);
-        assert_eq!(seen, vec![5, 4, 3, 2, 1, 0]);
-        assert_eq!(eng.now(), SimTime::new(3.0));
-    }
-
-    #[test]
     fn collector_sees_compactions_without_perturbing_delivery() {
         use lb_telemetry::MemoryCollector;
         // Mass cancellation forces at least one calendar compaction; the
@@ -500,7 +445,9 @@ mod tests {
                 eng.cancel(*id);
             }
             let mut seen = Vec::new();
-            eng.run_with(|_, i| seen.push(i));
+            while let Some(i) = eng.next_event() {
+                seen.push(i);
+            }
             seen
         };
         let plain = run(None);
@@ -521,16 +468,16 @@ mod tests {
 
         let mut eng = Engine::new();
         eng.set_collector(Arc::clone(&collector));
-        eng.set_batch_events(100);
         eng.set_span_parent(root.handle());
-        for i in 0..250u32 {
-            eng.schedule_in(1.0 + f64::from(i), i);
+        let total = 2 * DEFAULT_BATCH_EVENTS + 50;
+        for i in 0..total {
+            eng.schedule_in(1.0 + i as f64, i);
         }
-        let delivered = eng.run_with(|_, _| {});
-        assert_eq!(delivered, 250);
+        while eng.next_event().is_some() {}
+        assert_eq!(eng.events_processed(), total);
         root.close();
 
-        // Three batch spans (100 + 100 + 50) plus the test root, all
+        // Three batch spans (two full ones + 50) plus the test root, all
         // closed, each parented under the root.
         assert_eq!(mem.count(SPAN_OPEN), 4);
         assert_eq!(mem.count(SPAN_CLOSE), 4);
@@ -554,7 +501,10 @@ mod tests {
                 batch_events.push(field_u64(fields, "events").unwrap());
             }
         }
-        assert_eq!(batch_events, vec![100, 100, 50]);
+        assert_eq!(
+            batch_events,
+            vec![DEFAULT_BATCH_EVENTS, DEFAULT_BATCH_EVENTS, 50]
+        );
     }
 
     #[test]
@@ -568,14 +518,15 @@ mod tests {
             let mut eng = Engine::new();
             if spans {
                 eng.set_collector(Arc::clone(&collector));
-                eng.set_batch_events(7);
                 eng.set_span_parent(root.handle());
             }
-            for i in 0..100u32 {
-                eng.schedule_in(1.0 + f64::from(i % 13), i);
+            for i in 0..2 * DEFAULT_BATCH_EVENTS + 7 {
+                eng.schedule_in(1.0 + (i % 13) as f64, i);
             }
             let mut seen = Vec::new();
-            eng.run_with(|_, i| seen.push(i));
+            while let Some(i) = eng.next_event() {
+                seen.push(i);
+            }
             root.close();
             seen
         };
@@ -589,7 +540,9 @@ mod tests {
             eng.schedule_at(SimTime::new(1.0), i);
         }
         let mut order = Vec::new();
-        eng.run_with(|_, i| order.push(i));
+        while let Some(i) = eng.next_event() {
+            order.push(i);
+        }
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 }

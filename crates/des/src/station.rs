@@ -54,7 +54,6 @@ pub struct FcfsStation {
     /// Jobs in service, in start order.
     in_service: Vec<Service>,
     queue: VecDeque<Job>,
-    completed: u64,
     /// Server-time of finished (or preempted) services.
     busy_time: f64,
 }
@@ -78,7 +77,6 @@ impl FcfsStation {
             servers,
             in_service: Vec::with_capacity(servers),
             queue: VecDeque::new(),
-            completed: 0,
             busy_time: 0.0,
         }
     }
@@ -87,16 +85,6 @@ impl FcfsStation {
     /// length* users observe.
     pub fn run_queue_length(&self) -> usize {
         self.in_service.len() + self.queue.len()
-    }
-
-    /// Jobs fully served so far.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Whether any server is serving a job.
-    pub fn busy(&self) -> bool {
-        !self.in_service.is_empty()
     }
 
     /// Handles a job arrival at time `now`.
@@ -152,7 +140,6 @@ impl FcfsStation {
                 .map(|i| self.in_service.remove(i)),
         }
         .expect("completion event fired with no job completing at its instant");
-        self.completed += 1;
         self.busy_time += now.since(start);
         let next = self.queue.pop_front().map(|next| {
             let done_at = now + next.service_time;
@@ -225,10 +212,9 @@ mod tests {
     #[test]
     fn idle_arrival_starts_service() {
         let mut st = FcfsStation::new();
-        assert!(!st.busy());
+        assert_eq!(st.run_queue_length(), 0);
         let a = st.arrive(job(1, 0.0, 2.0), t(0.0));
         assert_eq!(a, Arrival::StartService(t(2.0)));
-        assert!(st.busy());
         assert_eq!(st.run_queue_length(), 1);
     }
 
@@ -253,8 +239,7 @@ mod tests {
         let (done, next) = st.complete(t(7.0));
         assert_eq!(done.id, 3);
         assert!(next.is_none());
-        assert!(!st.busy());
-        assert_eq!(st.completed(), 3);
+        assert_eq!(st.run_queue_length(), 0);
     }
 
     #[test]
@@ -302,9 +287,7 @@ mod tests {
             stranded.iter().map(|j| j.id).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert!(!st.busy());
         assert_eq!(st.run_queue_length(), 0);
-        assert_eq!(st.completed(), 0, "preempted work is not a completion");
         // The aborted partial service [0,3) still counts as busy time.
         assert!((st.utilization(t(6.0)) - 0.5).abs() < 1e-12);
         // The station accepts work again after repair.
@@ -318,7 +301,7 @@ mod tests {
     fn failing_an_idle_station_is_a_no_op() {
         let mut st = FcfsStation::new();
         assert!(st.fail(t(1.0)).is_empty());
-        assert!(!st.busy());
+        assert_eq!(st.run_queue_length(), 0);
     }
 
     #[test]
@@ -370,7 +353,6 @@ mod tests {
         let (done, next) = st.complete(t(5.0));
         assert_eq!(done.id, 1);
         assert!(next.is_none());
-        assert_eq!(st.completed(), 4);
     }
 
     #[test]
@@ -392,7 +374,7 @@ mod tests {
         assert_eq!(st.complete(t(1.0)).0.id, 2);
         assert_eq!(st.complete(t(4.0)).0.id, 1, "started first");
         assert_eq!(st.complete(t(4.0)).0.id, 3);
-        assert!(!st.busy());
+        assert_eq!(st.run_queue_length(), 0);
     }
 
     #[test]

@@ -56,10 +56,11 @@ use lb_game::best_reply::{damped_step, water_fill_flows_into, WaterFillScratch};
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
+use lb_game::parallel::ParallelRunner;
 use lb_game::stopping::{placed_user_regret, relative_regret, StoppingRule, ViewFreshness};
 use lb_game::strategy::{Strategy, StrategyProfile};
 use lb_retry::DecorrelatedJitter;
-use lb_telemetry::{enabled, Collector};
+use lb_telemetry::{enabled, Collector, SpanHandle};
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -206,25 +207,15 @@ fn proportional_rows(cfg: &Cfg) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Pre/post-update regret of `user`'s row against the full board.
-fn measure(cfg: &Cfg, rows: &[Vec<f64>], user: usize) -> (f64, f64) {
-    placed_user_regret(
-        &cfg.mu,
-        &board_loads(cfg, rows),
-        &rows[user],
-        cfg.phis[user],
-    )
-}
-
-/// Aggregate flow per computer, summed over the rows in index order.
-fn board_loads(cfg: &Cfg, rows: &[Vec<f64>]) -> Vec<f64> {
-    let mut loads = vec![0.0; cfg.mu.len()];
+/// Aggregate flow per computer, summed over the rows in index order into
+/// `loads`.
+fn board_loads_into(rows: &[Vec<f64>], loads: &mut [f64]) {
+    loads.fill(0.0);
     for row in rows {
         for (l, x) in loads.iter_mut().zip(row) {
             *l += x;
         }
     }
-    loads
 }
 
 fn jitter_for(cfg: &Cfg, node: usize, dest: usize, episode: u32) -> DecorrelatedJitter {
@@ -261,8 +252,12 @@ struct UserNode {
     retries: u64,
     next_span: u64,
     /// The kernel's scratch, holding this user's last sorted order, and
-    /// the reply buffer, both reused across ticks.
+    /// the board-load, availability and reply buffers, all reused across
+    /// ticks (a reply is damped in place and swapped into the row it
+    /// replaces, whose buffer the next reply reuses).
     water_fill: WaterFillScratch,
+    loads: Vec<f64>,
+    avail: Vec<f64>,
     reply: Vec<f64>,
 }
 
@@ -289,8 +284,21 @@ impl UserNode {
             retries: 0,
             next_span: 0,
             water_fill: WaterFillScratch::default(),
+            loads: vec![0.0; cfg.mu.len()],
+            avail: Vec::with_capacity(cfg.mu.len()),
             reply: Vec::with_capacity(cfg.mu.len()),
         }
+    }
+
+    /// Pre/post-update regret of this user's row against the full board.
+    fn measure(&mut self) -> (f64, f64) {
+        board_loads_into(&self.rows, &mut self.loads);
+        placed_user_regret(
+            &self.cfg.mu,
+            &self.loads,
+            &self.rows[self.id],
+            self.cfg.phis[self.id],
+        )
     }
 
     fn ctx(&mut self, cause: Option<TraceContext>) -> TraceContext {
@@ -368,7 +376,7 @@ impl UserNode {
     }
 
     fn send_status(&mut self, net: &mut VirtualNet<Msg>, now: u64) {
-        let (regret, d) = measure(&self.cfg, &self.rows, self.id);
+        let (regret, d) = self.measure();
         let ctx = self.ctx(None);
         net.send_traced(
             self.id,
@@ -582,10 +590,11 @@ impl UserNode {
 
         let mut changed = false;
         if !self.frozen && fault != Some(FaultAction::StaleRound) {
-            let (regret, d) = measure(&self.cfg, &self.rows, self.id);
+            let (regret, d) = self.measure();
             if relative_regret(regret, d) > self.cfg.epsilon {
                 let n = self.cfg.mu.len();
-                let mut avail = self.cfg.mu.clone();
+                let avail = &mut self.avail;
+                avail.clone_from(&self.cfg.mu);
                 for (k, row) in self.rows.iter().enumerate() {
                     if k == self.id {
                         continue;
@@ -595,27 +604,25 @@ impl UserNode {
                     }
                 }
                 let phi = self.cfg.phis[self.id];
-                if water_fill_flows_into(&avail, phi, &mut self.water_fill, &mut self.reply).is_ok()
-                {
+                let reply = &mut self.reply;
+                if water_fill_flows_into(avail, phi, &mut self.water_fill, reply).is_ok() {
                     // Damped step `(1−β)·old + β·reply` (the sampled
                     // solver's idiom): concurrent undamped best replies
                     // against stale boards oscillate for m ≥ 3 — everyone
                     // floods the least-loaded computer, then everyone
                     // flees it. Dust below 1e-6·φ is dropped and the row
                     // rescaled to carry exactly φ again.
-                    let mut blend: Vec<f64> = self.rows[self.id]
-                        .iter()
-                        .zip(&self.reply)
-                        .map(|(&old, &reply)| damped_step(old, reply, DAMPING, phi))
-                        .collect();
-                    let sum: f64 = blend.iter().sum();
+                    for (x, &old) in reply.iter_mut().zip(&self.rows[self.id]) {
+                        *x = damped_step(old, *x, DAMPING, phi);
+                    }
+                    let sum: f64 = reply.iter().sum();
                     if sum > 0.0 {
                         let scale = phi / sum;
-                        for x in &mut blend {
+                        for x in reply.iter_mut() {
                             *x *= scale;
                         }
-                        if blend != self.rows[self.id] {
-                            self.rows[self.id] = blend;
+                        if *reply != self.rows[self.id] {
+                            std::mem::swap(&mut self.rows[self.id], reply);
                             self.versions[self.id] += 1;
                             self.updates += 1;
                             changed = true;
@@ -1320,33 +1327,30 @@ impl AsyncNash {
 }
 
 /// Per-user `(regret, D_j)` over the final board — the pure reduction
-/// the `threads` knob parallelizes. The loads are summed once, exactly
-/// as [`measure`] sums them, and chunk results are merged in index
-/// order, so the output is bitwise identical at any thread count.
+/// the `threads` knob fans out over a [`ParallelRunner`], one contiguous
+/// chunk of `alive` per worker. The loads are summed once, exactly as
+/// [`UserNode::measure`] sums them, and chunk results are concatenated
+/// in index order, so the output is bitwise identical at any thread
+/// count.
 fn certificate_rows(
     cfg: &Cfg,
     rows: &[Vec<f64>],
     alive: &[usize],
     threads: usize,
 ) -> Vec<(f64, f64)> {
-    let loads = board_loads(cfg, rows);
-    let compute = |&j: &usize| placed_user_regret(&cfg.mu, &loads, &rows[j], cfg.phis[j]);
-    if threads <= 1 || alive.len() <= 1 {
-        return alive.iter().map(compute).collect();
-    }
-    let chunk = alive.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(alive.len());
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = alive
-            .chunks(chunk)
-            .map(|part| s.spawn(move |_| part.iter().map(compute).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-    out
+    let mut loads = vec![0.0; cfg.mu.len()];
+    board_loads_into(rows, &mut loads);
+    let chunk = alive.len().div_ceil(threads.max(1)).max(1);
+    let parts: Vec<&[usize]> = alive.chunks(chunk).collect();
+    let chunk_rows = |t: usize, _: Option<&SpanHandle>| -> Vec<(f64, f64)> {
+        parts[t]
+            .iter()
+            .map(|&j| placed_user_regret(&cfg.mu, &loads, &rows[j], cfg.phis[j]))
+            .collect()
+    };
+    ParallelRunner::new(threads)
+        .run(parts.len(), chunk_rows, None, None)
+        .concat()
 }
 
 #[cfg(test)]

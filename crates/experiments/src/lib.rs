@@ -13,9 +13,13 @@
 //! | [`fig5`] | Figure 5 — per-user response times at 60% load |
 //! | [`fig6`] | Figure 6 — response time & fairness vs speed skewness |
 //!
-//! [`beyond`] adds four extension experiments grounded in the paper's
-//! future-work section (service-distribution robustness, Stackelberg
-//! leaders, dynamic re-equilibration, observation noise). [`trace`]
+//! [`beyond`] adds the twelve extension experiments that `experiments
+//! ext` runs, grounded in the paper's future-work section:
+//! service-distribution robustness, Stackelberg leaders, dynamic
+//! re-equilibration, observation noise, multicore pools, price of
+//! anarchy, arrival burstiness, dynamic dispatch policies, tail latency,
+//! server churn, the anytime frontier and asynchronous dynamics under
+//! network chaos. [`trace`]
 //! replays a Table-1 scenario with telemetry on; [`analyze`]
 //! reconstructs the resulting span forest into a causal profile
 //! (critical path, self time, Chrome trace JSON, folded stacks);

@@ -41,6 +41,13 @@
 //!   that survive server crashes by shedding and warm-restarting.
 //! * [`metrics`] — per-user/system response times and Jain fairness for a
 //!   computed profile (the paper's two evaluation metrics).
+//! * [`parallel`] — [`parallel::ParallelRunner`], the workspace's one
+//!   deterministic fan-out: index-addressed pure tasks on scoped worker
+//!   threads (sized by `LB_SIM_THREADS`), results merged in index order
+//!   so every fold is byte-identical at any thread count. lb-sim fans
+//!   replications and station shards out over it; in chunks of users it
+//!   runs the Jacobi replies and the sampled certificate pass here, and
+//!   `AsyncNash`'s final certificate in lb-distributed.
 //!
 //! ## Quickstart
 //!
@@ -77,6 +84,7 @@ pub mod model;
 pub mod multicore;
 pub mod nash;
 pub mod overload;
+pub mod parallel;
 pub mod response;
 pub mod sampled;
 pub mod schemes;

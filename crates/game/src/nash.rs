@@ -38,13 +38,14 @@
 use crate::best_reply::{water_fill_flows_into, WaterFillScratch};
 use crate::error::GameError;
 use crate::model::SystemModel;
+use crate::parallel::ParallelRunner;
 use crate::response::user_response_times;
 use crate::stopping::{user_regret, Certificate, StoppingRule};
 use crate::strategy::{Strategy, StrategyProfile};
 use lb_stats::IterationTrace;
-use lb_telemetry::Collector;
+use lb_telemetry::{Collector, SpanHandle};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Starting point of the best-reply iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -848,10 +849,11 @@ pub fn jacobi_round(
 
 /// Computes every user's Jacobi reply to the frozen `(flows, loads)`
 /// snapshot into `next`. The contiguous flow matrix splits into up to
-/// `threads` row-aligned chunks; a single chunk runs on the calling
-/// thread. Each reply is a pure function of the snapshot, so the result
-/// is bit-identical for any thread count, and the lowest-indexed failing
-/// user wins error reporting.
+/// `threads` row-aligned chunks, one [`ParallelRunner`] task each (a
+/// single chunk runs on the calling thread). Each reply is a pure
+/// function of the snapshot, so the result is bit-identical for any
+/// thread count, and the lowest-indexed failing user wins error
+/// reporting.
 fn jacobi_replies(
     model: &SystemModel,
     flows: &FlowMatrix,
@@ -861,13 +863,22 @@ fn jacobi_replies(
 ) -> Result<(), GameError> {
     let m = flows.num_users();
     let n = loads.len();
-    let chunk = m.div_ceil(threads.clamp(1, m.max(1)));
-    let replies = |start: usize, rows: &mut [f64]| -> Result<(), GameError> {
+    let chunk = m.div_ceil(threads.max(1)).max(1);
+    // Each task locks only its own chunk, once, so no lock is contended.
+    let chunks: Vec<Mutex<&mut [f64]>> = next
+        .data_mut()
+        .chunks_mut(chunk * n)
+        .map(Mutex::new)
+        .collect();
+    let replies = |t: usize, _: Option<&SpanHandle>| -> Result<(), GameError> {
+        let mut rows = chunks[t]
+            .lock()
+            .expect("each chunk is locked once, by its own task");
         let mut avail = vec![0.0; n];
         let mut wf = WaterFillScratch::default();
         let mut reply: Vec<f64> = Vec::with_capacity(n);
         for (off, out_row) in rows.chunks_exact_mut(n).enumerate() {
-            let j = start + off;
+            let j = t * chunk + off;
             let row = flows.row(j);
             for i in 0..n {
                 avail[i] = model.computer_rate(i) - (loads[i] - row[i]);
@@ -878,24 +889,8 @@ fn jacobi_replies(
         }
         Ok(())
     };
-    if chunk >= m {
-        return replies(0, next.data_mut());
-    }
-    let outcomes: Vec<Result<(), GameError>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = next
-            .data_mut()
-            .chunks_mut(chunk * n)
-            .enumerate()
-            .map(|(t, rows)| s.spawn(move |_| replies(t * chunk, rows)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p));
-    // Chunks run in user order, so the first error is the lowest user's.
-    outcomes.into_iter().collect()
+    ParallelRunner::new(threads).try_run(chunks.len(), replies, None, None)?;
+    Ok(())
 }
 
 /// Deterministic Fisher–Yates permutation of `0..m` from a seed, written

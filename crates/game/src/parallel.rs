@@ -1,12 +1,14 @@
-//! Deterministic parallel fan-out for independent replications.
+//! Deterministic parallel fan-out: the workspace's one worker pool.
 //!
-//! Every replication in this workspace draws from its own seeded RNG
-//! streams ([`lb_stats::ReplicationPlan::seed_for`]), so replications are
-//! pure functions of their index. [`ParallelRunner`] exploits that: it
-//! fans tasks out over a scoped worker pool (crossbeam scoped threads, no
-//! `'static` bounds) and hands results back **in task-index order**, so
-//! any fold over them is byte-identical to the sequential loop no matter
-//! the thread count or completion order.
+//! The paper's NASH algorithm is a sequential Gauss–Seidel ring, so the
+//! sound parallelism here is in tasks that are pure functions of their
+//! index: independent seeded replications
+//! ([`lb_stats::ReplicationPlan::seed_for`]), the Poisson-split stations
+//! of one replication, and per-user reductions over a frozen state, run
+//! as contiguous chunks of users. [`ParallelRunner`] runs them on
+//! [`std::thread::scope`] workers, worker 0 on the calling thread, and
+//! hands results back **in task-index order**, so any fold over them is
+//! byte-identical to the sequential loop at any thread count.
 //!
 //! The pool defaults to [`std::thread::available_parallelism`] and can be
 //! overridden (or opted out of) with the `LB_SIM_THREADS` environment
@@ -14,6 +16,7 @@
 //! sequential path; any other `N` uses `N` workers.
 
 use lb_telemetry::{Collector, FieldValue, Span, SpanHandle};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,22 +80,25 @@ impl ParallelRunner {
     /// index order. Tasks are claimed from a shared counter (work
     /// stealing), so uneven task costs do not idle workers; because each
     /// result lands in its own slot, the output is byte-identical to the
-    /// sequential `map` for any thread count. One worker runs on the
-    /// calling thread; more run on scoped threads.
+    /// sequential `map` for any thread count. Worker 0 runs on the
+    /// calling thread; the others run on scoped threads, so a one-worker
+    /// run spawns none.
     ///
     /// With an enabled `collector` the run is wrapped in a causal span
     /// tree: a `runner.pool` span (a child of `span_parent` when given, a
     /// root span otherwise) and one `runner.worker` span per worker,
-    /// opened **from the worker's own thread** so span timestamps bracket
-    /// the actual concurrent execution. Each task receives its worker's
-    /// span handle (`None` when not collecting) and may parent its own
-    /// spans under it (e.g. one `sim.replication` span per task). Worker
-    /// spans close with `{tasks, busy_us, idle_us}`, and after the join
-    /// one flat `runner.worker {worker, tasks, busy_us, idle_us}` event
-    /// per worker is emitted **in worker-index order** (so the event
-    /// stream is as deterministic as the results; only the timing field
-    /// values vary run to run). Without a collector no timing probes run
-    /// at all, so results are byte-identical with collection on or off.
+    /// opened **from the worker's own thread** as it starts. Each task
+    /// receives its worker's span handle (`None` when not collecting) and
+    /// may parent its own spans under it (e.g. one `sim.replication` span
+    /// per task). After the join, in worker-index order, each worker span
+    /// closes with `{tasks, busy_us, idle_us}` and one flat
+    /// `runner.worker {worker, tasks, busy_us, idle_us}` event follows
+    /// it, so the event stream is as deterministic as the results (only
+    /// the timing field values vary run to run). `idle_us` is the
+    /// worker's time from its start to the join spent outside its tasks,
+    /// the wait after its last task included. Without a collector no
+    /// timing probes run at all, so results are byte-identical with
+    /// collection on or off.
     ///
     /// # Panics
     ///
@@ -124,27 +130,36 @@ impl ParallelRunner {
         let pool_handle = pool.as_ref().map(Span::handle);
         let next = AtomicUsize::new(0);
         let work = |w: usize| work_through(w, count, &next, &task, pool_handle.as_ref());
-        let finished: Vec<WorkerOutput<T>> = if workers == 1 {
-            vec![work(0)]
-        } else {
-            crossbeam::thread::scope(|s| {
-                let work = &work;
-                let handles: Vec<_> = (0..workers).map(|w| s.spawn(move |_| work(w))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-            .unwrap_or_else(|p| std::panic::resume_unwind(p))
-        };
+        // The workspace's one scoped fan-out: `clippy.toml` disallows
+        // `std::thread::scope` everywhere else.
+        #[allow(clippy::disallowed_methods)]
+        let finished: Vec<WorkerOutput<T>> = std::thread::scope(|s| {
+            let work = &work;
+            let spawned: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+            let first = work(0);
+            let rest = spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            std::iter::once(first).chain(rest).collect()
+        });
+        let joined = collect.map(|c| (c, Instant::now()));
         let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
         for (worker, (done, timing)) in finished.into_iter().enumerate() {
-            if let (Some(c), Some((busy_us, idle_us))) = (collect, timing) {
+            if let (Some((c, joined)), Some((span, start, busy))) = (joined, timing) {
+                let tasks = done.len() as u64;
+                let busy_us = busy.as_micros() as u64;
+                let idle = joined.duration_since(start).saturating_sub(busy);
+                let idle_us = idle.as_micros() as u64;
+                span.close_with(&[
+                    ("tasks", tasks.into()),
+                    ("busy_us", busy_us.into()),
+                    ("idle_us", idle_us.into()),
+                ]);
                 c.emit(
                     "runner.worker",
                     &[
                         ("worker", (worker as u64).into()),
-                        ("tasks", (done.len() as u64).into()),
+                        ("tasks", tasks.into()),
                         ("busy_us", busy_us.into()),
                         ("idle_us", idle_us.into()),
                     ],
@@ -190,9 +205,10 @@ impl ParallelRunner {
     }
 }
 
-/// One worker's `(index, result)` pairs, plus its `(busy_us, idle_us)`
-/// when the run is traced.
-type WorkerOutput<T> = (Vec<(usize, T)>, Option<(u64, u64)>);
+/// One worker's `(index, result)` pairs and, when the run is traced,
+/// its open `runner.worker` span, start instant and busy time (the span
+/// closes after the join, when the worker's idle time is known).
+type WorkerOutput<T> = (Vec<(usize, T)>, Option<(Span, Instant, Duration)>);
 
 /// One worker's loop: claims task indices from `next` until they run
 /// out. Under a `pool` span it opens its `runner.worker` span and times
@@ -223,17 +239,10 @@ where
             busy += t0.elapsed();
         }
     }
-    let timing = start.zip(span).map(|(start, span)| {
-        let busy_us = busy.as_micros() as u64;
-        let idle_us = start.elapsed().saturating_sub(busy).as_micros() as u64;
-        span.close_with(&[
-            ("tasks", (done.len() as u64).into()),
-            ("busy_us", busy_us.into()),
-            ("idle_us", idle_us.into()),
-        ]);
-        (busy_us, idle_us)
-    });
-    (done, timing)
+    (
+        done,
+        span.zip(start).map(|(span, start)| (span, start, busy)),
+    )
 }
 
 #[cfg(test)]
@@ -327,6 +336,50 @@ mod tests {
             }
             assert_eq!(total, 64, "every task accounted to a worker");
         }
+    }
+
+    #[test]
+    fn idle_time_counts_the_wait_until_the_pool_joins() {
+        use lb_telemetry::{MemoryCollector, SPAN_CLOSE};
+        use std::sync::Barrier;
+        // Both tasks meet at the barrier, so they run on different
+        // workers; task 0 then sleeps while task 1's worker, out of
+        // tasks, waits for the join.
+        const SLEEP: Duration = Duration::from_millis(40);
+        let barrier = Barrier::new(2);
+        let mem = Arc::new(MemoryCollector::default());
+        let collector: Arc<dyn Collector> = mem.clone();
+        let task = |i: usize, _: Option<&SpanHandle>| {
+            barrier.wait();
+            if i == 0 {
+                std::thread::sleep(SLEEP);
+            }
+        };
+        ParallelRunner::new(2).run(2, task, Some(&collector), None);
+        // Flat `{worker, tasks, busy_us, idle_us}` against the worker
+        // spans' `{span, name, tasks, busy_us, idle_us}` closes.
+        let events = mem.events();
+        let flat: Vec<_> = events
+            .iter()
+            .filter(|(name, _)| *name == "runner.worker")
+            .map(|(_, fields)| fields[1..].to_vec())
+            .collect();
+        let closes: Vec<_> = events
+            .iter()
+            .filter(|(name, fields)| *name == SPAN_CLOSE && fields[1].1 == "runner.worker".into())
+            .map(|(_, fields)| fields[2..].to_vec())
+            .collect();
+        assert_eq!(flat.len(), 2, "one flat event per worker");
+        assert_eq!(closes, flat, "span close fields match the flat events");
+        let idle: u64 = flat
+            .iter()
+            .map(|fields| match fields[2] {
+                ("idle_us", FieldValue::U64(us)) => us,
+                ref other => panic!("not idle_us: {other:?}"),
+            })
+            .sum();
+        let floor = SLEEP.as_micros() as u64 / 2;
+        assert!(idle >= floor, "idle {idle} µs < {floor} µs: {flat:?}");
     }
 
     #[test]

@@ -44,10 +44,11 @@
 use crate::best_reply::{damped_step, water_fill_flows_into, WaterFillScratch};
 use crate::error::GameError;
 use crate::model::SystemModel;
+use crate::parallel::ParallelRunner;
 use crate::stopping::{marginal_cost, Certificate};
 use crate::strategy::{Strategy, StrategyProfile};
 use lb_stats::splitmix64_finalize;
-use lb_telemetry::Collector;
+use lb_telemetry::{Collector, SpanHandle};
 use std::fmt;
 use std::sync::Arc;
 
@@ -165,14 +166,23 @@ impl SampledNashSolver {
         self
     }
 
-    /// Worker count for the certificate pass. `0` (the default) reads
-    /// `LB_SIM_THREADS` with the same semantics as the simulation pool:
+    /// Worker count for the certificate pass. `0` (the default) sizes
+    /// the pool with [`ParallelRunner::from_env`]: `LB_SIM_THREADS`
     /// unset, `0`, or `auto` use all cores; `1` forces sequential; any
     /// other `N` uses `N` workers. The result is byte-identical either
     /// way.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// The certificate pass's pool: `threads` workers when set, else
+    /// sized from the environment.
+    fn runner(&self) -> ParallelRunner {
+        match self.threads {
+            0 => ParallelRunner::from_env(),
+            n => ParallelRunner::new(n),
+        }
     }
 
     /// Attaches a telemetry collector (`sampled.start`, one
@@ -221,7 +231,7 @@ impl SampledNashSolver {
         }
         let m = model.num_users();
         let n = model.num_computers();
-        let threads = resolve_threads(self.threads);
+        let runner = self.runner();
 
         let mut rows: Vec<SparseRow> = vec![SparseRow::new(); m];
         let mut loads = vec![0.0; n];
@@ -252,7 +262,7 @@ impl SampledNashSolver {
                     ("epsilon", self.epsilon.into()),
                     ("max_sweeps", self.max_sweeps.into()),
                     ("damping", DAMPING.into()),
-                    ("threads", threads.into()),
+                    ("threads", runner.threads().into()),
                 ],
             );
         }
@@ -412,7 +422,7 @@ impl SampledNashSolver {
                     .total_cmp(&headroom[a as usize])
                     .then(a.cmp(&b))
             });
-            let cert = sparse_certificate(model, &rows, &headroom, &by_headroom, threads);
+            let cert = sparse_certificate(model, &rows, &headroom, &by_headroom, &runner);
             certificates.push(cert);
             norm_trace.push(norm);
             let converged = cert.relative <= self.epsilon;
@@ -572,27 +582,6 @@ impl SampledOutcome {
     }
 }
 
-/// Worker count with the `LB_SIM_THREADS` semantics of
-/// `lb_sim::parallel` (duplicated here — `lb-game` sits below `lb-sim`
-/// in the crate graph and cannot depend on it).
-fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    std::env::var("LB_SIM_THREADS")
-        .ok()
-        .and_then(|v| match v.trim() {
-            "" | "auto" => None,
-            other => other.parse::<usize>().ok(),
-        })
-        .filter(|&x| x > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// One splitmix64 step — the draw stream is a pure function of
 /// `(seed, sweep, user, t)`, never of thread or timing.
 fn splitmix64(z: u64) -> u64 {
@@ -661,53 +650,34 @@ fn sparse_user_regret(
     ((weighted - min_c).max(0.0), d)
 }
 
-/// The sweep certificate, max-reduced over users across `threads`
-/// workers. Max is order-independent, so the fan-out is byte-identical
-/// to the sequential reduction at any worker count.
+/// The sweep certificate, max-reduced over users in one contiguous chunk
+/// per `runner` worker. Max is order-independent, so the fan-out is
+/// byte-identical to the sequential reduction at any worker count.
 fn sparse_certificate(
     model: &SystemModel,
     rows: &[SparseRow],
     headroom: &[f64],
     by_headroom: &[u32],
-    threads: usize,
+    runner: &ParallelRunner,
 ) -> Certificate {
     let m = rows.len();
-    if threads <= 1 || m < 2 {
-        let mut cert = Certificate::zero();
-        for (j, row) in rows.iter().enumerate() {
+    let chunk = m.div_ceil(runner.threads()).max(1);
+    let chunk_certificate = |t: usize, _: Option<&SpanHandle>| {
+        let mut local = Certificate::zero();
+        for (j, row) in rows.iter().enumerate().skip(t * chunk).take(chunk) {
             let (r, d) = sparse_user_regret(model.user_rate(j), row, headroom, by_headroom);
-            cert.absorb(r, d);
+            local.absorb(r, d);
         }
-        return cert;
-    }
-    let chunk = m.div_ceil(threads.min(m));
-    crossbeam::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (t, part) in rows.chunks(chunk).enumerate() {
-            let start = t * chunk;
-            handles.push(s.spawn(move |_| {
-                let mut local = Certificate::zero();
-                for (off, row) in part.iter().enumerate() {
-                    let (r, d) = sparse_user_regret(
-                        model.user_rate(start + off),
-                        row,
-                        headroom,
-                        by_headroom,
-                    );
-                    local.absorb(r, d);
-                }
-                local
-            }));
-        }
-        let mut cert = Certificate::zero();
-        for h in handles {
-            let local = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            cert.absolute = cert.absolute.max(local.absolute);
-            cert.relative = cert.relative.max(local.relative);
-        }
-        cert
-    })
-    .unwrap_or_else(|p| std::panic::resume_unwind(p))
+        local
+    };
+    runner
+        .run(m.div_ceil(chunk), chunk_certificate, None, None)
+        .into_iter()
+        .reduce(|a, b| Certificate {
+            absolute: a.absolute.max(b.absolute),
+            relative: a.relative.max(b.relative),
+        })
+        .unwrap_or_else(Certificate::zero)
 }
 
 #[cfg(test)]
@@ -804,7 +774,8 @@ mod tests {
         let mut runs = Vec::new();
         for v in ["1", "2", "8"] {
             std::env::set_var("LB_SIM_THREADS", v);
-            assert_eq!(resolve_threads(0), v.parse::<usize>().unwrap());
+            let runner = SampledNashSolver::new().runner();
+            assert_eq!(runner.threads(), v.parse::<usize>().unwrap());
             runs.push(SampledNashSolver::new().solve(&model).unwrap());
         }
         match saved {
@@ -814,7 +785,8 @@ mod tests {
         for (i, run) in runs.iter().enumerate().skip(1) {
             assert_outcomes_bit_identical(&runs[0], run, &format!("env run {i}"));
         }
-        assert!(resolve_threads(3) == 3, "explicit threads beat the env");
+        let runner = SampledNashSolver::new().threads(3).runner();
+        assert!(runner.threads() == 3, "explicit threads beat the env");
     }
 
     #[test]

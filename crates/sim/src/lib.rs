@@ -30,9 +30,10 @@
 //!   against the quasi-static analytic mixture. Churn keeps an event
 //!   loop of its own for its phases, admission thinning, retries and
 //!   event cancellation.
-//! * [`parallel`] — the deterministic fan-out pool: replications are pure
-//!   functions of their seeded index, so they spread across threads and
-//!   merge back in index order, byte-identical to the sequential loop.
+//! * [`parallel`] — `lb_game::parallel` re-exported: the deterministic
+//!   fan-out pool. Replications are pure functions of their seeded index,
+//!   so they spread across threads and merge back in index order,
+//!   byte-identical to the sequential loop.
 //! * [`shard`] — the sharded engine: Poisson splitting factors a
 //!   replication into independent per-station event streams that run in
 //!   parallel and merge in station-index order, bit-identical at any
@@ -58,7 +59,6 @@
 pub mod analytic;
 pub mod churn;
 pub mod harness;
-pub mod parallel;
 pub mod policies;
 pub mod pools;
 pub mod scenario;
@@ -70,6 +70,7 @@ pub use churn::{run_churn_replication, ChurnPhase, ChurnResult};
 pub use harness::{
     simulate_profile, simulate_profile_traced, simulate_profile_with, SimulatedMetrics,
 };
+pub use lb_game::parallel;
 pub use parallel::ParallelRunner;
 pub use scenario::{DistributionFamily, SimFidelity, SimulationConfig, SimulationResult};
 pub use shard::run_replication_sharded;

@@ -431,7 +431,10 @@ mod tests {
         );
     }
 
+    // Concurrent emitters are what this test exercises, not a fan-out of
+    // work, so it spawns its threads directly.
     #[test]
+    #[allow(clippy::disallowed_methods)]
     fn kept_set_is_identical_across_thread_counts() {
         // The same multiset of events, emitted from 1, 2, and 8
         // threads in arbitrary interleavings, must keep the same set:

@@ -8,6 +8,10 @@
 //! interleaved differently by different children, making the sinks'
 //! sequence numbers disagree about event order.
 
+// Concurrent emitters are what these tests exercise, not a fan-out of
+// work, so they spawn their threads directly.
+#![allow(clippy::disallowed_methods)]
+
 use lb_telemetry::{parse_log, Collector, Field, JsonlCollector, TeeCollector};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
