@@ -150,7 +150,6 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
                 config,
                 SIM_THROUGHPUT_SEED,
                 None,
-                None,
                 |_, _| {},
             )
             .expect("single-calendar replication")

@@ -6,8 +6,9 @@
 //! encode cost); and the head sampler in front of that encoder.
 //!
 //! CI reads this target's `CRITERION_JSON` summary and gates two ratios
-//! against `none`: `disabled` must stay under 1.10×, and `sampling_sink`
-//! must cost less than 0.75× of what `jsonl_sink` costs.
+//! against `none`: `disabled` must stay under 1.10×, and the cost
+//! `sampling_sink` adds above `none` must be under 0.75× of the cost
+//! `jsonl_sink` adds, `sampling/none − 1 < 0.75 × (jsonl/none − 1)`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_game::model::SystemModel;

@@ -41,7 +41,7 @@ pub mod station;
 pub mod time;
 
 pub use calendar::{Calendar, EventId};
-pub use engine::{Engine, ScheduleError};
+pub use engine::Engine;
 pub use lb_retry::RetryBackoff;
 pub use monitor::{GoodputMonitor, ResponseTimeMonitor};
 pub use rng::{AliasTable, Distribution, RngStream, SampleBlock};

@@ -32,7 +32,7 @@
 use crate::monitor::ResponseTimeMonitor;
 use crate::rng::{AliasTable, Distribution, RngStream, SampleBlock};
 use crate::time::SimTime;
-use lb_telemetry::{Collector, Span, SpanHandle};
+use lb_telemetry::{Collector, SpanHandle};
 use std::sync::Arc;
 
 /// Default number of arrivals generated per batch block.
@@ -71,32 +71,19 @@ pub struct ShardOutcome {
 
 /// Draws one arrival block: a vectorized exponential fill of the gaps,
 /// accumulated into absolute arrival times after `from`. Returns the
-/// block's last arrival. Emits a `sim.batch` span per block when tracing.
+/// block's last arrival.
 fn draw_block(
     rng: &mut RngStream,
     rate: f64,
     gaps: &mut [f64],
     arrivals: &mut [SimTime],
     from: SimTime,
-    span_parent: Option<&SpanHandle>,
 ) -> SimTime {
-    let span = span_parent.map(|p| {
-        p.child(
-            "sim.batch",
-            &[
-                ("from", from.as_secs().into()),
-                ("events", (gaps.len() as u64).into()),
-            ],
-        )
-    });
     rng.fill_exponential(rate, gaps);
     let mut t = from;
     for (slot, dt) in arrivals.iter_mut().zip(gaps.iter()) {
         t = t + *dt;
         *slot = t;
-    }
-    if let Some(span) = span {
-        span.close_with(&[("to", t.as_secs().into())]);
     }
     t
 }
@@ -158,7 +145,6 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
             ],
         )
     });
-    let shard_handle = shard_span.as_ref().map(Span::handle);
 
     let horizon = spec.horizon;
     let mut monitor = ResponseTimeMonitor::new(spec.users, spec.warmup);
@@ -189,7 +175,6 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
             &mut gaps,
             &mut arrivals,
             block_end,
-            shard_handle.as_ref(),
         );
         scheduled += spec.batch as u64;
         for &arrival in &arrivals {
@@ -263,7 +248,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::station::{Arrival, FcfsStation, Job};
-    use lb_telemetry::MemoryCollector;
+    use lb_telemetry::{MemoryCollector, Span};
     use proptest::prelude::*;
 
     fn spec(rate: f64, horizon: f64) -> ShardSpec {
@@ -677,13 +662,21 @@ mod tests {
             traced.monitor.system_mean().to_bits()
         );
         assert_eq!(plain_sink, traced_sink);
-        // The span stream contains the shard span and its sim.batch
-        // blocks — all opened and closed.
-        assert!(mem.count(lb_telemetry::SPAN_OPEN) >= 3);
-        assert_eq!(
-            mem.count(lb_telemetry::SPAN_OPEN),
-            mem.count(lb_telemetry::SPAN_CLOSE)
-        );
+        // The span stream holds the test root and the shard span, both
+        // closed; the arrival blocks open no spans of their own.
+        let opened: Vec<String> = mem
+            .events()
+            .iter()
+            .filter(|(n, _)| *n == lb_telemetry::SPAN_OPEN)
+            .map(
+                |(_, fields)| match &fields.iter().find(|(k, _)| *k == "name").unwrap().1 {
+                    lb_telemetry::FieldValue::Str(s) => s.to_string(),
+                    other => panic!("name was {other:?}"),
+                },
+            )
+            .collect();
+        assert_eq!(opened, ["test.root", "des.shard"]);
+        assert_eq!(mem.count(lb_telemetry::SPAN_CLOSE), 2);
         // Exactly one resource-accounting snapshot, with sane totals:
         // every delivered event was scheduled first, and the three RNG
         // streams drew at least once per generated job.

@@ -7,18 +7,16 @@
 //! its available rate) from it without ever reading another user's
 //! strategy object.
 //!
-//! Only the token holder mutates the board, while every user and the
-//! coordinator read it; it sits behind a `parking_lot::RwLock`, so a
-//! shared `&LoadBoard` is safe to use from any thread. Every read writes
-//! into a caller-owned buffer (the `_into` forms), so the per-token hot
-//! path of the ring runtime stays allocation-free.
+//! The ring runs as a single-threaded event loop, so the board needs no
+//! lock: the coordinator owns it and lends each user `&mut` access while
+//! that user handles a message. Only the token holder writes to it.
+//! Every read writes into a caller-owned buffer (the `_into` forms), so
+//! the per-token hot path of the ring runtime stays allocation-free.
 
-use parking_lot::RwLock;
-
-/// Shared `m × n` matrix of user→computer flows (jobs/s).
+/// The `m × n` matrix of user→computer flows (jobs/s).
 #[derive(Debug)]
 pub struct LoadBoard {
-    flows: RwLock<Vec<Vec<f64>>>,
+    flows: Vec<Vec<f64>>,
     users: usize,
     computers: usize,
 }
@@ -28,7 +26,7 @@ impl LoadBoard {
     /// nobody has placed any flow yet).
     pub fn new(users: usize, computers: usize) -> Self {
         Self {
-            flows: RwLock::new(vec![vec![0.0; computers]; users]),
+            flows: vec![vec![0.0; computers]; users],
             users,
             computers,
         }
@@ -49,10 +47,9 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics if `rows` has the wrong shape.
-    pub fn seed(&self, rows: &[Vec<f64>]) {
+    pub fn seed(&mut self, rows: &[Vec<f64>]) {
         assert_eq!(rows.len(), self.users, "seed row count");
-        let mut guard = self.flows.write();
-        for (dst, src) in guard.iter_mut().zip(rows) {
+        for (dst, src) in self.flows.iter_mut().zip(rows) {
             assert_eq!(src.len(), self.computers, "seed column count");
             dst.clone_from(src);
         }
@@ -63,10 +60,10 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index or row length.
-    pub fn publish(&self, j: usize, row: &[f64]) {
+    pub fn publish(&mut self, j: usize, row: &[f64]) {
         assert!(j < self.users, "user index {j}");
         assert_eq!(row.len(), self.computers, "row length");
-        self.flows.write()[j].copy_from_slice(row);
+        self.flows[j].copy_from_slice(row);
     }
 
     /// Total flow at each computer, `λ_i = Σ_j flow[j][i]`, written into
@@ -74,8 +71,7 @@ impl LoadBoard {
     pub fn total_flows_into(&self, totals: &mut Vec<f64>) {
         totals.clear();
         totals.resize(self.computers, 0.0);
-        let guard = self.flows.read();
-        for row in guard.iter() {
+        for row in &self.flows {
             for (t, &x) in totals.iter_mut().zip(row) {
                 *t += x;
             }
@@ -93,8 +89,7 @@ impl LoadBoard {
         assert!(j < self.users, "user index {j}");
         totals.clear();
         totals.resize(self.computers, 0.0);
-        let guard = self.flows.read();
-        for (k, row) in guard.iter().enumerate() {
+        for (k, row) in self.flows.iter().enumerate() {
             if k == j {
                 continue;
             }
@@ -110,9 +105,8 @@ impl LoadBoard {
     ///
     /// Panics on a bad index.
     pub fn row_into(&self, j: usize, out: &mut Vec<f64>) {
-        let guard = self.flows.read();
         out.clear();
-        out.extend_from_slice(&guard[j]);
+        out.extend_from_slice(&self.flows[j]);
     }
 
     /// Zeroes user `j`'s row. The runtime calls this when it declares a
@@ -122,9 +116,9 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn clear_row(&self, j: usize) {
+    pub fn clear_row(&mut self, j: usize) {
         assert!(j < self.users, "user index {j}");
-        self.flows.write()[j].fill(0.0);
+        self.flows[j].fill(0.0);
     }
 
     /// Zeroes computer `i`'s column across every user. The runtime calls
@@ -135,10 +129,9 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn clear_column(&self, i: usize) {
+    pub fn clear_column(&mut self, i: usize) {
         assert!(i < self.computers, "computer index {i}");
-        let mut guard = self.flows.write();
-        for row in guard.iter_mut() {
+        for row in &mut self.flows {
             row[i] = 0.0;
         }
     }
@@ -170,7 +163,7 @@ mod tests {
 
     #[test]
     fn publish_and_aggregate() {
-        let b = LoadBoard::new(2, 2);
+        let mut b = LoadBoard::new(2, 2);
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.0]);
         let mut others = Vec::new();
@@ -184,7 +177,7 @@ mod tests {
 
     #[test]
     fn into_variants_overwrite_dirty_buffers() {
-        let b = LoadBoard::new(2, 2);
+        let mut b = LoadBoard::new(2, 2);
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.0]);
         // Buffers carry garbage of the wrong length; every call must
@@ -202,7 +195,7 @@ mod tests {
 
     #[test]
     fn republish_overwrites() {
-        let b = LoadBoard::new(1, 2);
+        let mut b = LoadBoard::new(1, 2);
         b.publish(0, &[1.0, 0.0]);
         b.publish(0, &[0.0, 3.0]);
         assert_eq!(totals(&b), vec![0.0, 3.0]);
@@ -210,7 +203,7 @@ mod tests {
 
     #[test]
     fn seed_sets_all_rows() {
-        let b = LoadBoard::new(2, 2);
+        let mut b = LoadBoard::new(2, 2);
         b.seed(&[vec![1.0, 1.0], vec![2.0, 0.0]]);
         assert_eq!(totals(&b), vec![3.0, 1.0]);
     }
@@ -223,7 +216,7 @@ mod tests {
 
     #[test]
     fn clear_row_removes_a_failed_users_load() {
-        let b = LoadBoard::new(2, 2);
+        let mut b = LoadBoard::new(2, 2);
         b.publish(0, &[1.0, 2.0]);
         b.publish(1, &[0.5, 0.5]);
         b.clear_row(0);
@@ -239,7 +232,7 @@ mod tests {
 
     #[test]
     fn clear_column_removes_a_dead_computers_load() {
-        let b = LoadBoard::new(2, 3);
+        let mut b = LoadBoard::new(2, 3);
         b.publish(0, &[1.0, 2.0, 3.0]);
         b.publish(1, &[0.5, 0.5, 0.5]);
         b.clear_column(1);
@@ -252,25 +245,5 @@ mod tests {
     #[should_panic(expected = "computer index")]
     fn clear_column_checks_index() {
         LoadBoard::new(1, 1).clear_column(1);
-    }
-
-    #[test]
-    fn concurrent_reads_do_not_block() {
-        use std::sync::Arc;
-        let b = Arc::new(LoadBoard::new(4, 4));
-        b.publish(0, &[1.0, 0.0, 0.0, 0.0]);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        assert_eq!(totals(&b).len(), 4);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 }

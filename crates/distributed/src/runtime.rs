@@ -287,7 +287,7 @@ impl DistributedNash {
         }
         let m = model.num_users();
         let n = model.num_computers();
-        let board = LoadBoard::new(m, n);
+        let mut board = LoadBoard::new(m, n);
         match self.init {
             RingInit::Zero => {}
             RingInit::Proportional => {
@@ -362,7 +362,7 @@ impl DistributedNash {
         );
         let mut coord = Coordinator {
             m,
-            board: &board,
+            board,
             links: Links {
                 // The seed is irrelevant: the ring's links never drop,
                 // duplicate or reorder, so no fault roll decides anything.
@@ -674,7 +674,7 @@ impl Links {
 
 struct Coordinator<'a> {
     m: usize,
-    board: &'a LoadBoard,
+    board: LoadBoard,
     links: Links,
     alive: Vec<bool>,
     failed: Vec<usize>,
@@ -814,7 +814,7 @@ impl Coordinator<'_> {
                 .expect("the failure detector always has a timer armed");
             if d.to < self.m {
                 if !self.links.stopped[d.to] {
-                    users[d.to].handle(d.msg, cfg, self.board, &mut self.links);
+                    users[d.to].handle(d.msg, cfg, &mut self.board, &mut self.links);
                 }
                 continue;
             }
@@ -1171,7 +1171,13 @@ struct UserNode {
 }
 
 impl UserNode {
-    fn handle(&mut self, msg: Msg, cfg: &DistributedNash, board: &LoadBoard, links: &mut Links) {
+    fn handle(
+        &mut self,
+        msg: Msg,
+        cfg: &DistributedNash,
+        board: &mut LoadBoard,
+        links: &mut Links,
+    ) {
         match msg {
             Msg::Reconfigure {
                 epoch,
@@ -1210,7 +1216,7 @@ impl UserNode {
         &mut self,
         mut token: Token,
         cfg: &DistributedNash,
-        board: &LoadBoard,
+        board: &mut LoadBoard,
         links: &mut Links,
     ) {
         if token.terminate != Termination::Continue {

@@ -173,9 +173,11 @@ impl NashSolver {
     /// Attaches a telemetry collector. The solver then emits
     /// `solver.start`, one `solver.sweep` per iteration (iterate norm,
     /// max per-user `D_j` delta, water-fill prefix-size statistics,
-    /// cumulative workspace-refresh count), and `solver.done`. Events
-    /// are emitted strictly *after* the computation they describe, so
-    /// results are bit-identical with or without a collector.
+    /// cumulative workspace-refresh count), `solver.done` and an
+    /// `account.solver` snapshot, inside a `solver.solve` span with one
+    /// `solver.sweep` child span per iteration. Events are emitted
+    /// strictly *after* the computation they describe, so results are
+    /// bit-identical with or without a collector.
     pub fn collector(mut self, collector: Arc<dyn Collector>) -> Self {
         self.collector = Some(collector);
         self
@@ -307,10 +309,13 @@ impl NashSolver {
             ],
         );
 
+        let mut iterations = 0;
+        let mut converged = false;
         for iter in 0..self.max_iterations {
+            iterations = iter + 1;
             let sweep_span = solve_span
                 .as_ref()
-                .map(|s| s.child("solver.sweep", &[("iter", (iter + 1).into())]));
+                .map(|s| s.child("solver.sweep", &[("iter", iterations.into())]));
             let (norm, max_delta) = match self.order {
                 UpdateOrder::GaussSeidel | UpdateOrder::RandomPermutation(_) => {
                     match self.order {
@@ -329,16 +334,7 @@ impl NashSolver {
                     let mut max_delta = 0.0f64;
                     for idx in 0..m {
                         let j = ws.sweep_order[idx];
-                        // One span per best-reply, so the critical path
-                        // attributes sweep time to individual users. (If
-                        // the reply errors, the span closes on drop.)
-                        let reply_span = sweep_span
-                            .as_ref()
-                            .map(|s| s.child("solver.best_reply", &[("user", j.into())]));
                         let d_new = ws.update_user(model, j)?;
-                        if let Some(span) = reply_span {
-                            span.close_with(&[("d", d_new.into())]);
-                        }
                         let delta = (d_new - ws.prev_d[j]).abs();
                         norm += delta;
                         max_delta = max_delta.max(delta);
@@ -351,14 +347,6 @@ impl NashSolver {
                     // they are independent and (optionally) fan out
                     // across threads bit-identically.
                     ws.refresh_loads();
-                    // Jacobi replies are one batch against the frozen
-                    // round, so a single span covers all m of them.
-                    let batch_span = sweep_span.as_ref().map(|s| {
-                        s.child(
-                            "solver.jacobi",
-                            &[("users", m.into()), ("threads", self.threads.into())],
-                        )
-                    });
                     jacobi_replies(
                         model,
                         &ws.flows,
@@ -366,13 +354,10 @@ impl NashSolver {
                         &mut ws.next_flows,
                         self.threads,
                     )?;
-                    // One water-fill per user per Jacobi batch, whether
-                    // the batch ran sequentially or fanned out.
+                    // One water-fill per user per Jacobi sweep, whether
+                    // its replies ran sequentially or fanned out.
                     ws.best_replies += m as u64;
                     ws.water_fills += m as u64;
-                    if let Some(span) = batch_span {
-                        span.close();
-                    }
                     std::mem::swap(&mut ws.flows, &mut ws.next_flows);
                     ws.active.fill(true);
                     ws.refresh_loads();
@@ -401,15 +386,15 @@ impl NashSolver {
                 None
             };
             let total_d: f64 = ws.prev_d.iter().sum();
-            let converged =
-                self.stopping
-                    .accepts(self.tolerance, norm, total_d, certificate.as_ref());
+            converged = self
+                .stopping
+                .accepts(self.tolerance, norm, total_d, certificate.as_ref());
             if let Some(c) = collect {
                 // Payload assembly (an O(mn) prefix scan) happens only
                 // with an enabled collector attached.
                 let (p_min, p_max, p_mean) = ws.prefix_stats();
                 let mut fields: Vec<lb_telemetry::Field> = vec![
-                    ("iter", (iter + 1).into()),
+                    ("iter", iterations.into()),
                     ("norm", norm.into()),
                     ("max_d_delta", max_delta.into()),
                     ("wf_prefix_min", p_min.into()),
@@ -429,51 +414,16 @@ impl NashSolver {
                 span.close_with(&[("norm", norm.into()), ("converged", converged.into())]);
             }
             if converged {
-                let profile = ws.assemble(model)?;
-                let user_times = user_response_times(model, &profile)?;
-                if let Some(c) = collect {
-                    let mut fields: Vec<lb_telemetry::Field> = vec![
-                        ("iterations", (iter + 1).into()),
-                        ("converged", true.into()),
-                        ("final_norm", norm.into()),
-                        ("stopping", self.stopping.label().into()),
-                    ];
-                    if let Some(cert) = certificates.last() {
-                        fields.push(("cert_gap", cert.absolute.into()));
-                        fields.push(("cert_rel", cert.relative.into()));
-                    }
-                    c.emit("solver.done", &fields);
-                    c.emit(
-                        "account.solver",
-                        &[
-                            ("sweeps", (iter + 1).into()),
-                            ("best_replies", ws.best_replies.into()),
-                            ("water_fills", ws.water_fills.into()),
-                            ("refreshes", ws.refreshes.into()),
-                        ],
-                    );
-                }
-                if let Some(span) = solve_span {
-                    span.close_with(&[
-                        ("iterations", (iter + 1).into()),
-                        ("converged", true.into()),
-                    ]);
-                }
-                return Ok(NashOutcome {
-                    profile,
-                    trace,
-                    iterations: iter + 1,
-                    converged: true,
-                    user_times,
-                    certificates,
-                });
+                break;
             }
         }
+        // One exit for both outcomes: the terminal events and the root
+        // span's close precede the profile assembly, which emits nothing.
         let final_norm = trace.last().unwrap_or(f64::INFINITY);
         if let Some(c) = collect {
             let mut fields: Vec<lb_telemetry::Field> = vec![
-                ("iterations", self.max_iterations.into()),
-                ("converged", false.into()),
+                ("iterations", iterations.into()),
+                ("converged", converged.into()),
                 ("final_norm", final_norm.into()),
                 ("stopping", self.stopping.label().into()),
             ];
@@ -485,7 +435,7 @@ impl NashSolver {
             c.emit(
                 "account.solver",
                 &[
-                    ("sweeps", self.max_iterations.into()),
+                    ("sweeps", iterations.into()),
                     ("best_replies", ws.best_replies.into()),
                     ("water_fills", ws.water_fills.into()),
                     ("refreshes", ws.refreshes.into()),
@@ -494,25 +444,25 @@ impl NashSolver {
         }
         if let Some(span) = solve_span {
             span.close_with(&[
-                ("iterations", self.max_iterations.into()),
-                ("converged", false.into()),
+                ("iterations", iterations.into()),
+                ("converged", converged.into()),
             ]);
         }
-        if allow_partial {
-            let profile = ws.assemble(model)?;
-            let user_times = user_response_times(model, &profile)?;
-            return Ok(NashOutcome {
-                profile,
-                trace,
-                iterations: self.max_iterations,
-                converged: false,
-                user_times,
-                certificates,
+        if !converged && !allow_partial {
+            return Err(GameError::DidNotConverge {
+                iterations,
+                final_norm,
             });
         }
-        Err(GameError::DidNotConverge {
-            iterations: self.max_iterations,
-            final_norm,
+        let profile = ws.assemble(model)?;
+        let user_times = user_response_times(model, &profile)?;
+        Ok(NashOutcome {
+            profile,
+            trace,
+            iterations,
+            converged,
+            user_times,
+            certificates,
         })
     }
 }
@@ -1267,6 +1217,10 @@ mod tests {
         assert_eq!(acct_u64("best_replies"), sweeps * users);
         assert_eq!(acct_u64("water_fills"), sweeps * users);
         assert_eq!(acct_u64("refreshes"), sweeps + 1);
+        // Spans mark the solve and its sweeps, not the replies inside a
+        // sweep: start, the root's open, three events per sweep (open,
+        // `solver.sweep`, close), then done, account and the root's close.
+        assert_eq!(mem.events().len() as u64, 3 * sweeps + 5);
 
         // The sweep norms mirror the outcome's trace exactly.
         let events = mem.events();
@@ -1317,17 +1271,9 @@ mod tests {
     }
 
     #[test]
-    fn solver_spans_form_a_complete_three_level_tree() {
+    fn solver_spans_form_a_complete_two_level_tree() {
         use lb_telemetry::{FieldValue, MemoryCollector, SPAN_CLOSE, SPAN_OPEN};
 
-        let model = SystemModel::table1_system(0.6).unwrap();
-        let mem = Arc::new(MemoryCollector::default());
-        let outcome = NashSolver::new(Initialization::Proportional)
-            .collector(mem.clone())
-            .solve(&model)
-            .unwrap();
-
-        let events = mem.events();
         let field_u64 = |fields: &[lb_telemetry::Field], key: &str| -> Option<u64> {
             fields
                 .iter()
@@ -1343,44 +1289,50 @@ mod tests {
                 other => panic!("field {key} was {other:?}"),
             }
         };
+        // Jacobi diverges on Table-1 (m = 10), so it runs on the
+        // two-user model where it converges.
+        for (order, model) in [
+            (
+                UpdateOrder::GaussSeidel,
+                SystemModel::table1_system(0.6).unwrap(),
+            ),
+            (UpdateOrder::Jacobi, small_model()),
+        ] {
+            let mem = Arc::new(MemoryCollector::default());
+            let outcome = NashSolver::new(Initialization::Proportional)
+                .update_order(order)
+                .max_iterations(2000)
+                .collector(mem.clone())
+                .solve(&model)
+                .unwrap();
+            let events = mem.events();
 
-        // Every opened span closes.
-        let opens: Vec<_> = events.iter().filter(|(n, _)| *n == SPAN_OPEN).collect();
-        let closes = events.iter().filter(|(n, _)| *n == SPAN_CLOSE).count();
-        assert_eq!(opens.len(), closes, "unbalanced span open/close");
+            // Every opened span closes.
+            let opens: Vec<_> = events.iter().filter(|(n, _)| *n == SPAN_OPEN).collect();
+            let closes = events.iter().filter(|(n, _)| *n == SPAN_CLOSE).count();
+            assert_eq!(opens.len(), closes, "{order:?}: unbalanced span open/close");
 
-        // Exactly one solve root, one sweep per iteration, and one
-        // best_reply per (iteration, user) — all correctly parented.
-        let iters = outcome.iterations() as usize;
-        let m = model.num_users();
-        let mut solve_id = None;
-        let mut sweep_ids = std::collections::BTreeSet::new();
-        let (mut sweeps, mut replies) = (0usize, 0usize);
-        for (_, fields) in &opens {
-            let id = field_u64(fields, "span").unwrap();
-            let parent = field_u64(fields, "parent");
-            match field_str(fields, "name").as_str() {
-                "solver.solve" => {
-                    assert!(solve_id.replace(id).is_none(), "two solve roots");
-                    assert_eq!(parent, None);
+            // Exactly one solve root and one sweep per iteration under
+            // it; nothing nests below a sweep.
+            let mut solve_id = None;
+            let mut sweeps = 0;
+            for (_, fields) in &opens {
+                let id = field_u64(fields, "span").unwrap();
+                let parent = field_u64(fields, "parent");
+                match field_str(fields, "name").as_str() {
+                    "solver.solve" => {
+                        assert!(solve_id.replace(id).is_none(), "{order:?}: two solve roots");
+                        assert_eq!(parent, None);
+                    }
+                    "solver.sweep" => {
+                        sweeps += 1;
+                        assert_eq!(parent, solve_id, "{order:?}: sweep not under solve");
+                    }
+                    other => panic!("{order:?}: unexpected span {other}"),
                 }
-                "solver.sweep" => {
-                    sweeps += 1;
-                    sweep_ids.insert(id);
-                    assert_eq!(parent, solve_id, "sweep not parented under solve");
-                }
-                "solver.best_reply" => {
-                    replies += 1;
-                    assert!(
-                        sweep_ids.contains(&parent.unwrap()),
-                        "best_reply not parented under a sweep"
-                    );
-                }
-                other => panic!("unexpected span {other}"),
             }
+            assert_eq!(sweeps, outcome.iterations() as usize, "{order:?}");
         }
-        assert_eq!(sweeps, iters);
-        assert_eq!(replies, iters * m);
     }
 
     #[test]

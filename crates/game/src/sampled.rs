@@ -273,8 +273,11 @@ impl SampledNashSolver {
         // retries, so the two diverge on under-sampled models.
         let mut best_replies: u64 = 0;
         let mut water_fills: u64 = 0;
+        let mut iterations = 0;
+        let mut converged = false;
 
         for sweep in 0..self.max_sweeps {
+            iterations = sweep + 1;
             // Deterministic per-sweep shuffle of the update order
             // (Fisher–Yates keyed by `(seed, sweep)` — never by thread).
             // A *fixed* order lets concentration persist: when a user's
@@ -425,13 +428,13 @@ impl SampledNashSolver {
             let cert = sparse_certificate(model, &rows, &headroom, &by_headroom, &runner);
             certificates.push(cert);
             norm_trace.push(norm);
-            let converged = cert.relative <= self.epsilon;
+            converged = cert.relative <= self.epsilon;
             if let Some(c) = collect {
                 let (s_min, s_max, s_mean) = support_stats(&rows);
                 c.emit(
                     "sampled.sweep",
                     &[
-                        ("iter", (sweep + 1).into()),
+                        ("iter", iterations.into()),
                         ("norm", norm.into()),
                         ("cert_gap", cert.absolute.into()),
                         ("cert_rel", cert.relative.into()),
@@ -442,33 +445,8 @@ impl SampledNashSolver {
                     ],
                 );
             }
-            if converged || (sweep + 1 == self.max_sweeps && allow_partial) {
-                if let Some(c) = collect {
-                    c.emit(
-                        "sampled.done",
-                        &[
-                            ("iterations", (sweep + 1).into()),
-                            ("converged", converged.into()),
-                            ("cert_rel", cert.relative.into()),
-                        ],
-                    );
-                    c.emit(
-                        "account.sampled",
-                        &[
-                            ("sweeps", (sweep + 1).into()),
-                            ("best_replies", best_replies.into()),
-                            ("water_fills", water_fills.into()),
-                        ],
-                    );
-                }
-                return Ok(SampledOutcome {
-                    flows: rows,
-                    iterations: sweep + 1,
-                    converged,
-                    certificates,
-                    norm_trace,
-                    total_response_time: prev_d.iter().sum(),
-                });
+            if converged {
+                break;
             }
         }
         let final_rel = certificates.last().map_or(f64::INFINITY, |c| c.relative);
@@ -476,23 +454,33 @@ impl SampledNashSolver {
             c.emit(
                 "sampled.done",
                 &[
-                    ("iterations", self.max_sweeps.into()),
-                    ("converged", false.into()),
+                    ("iterations", iterations.into()),
+                    ("converged", converged.into()),
                     ("cert_rel", final_rel.into()),
                 ],
             );
             c.emit(
                 "account.sampled",
                 &[
-                    ("sweeps", self.max_sweeps.into()),
+                    ("sweeps", iterations.into()),
                     ("best_replies", best_replies.into()),
                     ("water_fills", water_fills.into()),
                 ],
             );
         }
-        Err(GameError::DidNotConverge {
-            iterations: self.max_sweeps,
-            final_norm: final_rel,
+        if !converged && !allow_partial {
+            return Err(GameError::DidNotConverge {
+                iterations,
+                final_norm: final_rel,
+            });
+        }
+        Ok(SampledOutcome {
+            flows: rows,
+            iterations,
+            converged,
+            certificates,
+            norm_trace,
+            total_response_time: prev_d.iter().sum(),
         })
     }
 }

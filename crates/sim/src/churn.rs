@@ -125,9 +125,8 @@ enum Event {
 /// snapshot at every phase boundary and once at the end of the run; the
 /// engine itself reports `des.compact` on tombstone-triggered heap
 /// rebuilds. The run is also wrapped in a causal span tree — `sim.churn`
-/// → `sim.phase_run` per phase, with the engine's `des.batch` spans
-/// under the root. Collection is purely observational — the returned
-/// [`ChurnResult`] is bit-identical with or without a collector.
+/// → `sim.phase_run` per phase. Collection is purely observational — the
+/// returned [`ChurnResult`] is bit-identical with or without a collector.
 ///
 /// # Errors
 ///
@@ -273,10 +272,9 @@ pub fn run_churn_replication(
     if collect.is_some() {
         engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
     }
-    // Causal spans: one `sim.churn` root for the replication, one
+    // Causal spans: one `sim.churn` root for the replication and one
     // `sim.phase_run` child per capacity phase (wall time spent
-    // simulating that phase), and the engine's `des.batch` spans hanging
-    // off the root.
+    // simulating that phase).
     let churn_span = lb_telemetry::Span::root(
         collector,
         "sim.churn",
@@ -286,9 +284,6 @@ pub fn run_churn_replication(
             ("horizon", horizon.into()),
         ],
     );
-    if let Some(span) = &churn_span {
-        engine.set_span_parent(span.handle());
-    }
     let mut phase_span = churn_span
         .as_ref()
         .map(|s| s.child("sim.phase_run", &[("phase", 0u64.into())]));
@@ -574,8 +569,8 @@ mod tests {
         assert_eq!(mem.count("sim.phase"), 3);
         assert_eq!(mem.count("sim.goodput"), 3);
         assert_eq!(mem.count("des.calendar"), 3);
-        // Span tree: balanced, with the churn root, one phase interval
-        // per schedule entry, and at least one engine batch span.
+        // Span tree: balanced, with the churn root and one phase
+        // interval per schedule entry; the engine opens no spans.
         use lb_telemetry::{FieldValue, SPAN_CLOSE, SPAN_OPEN};
         assert_eq!(mem.count(SPAN_OPEN), mem.count(SPAN_CLOSE));
         let span_names: Vec<String> = mem
@@ -594,7 +589,7 @@ mod tests {
             span_names.iter().filter(|n| *n == "sim.phase_run").count(),
             3
         );
-        assert!(span_names.iter().any(|n| n == "des.batch"));
+        assert_eq!(span_names.len(), 4, "{span_names:?}");
     }
 
     #[test]

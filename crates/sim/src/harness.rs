@@ -95,8 +95,8 @@ pub fn simulate_profile_with(
 /// after the fan-out joins — so per-worker `runner.worker` events from
 /// the pool precede them) and a closing `sim.summary`, and the run is
 /// wrapped in a causal span tree: `sim.run` → `runner.pool` →
-/// `runner.worker` → `sim.replication` → `des.shard` → `sim.batch` (a
-/// single-calendar replication hangs `des.batch` spans there instead).
+/// `runner.worker` → `sim.replication` → `des.shard` (a single-calendar
+/// replication ends at its `sim.replication` span).
 /// Collection is purely observational: the returned metrics are
 /// bit-identical with or without a collector attached.
 ///
@@ -132,8 +132,8 @@ pub fn simulate_profile_traced(
 
     // Root span for the whole simulation study; worker spans from the
     // pool and one `sim.replication` span per task nest under it, and
-    // each replication hangs its station shards' `des.shard` spans (or a
-    // single calendar's `des.batch` spans) off its replication span.
+    // each replication hangs its station shards' `des.shard` spans off
+    // its replication span.
     let sim_span = Span::root(
         collector,
         "sim.run",

@@ -44,8 +44,10 @@
 //!
 //! Each simulation operation has one entrypoint, and it takes its
 //! telemetry hooks as arguments: `collector: Option<&Arc<dyn Collector>>`
-//! and, where spans nest under a caller's, `span_parent:
-//! Option<&SpanHandle>`. Passing `None` turns collection off; results are
+//! and, where it opens a span under a caller's (the sharded engine's one
+//! `des.shard` span per station), `span_parent: Option<&SpanHandle>`.
+//! Spans mark layer boundaries only; no event loop cuts its own work
+//! into batch spans. Passing `None` turns collection off; results are
 //! bit-identical either way. [`scenario::run_replication`] is the one
 //! replication (it picks the engine from the config),
 //! [`policies::run_policy_replication`] the one single-calendar run,

@@ -36,7 +36,7 @@ use lb_des::time::SimTime;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
-use lb_telemetry::{Collector, SpanHandle};
+use lb_telemetry::Collector;
 use std::sync::Arc;
 
 /// A job-dispatch rule, applied at every arrival.
@@ -104,11 +104,9 @@ enum Event {
 /// completion order; pass `|_, _| {}` to ignore it.
 ///
 /// Interarrival and service times follow `config.arrivals` and
-/// `config.service`; `config.fidelity` is not consulted. Telemetry as
-/// for [`crate::scenario::run_replication`]: the collector receives the
-/// engine's `des.compact` events and, under `span_parent`, `des.batch`
-/// spans partition the event loop. Results are bit-identical with or
-/// without either hook.
+/// `config.service`; `config.fidelity` is not consulted. The collector
+/// receives the engine's `des.compact` events; results are bit-identical
+/// with or without it.
 ///
 /// # Errors
 ///
@@ -123,7 +121,6 @@ pub fn run_policy_replication<F: FnMut(usize, f64)>(
     config: SimulationConfig,
     seed: u64,
     collector: Option<&Arc<dyn Collector>>,
-    span_parent: Option<&SpanHandle>,
     sink: F,
 ) -> Result<SimulationResult, GameError> {
     let rule = match policy {
@@ -165,7 +162,6 @@ pub fn run_policy_replication<F: FnMut(usize, f64)>(
         config,
         seed,
         collector,
-        span_parent,
         sink,
     ))
 }
@@ -176,7 +172,6 @@ pub fn run_policy_replication<F: FnMut(usize, f64)>(
 ///
 /// Stream layout: user `j`'s interarrivals on stream `j`, its dispatch
 /// draws on `m + j`, station `i`'s service demands on `2m + i`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
     user_rates: &[f64],
     stations: &[(f64, u32)],
@@ -184,7 +179,6 @@ pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
     config: SimulationConfig,
     seed: u64,
     collector: Option<&Arc<dyn Collector>>,
-    span_parent: Option<&SpanHandle>,
     mut sink: F,
 ) -> SimulationResult {
     let m = user_rates.len();
@@ -219,9 +213,6 @@ pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
     engine.set_horizon(SimTime::new(horizon_secs));
     if lb_telemetry::enabled(collector).is_some() {
         engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
-    }
-    if let Some(parent) = span_parent {
-        engine.set_span_parent(parent.clone());
     }
 
     // Prime the arrival processes.
@@ -342,7 +333,6 @@ mod tests {
             SimulationConfig::quick(),
             23,
             None,
-            None,
             |_, _| {},
         )
         .unwrap()
@@ -407,7 +397,6 @@ mod tests {
             SimulationConfig::quick(),
             9,
             None,
-            None,
             |_, _| {},
         )
         .unwrap();
@@ -440,7 +429,6 @@ mod tests {
                 &DispatchPolicy::PowerOfD(0),
                 SimulationConfig::quick(),
                 0,
-                None,
                 None,
                 |_, _| {}
             ),

@@ -59,7 +59,6 @@ pub fn run_pool_replication(
         config,
         seed,
         None,
-        None,
         |_, _| {},
     ))
 }

@@ -192,11 +192,10 @@ pub struct SimulationResult {
 ///
 /// Telemetry: the collector receives the engine's `des.compact` events
 /// and the shards' `account.des` snapshots, and — when `span_parent` is
-/// given — spans partition the event machinery under that parent
-/// (typically the caller's `sim.replication` span): `des.shard` →
-/// `sim.batch` on the sharded engine, `des.batch` on the single
-/// calendar. Purely observational; results are bit-identical with or
-/// without either hook.
+/// given — the sharded engine opens one `des.shard` span per station
+/// under that parent (typically the caller's `sim.replication` span);
+/// the single calendar opens none. Purely observational; results are
+/// bit-identical with or without either hook.
 ///
 /// This is the routing point for the simulation engines:
 ///
@@ -252,7 +251,6 @@ pub fn run_replication<F: FnMut(usize, f64)>(
         config,
         seed,
         collector,
-        span_parent,
         sink,
     )
 }
@@ -287,7 +285,6 @@ mod tests {
             &DispatchPolicy::Static(profile.clone()),
             cfg,
             17,
-            None,
             None,
             |_, resp| bm.push(resp),
         )

@@ -284,7 +284,6 @@ mod tests {
             config,
             11,
             None,
-            None,
             |_, _| {},
         )
         .unwrap();
