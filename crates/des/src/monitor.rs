@@ -44,7 +44,14 @@ impl ResponseTimeMonitor {
         if arrival < self.warmup {
             return;
         }
-        let response = departure - arrival;
+        self.push(user, departure - arrival);
+    }
+
+    /// Adds one measured response of `user` without [`Self::record`]'s
+    /// checks: for a caller that already knows the job is in range,
+    /// past the warmup and departs after it arrived.
+    #[inline]
+    pub(crate) fn push(&mut self, user: usize, response: f64) {
         self.per_user[user].push(response);
         self.system.push(response);
     }

@@ -188,7 +188,9 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
                 demand.is_finite() && demand >= 0.0,
                 "invalid service time {demand}"
             );
-            let start = arrival.max(free_at);
+            // Branch-free: which instant is later is a coin flip at
+            // moderate load.
+            let start = SimTime::new(arrival.as_secs().max(free_at.as_secs()));
             if start > horizon {
                 // The server is busy past the horizon: this job only waits.
                 continue;
@@ -202,9 +204,12 @@ pub fn run_station_shard<F: FnMut(usize, f64)>(
             }
             departed += 1;
             busy += done.since(start);
-            monitor.record(user, arrival, done);
+            // The alias table draws users in range and the job departs
+            // at or after its arrival, so only the warmup needs a test.
             if arrival >= spec.warmup {
-                sink(user, done - arrival);
+                let response = done - arrival;
+                monitor.push(user, response);
+                sink(user, response);
             }
         }
     }
