@@ -100,11 +100,13 @@ fn bench_deployment(c: &mut Criterion) {
     });
     group.bench_function("token_ring", |b| {
         b.iter(|| {
-            DistributedNash::new()
+            let out = DistributedNash::new()
                 .init(RingInit::Proportional)
                 .tolerance(1e-4)
                 .run(black_box(&model))
-                .unwrap()
+                .unwrap();
+            assert!(out.converged(), "token ring must converge");
+            out
         });
     });
     group.bench_function("async_healthy", |b| {
@@ -126,12 +128,14 @@ fn bench_ring_scaling(c: &mut Criterion) {
             SystemModel::with_equal_users(SystemModel::table1_rates(), m, 0.6).expect("valid");
         group.bench_function(format!("{m}_users"), |b| {
             b.iter(|| {
-                DistributedNash::new()
+                let out = DistributedNash::new()
                     .init(RingInit::Proportional)
                     .tolerance(1e-4)
                     .max_rounds(5000)
                     .run(black_box(&model))
-                    .unwrap()
+                    .unwrap();
+                assert!(out.converged(), "token ring must converge");
+                out
             });
         });
     }

@@ -24,21 +24,24 @@
 //!   a peer unreachable.
 //! * **Partitions** are handled by epoch: a node that can reach only a
 //!   minority of users freezes its best replies (bumping its epoch) and
-//!   sheds load via the configured [`OverloadPolicy`] against the
+//!   sheds load ([`OverloadPolicy::ShedProportional`]) against the
 //!   capacity left by the unreachable side's (stale, frozen) flows; the
 //!   majority keeps converging. The first message from a formerly
 //!   unreachable peer triggers an **anti-entropy** exchange
 //!   (`SyncReq`/`SyncResp` reconciled by version vector) and an
 //!   unfreeze.
 //! * **Termination** reuses the ring's certified ε-Nash rule
-//!   ([`StoppingRule::CertifiedGap`]): the coordinator accepts only when
-//!   every live user's status (a) was generated within the last τ of
-//!   virtual time, (b) reports a relative regret ≤ ε, (c) is not
-//!   frozen, and (d) carries a version vector identical to the
-//!   coordinator's own — so there are provably no in-flight updates and
-//!   the state the regrets were measured against *is* the state the run
-//!   returns. ε-optimal users skip their updates (the ring's pre-update
-//!   skip rule), so an accepted board is quiescent by construction.
+//!   ([`StoppingRule::CertifiedGap`] at ε = [`AsyncNash::epsilon`]): the
+//!   coordinator accepts only when every live user's status (a) was
+//!   generated within the last τ of virtual time, (b) reports a
+//!   relative regret ≤ ε, (c) is not frozen, and (d) carries a version
+//!   vector identical to the coordinator's own — so there are provably
+//!   no in-flight updates and the state the regrets were measured
+//!   against *is* the state the run returns. ε-optimal users skip
+//!   their updates (the ring's pre-update skip rule), so an accepted
+//!   board is quiescent by construction.
+//!
+//! [`StoppingRule::CertifiedGap`]: lb_game::stopping::StoppingRule::CertifiedGap
 //!
 //! The whole runtime executes as a **sequential discrete-event
 //! simulation** over [`crate::net::VirtualNet`]'s virtual clock: every
@@ -57,7 +60,7 @@ use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::overload::{shed_to_feasible, OverloadPolicy};
 use lb_game::parallel::ParallelRunner;
-use lb_game::stopping::{placed_user_regret, relative_regret, StoppingRule, ViewFreshness};
+use lb_game::stopping::{placed_user_regret, relative_regret, ViewFreshness};
 use lb_game::strategy::{Strategy, StrategyProfile};
 use lb_retry::DecorrelatedJitter;
 use lb_telemetry::{enabled, Collector, SpanHandle};
@@ -94,6 +97,10 @@ const UNREACHABLE_AFTER: u32 = 5;
 /// across the chaos sweep. A damped stationary point is still an exact
 /// mutual best reply, so the certificate is unaffected.
 const DAMPING: f64 = 0.3;
+
+/// Admission policy a minority partition uses to shed its own demand
+/// against the capacity the unreachable side's frozen flows leave.
+const MINORITY_POLICY: OverloadPolicy = OverloadPolicy::ShedProportional { headroom: 0.05 };
 
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -196,7 +203,6 @@ struct Cfg {
     phis: Vec<f64>,
     epsilon: f64,
     tau: u64,
-    policy: OverloadPolicy,
     seed: u64,
 }
 
@@ -417,7 +423,7 @@ impl UserNode {
 
     /// Minority-side admission control: shed own demand so the group's
     /// residual game (capacity minus the unreachable side's frozen
-    /// flows) is feasible under the configured policy.
+    /// flows) is feasible under [`MINORITY_POLICY`].
     fn shed_for_group(&mut self, alive: &[usize]) {
         let mut residual = self.cfg.mu.clone();
         for &k in alive {
@@ -440,7 +446,7 @@ impl UserNode {
         if demand < capacity * 0.999 {
             return; // the residual game is already feasible
         }
-        if let Ok(plan) = shed_to_feasible(&residual, &group_phis, self.cfg.policy) {
+        if let Ok(plan) = shed_to_feasible(&residual, &group_phis, MINORITY_POLICY) {
             let me = members.iter().position(|&k| k == self.id).expect("member");
             let phi = self.cfg.phis[self.id];
             if phi > 0.0 && plan.admitted[me] < phi {
@@ -1060,11 +1066,10 @@ impl AsyncOutcome {
 pub struct AsyncNash {
     seed: u64,
     plan: NetFaultPlan,
-    stopping: StoppingRule,
+    epsilon: f64,
     staleness_us: u64,
     max_virtual_us: u64,
     failure_timeout_us: Option<u64>,
-    overload_policy: OverloadPolicy,
     threads: usize,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -1073,7 +1078,7 @@ impl fmt::Debug for AsyncNash {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AsyncNash")
             .field("seed", &self.seed)
-            .field("stopping", &self.stopping)
+            .field("epsilon", &self.epsilon)
             .field("staleness_us", &self.staleness_us)
             .field("max_virtual_us", &self.max_virtual_us)
             .field("threads", &self.threads)
@@ -1094,11 +1099,10 @@ impl AsyncNash {
         Self {
             seed: 1,
             plan: NetFaultPlan::new(),
-            stopping: StoppingRule::default(),
+            epsilon: 1e-4,
             staleness_us: 20_000,
             max_virtual_us: 30_000_000,
             failure_timeout_us: None,
-            overload_policy: OverloadPolicy::ShedProportional { headroom: 0.05 },
             threads: 1,
             collector: None,
         }
@@ -1116,17 +1120,13 @@ impl AsyncNash {
         self
     }
 
-    /// The stopping rule. The asynchronous runtime certifies its result
-    /// and therefore accepts only [`StoppingRule::CertifiedGap`]; any
-    /// other rule makes [`AsyncNash::run`] return a typed error.
-    pub fn stopping_rule(mut self, rule: StoppingRule) -> Self {
-        self.stopping = rule;
-        self
-    }
-
-    /// Shorthand: certified relative ε-Nash tolerance.
+    /// The certified relative ε-Nash tolerance. The runtime always
+    /// stops on [`StoppingRule::CertifiedGap`]: a norm rule cannot tell
+    /// a quiet lossy network from an equilibrium.
+    ///
+    /// [`StoppingRule::CertifiedGap`]: lb_game::stopping::StoppingRule::CertifiedGap
     pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.stopping = StoppingRule::CertifiedGap { epsilon };
+        self.epsilon = epsilon;
         self
     }
 
@@ -1152,12 +1152,6 @@ impl AsyncNash {
         self
     }
 
-    /// Admission policy a minority partition uses to shed load.
-    pub fn overload_policy(mut self, policy: OverloadPolicy) -> Self {
-        self.overload_policy = policy;
-        self
-    }
-
     /// Worker threads for the final certificate recomputation. Purely a
     /// throughput knob: the outcome is byte-identical at any setting.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -1177,22 +1171,12 @@ impl AsyncNash {
     ///
     /// # Errors
     ///
+    /// * [`GameError::InvalidRate`] for an `epsilon` that is not finite
+    ///   and positive.
     /// * [`GameError::ZeroDuration`] for a zero `staleness_us` or
     ///   `max_virtual_us`.
-    /// * [`GameError::InfeasibleStrategy`] for a stopping rule other
-    ///   than [`StoppingRule::CertifiedGap`].
     pub fn run(&self, model: &SystemModel) -> Result<AsyncOutcome, GameError> {
-        let epsilon = match self.stopping {
-            StoppingRule::CertifiedGap { epsilon } => epsilon,
-            ref other => {
-                return Err(GameError::InfeasibleStrategy {
-                    reason: format!(
-                        "the async runtime certifies its result and supports only \
-                         StoppingRule::CertifiedGap, got {other:?}"
-                    ),
-                })
-            }
-        };
+        let epsilon = self.epsilon;
         if !(epsilon.is_finite() && epsilon > 0.0) {
             return Err(GameError::InvalidRate {
                 name: "epsilon",
@@ -1215,7 +1199,6 @@ impl AsyncNash {
             phis: model.user_rates().to_vec(),
             epsilon,
             tau: self.staleness_us,
-            policy: self.overload_policy,
             seed: self.seed,
         };
         let failure_timeout = self
@@ -1485,14 +1468,6 @@ mod tests {
                 other => panic!("expected ZeroDuration for {what}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn non_certified_stopping_rule_is_rejected() {
-        let err = AsyncNash::new()
-            .stopping_rule(StoppingRule::AbsoluteNorm)
-            .run(&model());
-        assert!(matches!(err, Err(GameError::InfeasibleStrategy { .. })));
     }
 
     #[test]

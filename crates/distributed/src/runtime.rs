@@ -158,25 +158,19 @@ impl DistributedNash {
         self
     }
 
-    /// Sets the convergence tolerance ε. Under the default
-    /// [`StoppingRule::CertifiedGap`] this is the certified relative
-    /// gap; under the norm rules it is the norm threshold.
+    /// Sets the convergence tolerance ε, read by both stopping rules:
+    /// the certified relative gap under the default
+    /// [`StoppingRule::CertifiedGap`], the norm threshold under
+    /// [`StoppingRule::AbsoluteNorm`].
     pub fn tolerance(mut self, eps: f64) -> Self {
         self.tolerance = eps;
-        if let StoppingRule::CertifiedGap { epsilon } = &mut self.stopping {
-            *epsilon = eps;
-        }
         self
     }
 
-    /// Selects the ring tail's convergence criterion. Passing
-    /// [`StoppingRule::CertifiedGap`] also adopts its ε as the
-    /// tolerance, mirroring [`lb_game::nash::NashSolver`].
+    /// Selects the ring tail's convergence criterion; ε stays
+    /// [`DistributedNash::tolerance`].
     pub fn stopping_rule(mut self, rule: StoppingRule) -> Self {
         self.stopping = rule;
-        if let StoppingRule::CertifiedGap { epsilon } = rule {
-            self.tolerance = epsilon;
-        }
         self
     }
 
@@ -233,30 +227,10 @@ impl DistributedNash {
         self
     }
 
-    /// Runs the ring to termination and collects the outcome, treating an
-    /// exhausted round budget as an error (the historical behavior).
-    ///
-    /// # Errors
-    ///
-    /// * [`GameError::DidNotConverge`] when the round budget ran out.
-    /// * [`GameError::RingTimeout`] when the deadline expired or no users
-    ///   survived to produce a result.
-    /// * [`GameError::InfeasibleStrategy`] on protocol violations
-    ///   (duplicate or missing reports).
-    pub fn run(&self, model: &SystemModel) -> Result<DistributedOutcome, GameError> {
-        let outcome = self.run_to_outcome(model)?;
-        if outcome.termination() == Termination::Exhausted {
-            return Err(GameError::DidNotConverge {
-                iterations: outcome.rounds(),
-                final_norm: outcome.trace().last().unwrap_or(f64::INFINITY),
-            });
-        }
-        Ok(outcome)
-    }
-
-    /// Runs the ring to termination and returns the outcome even when
-    /// the round budget was exhausted ([`Termination::Exhausted`]), so
-    /// callers can inspect the partial state instead of discarding it.
+    /// Runs the ring to termination and returns the outcome. An
+    /// exhausted round budget is an outcome, not an error: it comes back
+    /// with [`Termination::Exhausted`] and the state the ring reached,
+    /// as [`crate::async_runtime::AsyncNash::run`] returns its own.
     ///
     /// # Errors
     ///
@@ -268,7 +242,7 @@ impl DistributedNash {
     ///   survived to produce a result.
     /// * [`GameError::InfeasibleStrategy`] on protocol violations
     ///   (duplicate or missing reports).
-    pub fn run_to_outcome(&self, model: &SystemModel) -> Result<DistributedOutcome, GameError> {
+    pub fn run(&self, model: &SystemModel) -> Result<DistributedOutcome, GameError> {
         // A zero budget or a zero timeout cannot produce an honest
         // outcome: no round can both run and be timed. Reject up front
         // (mirrors the solver-side `max_iterations == 0` check).
@@ -1298,27 +1272,22 @@ impl UserNode {
         }
         let d = self.response_time_from_board(board);
         token.norm_acc += (d - self.prev_d).abs();
-        token.d_acc += d;
         self.prev_d = d;
 
         if self.is_tail {
             let norm = token.norm_acc;
-            let total_d = token.d_acc;
             let certificate = token.certificate;
             token.round += 1;
             token.norm_acc = 0.0;
-            token.d_acc = 0.0;
             token.certificate = Certificate::zero();
             let converged = match cfg.stopping {
+                StoppingRule::AbsoluteNorm => norm <= cfg.tolerance,
                 // Regrets are measured pre-update at each user's
                 // turn; requiring a quiescent round (norm exactly
                 // zero — nobody moved, so the board the regrets
                 // were measured against IS the returned state)
                 // makes the acceptance a sound ε-Nash certificate.
-                StoppingRule::CertifiedGap { epsilon } => {
-                    certificate.relative <= epsilon && norm == 0.0
-                }
-                rule => rule.accepts(cfg.tolerance, norm, total_d, Some(&certificate)),
+                StoppingRule::CertifiedGap => certificate.relative <= cfg.tolerance && norm == 0.0,
             };
             if converged {
                 token.terminate = Termination::Converged;
@@ -1458,6 +1427,7 @@ mod tests {
     fn matches_sequential_solver() {
         let m = model();
         let dist = DistributedNash::new().tolerance(1e-8).run(&m).unwrap();
+        assert!(dist.converged());
         let seq = NashSolver::new(Initialization::Proportional)
             .tolerance(1e-8)
             .solve(&m)
@@ -1476,6 +1446,7 @@ mod tests {
             .tolerance(1e-8)
             .run(&m)
             .unwrap();
+        assert!(dist.converged());
         let seq = NashSolver::new(Initialization::Zero)
             .tolerance(1e-8)
             .solve(&m)
@@ -1489,6 +1460,7 @@ mod tests {
     fn single_user_ring_works() {
         let m = SystemModel::new(vec![10.0, 20.0], vec![12.0]).unwrap();
         let out = DistributedNash::new().run(&m).unwrap();
+        assert!(out.converged());
         assert!(epsilon_nash_gap(&m, out.profile()).unwrap() < 1e-6);
         // The accepting round is quiescent: the lone user skips it.
         assert_eq!(out.total_updates(), out.rounds() - 1);
@@ -1504,6 +1476,7 @@ mod tests {
             .collector(mem.clone())
             .run(&m)
             .unwrap();
+        assert!(out.converged());
 
         let events = mem.events();
         let field_u64 = |fields: &[Field], key: &str| -> Option<u64> {
@@ -1565,30 +1538,16 @@ mod tests {
     #[test]
     fn round_budget_is_enforced() {
         let m = SystemModel::table1_system(0.9).unwrap();
-        let err = DistributedNash::new()
-            .init(RingInit::Zero)
-            .tolerance(1e-12)
-            .max_rounds(2)
-            .run(&m)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            GameError::DidNotConverge { iterations: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn run_to_outcome_keeps_the_exhausted_partial_state() {
-        let m = SystemModel::table1_system(0.9).unwrap();
         let out = DistributedNash::new()
             .init(RingInit::Zero)
             .tolerance(1e-12)
             .max_rounds(2)
-            .run_to_outcome(&m)
+            .run(&m)
             .unwrap();
         assert_eq!(out.termination(), Termination::Exhausted);
         assert!(!out.converged());
         assert_eq!(out.rounds(), 2);
+        assert_eq!(out.trace().len(), 2);
         // The partial profile is still a feasible strategy profile.
         assert_eq!(out.profile().num_users(), m.num_users());
     }
@@ -1609,6 +1568,7 @@ mod tests {
             .max_rounds(2000)
             .run(&m)
             .unwrap();
+        assert!(out.converged());
         // With 2% observation noise the profile is still a loose eps-Nash.
         let gap = epsilon_nash_gap(&m, out.profile()).unwrap();
         let d_avg: f64 = out.user_times().iter().sum::<f64>() / out.user_times().len() as f64;
@@ -1626,6 +1586,7 @@ mod tests {
             .collector(mem.clone())
             .run(&m)
             .unwrap();
+        assert!(plain.converged() && traced.converged());
 
         // The ring replays the same deterministic dynamics.
         assert_eq!(traced.rounds(), plain.rounds());
@@ -1669,6 +1630,7 @@ mod tests {
             .collector(mem.clone())
             .run(&m)
             .unwrap();
+        assert!(out.converged());
 
         assert_eq!(out.failed_users(), &[1]);
         assert_eq!(mem.count("ring.token_lost"), 1);
@@ -1685,6 +1647,7 @@ mod tests {
     fn table1_ring_at_medium_load() {
         let m = SystemModel::table1_system(0.6).unwrap();
         let out = DistributedNash::new().run(&m).unwrap();
+        assert!(out.converged());
         let gap = epsilon_nash_gap(&m, out.profile()).unwrap();
         assert!(gap < 1e-2, "gap {gap}");
         assert_eq!(out.profile().num_users(), 10);

@@ -241,6 +241,7 @@ fn shed_trajectory_replays_byte_identically() {
     };
     let a = run();
     let b = run();
+    assert!(a.converged());
     // The trajectory is a pure function of (plan, nominal rates,
     // policy): every record — capacities, admitted and shed vectors —
     // must match bit for bit across runs, host timing notwithstanding.
@@ -284,6 +285,7 @@ fn churn_free_runs_log_no_shed_records() {
         .overload_policy(OverloadPolicy::ShedProportional { headroom: 0.9 })
         .run(&full)
         .unwrap();
+    assert!(out.converged());
     assert!(out.shed_trajectory().is_empty());
     assert!(out.degraded_computers().is_empty());
     assert_eq!(out.admitted_rates(), full.user_rates());

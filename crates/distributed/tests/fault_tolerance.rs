@@ -78,6 +78,7 @@ fn repair_is_deterministic_under_a_fixed_plan() {
     };
     let a = run();
     let b = run();
+    assert!(a.converged());
     assert_eq!(a.rounds(), b.rounds());
     assert_eq!(a.failed_users(), b.failed_users());
     assert_eq!(a.survivors(), b.survivors());
@@ -356,4 +357,5 @@ fn faultless_runs_are_unaffected_by_the_machinery() {
         .unwrap();
     assert_eq!(d, 0.0);
     assert_eq!(plain.termination(), Termination::Converged);
+    assert_eq!(with_empty_plan.termination(), Termination::Converged);
 }

@@ -30,6 +30,7 @@ proptest! {
             .max_rounds(3000)
             .run(&model)
             .unwrap();
+        prop_assert!(out.converged());
         out.profile().check_stability(&model).unwrap();
         let gap = epsilon_nash_gap(&model, out.profile()).unwrap();
         let scale: f64 = out
@@ -61,6 +62,7 @@ proptest! {
             .max_rounds(5000)
             .run(&model)
             .unwrap();
+        prop_assert!(ring.converged());
         let seq = NashSolver::new(Initialization::Proportional)
             .stopping_rule(lb_game::StoppingRule::AbsoluteNorm)
             .tolerance(1e-8)

@@ -48,14 +48,14 @@ fn arb_instance() -> impl Strategy<Value = SystemModel> {
 /// Every solver's certified profile of `model`, labelled.
 fn solver_profiles(model: &SystemModel) -> Vec<(&'static str, StrategyProfile)> {
     let ring = |init| {
-        DistributedNash::new()
+        let out = DistributedNash::new()
             .init(init)
             .tolerance(EPS)
             .max_rounds(100_000)
             .run(model)
-            .expect("ring converges")
-            .profile()
-            .clone()
+            .expect("ring run");
+        assert!(out.converged(), "ring did not certify");
+        out.profile().clone()
     };
     let asynchronous = AsyncNash::new().epsilon(EPS).run(model).expect("async run");
     assert!(asynchronous.converged(), "async run did not certify");

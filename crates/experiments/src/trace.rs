@@ -186,7 +186,7 @@ pub fn run(out: &Path, verbose: bool) -> Result<TraceReport, String> {
         .drop_token_at(1, 2)
         .degrade_computer_at(4, 1, 8.0)
         .recover_computer_at(6, 1);
-    DistributedNash::new()
+    let ring = DistributedNash::new()
         .stopping_rule(StoppingRule::AbsoluteNorm)
         .fault_plan(plan)
         .round_timeout(Duration::from_millis(300))
@@ -194,6 +194,9 @@ pub fn run(out: &Path, verbose: bool) -> Result<TraceReport, String> {
         .collector(collector.clone())
         .run(&ring_model)
         .map_err(|e| format!("ring run: {e}"))?;
+    if !ring.converged() {
+        return Err(format!("ring run exhausted {} rounds", ring.rounds()));
+    }
 
     // Phase 3a — replicated DES of the Table-1 NASH profile.
     let sim_plan = ReplicationPlan {

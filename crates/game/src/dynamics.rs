@@ -96,9 +96,9 @@ impl DynamicBalancer {
 
     /// Like [`DynamicBalancer::new`], but every solve — the initial one
     /// and all re-equilibrations — uses `stopping` instead of the
-    /// default certified rule. With
-    /// [`StoppingRule::CertifiedGap`], `tolerance` is the certified
-    /// relative ε; with the norm rules it is the norm threshold.
+    /// default certified rule. `tolerance` is ε under either rule: the
+    /// certified relative gap under [`StoppingRule::CertifiedGap`], the
+    /// norm threshold under [`StoppingRule::AbsoluteNorm`].
     ///
     /// # Errors
     ///

@@ -16,7 +16,8 @@
 //! from the water-filling KKT residual, and the paper's rule remains
 //! available as an explicit opt-in
 //! ([`NashSolver::stopping_rule`] + [`crate::stopping::StoppingRule::AbsoluteNorm`])
-//! for byte-identical figure reproduction.
+//! for byte-identical figure reproduction. Either way ε is
+//! [`NashSolver::tolerance`].
 //!
 //! Two initializations from the paper:
 //!
@@ -120,28 +121,17 @@ impl NashSolver {
         }
     }
 
-    /// Sets the convergence tolerance ε — the single accuracy knob for
-    /// every stopping rule: the norm threshold under
-    /// [`StoppingRule::AbsoluteNorm`], the relative-norm threshold under
-    /// [`StoppingRule::RelativeNorm`], and (kept in sync automatically)
-    /// the certified relative gap under [`StoppingRule::CertifiedGap`].
+    /// Sets the convergence tolerance ε, the one accuracy knob of both
+    /// stopping rules: the certified relative gap under
+    /// [`StoppingRule::CertifiedGap`] and the norm threshold under
+    /// [`StoppingRule::AbsoluteNorm`].
     pub fn tolerance(mut self, eps: f64) -> Self {
         self.tolerance = eps;
-        if let StoppingRule::CertifiedGap { epsilon } = &mut self.stopping {
-            *epsilon = eps;
-        }
         self
     }
 
-    /// Selects the stopping rule. Selecting
-    /// [`StoppingRule::CertifiedGap`] also adopts its `epsilon` as the
-    /// solver tolerance, so an explicit certified ε wins over an earlier
-    /// [`NashSolver::tolerance`] call while a later `tolerance` call
-    /// still retunes it — the two knobs can never disagree.
+    /// Selects the stopping rule; ε stays [`NashSolver::tolerance`].
     pub fn stopping_rule(mut self, rule: StoppingRule) -> Self {
-        if let StoppingRule::CertifiedGap { epsilon } = rule {
-            self.tolerance = epsilon;
-        }
         self.stopping = rule;
         self
     }
@@ -212,10 +202,13 @@ impl NashSolver {
         self.solve_inner(model, true)
     }
 
+    /// The sweep loop behind both entry points. An exhausted budget
+    /// returns the outcome when `keep_partial`, else
+    /// [`GameError::DidNotConverge`] before the profile is assembled.
     fn solve_inner(
         &self,
         model: &SystemModel,
-        allow_partial: bool,
+        keep_partial: bool,
     ) -> Result<NashOutcome, GameError> {
         if self.max_iterations == 0 {
             return Err(GameError::ZeroIterationBudget);
@@ -275,7 +268,7 @@ impl NashSolver {
         }
         let mut trace = IterationTrace::new();
         // One certificate per sweep when the rule needs them (empty for
-        // the norm-based rules, which keeps the repro path cost-free).
+        // the norm rule, which keeps the repro path cost-free).
         let mut certificates: Vec<Certificate> = Vec::new();
 
         // Resolved once: `None` (the default) keeps the hot loop on a
@@ -385,10 +378,9 @@ impl NashSolver {
             } else {
                 None
             };
-            let total_d: f64 = ws.prev_d.iter().sum();
             converged = self
                 .stopping
-                .accepts(self.tolerance, norm, total_d, certificate.as_ref());
+                .accepts(self.tolerance, norm, certificate.as_ref());
             if let Some(c) = collect {
                 // Payload assembly (an O(mn) prefix scan) happens only
                 // with an enabled collector attached.
@@ -448,7 +440,7 @@ impl NashSolver {
                 ("converged", converged.into()),
             ]);
         }
-        if !converged && !allow_partial {
+        if !converged && !keep_partial {
             return Err(GameError::DidNotConverge {
                 iterations,
                 final_norm,
@@ -503,8 +495,8 @@ impl NashOutcome {
     }
 
     /// Per-sweep regret certificates, in sweep order. Populated only
-    /// under [`StoppingRule::CertifiedGap`] (empty for the norm rules,
-    /// whose sweeps never compute one).
+    /// under [`StoppingRule::CertifiedGap`] (empty under
+    /// [`StoppingRule::AbsoluteNorm`], whose sweeps never compute one).
     pub fn certificates(&self) -> &[Certificate] {
         &self.certificates
     }
@@ -1354,7 +1346,7 @@ mod tests {
         let model = SystemModel::table1_system(0.6).unwrap();
         // ε = 0 can never be met, so the budget is always exhausted.
         let out = NashSolver::new(Initialization::Proportional)
-            .stopping_rule(StoppingRule::CertifiedGap { epsilon: 0.0 })
+            .tolerance(0.0)
             .max_iterations(3)
             .solve_partial(&model)
             .unwrap();
@@ -1369,7 +1361,7 @@ mod tests {
         // `solve` on the same configuration refuses to hand back the
         // partial result.
         let err = NashSolver::new(Initialization::Proportional)
-            .stopping_rule(StoppingRule::CertifiedGap { epsilon: 0.0 })
+            .tolerance(0.0)
             .max_iterations(3)
             .solve(&model)
             .unwrap_err();
@@ -1448,7 +1440,8 @@ mod tests {
         // guarantee.
         let certified = |m: &SystemModel| {
             NashSolver::new(Initialization::Zero)
-                .stopping_rule(StoppingRule::CertifiedGap { epsilon: 1e-4 })
+                .stopping_rule(StoppingRule::CertifiedGap)
+                .tolerance(1e-4)
                 .solve(m)
                 .unwrap()
         };

@@ -205,27 +205,6 @@ impl SampledNashSolver {
     /// * [`GameError::InfeasibleBestReply`] when even the full server
     ///   set cannot carry a user's demand (an infeasible model).
     pub fn solve(&self, model: &SystemModel) -> Result<SampledOutcome, GameError> {
-        self.solve_inner(model, false)
-    }
-
-    /// Like [`SampledNashSolver::solve`], but exhausting the sweep
-    /// budget returns the truncated outcome (with
-    /// [`SampledOutcome::converged`]` == false`) and its per-sweep
-    /// certificates instead of discarding them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SampledNashSolver::solve`] minus
-    /// [`GameError::DidNotConverge`].
-    pub fn solve_partial(&self, model: &SystemModel) -> Result<SampledOutcome, GameError> {
-        self.solve_inner(model, true)
-    }
-
-    fn solve_inner(
-        &self,
-        model: &SystemModel,
-        allow_partial: bool,
-    ) -> Result<SampledOutcome, GameError> {
         if self.max_sweeps == 0 {
             return Err(GameError::ZeroIterationBudget);
         }
@@ -468,7 +447,7 @@ impl SampledNashSolver {
                 ],
             );
         }
-        if !converged && !allow_partial {
+        if !converged {
             return Err(GameError::DidNotConverge {
                 iterations,
                 final_norm: final_rel,
@@ -477,7 +456,6 @@ impl SampledNashSolver {
         Ok(SampledOutcome {
             flows: rows,
             iterations,
-            converged,
             certificates,
             norm_trace,
             total_response_time: prev_d.iter().sum(),
@@ -492,7 +470,6 @@ impl SampledNashSolver {
 pub struct SampledOutcome {
     flows: Vec<SparseRow>,
     iterations: u32,
-    converged: bool,
     certificates: Vec<Certificate>,
     norm_trace: Vec<f64>,
     total_response_time: f64,
@@ -510,10 +487,12 @@ impl SampledOutcome {
         self.iterations
     }
 
-    /// Whether the certified gap reached ε (always true from
-    /// [`SampledNashSolver::solve`]).
+    /// Whether the certified gap reached ε. Always `true`:
+    /// [`SampledNashSolver::solve`] returns
+    /// [`GameError::DidNotConverge`] on an exhausted budget, so every
+    /// outcome it hands back has converged.
     pub fn converged(&self) -> bool {
-        self.converged
+        true
     }
 
     /// Per-sweep regret certificates, in sweep order.
@@ -522,7 +501,7 @@ impl SampledOutcome {
     }
 
     /// The final sweep's certificate — the proved ε-Nash bound the run
-    /// was accepted (or truncated) at.
+    /// was accepted at.
     pub fn certified_gap(&self) -> Certificate {
         *self
             .certificates
@@ -673,7 +652,6 @@ mod tests {
     use super::*;
     use crate::equilibrium::epsilon_nash_gap;
     use crate::nash::{Initialization, NashSolver};
-    use crate::stopping::StoppingRule;
 
     fn small_model() -> SystemModel {
         SystemModel::new(vec![10.0, 20.0, 50.0], vec![15.0, 25.0]).unwrap()
@@ -710,7 +688,6 @@ mod tests {
             .epsilon(1e-4)
             .solve(&model)
             .unwrap();
-        assert!(out.converged());
         let cert = out.certified_gap();
         assert!(cert.relative <= 1e-4);
         let profile = out.to_profile(&model).unwrap();
@@ -726,7 +703,7 @@ mod tests {
     fn agrees_with_the_dense_solver() {
         let model = SystemModel::table1_system(0.6).unwrap();
         let dense = NashSolver::new(Initialization::Proportional)
-            .stopping_rule(StoppingRule::CertifiedGap { epsilon: 1e-8 })
+            .tolerance(1e-8)
             .max_iterations(2000)
             .solve(&model)
             .unwrap();
@@ -784,7 +761,6 @@ mod tests {
         let b = SampledNashSolver::new().seed(7).solve(&model).unwrap();
         assert_outcomes_bit_identical(&a, &b, "same seed");
         let c = SampledNashSolver::new().seed(8).solve(&model).unwrap();
-        assert!(c.converged());
         assert!(c.certified_gap().relative <= 1e-3);
     }
 
@@ -795,7 +771,6 @@ mod tests {
         // candidate set until the doubling kicks in).
         let model = SystemModel::new(vec![10.0; 4], vec![25.0]).unwrap();
         let out = SampledNashSolver::new().samples(1).solve(&model).unwrap();
-        assert!(out.converged());
         assert!(out.flows()[0].len() >= 3, "needs ≥ 3 servers for φ = 25");
         let total: f64 = out.flows()[0].iter().map(|&(_, x)| x).sum();
         assert!((total - 25.0).abs() < 1e-9);
@@ -820,32 +795,18 @@ mod tests {
     #[test]
     fn zero_sweep_budget_is_a_typed_error() {
         let model = small_model();
-        let solver = SampledNashSolver::new().max_sweeps(0);
         assert_eq!(
-            solver.solve(&model).unwrap_err(),
+            SampledNashSolver::new()
+                .max_sweeps(0)
+                .solve(&model)
+                .unwrap_err(),
             GameError::ZeroIterationBudget
         );
-        assert_eq!(
-            solver.solve_partial(&model).unwrap_err(),
-            GameError::ZeroIterationBudget
-        );
-    }
-
-    #[test]
-    fn solve_partial_keeps_the_truncated_outcome() {
-        let model = SystemModel::table1_system(0.6).unwrap();
-        let out = SampledNashSolver::new()
-            .epsilon(0.0)
-            .max_sweeps(3)
-            .solve_partial(&model)
-            .unwrap();
-        assert!(!out.converged());
-        assert_eq!(out.iterations(), 3);
-        assert_eq!(out.certificates().len(), 3);
+        // ε = 0 is never certified, so a positive budget runs out.
         let err = SampledNashSolver::new()
             .epsilon(0.0)
             .max_sweeps(3)
-            .solve(&model)
+            .solve(&SystemModel::table1_system(0.6).unwrap())
             .unwrap_err();
         assert!(matches!(
             err,
@@ -928,7 +889,6 @@ mod tests {
             .max_support(64)
             .solve(&model)
             .unwrap();
-        assert!(out.converged());
         assert!(out.certified_gap().relative <= 1e-3);
         assert!(
             out.flows().iter().map(Vec::len).max().unwrap() <= 64,
@@ -946,7 +906,6 @@ mod tests {
         let m = 4000;
         let model = many_small_users(400, m, 0.6);
         let out = SampledNashSolver::new().solve(&model).unwrap();
-        assert!(out.converged());
         assert!(out.certified_gap().relative <= 1e-3);
         let mean_support = out.support_size() as f64 / m as f64;
         assert!(

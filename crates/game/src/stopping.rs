@@ -48,35 +48,22 @@ use crate::error::GameError;
 use crate::model::SystemModel;
 use crate::strategy::StrategyProfile;
 
-/// When an iterative best-reply solver should declare convergence.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// When an iterative best-reply solver should declare convergence. The
+/// rule carries no threshold: ε is the solver's own `tolerance` (see
+/// [`crate::nash::NashSolver::tolerance`]), and both rules read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoppingRule {
     /// The paper's criterion: stop when the absolute response-time norm
     /// `Σ_j |ΔD_j| ≤ ε`. Scale-dependent — kept only so the paper's
     /// figures reproduce byte-identically; see the module docs for why
     /// it is a correctness bug at any other scale.
     AbsoluteNorm,
-    /// Stop when the norm is small *relative to the response times
-    /// themselves*: `Σ_j |ΔD_j| ≤ ε · Σ_j D_j`. Scale-invariant and as
-    /// cheap as the absolute rule, but still a heuristic: a slowly
-    /// creeping iteration can stall under the threshold while far from
-    /// equilibrium.
-    RelativeNorm,
     /// Stop when the certified relative regret bound
-    /// `max_j r_j / D_j ≤ ε` holds (see the module docs). The only rule
-    /// of the three whose acceptance *proves* an ε-Nash property of the
-    /// returned profile.
-    CertifiedGap {
-        /// Bound on the relative per-user regret at acceptance.
-        epsilon: f64,
-    },
-}
-
-impl Default for StoppingRule {
-    /// The scale-invariant certified rule at the paper's ε.
-    fn default() -> Self {
-        Self::CertifiedGap { epsilon: 1e-4 }
-    }
+    /// `max_j r_j / D_j ≤ ε` holds (see the module docs). The rule whose
+    /// acceptance *proves* an ε-Nash property of the returned profile,
+    /// and the default.
+    #[default]
+    CertifiedGap,
 }
 
 impl StoppingRule {
@@ -85,33 +72,26 @@ impl StoppingRule {
     pub fn label(&self) -> &'static str {
         match self {
             Self::AbsoluteNorm => "absolute_norm",
-            Self::RelativeNorm => "relative_norm",
-            Self::CertifiedGap { .. } => "certified_gap",
+            Self::CertifiedGap => "certified_gap",
         }
     }
 
     /// Whether this rule needs the per-sweep regret certificate.
     #[must_use]
     pub fn needs_certificate(&self) -> bool {
-        matches!(self, Self::CertifiedGap { .. })
+        matches!(self, Self::CertifiedGap)
     }
 
-    /// The convergence decision for one completed sweep: `norm` is the
-    /// paper's `Σ_j |ΔD_j|`, `total_d` is `Σ_j D_j` after the sweep, and
-    /// `certificate` is the sweep's regret certificate (required by
-    /// [`StoppingRule::CertifiedGap`], ignored by the others).
+    /// The convergence decision for one completed sweep at ε =
+    /// `tolerance`: `norm` is the paper's `Σ_j |ΔD_j|` and `certificate`
+    /// is the sweep's regret certificate (required by
+    /// [`StoppingRule::CertifiedGap`], ignored by
+    /// [`StoppingRule::AbsoluteNorm`]).
     #[must_use]
-    pub fn accepts(
-        &self,
-        tolerance: f64,
-        norm: f64,
-        total_d: f64,
-        certificate: Option<&Certificate>,
-    ) -> bool {
+    pub fn accepts(&self, tolerance: f64, norm: f64, certificate: Option<&Certificate>) -> bool {
         match self {
             Self::AbsoluteNorm => norm <= tolerance,
-            Self::RelativeNorm => norm <= tolerance * total_d,
-            Self::CertifiedGap { epsilon } => certificate.is_some_and(|c| c.relative <= *epsilon),
+            Self::CertifiedGap => certificate.is_some_and(|c| c.relative <= tolerance),
         }
     }
 }
@@ -369,7 +349,7 @@ mod tests {
         let cert = profile_certificate(&m, &p).unwrap();
         assert!(cert.absolute.is_infinite());
         assert!(cert.relative.is_infinite());
-        assert!(!StoppingRule::CertifiedGap { epsilon: 1e-4 }.accepts(1e-4, 0.0, 1.0, Some(&cert)));
+        assert!(!StoppingRule::CertifiedGap.accepts(1e-4, 0.0, Some(&cert)));
     }
 
     #[test]
@@ -424,25 +404,22 @@ mod tests {
             relative: 5e-3,
         };
         // Absolute: only the norm matters.
-        assert!(StoppingRule::AbsoluteNorm.accepts(1e-4, 5e-5, 100.0, None));
-        assert!(!StoppingRule::AbsoluteNorm.accepts(1e-4, 5e-3, 100.0, None));
-        // Relative: the same norm passes or fails with the D scale.
-        assert!(StoppingRule::RelativeNorm.accepts(1e-4, 5e-3, 100.0, None));
-        assert!(!StoppingRule::RelativeNorm.accepts(1e-4, 5e-3, 1.0, None));
-        // Certified: needs a certificate, thresholds its relative form.
-        let rule = StoppingRule::CertifiedGap { epsilon: 1e-4 };
+        assert!(!StoppingRule::AbsoluteNorm.needs_certificate());
+        assert!(StoppingRule::AbsoluteNorm.accepts(1e-4, 5e-5, None));
+        assert!(!StoppingRule::AbsoluteNorm.accepts(1e-4, 5e-3, Some(&cert_ok)));
+        // Certified: needs a certificate, thresholds its relative form
+        // at the same ε.
+        let rule = StoppingRule::CertifiedGap;
         assert!(rule.needs_certificate());
-        assert!(!rule.accepts(1e-4, 0.0, 1.0, None));
-        assert!(rule.accepts(1e-4, 1.0, 1.0, Some(&cert_ok)));
-        assert!(!rule.accepts(1e-4, 0.0, 1.0, Some(&cert_bad)));
+        assert!(!rule.accepts(1e-4, 0.0, None));
+        assert!(rule.accepts(1e-4, 1.0, Some(&cert_ok)));
+        assert!(!rule.accepts(1e-4, 0.0, Some(&cert_bad)));
+        assert!(rule.accepts(1e-2, 0.0, Some(&cert_bad)));
     }
 
     #[test]
-    fn default_rule_is_certified_at_paper_epsilon() {
-        assert_eq!(
-            StoppingRule::default(),
-            StoppingRule::CertifiedGap { epsilon: 1e-4 }
-        );
+    fn default_rule_is_certified() {
+        assert_eq!(StoppingRule::default(), StoppingRule::CertifiedGap);
         assert_eq!(StoppingRule::default().label(), "certified_gap");
     }
 

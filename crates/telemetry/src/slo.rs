@@ -219,6 +219,7 @@ impl SloEngine {
     /// Builds an engine for `specs`; alert events go to `output`
     /// (`None` = evaluate silently, verdicts still query-able).
     pub fn new(specs: Vec<SloSpec>, output: Option<Arc<dyn Collector>>) -> Self {
+        // Spec k owns windows 2k (short) and 2k + 1 (long); see `means`.
         let mut agg = StreamAggregator::new();
         for s in &specs {
             agg = agg
@@ -269,31 +270,19 @@ impl SloEngine {
             .collect()
     }
 
-    /// Window stats helper shared by both evaluation paths.
-    ///
-    /// The two windows on the same (event, field) share one spec key in
-    /// the aggregator, so means are read per-width via the window list
-    /// order: short first, long second (insertion order in `new`).
-    fn means(&self, spec: &SloSpec) -> (f64, f64) {
-        // `StreamAggregator::window_stats` returns the FIRST window
-        // matching (event, field) — the short one. The long window's
-        // mean is recovered from the dedicated accessor below.
-        let short = self
-            .agg
-            .window_stats(&spec.event, &spec.field)
-            .map_or(f64::NAN, |s| s.mean());
-        let long = self
-            .agg
-            .window_stats_at(&spec.event, &spec.field, 1)
-            .map_or(f64::NAN, |s| s.mean());
-        (short, long)
+    /// Short- and long-window means of the `k`-th SLO, read from the
+    /// windows it declared (2k and 2k + 1), never from another SLO's
+    /// windows on the same signal.
+    fn means(&self, k: usize) -> (f64, f64) {
+        let mean = |index| self.agg.window_stats(index).map_or(f64::NAN, |s| s.mean());
+        (mean(2 * k), mean(2 * k + 1))
     }
 
     fn evaluate(&self) {
         let watermark = self.agg.watermark_us();
         let mut slos = self.slos.lock().unwrap_or_else(|e| e.into_inner());
-        for s in slos.iter_mut() {
-            let (short, long) = self.means(&s.spec);
+        for (k, s) in slos.iter_mut().enumerate() {
+            let (short, long) = self.means(k);
             s.last_value = short;
             let short_bad = s.violates(short);
             let long_bad = s.violates(long);
@@ -491,6 +480,33 @@ mod tests {
             gap(&e, cleared_at + 1_000 + k * 500, 5.0);
         }
         assert_eq!(sink.count("alert.fire"), 2);
+    }
+
+    #[test]
+    fn slos_on_one_signal_read_their_own_windows() {
+        let spec = |name: &str, window_us: u64| SloSpec {
+            name: name.into(),
+            event: "watch.gap".into(),
+            field: "gap".into(),
+            objective: Objective::Below,
+            threshold: 0.5,
+            short_window_us: window_us,
+            long_window_us: window_us * 4,
+            clear_hold_us: window_us,
+            refractory_us: window_us,
+        };
+        let e = SloEngine::new(vec![spec("narrow", 1_000), spec("wide", 100_000)], None);
+        for t in 0..50 {
+            gap(&e, t * 1_000, 1.0);
+        }
+        for t in 50..61 {
+            gap(&e, t * 1_000, 0.0);
+        }
+        let v = e.verdicts();
+        // The 1 ms window holds only zeros.
+        assert_eq!(v[0].value, 0.0);
+        // The 100 ms window holds all 61 samples: 50 ones, 11 zeros.
+        assert!((v[1].value - 50.0 / 61.0).abs() < 1e-12, "{}", v[1].value);
     }
 
     #[test]

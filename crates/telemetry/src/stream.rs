@@ -9,7 +9,7 @@
 //! that consumes each event exactly once, updating:
 //!
 //! * per-event-name **counts** (total events seen, ever);
-//! * **sliding windows** ([`WindowSpec`]) — sum/count/min/max/mean of a
+//! * **sliding windows** ([`WindowSpec`]) — sum/count/mean of a
 //!   numeric field over the trailing `width_us` of *virtual* time,
 //!   implemented as a ring of fixed-width buckets (memory is
 //!   `O(bins)`, independent of event rate).
@@ -73,10 +73,6 @@ pub struct WindowStats {
     pub count: u64,
     /// Sum of the observed field values.
     pub sum: f64,
-    /// Smallest observation (`NaN` when empty).
-    pub min: f64,
-    /// Largest observation (`NaN` when empty).
-    pub max: f64,
 }
 
 impl WindowStats {
@@ -99,8 +95,6 @@ struct Bucket {
     start_us: u64,
     count: u64,
     sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Bucket {
@@ -109,20 +103,12 @@ impl Bucket {
             start_us,
             count: 0,
             sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
     fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
     }
 }
 
@@ -184,24 +170,13 @@ impl WindowState {
 
     fn stats(&self, watermark: u64) -> WindowStats {
         let horizon = watermark.saturating_sub(self.spec.width_us);
-        let mut s = WindowStats {
-            count: 0,
-            sum: 0.0,
-            min: f64::NAN,
-            max: f64::NAN,
-        };
+        let mut s = WindowStats { count: 0, sum: 0.0 };
         for b in &self.buckets {
             if b.start_us + self.bucket_us <= horizon || b.count == 0 {
                 continue;
             }
             s.count += b.count;
             s.sum += b.sum;
-            if s.min.is_nan() || b.min < s.min {
-                s.min = b.min;
-            }
-            if s.max.is_nan() || b.max > s.max {
-                s.max = b.max;
-            }
         }
         s
     }
@@ -287,27 +262,19 @@ impl StreamAggregator {
         self.inner.lock().expect("stream lock").late_dropped
     }
 
-    /// Current stats of the first window on `event.field`, evaluated
-    /// at the watermark. `None` when no such window was declared.
-    pub fn window_stats(&self, event: &str, field: &str) -> Option<WindowStats> {
-        self.window_stats_at(event, field, 0)
-    }
-
-    /// Stats of the `nth` (0-based, declaration order) window matching
-    /// `event.field` — several windows of different widths may observe
-    /// the same signal (e.g. an SLO's short and long windows).
-    pub fn window_stats_at(&self, event: &str, field: &str, nth: usize) -> Option<WindowStats> {
+    /// Current stats of the window declared `index`-th (0-based, in
+    /// [`StreamAggregator::window`] call order), evaluated at the
+    /// watermark. `None` when fewer windows were declared. Windows are
+    /// addressed by declaration, not by signal, because several may
+    /// observe the same `event.field` (e.g. two SLOs' short and long
+    /// windows).
+    pub fn window_stats(&self, index: usize) -> Option<WindowStats> {
         let mut inner = self.inner.lock().expect("stream lock");
         let watermark = inner.watermark_us;
-        inner
-            .windows
-            .iter_mut()
-            .filter(|w| w.spec.event == event && w.spec.field == field)
-            .nth(nth)
-            .map(|w| {
-                w.evict(watermark);
-                w.stats(watermark)
-            })
+        inner.windows.get_mut(index).map(|w| {
+            w.evict(watermark);
+            w.stats(watermark)
+        })
     }
 }
 
@@ -365,15 +332,14 @@ mod tests {
         let a = agg();
         emit(&a, 100, 1.0);
         emit(&a, 500, 3.0);
-        let s = a.window_stats("m", "v").unwrap();
+        let s = a.window_stats(0).unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 4.0);
-        assert_eq!((s.min, s.max), (1.0, 3.0));
         assert_eq!(s.mean(), 2.0);
 
         // Advance past the first observation's bucket: it slides out.
         emit(&a, 1_400, 5.0);
-        let s = a.window_stats("m", "v").unwrap();
+        let s = a.window_stats(0).unwrap();
         assert_eq!(s.count, 2, "t=100 must be evicted at watermark 1400");
         assert_eq!(s.sum, 8.0);
     }
@@ -384,7 +350,7 @@ mod tests {
         a.emit("m", &[("v", 9.0.into())]);
         assert_eq!(a.count("m"), 1);
         assert_eq!(a.watermark_us(), 0);
-        assert_eq!(a.window_stats("m", "v").unwrap().count, 0);
+        assert_eq!(a.window_stats(0).unwrap().count, 0);
     }
 
     #[test]
@@ -393,20 +359,20 @@ mod tests {
         emit(&a, 900, 1.0);
         emit(&a, 1_000, 2.0); // watermark 1000; horizon 0
         emit(&a, 950, 3.0); // late but in-window
-        assert_eq!(a.window_stats("m", "v").unwrap().count, 3);
+        assert_eq!(a.window_stats(0).unwrap().count, 3);
         assert_eq!(a.late_dropped(), 0);
 
         emit(&a, 5_000, 4.0); // watermark 5000; horizon 4000
         emit(&a, 100, 9.0); // hopelessly late
         assert_eq!(a.late_dropped(), 1);
-        assert_eq!(a.window_stats("m", "v").unwrap().count, 1);
+        assert_eq!(a.window_stats(0).unwrap().count, 1);
     }
 
     #[test]
     fn empty_window_mean_is_nan_and_unknown_specs_are_none() {
         let a = agg();
-        assert!(a.window_stats("m", "v").unwrap().mean().is_nan());
-        assert!(a.window_stats("other", "v").is_none());
+        assert!(a.window_stats(0).unwrap().mean().is_nan());
+        assert!(a.window_stats(1).is_none());
     }
 
     #[test]
@@ -417,7 +383,7 @@ mod tests {
                 #[allow(clippy::cast_precision_loss)]
                 emit(&a, k * 37, (k % 13) as f64 * 0.5);
             }
-            let s = a.window_stats("m", "v").unwrap();
+            let s = a.window_stats(0).unwrap();
             (s.count, s.sum.to_bits())
         };
         assert_eq!(run(), run());

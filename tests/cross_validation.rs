@@ -82,6 +82,7 @@ fn threaded_ring_replays_the_sequential_dynamics_exactly() {
                 .tolerance(1e-6)
                 .run(&model)
                 .unwrap();
+            assert!(ring.converged(), "rho {rho}");
             let seq = NashSolver::new(init_seq)
                 .stopping_rule(StoppingRule::AbsoluteNorm)
                 .tolerance(1e-6)
