@@ -90,6 +90,10 @@ const RETRY_ATTEMPTS: u32 = 8;
 /// for partition detection.
 const UNREACHABLE_AFTER: u32 = 5;
 
+/// Silence, in staleness bounds τ, after which the coordinator declares
+/// a user failed and evicts it.
+const FAILURE_TIMEOUT_TAUS: u64 = 50;
+
 /// Best-reply step size β. Concurrent undamped replies oscillate for
 /// m ≥ 3 (the synchronous Jacobi failure mode), and asynchrony tightens
 /// the stable range further: the sampled solver's β = 0.5 still cycles
@@ -222,6 +226,17 @@ fn board_loads_into(rows: &[Vec<f64>], loads: &mut [f64]) {
             *l += x;
         }
     }
+}
+
+/// The anti-entropy answer to a `SyncReq` carrying version vector `vv`,
+/// shared by users and the coordinator: every live row of the board
+/// newer than `vv`, or `None` when there is nothing to send.
+fn sync_resp(versions: &[u64], rows: &[Vec<f64>], vv: &[u64]) -> Option<Msg> {
+    let rows: Vec<(usize, u64, Vec<f64>)> = (0..versions.len())
+        .filter(|&k| versions[k] != EVICTED && vv.get(k).is_some_and(|&v| versions[k] > v))
+        .map(|k| (k, versions[k], rows[k].clone()))
+        .collect();
+    (!rows.is_empty()).then_some(Msg::SyncResp { rows })
 }
 
 fn jitter_for(cfg: &Cfg, node: usize, dest: usize, episode: u32) -> DecorrelatedJitter {
@@ -378,7 +393,7 @@ impl UserNode {
             self.send_update(dest, net, true);
         }
         self.last_broadcast = now;
-        self.check_freeze(net, now);
+        self.check_freeze();
     }
 
     fn send_status(&mut self, net: &mut VirtualNet<Msg>, now: u64) {
@@ -402,7 +417,7 @@ impl UserNode {
     /// Re-evaluates the partition state from the per-peer failure
     /// counters; freezing sheds, unfreezing resumes (the next tick's
     /// best reply restores the full row).
-    fn check_freeze(&mut self, _net: &mut VirtualNet<Msg>, _now: u64) {
+    fn check_freeze(&mut self) {
         let alive: Vec<usize> = self.alive_peers().collect();
         let total = alive.len() + 1;
         let reachable = alive
@@ -474,13 +489,7 @@ impl UserNode {
     /// Any receipt from `from` proves reachability; a recovery after the
     /// unreachable threshold triggers anti-entropy and an unfreeze check.
     /// The sync request is a child of the message that proved liveness.
-    fn mark_heard(
-        &mut self,
-        from: usize,
-        cause: Option<TraceContext>,
-        net: &mut VirtualNet<Msg>,
-        now: u64,
-    ) {
+    fn mark_heard(&mut self, from: usize, cause: Option<TraceContext>, net: &mut VirtualNet<Msg>) {
         let was_unreachable = self.attempts[from] >= UNREACHABLE_AFTER;
         self.attempts[from] = 0;
         if was_unreachable {
@@ -493,7 +502,7 @@ impl UserNode {
                     vv: self.versions.clone(),
                 },
             );
-            self.check_freeze(net, now);
+            self.check_freeze();
         }
     }
 
@@ -526,7 +535,7 @@ impl UserNode {
                 let ack = self.ctx(ctx);
                 net.send_traced(self.id, from, ack, Msg::Ack { seq });
                 self.apply(from, version, &row);
-                self.mark_heard(from, ctx, net, now);
+                self.mark_heard(from, ctx, net);
             }
             Msg::Ack { seq } => {
                 if let Some(p) = &self.outbox[from] {
@@ -534,27 +543,20 @@ impl UserNode {
                         self.outbox[from] = None;
                     }
                 }
-                self.mark_heard(from, ctx, net, now);
+                self.mark_heard(from, ctx, net);
             }
             Msg::SyncReq { vv } => {
-                let rows: Vec<(usize, u64, Vec<f64>)> = (0..self.cfg.m)
-                    .filter(|&k| {
-                        self.versions[k] != EVICTED
-                            && vv.get(k).is_some_and(|&v| self.versions[k] > v)
-                    })
-                    .map(|k| (k, self.versions[k], self.rows[k].clone()))
-                    .collect();
-                if !rows.is_empty() {
-                    let resp = self.ctx(ctx);
-                    net.send_traced(self.id, from, resp, Msg::SyncResp { rows });
+                if let Some(resp) = sync_resp(&self.versions, &self.rows, &vv) {
+                    let span = self.ctx(ctx);
+                    net.send_traced(self.id, from, span, resp);
                 }
-                self.mark_heard(from, ctx, net, now);
+                self.mark_heard(from, ctx, net);
             }
             Msg::SyncResp { rows } => {
                 for (user, version, row) in rows {
                     self.apply(user, version, &row);
                 }
-                self.mark_heard(from, ctx, net, now);
+                self.mark_heard(from, ctx, net);
             }
             Msg::Evict { user } => {
                 if user == self.id {
@@ -568,7 +570,7 @@ impl UserNode {
                     self.rows[user].iter_mut().for_each(|x| *x = 0.0);
                     self.outbox[user] = None;
                     self.attempts[user] = 0;
-                    self.check_freeze(net, now);
+                    self.check_freeze();
                 }
             }
             Msg::TickUpdate => self.tick(net, now),
@@ -576,7 +578,7 @@ impl UserNode {
                 let live = matches!(&self.outbox[dest], Some(p) if p.seq == seq);
                 if live && self.versions.get(dest).copied() != Some(EVICTED) {
                     self.send_update(dest, net, false);
-                    self.check_freeze(net, now);
+                    self.check_freeze();
                 }
             }
             Msg::DelayedBroadcast => self.broadcast(net, now),
@@ -683,8 +685,6 @@ struct CoordNode {
     expected: Vec<u64>,
     last_heard: Vec<u64>,
     statuses: Vec<Option<StatusMsg>>,
-    evicted: Vec<bool>,
-    failure_timeout: u64,
     certified: Option<f64>,
     updates_applied: u64,
     syncs: u64,
@@ -694,7 +694,7 @@ struct CoordNode {
 }
 
 impl CoordNode {
-    fn new(cfg: &Cfg, rows: Vec<Vec<f64>>, failure_timeout: u64) -> Self {
+    fn new(cfg: &Cfg, rows: Vec<Vec<f64>>) -> Self {
         Self {
             cfg: cfg.clone(),
             rows,
@@ -702,8 +702,6 @@ impl CoordNode {
             expected: vec![0; cfg.m],
             last_heard: vec![0; cfg.m],
             statuses: (0..cfg.m).map(|_| None).collect(),
-            evicted: vec![false; cfg.m],
-            failure_timeout,
             certified: None,
             updates_applied: 0,
             syncs: 0,
@@ -718,7 +716,7 @@ impl CoordNode {
     }
 
     fn apply(&mut self, user: usize, version: u64, row: &[f64], now: u64) {
-        if user >= self.cfg.m || self.evicted[user] || version <= self.versions[user] {
+        if user >= self.cfg.m || self.versions[user] == EVICTED || version <= self.versions[user] {
             return;
         }
         self.versions[user] = version;
@@ -743,7 +741,7 @@ impl CoordNode {
         net: &mut VirtualNet<Msg>,
         now: u64,
     ) {
-        if from >= self.cfg.m || self.evicted[from] {
+        if from >= self.cfg.m || self.versions[from] == EVICTED {
             return;
         }
         // A long-silent peer resurfacing means we likely missed updates
@@ -781,7 +779,7 @@ impl CoordNode {
                 self.mark_heard(from, ctx, net, now);
                 self.apply(from, version, &row, now);
             }
-            Msg::Status(s) if from < self.cfg.m && !self.evicted[from] => {
+            Msg::Status(s) if from < self.cfg.m && self.versions[from] != EVICTED => {
                 self.max_epoch = self.max_epoch.max(s.epoch);
                 // View staleness as certification sees it: the age of
                 // the freshest self-report from this user.
@@ -824,24 +822,18 @@ impl CoordNode {
                 }
             }
             Msg::SyncReq { vv } => {
-                let rows: Vec<(usize, u64, Vec<f64>)> = (0..self.cfg.m)
-                    .filter(|&k| {
-                        !self.evicted[k] && vv.get(k).is_some_and(|&v| self.versions[k] > v)
-                    })
-                    .map(|k| (k, self.versions[k], self.rows[k].clone()))
-                    .collect();
-                if !rows.is_empty() {
-                    let resp = self.ctx(ctx);
-                    net.send_traced(self.cfg.coord, from, resp, Msg::SyncResp { rows });
+                if let Some(resp) = sync_resp(&self.versions, &self.rows, &vv) {
+                    let span = self.ctx(ctx);
+                    net.send_traced(self.cfg.coord, from, span, resp);
                 }
                 self.mark_heard(from, ctx, net, now);
             }
             Msg::Check => {
+                let failure_timeout = self.cfg.tau.saturating_mul(FAILURE_TIMEOUT_TAUS);
                 for j in 0..self.cfg.m {
-                    if !self.evicted[j]
-                        && now.saturating_sub(self.last_heard[j]) > self.failure_timeout
+                    if self.versions[j] != EVICTED
+                        && now.saturating_sub(self.last_heard[j]) > failure_timeout
                     {
-                        self.evicted[j] = true;
                         self.versions[j] = EVICTED;
                         self.rows[j].iter_mut().for_each(|x| *x = 0.0);
                         self.statuses[j] = None;
@@ -850,9 +842,9 @@ impl CoordNode {
                 // Re-announce verdicts until the survivors' version
                 // vectors show the tombstones (Evict is unreliable).
                 for j in 0..self.cfg.m {
-                    if self.evicted[j] {
+                    if self.versions[j] == EVICTED {
                         for k in 0..self.cfg.m {
-                            if !self.evicted[k] {
+                            if self.versions[k] != EVICTED {
                                 let verdict = self.ctx(None);
                                 net.send_traced(self.cfg.coord, k, verdict, Msg::Evict { user: j });
                             }
@@ -862,7 +854,6 @@ impl CoordNode {
                 self.try_accept(now, 0);
                 net.schedule(self.cfg.coord, self.cfg.tau, Msg::Check);
             }
-            Msg::Ack { .. } | Msg::Evict { .. } => {}
             _ => {}
         }
     }
@@ -883,7 +874,7 @@ impl CoordNode {
         let mut gap: f64 = 0.0;
         let mut any = false;
         for j in 0..self.cfg.m {
-            if self.evicted[j] {
+            if self.versions[j] == EVICTED {
                 continue;
             }
             any = true;
@@ -1069,7 +1060,6 @@ pub struct AsyncNash {
     epsilon: f64,
     staleness_us: u64,
     max_virtual_us: u64,
-    failure_timeout_us: Option<u64>,
     threads: usize,
     collector: Option<Arc<dyn Collector>>,
 }
@@ -1102,7 +1092,6 @@ impl AsyncNash {
             epsilon: 1e-4,
             staleness_us: 20_000,
             max_virtual_us: 30_000_000,
-            failure_timeout_us: None,
             threads: 1,
             collector: None,
         }
@@ -1142,13 +1131,6 @@ impl AsyncNash {
     /// partial outcome.
     pub fn max_virtual_us(mut self, budget: u64) -> Self {
         self.max_virtual_us = budget;
-        self
-    }
-
-    /// Silence (virtual µs) after which the coordinator declares a user
-    /// failed and evicts it (default: 50 τ).
-    pub fn failure_timeout_us(mut self, timeout: u64) -> Self {
-        self.failure_timeout_us = Some(timeout);
         self
     }
 
@@ -1201,16 +1183,12 @@ impl AsyncNash {
             tau: self.staleness_us,
             seed: self.seed,
         };
-        let failure_timeout = self
-            .failure_timeout_us
-            .unwrap_or(50 * self.staleness_us)
-            .max(1);
 
         let seed_rows = proportional_rows(&cfg);
         let mut users: Vec<UserNode> = (0..m)
             .map(|j| UserNode::new(j, &cfg, seed_rows.clone()))
             .collect();
-        let mut coord = CoordNode::new(&cfg, seed_rows, failure_timeout);
+        let mut coord = CoordNode::new(&cfg, seed_rows);
         coord.collector = self.collector.clone();
 
         let mut net: VirtualNet<Msg> = VirtualNet::new(m + 1, self.seed, self.plan.clone());
@@ -1219,8 +1197,7 @@ impl AsyncNash {
         }
         // Staggered first ticks decorrelate the users' update phases —
         // the async analogue of the ring's round-robin order.
-        for (j, user) in users.iter().enumerate() {
-            let _ = user;
+        for j in 0..m {
             net.schedule(
                 j,
                 1 + (j as u64 * UPDATE_PERIOD_US) / m as u64,
@@ -1263,7 +1240,8 @@ impl AsyncNash {
         }
 
         let virtual_time_us = net.now().min(self.max_virtual_us);
-        let alive: Vec<usize> = (0..m).filter(|&j| !coord.evicted[j]).collect();
+        let (evicted, alive): (Vec<usize>, Vec<usize>) =
+            (0..m).partition(|&j| coord.versions[j] == EVICTED);
         let per_user = certificate_rows(&cfg, &coord.rows, &alive, self.threads);
         let mut final_gap: f64 = 0.0;
         let mut user_times = vec![f64::NAN; m];
@@ -1298,7 +1276,7 @@ impl AsyncNash {
             rows: coord.rows,
             user_times,
             phis: cfg.phis.clone(),
-            evicted: (0..m).filter(|&j| coord.evicted[j]).collect(),
+            evicted,
             epoch: coord.max_epoch,
             virtual_time_us,
             updates,
@@ -1446,7 +1424,6 @@ mod tests {
         let out = AsyncNash::new()
             .seed(2)
             .staleness_us(10_000)
-            .failure_timeout_us(60_000)
             .fault_plan(plan)
             .run(&m)
             .unwrap();

@@ -43,7 +43,7 @@
 //! certificate closing. Legacy v2 logs simply skip the table.
 
 use crate::report::{fmt, Table};
-use lb_telemetry::{json, EventLog, Json, SPAN_CLOSE, SPAN_OPEN};
+use lb_telemetry::{json, EventLog, Json, LogReader, SPAN_CLOSE, SPAN_OPEN};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -596,6 +596,17 @@ pub struct AnalyzeReport {
     pub analysis: Analysis,
 }
 
+/// Streams and schema-validates the JSONL event log at `path`, line by
+/// line, so validation never buffers the raw text: multi-GB traces cost
+/// only the parsed events kept. Errors are prefixed with the path.
+pub(crate) fn load_log(path: &Path) -> Result<EventLog, String> {
+    let at = |e: String| format!("{}: {e}", path.display());
+    let reader = LogReader::open(path).map_err(at)?;
+    let version = reader.version();
+    let events = reader.collect::<Result<Vec<_>, _>>().map_err(at)?;
+    Ok(EventLog { version, events })
+}
+
 /// Runs the analyzer: reads and schema-validates `log_path` (default:
 /// `<out>/trace_table1.jsonl`), reconstructs the span forest, and
 /// writes the Chrome JSON, folded stacks, and attribution CSV next to
@@ -608,15 +619,7 @@ pub struct AnalyzeReport {
 /// fails to re-parse (encoder bug).
 pub fn run(log_path: Option<&Path>, out: &Path) -> Result<AnalyzeReport, String> {
     let log_path = log_path.map_or_else(|| out.join("trace_table1.jsonl"), Path::to_path_buf);
-    // Stream the log line by line: validation never buffers the raw
-    // text, so multi-GB traces cost only the parsed events we keep.
-    let reader = lb_telemetry::LogReader::open(&log_path)
-        .map_err(|e| format!("{}: {e}", log_path.display()))?;
-    let version = reader.version();
-    let events = reader
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", log_path.display()))?;
-    let log = EventLog { version, events };
+    let log = load_log(&log_path)?;
     let a = analyze(&log).map_err(|e| format!("{}: {e}", log_path.display()))?;
     if a.tree.nodes.is_empty() {
         return Err(format!(

@@ -25,10 +25,10 @@
 //! The verdict line is machine-readable JSON so CI can gate on
 //! `"verdict":"identical"` without parsing tables.
 
-use crate::analyze::{analyze, SpanDepthError};
+use crate::analyze::{analyze, load_log, SpanDepthError};
 use crate::report::Table;
 use crate::trace::digest_counts;
-use lb_telemetry::{EventLog, Json, LogReader};
+use lb_telemetry::{EventLog, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -107,16 +107,6 @@ fn resolve(input: &Path) -> PathBuf {
     }
 }
 
-/// Streams and validates one log without assuming it fits in a string.
-fn load(path: &Path) -> Result<EventLog, String> {
-    let reader = LogReader::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let version = reader.version();
-    let events = reader
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(EventLog { version, events })
-}
-
 /// Per-type event counts with sampling reweighted away: kept events
 /// plus digest drop counts, with the digests themselves excluded
 /// (they are sampler bookkeeping, not workload).
@@ -176,8 +166,8 @@ fn union_keys<'a, V>(
 pub fn run(input_a: &Path, input_b: &Path) -> Result<DiffReport, String> {
     let log_a_path = resolve(input_a);
     let log_b_path = resolve(input_b);
-    let log_a = load(&log_a_path)?;
-    let log_b = load(&log_b_path)?;
+    let log_a = load_log(&log_a_path)?;
+    let log_b = load_log(&log_b_path)?;
 
     let mut verdict = Verdict::default();
     let mut tables = Vec::new();

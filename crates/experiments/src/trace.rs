@@ -29,6 +29,7 @@
 //! instrumented code paths are observational only, so the replayed
 //! numbers match the untraced experiments bit for bit.
 
+use crate::analyze::load_log;
 use crate::config::EPSILON;
 use crate::report::{fmt, Table};
 use lb_distributed::{AsyncNash, DistributedNash, FaultPlan, NetFaultPlan};
@@ -42,8 +43,8 @@ use lb_sim::parallel::ParallelRunner;
 use lb_sim::scenario::SimulationConfig;
 use lb_stats::ReplicationPlan;
 use lb_telemetry::{
-    Collector, EventLog, FieldValue, JsonlCollector, LogEvent, LogReader, MetricsRegistry,
-    SamplingCollector, SamplingConfig, SloEngine, SloSpec, StderrCollector, TeeCollector,
+    Collector, EventLog, FieldValue, JsonlCollector, LogEvent, MetricsRegistry, SamplingCollector,
+    SamplingConfig, SloEngine, SloSpec, StderrCollector, TeeCollector,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -314,15 +315,9 @@ pub fn run(out: &Path, verbose: bool) -> Result<TraceReport, String> {
         return Err(format!("I/O error writing {}", log_path.display()));
     }
 
-    // Validate the log end to end — streamed line by line, so a
-    // web-scale trace never has to fit in memory just to be checked —
-    // then collect it for the (bounded-size) report tables.
-    let reader = LogReader::open(&log_path).map_err(|e| format!("{}: {e}", log_path.display()))?;
-    let version = reader.version();
-    let events = reader
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("{}: {e}", log_path.display()))?;
-    let log = EventLog { version, events };
+    // Validate the log end to end, then keep it for the (bounded-size)
+    // report tables.
+    let log = load_log(&log_path)?;
     // Coverage: a name counts as covered if it survived sampling or is
     // accounted for in a `sample.digest` aggregate (the digest proves
     // the instrumentation emitted it, even if the sampler dropped it).

@@ -303,6 +303,21 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
+    /// The log's alert timeline as `(event, slo, t_us)` triples.
+    fn alert_timeline(log_path: &Path) -> Vec<(String, String, u64)> {
+        let text = std::fs::read_to_string(log_path).unwrap();
+        let log = lb_telemetry::parse_log(&text).unwrap();
+        log.events
+            .iter()
+            .filter(|e| e.name.starts_with("alert."))
+            .map(|e| {
+                let slo = e.field("slo").and_then(|v| v.as_str()).unwrap_or("?");
+                let t_us = e.field("t_us").and_then(lb_telemetry::Json::as_u64);
+                (e.name.clone(), slo.to_string(), t_us.expect("alert t_us"))
+            })
+            .collect()
+    }
+
     fn http_get(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
@@ -340,9 +355,21 @@ mod tests {
         );
 
         // The induced overload fires every SLO family and the recovery
-        // clears them all; the final state is healthy.
-        assert!(report.fires >= 4, "fires = {}", report.fires);
-        assert!(report.clears >= 4, "clears = {}", report.clears);
+        // clears them all, on a pinned virtual-time timeline; the final
+        // state is healthy.
+        let expected = [
+            ("alert.fire", "certified_gap", 500_000),
+            ("alert.fire", "shed_rate", 900_000),
+            ("alert.fire", "view_staleness", 900_000),
+            ("alert.fire", "goodput", 950_000),
+            ("alert.clear", "goodput", 1_250_000),
+            ("alert.clear", "shed_rate", 1_250_000),
+            ("alert.clear", "view_staleness", 1_300_000),
+            ("alert.clear", "certified_gap", 1_350_000),
+        ]
+        .map(|(event, slo, t_us)| (event.to_string(), slo.to_string(), t_us));
+        assert_eq!(alert_timeline(&report.log_path), expected);
+        assert_eq!((report.fires, report.clears), (4, 4));
         for v in &report.verdicts {
             assert!(v.fires >= 1, "{} never fired", v.name);
             assert!(v.clears >= 1, "{} never cleared", v.name);
@@ -359,23 +386,7 @@ mod tests {
         let mut timelines = Vec::new();
         for sub in ["a", "b"] {
             let report = run(&base.join(sub), 0, 12, 0).unwrap();
-            let text = std::fs::read_to_string(&report.log_path).unwrap();
-            let log = lb_telemetry::parse_log(&text).unwrap();
-            // Compare the full alert timeline by (name, slo, t_us).
-            let alerts: Vec<String> = log
-                .events
-                .iter()
-                .filter(|e| e.name.starts_with("alert."))
-                .map(|e| {
-                    format!(
-                        "{} {} {:?}",
-                        e.name,
-                        e.field("slo").and_then(|v| v.as_str()).unwrap_or("?"),
-                        e.field("t_us").and_then(lb_telemetry::Json::as_u64)
-                    )
-                })
-                .collect();
-            timelines.push(alerts);
+            timelines.push(alert_timeline(&report.log_path));
         }
         assert_eq!(timelines[0], timelines[1]);
         std::fs::remove_dir_all(&base).ok();

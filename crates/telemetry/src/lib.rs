@@ -22,11 +22,10 @@
 //! - [`MetricsRegistry`]: counters, gauges, and log-linear histograms
 //!   with p50/p95/p99, exportable as JSON and Prometheus text format
 //!   (strictly checkable via [`validate_exposition`]).
-//! - [`stream`]: online aggregation — [`StreamAggregator`] folds the
-//!   event stream into sliding windows over a virtual-time watermark,
-//!   with no full-log buffering.
-//! - [`slo`]: declarative [`SloSpec`] objectives evaluated by the
-//!   multi-window burn-rate [`SloEngine`], emitting deterministic
+//! - [`slo`]: declarative [`SloSpec`] objectives evaluated online by
+//!   the multi-window burn-rate [`SloEngine`], which folds the event
+//!   stream into each SLO's own sliding windows over a virtual-time
+//!   watermark (no full-log buffering) and emits deterministic
 //!   `alert.fire`/`alert.clear` events.
 //! - [`serve`]: [`LiveServer`], a zero-dep `TcpListener` HTTP endpoint
 //!   exposing `/metrics`, `/healthz`, and `/trace/recent` from live
@@ -54,7 +53,6 @@ pub mod schema;
 pub mod serve;
 pub mod slo;
 pub mod span;
-pub mod stream;
 
 pub use collectors::{JsonlCollector, MemoryCollector, StderrCollector, TeeCollector};
 pub use event::{enabled, Collector, Field, FieldValue, NullCollector};
@@ -65,4 +63,3 @@ pub use schema::{parse_log, EventLog, LogEvent, LogReader, SCHEMA_NAME, SCHEMA_V
 pub use serve::LiveServer;
 pub use slo::{AlertState, Objective, SloEngine, SloSpec, SloVerdict};
 pub use span::{Span, SpanHandle, SpanId, SPAN_CLOSE, SPAN_OPEN};
-pub use stream::{StreamAggregator, WindowSpec, WindowStats};

@@ -135,7 +135,6 @@ struct RegistryInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, LogLinearHistogram>,
-    help: BTreeMap<String, String>,
 }
 
 /// A thread-safe registry of named metrics. Names are free-form dotted
@@ -161,14 +160,6 @@ impl MetricsRegistry {
     pub fn set_gauge(&self, name: &str, v: f64) {
         let mut inner = self.inner.lock().expect("metrics lock");
         inner.gauges.insert(name.to_string(), v);
-    }
-
-    /// Attaches a help string to a metric, rendered as a `# HELP` line
-    /// by [`MetricsRegistry::to_prometheus`] (with `\` and newlines
-    /// escaped per the exposition format).
-    pub fn describe(&self, name: &str, help: &str) {
-        let mut inner = self.inner.lock().expect("metrics lock");
-        inner.help.insert(name.to_string(), help.to_string());
     }
 
     /// Records an observation into a histogram, creating it on first
@@ -246,39 +237,27 @@ impl MetricsRegistry {
     /// Renders every metric in Prometheus text exposition format.
     /// Histograms are exported as summaries with `quantile` labels plus
     /// derived `_min`/`_max` gauge series (each with its own
-    /// `# TYPE`/`# HELP` metadata). Help strings
-    /// ([`MetricsRegistry::describe`]) and label values go through
-    /// [`escape_help`]/[`escape_label_value`], so metadata containing
-    /// `\`, `"`, or newlines cannot corrupt the exposition. Non-finite
-    /// sample values render as Prometheus' `+Inf`/`-Inf`/`NaN` (Rust's
-    /// `Display` would write `inf`, which scrapers reject). The output
-    /// always satisfies [`validate_exposition`], which the test suite
-    /// round-trips.
+    /// `# TYPE`/`# HELP` metadata). Label values go through
+    /// [`escape_label_value`], so a `\`, `"`, or newline cannot corrupt
+    /// the exposition. Non-finite sample values render as Prometheus'
+    /// `+Inf`/`-Inf`/`NaN` (Rust's `Display` would write `inf`, which
+    /// scrapers reject). The output always satisfies
+    /// [`validate_exposition`], which the test suite round-trips.
     pub fn to_prometheus(&self) -> String {
         let inner = self.inner.lock().expect("metrics lock");
         let mut out = String::new();
-        let help_line = |out: &mut String, name: &str, prom: &str| {
-            if let Some(help) = inner.help.get(name) {
-                let _ = write!(out, "# HELP {prom} ");
-                escape_help(out, help);
-                out.push('\n');
-            }
-        };
         for (name, v) in &inner.counters {
             let prom = prom_name(name);
-            help_line(&mut out, name, &prom);
             let _ = writeln!(out, "# TYPE {prom} counter");
             let _ = writeln!(out, "{prom} {v}");
         }
         for (name, v) in &inner.gauges {
             let prom = prom_name(name);
-            help_line(&mut out, name, &prom);
             let _ = writeln!(out, "# TYPE {prom} gauge");
             let _ = writeln!(out, "{prom} {}", fmt_prom_value(*v));
         }
         for (name, h) in &inner.histograms {
             let prom = prom_name(name);
-            help_line(&mut out, name, &prom);
             let s = h.snapshot();
             let _ = writeln!(out, "# TYPE {prom} summary");
             for (q, v) in [("0.5", s.p50), ("0.95", s.p95), ("0.99", s.p99)] {
@@ -572,18 +551,6 @@ pub fn escape_label_value(out: &mut String, value: &str) {
     }
 }
 
-/// Escapes a `# HELP` docstring: backslash and line feed become `\\`
-/// and `\n` (double quotes are legal in help text and pass through).
-pub fn escape_help(out: &mut String, help: &str) {
-    for ch in help.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-}
-
 /// Sanitizes a dotted metric name into the Prometheus charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`), prefixing `lb_`.
 fn prom_name(name: &str) -> String {
@@ -721,39 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn label_values_and_help_strings_are_escaped() {
+    fn label_values_are_escaped() {
         let mut out = String::new();
         escape_label_value(&mut out, "a\\b\"c\nd");
         assert_eq!(out, "a\\\\b\\\"c\\nd");
-
-        let mut out = String::new();
-        escape_help(&mut out, "line one\nwith \\ and \"quotes\"");
-        assert_eq!(out, "line one\\nwith \\\\ and \"quotes\"");
-    }
-
-    #[test]
-    fn prometheus_help_lines_are_emitted_escaped() {
-        let reg = MetricsRegistry::new();
-        reg.inc("ring.hops", 1);
-        reg.describe("ring.hops", "token hops\nacross the \\ ring");
-        reg.set_gauge("calendar.depth", 2.0);
-        reg.observe("sweep.norm", 1.0);
-        reg.describe("sweep.norm", "per-sweep L1 norm");
-        let text = reg.to_prometheus();
-        assert!(
-            text.contains("# HELP lb_ring_hops token hops\\nacross the \\\\ ring"),
-            "{text}"
-        );
-        assert!(text.contains("# HELP lb_sweep_norm per-sweep L1 norm"));
-        // Undescribed metrics get no HELP line.
-        assert!(!text.contains("# HELP lb_calendar_depth"));
-        // Every exposition line is still a single physical line.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.starts_with("lb_"),
-                "stray line {line:?}"
-            );
-        }
     }
 
     #[test]
@@ -805,11 +743,9 @@ mod tests {
     fn full_exposition_round_trips_through_the_validator() {
         let reg = MetricsRegistry::new();
         reg.inc("ring.hops", 7);
-        reg.describe("ring.hops", "token hops\nacross the \\ ring");
         reg.set_gauge("calendar.depth", 3.25);
         reg.observe("sweep.norm", 2.0);
         reg.observe("sweep.norm", 1e-3);
-        reg.describe("sweep.norm", "per-sweep L1 norm");
         validate_exposition(&reg.to_prometheus()).expect("exporter output must validate");
     }
 

@@ -199,7 +199,7 @@ pub fn healthz_json(engine: &SloEngine) -> String {
         &mut out,
         format_args!(
             ",\n  \"firing\": {firing},\n  \"watermark_us\": {},\n  \"slos\": [",
-            engine.aggregator().watermark_us()
+            engine.watermark_us()
         ),
     );
     for (i, v) in verdicts.iter().enumerate() {
