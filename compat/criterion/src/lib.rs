@@ -101,6 +101,8 @@ fn quick_mode() -> bool {
 
 /// Measurement driver handed to bench closures.
 pub struct Bencher {
+    calibrate_for: Duration,
+    budget: Duration,
     iters_hint: u64,
     measured: Option<(Duration, u64)>,
 }
@@ -109,13 +111,6 @@ impl Bencher {
     /// Times `routine`, first calibrating an iteration count so the
     /// measured loop runs for roughly the configured sampling window.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // Calibration window and sampling budget; ~10× smaller under
-        // CRITERION_QUICK so CI smoke runs stay cheap.
-        let (calibrate_for, budget) = if quick_mode() {
-            (Duration::from_millis(1), Duration::from_millis(5))
-        } else {
-            (Duration::from_millis(10), Duration::from_millis(50))
-        };
         let mut calibration_iters: u64 = 1;
         let per_iter = loop {
             let start = Instant::now();
@@ -123,7 +118,7 @@ impl Bencher {
                 std_black_box(routine());
             }
             let elapsed = start.elapsed();
-            if elapsed >= calibrate_for || calibration_iters >= (1 << 24) {
+            if elapsed >= self.calibrate_for || calibration_iters >= (1 << 24) {
                 break elapsed / calibration_iters.max(1) as u32;
             }
             calibration_iters *= 8;
@@ -131,7 +126,7 @@ impl Bencher {
         let iters = if per_iter.is_zero() {
             self.iters_hint
         } else {
-            (budget.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1 << 24) as u64
+            (self.budget.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1 << 24) as u64
         };
         let start = Instant::now();
         for _ in 0..iters {
@@ -145,6 +140,7 @@ impl Bencher {
 pub struct BenchmarkGroup<'a> {
     name: String,
     throughput: Option<Throughput>,
+    measurement_time: Duration,
     criterion: &'a mut Criterion,
 }
 
@@ -155,8 +151,11 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Upstream tunes the measurement window; accepted and ignored.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
+    /// Sets the sampling window of subsequent benchmarks (50 ms by
+    /// default; `CRITERION_QUICK` keeps its own 5 ms window). Each runs
+    /// as many whole iterations as fit in it, at least one.
+    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
+        self.measurement_time = d;
         self
     }
 
@@ -189,11 +188,24 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    fn run(&mut self, id: BenchmarkId, mut f: impl FnMut(&mut Bencher)) {
-        let mut bencher = Bencher {
+    /// A bencher with this group's calibration window and sampling
+    /// budget; ~10× smaller in `quick` mode so CI smoke runs stay cheap.
+    fn bencher(&self, quick: bool) -> Bencher {
+        let (calibrate_for, budget) = if quick {
+            (Duration::from_millis(1), Duration::from_millis(5))
+        } else {
+            (Duration::from_millis(10), self.measurement_time)
+        };
+        Bencher {
+            calibrate_for,
+            budget,
             iters_hint: 100,
             measured: None,
-        };
+        }
+    }
+
+    fn run(&mut self, id: BenchmarkId, mut f: impl FnMut(&mut Bencher)) {
+        let mut bencher = self.bencher(quick_mode());
         f(&mut bencher);
         match bencher.measured {
             Some((elapsed, iters)) if iters > 0 => {
@@ -317,6 +329,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             throughput: None,
+            measurement_time: Duration::from_millis(50),
             criterion: self,
         }
     }
@@ -371,6 +384,26 @@ mod tests {
         });
         group.finish();
         assert_eq!(c.benchmarks_run, 1);
+    }
+
+    #[test]
+    fn measurement_time_sets_the_sampling_window() {
+        // Outside quick mode, whatever `CRITERION_QUICK` says here.
+        let iterations = |mut b: Bencher| {
+            b.iter(|| (0..1_000_u64).map(black_box).sum::<u64>());
+            b.measured.map_or(0, |(_, iters)| iters)
+        };
+        let mut c = Criterion::default();
+        let mut group = c.benchmark_group("window");
+        let default = iterations(group.bencher(false));
+        group.measurement_time(Duration::from_millis(200));
+        let longer = iterations(group.bencher(false));
+        group.measurement_time(Duration::ZERO);
+        let zero = iterations(group.bencher(false));
+        // Four times the 50 ms default times well over twice as many
+        // iterations; a zero window still times one.
+        assert!(longer > 2 * default, "{longer} vs {default}");
+        assert_eq!(zero, 1);
     }
 
     #[test]

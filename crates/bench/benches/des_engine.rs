@@ -14,6 +14,7 @@ use lb_sim::policies::{run_policy_replication, DispatchPolicy};
 use lb_sim::scenario::{run_replication, SimFidelity, SimulationConfig};
 use lb_sim::shard::run_replication_sharded;
 use std::hint::black_box;
+use std::time::Duration;
 
 /// Deterministic pseudo-random times for calendar stress.
 fn times(n: usize) -> Vec<f64> {
@@ -141,6 +142,9 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("sim_throughput_large");
     group.throughput(Throughput::Elements(config.target_jobs));
+    // One second times five or more 2M-job replications of each sharded
+    // cell (under 150 ms each on a 2-vCPU host).
+    group.measurement_time(Duration::from_secs(1));
     let static_policy = DispatchPolicy::Static(profile.clone());
     group.bench_function("single_calendar_seed", |b| {
         b.iter(|| {

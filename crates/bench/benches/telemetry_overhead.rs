@@ -5,10 +5,11 @@
 //! serialization); a [`JsonlCollector`] writing to `io::sink` (the full
 //! encode cost); and the head sampler in front of that encoder.
 //!
-//! CI reads this target's `CRITERION_JSON` summary and gates two ratios
-//! against `none`: `disabled` must stay under 1.10×, and the cost
-//! `sampling_sink` adds above `none` must be under 0.75× of the cost
-//! `jsonl_sink` adds, `sampling/none − 1 < 0.75 × (jsonl/none − 1)`.
+//! CI runs this target five times, each with its own `CRITERION_JSON`
+//! summary, and gates the median of each ratio against `none` over the
+//! five: `disabled` must stay under 1.10×, and the cost `sampling_sink`
+//! adds above `none` must be under 0.75× of the cost `jsonl_sink` adds,
+//! `sampling/none − 1 < 0.75 × (jsonl/none − 1)`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lb_game::model::SystemModel;

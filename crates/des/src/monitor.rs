@@ -2,20 +2,24 @@
 //!
 //! Steady-state estimation from a simulation started empty requires
 //! discarding the initial transient. [`ResponseTimeMonitor`] drops every
-//! job that *arrived* before the warmup cutoff and accumulates per-user
-//! and system-wide response-time statistics with `lb-stats` Welford
-//! accumulators. [`GoodputMonitor`] counts served, shed and lost jobs
-//! over the same window.
+//! job that *arrived* before the warmup cutoff and keeps a count and a
+//! response-time sum per user, from which it derives the per-user and
+//! system-wide means. [`GoodputMonitor`] counts served, shed and lost
+//! jobs over the same window.
 
 use crate::time::SimTime;
-use lb_stats::Welford;
 
-/// Per-user and system-wide response-time statistics with warmup deletion.
+/// Per-user and system-wide mean response times with warmup deletion.
+///
+/// A measured job costs an increment and an addition. No simulator reads
+/// a variance, so none is kept: a caller that needs one feeds its own
+/// `lb_stats::Welford` from the simulators' response sink.
 #[derive(Debug, Clone)]
 pub struct ResponseTimeMonitor {
     warmup: SimTime,
-    per_user: Vec<Welford>,
-    system: Welford,
+    /// Each user's measured jobs and response sum, in recording order; a
+    /// user with none keeps a zero sum, so `sum / n.max(1)` reads 0.
+    per_user: Vec<(u64, f64)>,
 }
 
 impl ResponseTimeMonitor {
@@ -24,8 +28,7 @@ impl ResponseTimeMonitor {
     pub fn new(users: usize, warmup: SimTime) -> Self {
         Self {
             warmup,
-            per_user: vec![Welford::new(); users],
-            system: Welford::new(),
+            per_user: vec![(0, 0.0); users],
         }
     }
 
@@ -52,39 +55,38 @@ impl ResponseTimeMonitor {
     /// past the warmup and departs after it arrived.
     #[inline]
     pub(crate) fn push(&mut self, user: usize, response: f64) {
-        self.per_user[user].push(response);
-        self.system.push(response);
+        let (n, sum) = &mut self.per_user[user];
+        *n += 1;
+        *sum += response;
     }
 
     /// Number of measured (post-warmup) jobs for `user`.
     pub fn count(&self, user: usize) -> u64 {
-        self.per_user[user].count()
+        self.per_user[user].0
     }
 
     /// Total measured jobs across users.
     pub fn total_count(&self) -> u64 {
-        self.system.count()
+        self.per_user.iter().map(|&(n, _)| n).sum()
     }
 
-    /// Mean response times of every user.
+    /// Mean response times of every user (0 for a user with none).
     pub fn user_means(&self) -> Vec<f64> {
-        self.per_user.iter().map(Welford::mean).collect()
+        let mean = |&(n, sum): &(u64, f64)| sum / n.max(1) as f64;
+        self.per_user.iter().map(mean).collect()
     }
 
-    /// System-wide (job-averaged) mean response time.
+    /// System-wide (job-averaged) mean response time: the users' sums,
+    /// added in user order, over the total count.
     pub fn system_mean(&self) -> f64 {
-        self.system.mean()
+        let sum: f64 = self.per_user.iter().map(|&(_, s)| s).sum();
+        sum / self.total_count().max(1) as f64
     }
 
-    /// The per-user accumulators, for callers needing variances.
-    pub fn user_accumulators(&self) -> &[Welford] {
-        &self.per_user
-    }
-
-    /// Merges another monitor's measurements into this one (Welford
-    /// parallel combine, per user and system-wide). Used by the sharded
-    /// engine: each station shard accumulates its own monitor, merged in
-    /// station-index order so the result is identical at any thread count.
+    /// Merges another monitor's measurements into this one, adding each
+    /// user's count and sum. Used by the sharded engine: each station
+    /// shard accumulates its own monitor, merged in station-index order
+    /// so the result is identical at any thread count.
     ///
     /// # Panics
     ///
@@ -95,10 +97,10 @@ impl ResponseTimeMonitor {
             other.per_user.len(),
             "cannot merge monitors over different user counts"
         );
-        for (mine, theirs) in self.per_user.iter_mut().zip(&other.per_user) {
-            mine.merge(theirs);
+        for ((n, sum), &(m, s)) in self.per_user.iter_mut().zip(&other.per_user) {
+            *n += m;
+            *sum += s;
         }
-        self.system.merge(&other.system);
     }
 }
 
@@ -245,7 +247,54 @@ mod tests {
         let m = ResponseTimeMonitor::new(3, SimTime::ZERO);
         assert_eq!(m.user_means(), vec![0.0; 3]);
         assert_eq!(m.system_mean(), 0.0);
-        assert_eq!(m.user_accumulators().len(), 3);
+    }
+
+    /// A million seeded exponential responses over ten users (an
+    /// eleventh measures none): the means agree with Welford's, and the
+    /// stream cut at random points into monitors merged in order keeps
+    /// every count and mean.
+    #[test]
+    fn counts_and_sums_match_welford_and_merge_in_order() {
+        let (users, jobs) = (10, 1_000_000);
+        let mut rng = crate::rng::RngStream::new(2002, 0);
+        let stream: Vec<(usize, f64)> = (0..jobs)
+            .map(|_| {
+                let user = (rng.uniform01() * users as f64) as usize;
+                (user, rng.exponential(1.0 + user as f64))
+            })
+            .collect();
+        let mut cuts: Vec<usize> = (0..4)
+            .map(|_| (rng.uniform01() * jobs as f64) as usize)
+            .collect();
+        cuts.sort_unstable();
+        cuts.push(jobs);
+
+        let mut whole = ResponseTimeMonitor::new(users + 1, SimTime::ZERO);
+        let mut merged = whole.clone();
+        let mut oracle = vec![lb_stats::Welford::new(); users + 2];
+        let mut from = 0;
+        for to in cuts {
+            let mut part = ResponseTimeMonitor::new(users + 1, SimTime::ZERO);
+            for &(user, response) in &stream[from..to] {
+                whole.push(user, response);
+                part.push(user, response);
+                oracle[user].push(response);
+                oracle[users + 1].push(response);
+            }
+            merged.merge(&part);
+            from = to;
+        }
+
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        for m in [&whole, &merged] {
+            assert_eq!(m.total_count(), jobs as u64);
+            assert!(close(m.system_mean(), oracle[users + 1].mean()));
+            for (user, mean) in m.user_means().into_iter().enumerate() {
+                assert_eq!(m.count(user), oracle[user].count());
+                assert!(close(mean, oracle[user].mean()), "user {user}");
+            }
+        }
+        assert_eq!((merged.count(users), merged.user_means()[users]), (0, 0.0));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Welford's online algorithm for streaming mean and variance.
 //!
-//! The simulator observes millions of job response times per run (the paper
-//! generates 1–2 million jobs per replication); storing them is wasteful and
-//! naive sum-of-squares accumulation loses precision. Welford's update is
-//! single-pass, O(1) memory, and numerically stable.
+//! It serves the callers that need a variance: `ReplicationSet`'s
+//! confidence half-widths, `BatchMeans`, `SampleSummary`, the benchmark's
+//! report, and tests that check a simulated variance through a response
+//! sink. The update is single-pass, O(1) memory and numerically stable,
+//! where naive sum-of-squares accumulation loses precision. The
+//! simulators' per-job monitor needs only means, so it keeps a count and
+//! a sum per user instead of paying a division per job here.
 
 /// Streaming accumulator for count, mean, variance, min and max.
 ///
