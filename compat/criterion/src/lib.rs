@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access to crates.io, so the
 //! workspace vendors the API subset its benches use: `Criterion`,
-//! `benchmark_group`, `bench_function` / `bench_with_input`,
+//! `benchmark_group`, the group's `bench_function` / `bench_with_input`,
 //! `BenchmarkId`, `Throughput`, and the `criterion_group!` /
 //! `criterion_main!` macros. Measurement is a simple
 //! calibrate-then-sample wall-clock loop — adequate for the relative
@@ -75,16 +75,13 @@ impl fmt::Display for BenchmarkId {
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// One recorded measurement: a benchmark's identity and its per-iteration
 /// wall-clock cost.
 #[derive(Debug, Clone, PartialEq)]
 struct BenchResult {
-    /// Group name (`benchmark_group` argument, or the bare id for
-    /// ungrouped `bench_function` calls).
+    /// Group name (the `benchmark_group` argument).
     pub group: String,
     /// Benchmark id within the group.
     pub id: String,
@@ -145,12 +142,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Upstream tunes sample counts; the shim measures one sample, so
-    /// this only records intent.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Sets the sampling window of subsequent benchmarks (50 ms by
     /// default; `CRITERION_QUICK` keeps its own 5 ms window). Each runs
     /// as many whole iterations as fit in it, at least one.
@@ -213,9 +204,6 @@ impl BenchmarkGroup<'_> {
                 let rate = match self.throughput {
                     Some(Throughput::Elements(n)) => {
                         format!(" ({:.3e} elem/s)", n as f64 / per_iter)
-                    }
-                    Some(Throughput::Bytes(n)) => {
-                        format!(" ({:.3e} B/s)", n as f64 / per_iter)
                     }
                     None => String::new(),
                 };
@@ -332,19 +320,6 @@ impl Criterion {
             measurement_time: Duration::from_millis(50),
             criterion: self,
         }
-    }
-
-    /// Runs one ungrouped benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = id.into();
-        let name = id.to_string();
-        let mut group = self.benchmark_group(name);
-        group.bench_function(id, |b| f(b));
-        group.finish();
-        self
     }
 }
 

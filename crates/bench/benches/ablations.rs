@@ -89,7 +89,6 @@ fn bench_gos_decomposition(c: &mut Criterion) {
 fn bench_deployment(c: &mut Criterion) {
     let model = SystemModel::table1_system(0.6).unwrap();
     let mut group = c.benchmark_group("ablation_deployment");
-    group.sample_size(10);
     group.bench_function("sequential_solver", |b| {
         b.iter(|| {
             NashSolver::new(Initialization::Proportional)
@@ -122,7 +121,6 @@ fn bench_ring_scaling(c: &mut Criterion) {
     // Wall-clock of the ring as the user population grows (per-hop
     // message and coordinator overhead vs the sequential solver's loop).
     let mut group = c.benchmark_group("ablation_ring_scaling");
-    group.sample_size(10);
     for m in [2usize, 8, 32] {
         let model =
             SystemModel::with_equal_users(SystemModel::table1_rates(), m, 0.6).expect("valid");

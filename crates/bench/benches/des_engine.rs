@@ -11,7 +11,7 @@ use lb_game::model::SystemModel;
 use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
 use lb_sim::parallel::ParallelRunner;
 use lb_sim::policies::{run_policy_replication, DispatchPolicy};
-use lb_sim::scenario::{run_replication, SimFidelity, SimulationConfig};
+use lb_sim::scenario::{run_replication, SimulationConfig};
 use lb_sim::shard::run_replication_sharded;
 use std::hint::black_box;
 use std::time::Duration;
@@ -90,7 +90,6 @@ fn bench_calendar_ablation(c: &mut Criterion) {
 
 fn bench_simulation_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("des_mm1_bank_jobs");
-    group.sample_size(10);
     for jobs in [20_000u64, 100_000] {
         let model = SystemModel::table1_system(0.6).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
@@ -117,15 +116,14 @@ fn bench_simulation_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed shared by every engine in `sim_throughput_large`, so all four
+/// Seed shared by every engine in `sim_throughput_large`, so all three
 /// cells simulate the same workload.
 const SIM_THROUGHPUT_SEED: u64 = 42;
 
 /// One large replication (n = 32 heterogeneous computers, m = 200 users,
 /// ρ = 0.6) through each engine: the classic single-calendar reference,
-/// the sharded per-station engine at one thread and at the
-/// [`ParallelRunner::from_env`] thread count, and the analytic
-/// closed-form sampler.
+/// and the sharded per-station engine at one thread and at the
+/// [`ParallelRunner::from_env`] thread count.
 fn bench_sim_throughput_large(c: &mut Criterion) {
     let n = 32;
     let m = 200;
@@ -172,22 +170,6 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
             });
         });
     }
-    let analytic_config = config.with_fidelity(SimFidelity::Analytic);
-    group.bench_function("analytic", |b| {
-        b.iter(|| {
-            run_replication(
-                &model,
-                &profile,
-                analytic_config,
-                SIM_THROUGHPUT_SEED,
-                None,
-                None,
-                |_, _| {},
-            )
-            .expect("analytic replication")
-            .system_mean
-        });
-    });
     group.finish();
 }
 

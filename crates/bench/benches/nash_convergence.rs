@@ -32,7 +32,6 @@ fn bench_fig2_initializations(c: &mut Criterion) {
 
 fn bench_fig3_user_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_nash_vs_users");
-    group.sample_size(10);
     for m in [4usize, 8, 16, 32] {
         let model = SystemModel::with_equal_users(SystemModel::table1_rates(), m, 0.6).unwrap();
         group.bench_with_input(BenchmarkId::new("NASH_P", m), &m, |b, _| {
@@ -51,7 +50,6 @@ fn bench_fig3_user_sweep(c: &mut Criterion) {
 fn bench_utilization_effect(c: &mut Criterion) {
     // Convergence slows near saturation; quantify the cost growth.
     let mut group = c.benchmark_group("nash_vs_utilization");
-    group.sample_size(10);
     for rho_pct in [30u32, 60, 90] {
         let model = SystemModel::table1_system(f64::from(rho_pct) / 100.0).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(rho_pct), &rho_pct, |b, _| {

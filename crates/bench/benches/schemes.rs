@@ -42,7 +42,6 @@ fn bench_fig6_skew_workload(c: &mut Criterion) {
 fn bench_full_figures_analytic(c: &mut Criterion) {
     // Regenerating the complete analytic figures (what the CLI does).
     let mut group = c.benchmark_group("figure_regeneration");
-    group.sample_size(10);
     group.bench_function("fig4_full_sweep", |b| {
         b.iter(|| fig4::run(None, None).unwrap());
     });

@@ -177,34 +177,6 @@ impl GoodputMonitor {
     pub fn retries(&self) -> u64 {
         self.retries
     }
-
-    /// Completed jobs per second over `[warmup, now]` — the goodput.
-    pub fn goodput(&self, now: SimTime) -> f64 {
-        self.rate(self.served, now)
-    }
-
-    /// Shed jobs per second over `[warmup, now]`.
-    pub fn shed_rate(&self, now: SimTime) -> f64 {
-        self.rate(self.shed, now)
-    }
-
-    /// Merges another monitor's counters into this one. Used by the
-    /// sharded engine to combine per-station goodput in station-index
-    /// order (the counters are plain sums, so the merge is exact).
-    pub fn merge(&mut self, other: &GoodputMonitor) {
-        self.served += other.served;
-        self.shed += other.shed;
-        self.lost += other.lost;
-        self.retries += other.retries;
-    }
-
-    fn rate(&self, count: u64, now: SimTime) -> f64 {
-        let window = now.since(self.warmup);
-        if window == 0.0 {
-            return 0.0;
-        }
-        count as f64 / window
-    }
 }
 
 #[cfg(test)]
@@ -329,19 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn goodput_merge_sums_counters() {
-        let mut a = GoodputMonitor::new(t(0.0));
-        a.record_served(t(1.0));
-        a.record_shed(t(2.0));
-        let mut b = GoodputMonitor::new(t(0.0));
-        b.record_served(t(3.0));
-        b.record_lost(t(4.0));
-        b.record_retry(t(5.0));
-        a.merge(&b);
-        assert_eq!((a.served(), a.shed(), a.lost(), a.retries()), (2, 1, 1, 1));
-    }
-
-    #[test]
     fn goodput_monitor_separates_outcomes() {
         let mut g = GoodputMonitor::new(t(10.0));
         g.record_served(t(5.0)); // warmup: dropped
@@ -355,13 +314,5 @@ mod tests {
         assert_eq!(g.shed(), 1);
         assert_eq!(g.lost(), 1);
         assert_eq!(g.retries(), 1);
-        assert!((g.goodput(t(20.0)) - 0.2).abs() < 1e-12);
-        assert!((g.shed_rate(t(20.0)) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_goodput_monitor_is_benign() {
-        let g = GoodputMonitor::new(t(10.0));
-        assert_eq!(g.goodput(t(10.0)), 0.0);
     }
 }

@@ -18,9 +18,7 @@
 //! `[2⁻⁵³, 1]`, so the kernel needs none of the special cases, has no
 //! branch and no call, and a block of draws pipelines. Against glibc
 //! 2.36's `log` it differs on about 7% of inputs, by 1 ulp each time,
-//! and it never changes how many uniforms a draw takes. The samplers
-//! drawn a few times per entity (`normal01`, `gamma`, `poisson`) keep
-//! `f64::ln`.
+//! and it never changes how many uniforms a draw takes.
 
 use lb_stats::splitmix64_finalize;
 use rand::rngs::StdRng;
@@ -162,84 +160,6 @@ impl RngStream {
                 for slot in out.iter_mut() {
                     *slot = self.sample(dist);
                 }
-            }
-        }
-    }
-
-    /// Standard normal sample via Box–Muller (one variate per call; the
-    /// paired variate is discarded to keep the uniform consumption per
-    /// call fixed, which the reproducibility discipline depends on).
-    pub fn normal01(&mut self) -> f64 {
-        // 1 − U ∈ (0, 1] keeps the log finite.
-        let r = (-2.0 * (1.0 - self.uniform01()).ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * self.uniform01();
-        r * theta.cos()
-    }
-
-    /// Poisson sample with the given mean: Knuth's product-of-uniforms
-    /// method for small means, a rounded normal approximation above 30
-    /// (where the relative error of the approximation is far below the
-    /// Monte-Carlo noise of any consumer in this workspace).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a negative or non-finite mean.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "poisson mean must be non-negative, got {mean}"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean < 30.0 {
-            let limit = (-mean).exp();
-            let mut product = self.uniform01();
-            let mut count = 0u64;
-            while product > limit {
-                product *= self.uniform01();
-                count += 1;
-            }
-            count
-        } else {
-            let x = mean + mean.sqrt() * self.normal01();
-            if x < 0.5 {
-                0
-            } else {
-                (x + 0.5) as u64
-            }
-        }
-    }
-
-    /// Gamma(shape, rate) sample by Marsaglia–Tsang squeeze for shape ≥ 1
-    /// (the only regime the simulator needs: shapes are job counts). The
-    /// sum of `k` iid Exponential(rate) variables is Gamma(k, rate), which
-    /// is what lets the analytic fast path collapse a whole measurement
-    /// window of per-job sojourn draws into one variate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shape >= 1` and `rate > 0` (both finite).
-    pub fn gamma(&mut self, shape: f64, rate: f64) -> f64 {
-        assert!(
-            shape.is_finite() && shape >= 1.0,
-            "gamma shape must be >= 1, got {shape}"
-        );
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "gamma rate must be positive, got {rate}"
-        );
-        let d = shape - 1.0 / 3.0;
-        let c = 1.0 / (9.0 * d).sqrt();
-        loop {
-            let z = self.normal01();
-            let v = (1.0 + c * z).powi(3);
-            if v <= 0.0 {
-                continue;
-            }
-            let u = 1.0 - self.uniform01(); // (0, 1], ln finite
-            if u.ln() < 0.5 * z * z + d - d * v + d * v.ln() {
-                return d * v / rate;
             }
         }
     }
@@ -563,8 +483,8 @@ mod tests {
         let mut buf = [0.0; 16];
         s.fill_exponential(1.0, &mut buf);
         assert_eq!(s.draws(), 18, "bulk fills count per variate");
-        s.normal01();
-        assert_eq!(s.draws(), 20, "Box-Muller takes two base draws");
+        s.sample(&Distribution::Erlang { k: 3, rate: 1.0 });
+        assert_eq!(s.draws(), 21, "an Erlang-3 variate takes three base draws");
     }
 
     #[test]
@@ -676,50 +596,6 @@ mod tests {
                 "{d:?}"
             );
         }
-    }
-
-    #[test]
-    fn normal01_moments() {
-        let mut s = RngStream::new(3, 14);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| s.normal01()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.01, "normal mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "normal variance {var}");
-    }
-
-    #[test]
-    fn poisson_mean_tracks_parameter_in_both_regimes() {
-        let mut s = RngStream::new(21, 0);
-        for mean in [0.0, 0.4, 7.5, 29.9, 80.0, 4000.0] {
-            let n = 20_000;
-            let avg = (0..n).map(|_| s.poisson(mean)).sum::<u64>() as f64 / n as f64;
-            let tol = 3.0 * (mean / n as f64).sqrt().max(1e-12) + 0.51 / n as f64;
-            assert!(
-                (avg - mean).abs() <= tol.max(0.05 * mean.max(0.01)),
-                "poisson({mean}): empirical {avg}"
-            );
-        }
-    }
-
-    #[test]
-    fn gamma_matches_sum_of_exponentials_in_distribution() {
-        // Gamma(k, r) must have mean k/r and variance k/r² — the moments
-        // of a sum of k iid Exponential(r), which the analytic fast path
-        // relies on.
-        let (shape, rate) = (5.0, 2.0);
-        let mut s = RngStream::new(8, 3);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| s.gamma(shape, rate)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - shape / rate).abs() < 0.02 * shape / rate, "{mean}");
-        assert!(
-            (var - shape / (rate * rate)).abs() < 0.05 * shape / (rate * rate),
-            "{var}"
-        );
-        assert!(xs.iter().all(|x| *x > 0.0));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use lb_experiments::report::Table;
 use lb_experiments::{
     analyze, beyond, config, diff, fig2, fig3, fig4, fig5, fig6, table1, trace, watch,
 };
-use lb_sim::scenario::SimFidelity;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -31,11 +30,6 @@ fn run(opts: &Options) -> Result<(), String> {
         Some(SimOptions {
             target_jobs: opts.jobs,
             replications: opts.replications,
-            fidelity: if opts.analytic {
-                SimFidelity::Analytic
-            } else {
-                SimFidelity::Full
-            },
         })
     } else {
         None

@@ -20,9 +20,6 @@ pub struct Options {
     pub out: PathBuf,
     /// Mirror telemetry events to stderr (`trace` subcommand).
     pub verbose: bool,
-    /// Use the analytic M/M/1 fast path for simulated figures instead of
-    /// the full discrete-event engine.
-    pub analytic: bool,
     /// Positional input path (`analyze <log>`, `diff <A> <B>`);
     /// defaults per command.
     pub input: Option<PathBuf>,
@@ -42,14 +39,13 @@ pub struct Options {
 pub fn usage() -> String {
     "usage: experiments <table1|fig2|fig3|fig4|fig5|fig6|all|ext|\
      ext-service|ext-stackelberg|ext-dynamics|ext-noise|ext-multicore|ext-poa|ext-burstiness|ext-policies|ext-tails|ext-churn|ext-anytime|ext-async|trace|analyze|diff|watch> \
-     [LOG] [LOG_B] [--simulate] [--analytic] [--jobs N] [--replications R] [--out-dir DIR] [--verbose] [--port P] [--iterations N] [--linger MS]\n\
+     [LOG] [LOG_B] [--simulate] [--jobs N] [--replications R] [--out-dir DIR] [--verbose] [--port P] [--iterations N] [--linger MS]\n\
      `analyze [LOG]` profiles a span trace (default LOG: <out-dir>/trace_table1.jsonl);\n\
      `diff A B` compares two trace logs or result directories (reweighted event\n\
      counts, account.* sums, span structure/wall time) and prints a\n\
      machine-readable verdict line;\n\
      `watch` serves /metrics /healthz /trace/recent live during an observed replay\n\
      (--port 0 picks an ephemeral port; --linger keeps serving MS after the last episode);\n\
-     `--analytic` makes `--simulate` sample closed-form M/M/1 sojourns instead of running the DES;\n\
      `--out` is accepted as an alias for `--out-dir`"
         .to_string()
 }
@@ -69,7 +65,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
         replications: 5,
         out: PathBuf::from(config::RESULTS_DIR),
         verbose: false,
-        analytic: false,
         input: None,
         input2: None,
         port: 0,
@@ -80,7 +75,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String>
         match a.as_str() {
             "--simulate" => opts.simulate = true,
             "--verbose" => opts.verbose = true,
-            "--analytic" => opts.analytic = true,
             "--jobs" => {
                 opts.jobs = args
                     .next()
@@ -181,7 +175,6 @@ mod tests {
         assert_eq!(o.out, PathBuf::from("results"));
         assert_eq!(o.input, None);
         assert_eq!(o.input2, None);
-        assert!(!o.analytic);
         assert_eq!(o.port, 0);
         assert_eq!(o.iterations, 28);
         assert_eq!(o.linger_ms, 0);
@@ -210,10 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn analytic_flag_parses() {
-        let o = parse(args(&["fig4", "--simulate", "--analytic"])).unwrap();
-        assert!(o.simulate);
-        assert!(o.analytic);
+    fn analytic_flag_is_an_unknown_argument() {
+        // `--simulate` always runs the DES; no flag picks another engine.
+        let err = parse(args(&["fig4", "--simulate", "--analytic"])).unwrap_err();
+        assert!(
+            err.starts_with("unknown argument `--analytic`") && err.contains("usage:"),
+            "{err}"
+        );
+        assert!(!usage().contains("--analytic"));
     }
 
     #[test]

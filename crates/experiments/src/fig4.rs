@@ -20,7 +20,7 @@ use lb_game::schemes::{
 use lb_game::StoppingRule;
 use lb_sim::harness::simulate_profile_traced;
 use lb_sim::parallel::ParallelRunner;
-use lb_sim::scenario::{SimFidelity, SimulationConfig};
+use lb_sim::scenario::SimulationConfig;
 use lb_stats::ReplicationPlan;
 use lb_telemetry::Collector;
 use std::sync::Arc;
@@ -32,9 +32,6 @@ pub struct SimOptions {
     pub target_jobs: u64,
     /// Number of replications (the paper uses 5).
     pub replications: u32,
-    /// Per-job detail level: the full DES or the analytic M/M/1 fast
-    /// path (closed-form sojourn sampling).
-    pub fidelity: SimFidelity,
 }
 
 impl SimOptions {
@@ -43,7 +40,6 @@ impl SimOptions {
         Self {
             target_jobs: 1_000_000,
             replications: 5,
-            fidelity: SimFidelity::Full,
         }
     }
 
@@ -52,7 +48,6 @@ impl SimOptions {
         Self {
             target_jobs: 60_000,
             replications: 3,
-            fidelity: SimFidelity::Full,
         }
     }
 
@@ -66,7 +61,6 @@ impl SimOptions {
     fn config(&self) -> SimulationConfig {
         SimulationConfig {
             target_jobs: self.target_jobs,
-            fidelity: self.fidelity,
             ..SimulationConfig::paper()
         }
     }

@@ -28,9 +28,8 @@ pub struct SimulatedMetrics {
     /// Replications performed.
     pub replications: u32,
     /// Cross-replication mean of the per-replication p95 response time
-    /// (exact nearest-rank quantile of the measured responses; the
-    /// stationary mixture tail on the analytic fast path) — the tail the
-    /// mean hides.
+    /// (exact nearest-rank quantile of the measured responses) — the
+    /// tail the mean hides.
     pub system_p95: f64,
 }
 
@@ -121,15 +120,6 @@ pub fn simulate_profile_traced(
     names.push("system".into());
     let mut set = ReplicationSet::new(names, plan.confidence);
 
-    // The analytic fast path never streams per-job responses, so there
-    // is no sample to take a quantile of; use the stationary mixture tail
-    // instead (same quantity the per-job quantile converges to).
-    let analytic_p95 = if config.is_analytic() {
-        Some(crate::analytic::analytic_system_p95(model, profile)?)
-    } else {
-        None
-    };
-
     // Root span for the whole simulation study; worker spans from the
     // pool and one `sim.replication` span per task nest under it, and
     // each replication hangs its station shards' `des.shard` spans off
@@ -183,7 +173,7 @@ pub fn simulate_profile_traced(
             values.push(result.system_mean);
             Ok::<_, GameError>((
                 values,
-                analytic_p95.unwrap_or_else(|| exact_quantile(&mut responses, 0.95)),
+                exact_quantile(&mut responses, 0.95),
                 result.jobs_generated,
             ))
         },

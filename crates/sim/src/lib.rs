@@ -9,8 +9,8 @@
 //!
 //! * [`scenario`] — one replication of a strategy profile: the
 //!   configuration, the result, and [`scenario::run_replication`], which
-//!   routes each run to the analytic sampler, the sharded engine or the
-//!   single-calendar loop.
+//!   routes each run by its arrival family: Poisson arrivals to the
+//!   sharded engine, renewal arrivals to the single-calendar loop.
 //! * [`policies`] — the single-calendar loop: every user's renewal
 //!   arrival process, every dispatch decision and every FCFS station on
 //!   one event calendar, under a static profile or a dynamic (state-aware)
@@ -38,9 +38,6 @@
 //!   replication into independent per-station event streams that run in
 //!   parallel and merge in station-index order, bit-identical at any
 //!   thread count.
-//! * [`analytic`] — the closed-form fast path: stationary M/M/1 sojourn
-//!   sampling (Poisson counts, Gamma sums) replacing the event loop when
-//!   [`scenario::SimFidelity::Analytic`] is requested.
 //!
 //! Each simulation operation has one entrypoint, and it takes its
 //! telemetry hooks as arguments: `collector: Option<&Arc<dyn Collector>>`
@@ -49,7 +46,7 @@
 //! Spans mark layer boundaries only; no event loop cuts its own work
 //! into batch spans. Passing `None` turns collection off; results are
 //! bit-identical either way. [`scenario::run_replication`] is the one
-//! replication (it picks the engine from the config),
+//! replication (it picks the engine from the arrival family),
 //! [`policies::run_policy_replication`] the one single-calendar run,
 //! [`ParallelRunner::run`] the one fan-out. The replicated study keeps
 //! three forms ([`simulate_profile`], [`simulate_profile_with`],
@@ -58,7 +55,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod analytic;
 pub mod churn;
 pub mod harness;
 pub mod policies;
@@ -67,12 +63,11 @@ pub mod scenario;
 pub mod shard;
 pub mod validate;
 
-pub use analytic::analytic_system_p95;
 pub use churn::{run_churn_replication, ChurnPhase, ChurnResult};
 pub use harness::{
     simulate_profile, simulate_profile_traced, simulate_profile_with, SimulatedMetrics,
 };
 pub use lb_game::parallel;
 pub use parallel::ParallelRunner;
-pub use scenario::{DistributionFamily, SimFidelity, SimulationConfig, SimulationResult};
+pub use scenario::{DistributionFamily, SimulationConfig, SimulationResult};
 pub use shard::run_replication_sharded;

@@ -104,9 +104,8 @@ enum Event {
 /// completion order; pass `|_, _| {}` to ignore it.
 ///
 /// Interarrival and service times follow `config.arrivals` and
-/// `config.service`; `config.fidelity` is not consulted. The collector
-/// receives the engine's `des.compact` events; results are bit-identical
-/// with or without it.
+/// `config.service`. The collector receives the engine's `des.compact`
+/// events; results are bit-identical with or without it.
 ///
 /// # Errors
 ///

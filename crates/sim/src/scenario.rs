@@ -87,23 +87,6 @@ impl DistributionFamily {
     }
 }
 
-/// How much per-job detail a replication simulates.
-///
-/// [`SimFidelity::Full`] runs every job through a discrete-event engine.
-/// [`SimFidelity::Analytic`] swaps the run-to-completion M/M/1 stations
-/// for closed-form stationary sojourn sampling (see [`crate::analytic`])
-/// — orders of magnitude faster when per-job detail isn't needed, and
-/// only available for the paper's exponential arrival/service model; any
-/// other family silently falls back to the full engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimFidelity {
-    /// Full discrete-event simulation of every job.
-    #[default]
-    Full,
-    /// Closed-form stationary sampling of M/M/1 sojourn statistics.
-    Analytic,
-}
-
 /// Length/precision parameters of one replication.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
@@ -117,8 +100,6 @@ pub struct SimulationConfig {
     /// Interarrival-time family per user, as a renewal process (the
     /// paper uses exponential, i.e. Poisson arrivals).
     pub arrivals: DistributionFamily,
-    /// Per-job detail level (full DES vs analytic fast path).
-    pub fidelity: SimFidelity,
 }
 
 impl SimulationConfig {
@@ -130,7 +111,6 @@ impl SimulationConfig {
             warmup_fraction: 0.1,
             service: DistributionFamily::Exponential,
             arrivals: DistributionFamily::Exponential,
-            fidelity: SimFidelity::Full,
         }
     }
 
@@ -141,7 +121,6 @@ impl SimulationConfig {
             warmup_fraction: 0.1,
             service: DistributionFamily::Exponential,
             arrivals: DistributionFamily::Exponential,
-            fidelity: SimFidelity::Full,
         }
     }
 
@@ -149,22 +128,6 @@ impl SimulationConfig {
     pub fn with_service(mut self, service: DistributionFamily) -> Self {
         self.service = service;
         self
-    }
-
-    /// Same config with a different fidelity.
-    pub fn with_fidelity(mut self, fidelity: SimFidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// Whether this configuration takes the analytic fast path: fidelity
-    /// [`SimFidelity::Analytic`] *and* the exponential arrival/service
-    /// model the closed forms require. Any other family combination
-    /// falls back to the full engine even when `Analytic` was requested.
-    pub fn is_analytic(&self) -> bool {
-        self.fidelity == SimFidelity::Analytic
-            && self.arrivals == DistributionFamily::Exponential
-            && self.service == DistributionFamily::Exponential
     }
 }
 
@@ -197,15 +160,13 @@ pub struct SimulationResult {
 /// the single calendar opens none. Purely observational; results are
 /// bit-identical with or without either hook.
 ///
-/// This is the routing point for the simulation engines:
+/// This is the routing point for the simulation engines; the arrival
+/// family picks one:
 ///
-/// * [`SimFidelity::Analytic`] on the exponential model → closed-form
-///   stationary sampling ([`crate::analytic`]); the per-job `sink` never
-///   fires (there are no per-job events to observe).
-/// * [`SimFidelity::Full`] with Poisson (exponential) arrivals → the
-///   sharded per-station engine ([`crate::shard`]), which exploits
-///   Poisson splitting to run each station on its own, by the Lindley
-///   recursion instead of an event calendar.
+/// * Poisson (exponential) arrivals → the sharded per-station engine
+///   ([`crate::shard`]), which exploits Poisson splitting to run each
+///   station on its own, by the Lindley recursion instead of an event
+///   calendar.
 /// * Non-Poisson arrivals → the single-calendar engine
 ///   ([`run_policy_replication`] with [`DispatchPolicy::Static`]), the
 ///   only one whose renewal arrival streams couple stations through
@@ -231,9 +192,6 @@ pub fn run_replication<F: FnMut(usize, f64)>(
     span_parent: Option<&SpanHandle>,
     sink: F,
 ) -> Result<SimulationResult, GameError> {
-    if config.is_analytic() {
-        return crate::analytic::run_replication_analytic(model, profile, config, seed);
-    }
     if config.arrivals == DistributionFamily::Exponential {
         return crate::shard::run_shards_in_order(
             model,
