@@ -18,6 +18,8 @@
 //!   windows ~10× so CI smoke jobs finish fast (numbers are noisy but the
 //!   benches still execute end to end and panics still surface).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fmt::Write as _;
 use std::hint::black_box as std_black_box;

@@ -8,6 +8,8 @@
 //! directly); three manifests still declare the dependency until the
 //! benchmark's lock file may change.
 
+#![forbid(unsafe_code)]
+
 pub mod thread {
     //! Scoped threads (the `crossbeam-utils::thread` subset).
     //!

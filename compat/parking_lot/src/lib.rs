@@ -6,6 +6,8 @@
 //! return guards directly (no poisoning — a lock held by a panicked
 //! thread is recovered).
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, LockResult};
 
 /// A reader-writer lock with `parking_lot`'s non-poisoning API.

@@ -15,6 +15,8 @@
 //! reproducible), and there is **no shrinking** — a failing case reports
 //! its case number and assertion message instead of a minimized input.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     //! Deterministic RNG driving case generation.
 

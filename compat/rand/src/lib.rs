@@ -8,6 +8,8 @@
 //! but the workspace only requires *reproducibility within itself*, never
 //! bit-compatibility with upstream streams.
 
+#![forbid(unsafe_code)]
+
 /// A source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next 64 random bits.

@@ -140,9 +140,10 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("sim_throughput_large");
     group.throughput(Throughput::Elements(config.target_jobs));
-    // One second times five or more 2M-job replications of each sharded
-    // cell (under 150 ms each on a 2-vCPU host).
-    group.measurement_time(Duration::from_secs(1));
+    // Six seconds time five or more 2M-job replications of the single
+    // calendar (0.8–1.2 s each on a 2-vCPU host) and dozens of each
+    // sharded cell's (under 150 ms each), so no cell is one sample.
+    group.measurement_time(Duration::from_secs(6));
     let static_policy = DispatchPolicy::Static(profile.clone());
     group.bench_function("single_calendar_seed", |b| {
         b.iter(|| {

@@ -25,6 +25,7 @@
 //!
 //! This library crate only hosts small shared helpers.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

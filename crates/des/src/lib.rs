@@ -29,6 +29,7 @@
 //! The model-specific wiring (Poisson users dispatching probabilistically
 //! over a bank of stations) lives in `lb-sim`; this crate stays generic.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -44,6 +44,7 @@
 //! The integration tests verify the ring reaches the same equilibrium as
 //! the sequential solver, and that it survives injected crashes.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

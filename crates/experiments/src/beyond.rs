@@ -44,10 +44,12 @@ use lb_game::schemes::{
     GlobalOptimalScheme, IndividualOptimalScheme, LoadBalancingScheme, NashScheme,
     ProportionalScheme, StackelbergScheme,
 };
+use lb_game::strategy::StrategyProfile;
 use lb_game::Certificate;
 use lb_game::StoppingRule;
 use lb_sim::harness::simulate_profile;
-use lb_sim::scenario::{DistributionFamily, SimulationConfig};
+use lb_sim::parallel::ParallelRunner;
+use lb_sim::scenario::{run_replication, DistributionFamily, SimulationConfig};
 use lb_stats::ReplicationPlan;
 
 /// One (scheme × service-family) cell of the robustness experiment.
@@ -608,15 +610,67 @@ pub struct TailRow {
     /// (rate-weighted across users; exact for the exponential-mixture
     /// sojourn distribution).
     pub scv: f64,
-    /// Simulated p95 response time (exact nearest-rank quantile of the
-    /// measured responses).
+    /// Simulated p95 response time: the cross-replication mean of each
+    /// replication's exact nearest-rank quantile of its measured
+    /// responses.
     pub simulated_p95: f64,
+}
+
+/// Exact nearest-rank `q`-quantile of `samples` (reorders them in
+/// place). `NaN` when empty — a replication too short to measure jobs.
+fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
+    let (_, value, _) = samples.select_nth_unstable_by(rank - 1, |a, b| {
+        a.partial_cmp(b).expect("response times are never NaN")
+    });
+    *value
+}
+
+/// Cross-replication mean of each replication's exact nearest-rank p95
+/// response time. Replications fan out over `runner`; each collects its
+/// measured responses through the sink of [`run_replication`] (grouped
+/// by station on the sharded engine, which would mislead a streaming
+/// estimator but not the exact quantile), and the p95s are averaged in
+/// replication order, so the value is bit-identical at any thread count.
+///
+/// # Errors
+///
+/// * [`GameError::ZeroIterationBudget`] for a plan of zero replications.
+/// * Scenario errors (shape mismatches, saturated profiles).
+fn simulated_p95(
+    runner: &ParallelRunner,
+    model: &SystemModel,
+    profile: &StrategyProfile,
+    plan: &ReplicationPlan,
+    config: SimulationConfig,
+) -> Result<f64, GameError> {
+    if plan.replications == 0 {
+        return Err(GameError::ZeroIterationBudget);
+    }
+    let p95s = runner.try_run(
+        plan.replications as usize,
+        |r, _| {
+            let mut responses = Vec::new();
+            let seed = plan.seed_for(r as u32);
+            run_replication(model, profile, config, seed, None, None, |_, resp| {
+                responses.push(resp);
+            })?;
+            Ok::<_, GameError>(exact_quantile(&mut responses, 0.95))
+        },
+        None,
+        None,
+    )?;
+    Ok(p95s.iter().sum::<f64>() / f64::from(plan.replications))
 }
 
 /// Tail latency across the schemes at ρ = 60%: the game optimizes *mean*
 /// response times, but users feel the tail. Analytic variance comes from
-/// the exponential-mixture identity (`lb-game::response`); the p95 from
-/// the simulator's exact nearest-rank quantile.
+/// the exponential-mixture identity (`lb-game::response`); the p95 is
+/// simulated here from every job's response, which the replication
+/// harness does not keep.
 ///
 /// # Errors
 ///
@@ -634,6 +688,7 @@ pub fn tail_latency(target_jobs: u64, replications: u32) -> Result<Vec<TailRow>,
         replications,
         ..ReplicationPlan::paper()
     };
+    let runner = ParallelRunner::from_env();
     let mut rows = Vec::new();
     for scheme in &schemes {
         let profile = scheme.compute(&model)?;
@@ -654,12 +709,11 @@ pub fn tail_latency(target_jobs: u64, replications: u32) -> Result<Vec<TailRow>,
             target_jobs,
             ..SimulationConfig::paper()
         };
-        let sim = simulate_profile(&model, &profile, &plan, cfg)?;
         rows.push(TailRow {
             scheme: scheme.name(),
             mean: m1,
             scv,
-            simulated_p95: sim.system_p95,
+            simulated_p95: simulated_p95(&runner, &model, &profile, &plan, cfg)?,
         });
     }
     Ok(rows)
@@ -1238,6 +1292,70 @@ mod tests {
             p95("NASH"),
             p95("PS")
         );
+        // Pinned bits: a change to the DES streams, the quantile or the
+        // order of the average shows here before it reaches a CSV digit.
+        let pinned = [
+            ("NASH", 0x3fc7_0f53_c682_f100_u64),
+            ("GOS", 0x3fc6_7e4b_c360_4300),
+            ("IOS", 0x3fc9_fd15_b43e_f800),
+            ("PS", 0x3fd3_5a8b_ccf1_0ec0),
+        ];
+        for (r, (scheme, bits)) in rows.iter().zip(pinned) {
+            assert_eq!(r.scheme, scheme);
+            assert_eq!(
+                r.simulated_p95.to_bits(),
+                bits,
+                "{scheme}: p95 {}",
+                r.simulated_p95
+            );
+        }
+    }
+
+    #[test]
+    fn simulated_p95_is_bit_identical_at_any_thread_count() {
+        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
+        let profile = ProportionalScheme.compute(&model).unwrap();
+        let config = SimulationConfig::quick();
+        let plan = |replications| ReplicationPlan {
+            replications,
+            ..ReplicationPlan::paper()
+        };
+        let p95 = |threads, replications| {
+            let runner = ParallelRunner::new(threads);
+            simulated_p95(&runner, &model, &profile, &plan(replications), config)
+        };
+        let reference = p95(1, 3).unwrap();
+        for threads in [2, 8] {
+            let bits = p95(threads, 3).unwrap().to_bits();
+            assert_eq!(bits, reference.to_bits(), "{threads} threads");
+        }
+        assert_eq!(p95(1, 0), Err(GameError::ZeroIterationBudget));
+        // The tail sits well above the mean (exponential-ish sojourns put
+        // p95 near 3x the mean for a single M/M/1).
+        let sim = simulate_profile(&model, &profile, &plan(3), config).unwrap();
+        let mean = sim.system_summary.mean;
+        assert!(reference > 1.5 * mean, "p95 {reference} vs mean {mean}");
+    }
+
+    #[test]
+    fn exact_quantile_is_the_nearest_rank() {
+        assert!(exact_quantile(&mut [], 0.95).is_nan());
+        for q in [0.0, 0.5, 0.95, 1.0] {
+            assert_eq!(exact_quantile(&mut [4.5], q), 4.5);
+        }
+        // Shuffled 1..=n (7 and 37 are coprime with 20 and 100): the
+        // p95 is the ⌈0.95·n⌉-th smallest.
+        let mut twenty: Vec<f64> = (0..20).map(|i| ((i * 7) % 20 + 1) as f64).collect();
+        assert_eq!(exact_quantile(&mut twenty, 0.95), 19.0);
+        let mut hundred: Vec<f64> = (0..100).map(|i| ((i * 37) % 100 + 1) as f64).collect();
+        assert_eq!(exact_quantile(&mut hundred, 0.95), 95.0);
+        let mut ties = [2.0, 3.0, 1.0, 2.0, 2.0];
+        assert_eq!(exact_quantile(&mut ties, 0.5), 2.0);
+        assert_eq!(exact_quantile(&mut ties, 0.95), 3.0);
+        // The rank is clamped to [1, n].
+        let mut xs = [5.0, -1.0, 9.0, 3.0];
+        assert_eq!(exact_quantile(&mut xs, 0.0), -1.0);
+        assert_eq!(exact_quantile(&mut xs, 1.0), 9.0);
     }
 
     #[test]

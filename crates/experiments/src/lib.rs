@@ -34,6 +34,7 @@
 //! five-replication methodology). EXPERIMENTS.md records the outputs
 //! against the paper's reported shapes.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

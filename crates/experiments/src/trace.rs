@@ -395,9 +395,6 @@ fn build_registry(log: &EventLog) -> MetricsRegistry {
                 if let Some(mean) = f(ev, "system_mean") {
                     registry.observe("sim.replication_mean", mean);
                 }
-                if let Some(p95) = f(ev, "p95") {
-                    registry.observe("sim.replication_p95", p95);
-                }
             }
             "runner.worker" => {
                 if let Some(busy) = f(ev, "busy_us") {

@@ -69,6 +69,7 @@
 //! assert!(m.fairness > 0.99); // Nash is near-perfectly fair here
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

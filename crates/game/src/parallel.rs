@@ -12,17 +12,28 @@
 //!
 //! The pool defaults to [`std::thread::available_parallelism`] and can be
 //! overridden (or opted out of) with the `LB_SIM_THREADS` environment
-//! variable: unset, `0`, or `auto` use all cores; `1` forces the
-//! sequential path; any other `N` uses `N` workers.
+//! variable: unset, `0`, `auto` or unparseable use all cores; `1` forces
+//! the sequential path; any other `N` uses `N` workers. Every pool holds
+//! at most [`MAX_THREADS`] workers, whatever it was asked for.
 
 use lb_telemetry::{Collector, FieldValue, Span, SpanHandle};
+use std::num::{IntErrorKind, NonZeroUsize};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Environment variable controlling the default worker count.
 pub const THREADS_ENV: &str = "LB_SIM_THREADS";
+
+/// The most workers a pool runs. A run starts min(workers, tasks) − 1
+/// threads, and some task counts grow with the input (one task per
+/// station, or per chunk of users under a large solver thread knob), so
+/// every requested worker count is clamped to this.
+pub const MAX_THREADS: usize = 64;
+
+// The 1/2/8-worker determinism checks must run the worker counts they name.
+const _: () = assert!(MAX_THREADS >= 8);
 
 /// A fixed-size worker pool that runs independent, index-addressed tasks
 /// and merges their results deterministically.
@@ -38,10 +49,10 @@ impl Default for ParallelRunner {
 }
 
 impl ParallelRunner {
-    /// A runner with exactly `threads` workers (clamped to ≥ 1).
+    /// A runner with `threads` workers, clamped to `[1, MAX_THREADS]`.
     pub fn new(threads: usize) -> Self {
         Self {
-            threads: threads.max(1),
+            threads: threads.clamp(1, MAX_THREADS),
         }
     }
 
@@ -52,22 +63,41 @@ impl ParallelRunner {
 
     /// Sizes the pool from `LB_SIM_THREADS`, falling back to
     /// [`std::thread::available_parallelism`] when unset, `0`, `auto`,
-    /// or unparseable.
+    /// or unparseable. A value above [`MAX_THREADS`] is clamped to it,
+    /// with one warning line on stderr per process.
     pub fn from_env() -> Self {
-        let configured = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| match v.trim() {
-                "" | "auto" => None,
-                other => other.parse::<usize>().ok(),
-            })
-            .filter(|&n| n > 0);
-        match configured {
-            Some(n) => Self::new(n),
-            None => Self::new(
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
+        static WARN_ONCE: Once = Once::new();
+        let available = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let (runner, warning) =
+            Self::from_setting(std::env::var(THREADS_ENV).ok().as_deref(), available);
+        if let Some(warning) = warning {
+            WARN_ONCE.call_once(|| eprintln!("{warning}"));
+        }
+        runner
+    }
+
+    /// The pool an `LB_SIM_THREADS` value (`None` when unset) asks for
+    /// on a host with `available` cores, and the warning to print when
+    /// the value asked for more than [`MAX_THREADS`] workers. A number
+    /// too large for `usize` counts as too many workers, not as garbage.
+    fn from_setting(value: Option<&str>, available: usize) -> (Self, Option<String>) {
+        // Empty, `auto` and garbage fail to parse and mean "all cores".
+        let requested = value.and_then(|text| match text.trim().parse::<usize>() {
+            Ok(n) => Some(n),
+            Err(e) if *e.kind() == IntErrorKind::PosOverflow => Some(usize::MAX),
+            Err(_) => None,
+        });
+        match requested.filter(|&n| n > 0) {
+            Some(n) if n > MAX_THREADS => (
+                Self::new(n),
+                Some(format!(
+                    "warning: {THREADS_ENV}={} exceeds the {MAX_THREADS}-worker cap; \
+                     using {MAX_THREADS} workers",
+                    value.unwrap_or_default().trim()
+                )),
             ),
+            Some(n) => (Self::new(n), None),
+            None => (Self::new(available), None),
         }
     }
 
@@ -303,7 +333,48 @@ mod tests {
     #[test]
     fn thread_count_is_clamped() {
         assert_eq!(ParallelRunner::new(0).threads(), 1);
-        assert!(ParallelRunner::from_env().threads() >= 1);
+        assert_eq!(ParallelRunner::new(MAX_THREADS).threads(), MAX_THREADS);
+        assert_eq!(ParallelRunner::new(MAX_THREADS + 1).threads(), MAX_THREADS);
+        assert_eq!(ParallelRunner::new(usize::MAX).threads(), MAX_THREADS);
+        assert!((1..=MAX_THREADS).contains(&ParallelRunner::from_env().threads()));
+    }
+
+    #[test]
+    fn thread_setting_parses_falls_back_and_clamps_without_spawning() {
+        // Only the parse and the pool size are checked: no run starts.
+        let threads = |value: Option<&str>, available| {
+            let (runner, warning) = ParallelRunner::from_setting(value, available);
+            (runner.threads(), warning.is_some())
+        };
+        let cap = MAX_THREADS.to_string();
+        let over = (MAX_THREADS + 1).to_string();
+        let huge = usize::MAX.to_string();
+        for (value, want) in [
+            (None, (3, false)),
+            (Some(""), (3, false)),
+            (Some("0"), (3, false)),
+            (Some("auto"), (3, false)),
+            (Some(" 1 "), (1, false)),
+            (Some("8"), (8, false)),
+            (Some(cap.as_str()), (MAX_THREADS, false)),
+            (Some(over.as_str()), (MAX_THREADS, true)),
+            (Some(huge.as_str()), (MAX_THREADS, true)),
+            (Some("99999999999999999999999999"), (MAX_THREADS, true)),
+            (Some("garbage"), (3, false)),
+            (Some("-4"), (3, false)),
+            (Some("2.5"), (3, false)),
+        ] {
+            assert_eq!(threads(value, 3), want, "{value:?}");
+        }
+        // A host with more cores than the cap still gets the cap.
+        assert_eq!(threads(None, 4 * MAX_THREADS), (MAX_THREADS, false));
+        let (_, warning) = ParallelRunner::from_setting(Some(over.as_str()), 3);
+        let warning = warning.expect("clamped values warn");
+        assert!(!warning.contains('\n'), "one line: {warning}");
+        assert!(
+            warning.contains(THREADS_ENV) && warning.contains(&over),
+            "{warning}"
+        );
     }
 
     #[test]

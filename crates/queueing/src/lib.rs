@@ -21,6 +21,7 @@
 //! Everything here is deterministic, allocation-light and `f64`-based; the
 //! stochastic counterpart lives in `lb-des` (the discrete-event simulator).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -17,6 +17,7 @@
 //! Both are policy objects only: they compute delays; scheduling the
 //! retries stays with the caller.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

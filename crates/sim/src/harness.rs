@@ -27,10 +27,6 @@ pub struct SimulatedMetrics {
     pub worst_relative_error: f64,
     /// Replications performed.
     pub replications: u32,
-    /// Cross-replication mean of the per-replication p95 response time
-    /// (exact nearest-rank quantile of the measured responses) — the
-    /// tail the mean hides.
-    pub system_p95: f64,
 }
 
 impl SimulatedMetrics {
@@ -38,19 +34,6 @@ impl SimulatedMetrics {
     pub fn user_means(&self) -> Vec<f64> {
         self.user_summaries.iter().map(|s| s.mean).collect()
     }
-}
-
-/// Exact nearest-rank `q`-quantile of `samples` (reorders them in
-/// place). `NaN` when empty — a replication too short to measure jobs.
-fn exact_quantile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    let (_, value, _) = samples.select_nth_unstable_by(rank - 1, |a, b| {
-        a.partial_cmp(b).expect("response times are never NaN")
-    });
-    *value
 }
 
 /// Simulates `profile` on `model` under a replication plan, fanning the
@@ -90,14 +73,20 @@ pub fn simulate_profile_with(
 
 /// [`simulate_profile_with`] with an optional telemetry collector. When
 /// collecting, the fold emits one `sim.replication {rep, seed,
-/// system_mean, p95, jobs}` event per replication (in replication order,
+/// system_mean, jobs}` event per replication (in replication order,
 /// after the fan-out joins — so per-worker `runner.worker` events from
-/// the pool precede them) and a closing `sim.summary`, and the run is
+/// the pool precede them) and a closing `sim.summary {replications,
+/// system_mean, fairness, precise, worst_rel_err}`, and the run is
 /// wrapped in a causal span tree: `sim.run` → `runner.pool` →
 /// `runner.worker` → `sim.replication` → `des.shard` (a single-calendar
 /// replication ends at its `sim.replication` span).
 /// Collection is purely observational: the returned metrics are
 /// bit-identical with or without a collector attached.
+///
+/// Replications run with a no-op response sink, so no job's response
+/// is stored, only the per-user counts and sums behind the means. A
+/// caller that wants a tail quantile runs [`run_replication`] with its
+/// own sink, as the tail-latency experiment does.
 ///
 /// # Errors
 ///
@@ -148,13 +137,6 @@ pub fn simulate_profile_traced(
                 )
             });
             let rep_handle = rep_span.as_ref().map(Span::handle);
-            // The sharded engine delivers responses grouped by station,
-            // which an order-sensitive streaming estimator would misread
-            // badly — collect and take the exact quantile, which is
-            // order-insensitive. The selection is not free: on a 1M-job
-            // Table-1 replication (2-vCPU host) it took 2.4–5.7 ms
-            // against 25–59 ms for the replication, about a tenth.
-            let mut responses: Vec<f64> = Vec::new();
             let result = run_replication(
                 model,
                 profile,
@@ -162,30 +144,22 @@ pub fn simulate_profile_traced(
                 seed,
                 collector,
                 rep_handle.as_ref(),
-                |_, resp| {
-                    responses.push(resp);
-                },
+                |_, _| {},
             )?;
             if let Some(span) = rep_span {
                 span.close_with(&[("jobs", result.jobs_generated.into())]);
             }
             let mut values = result.user_means;
             values.push(result.system_mean);
-            Ok::<_, GameError>((
-                values,
-                exact_quantile(&mut responses, 0.95),
-                result.jobs_generated,
-            ))
+            Ok::<_, GameError>((values, result.jobs_generated))
         },
         collector,
         sim_handle.as_ref(),
     )?;
 
     let collect = lb_telemetry::enabled(collector);
-    let mut p95_acc = 0.0;
-    for (r, (values, p95, jobs)) in replications.iter().enumerate() {
+    for (r, (values, jobs)) in replications.iter().enumerate() {
         set.record(values);
-        p95_acc += p95;
         if let Some(c) = collect {
             c.emit(
                 "sim.replication",
@@ -193,13 +167,11 @@ pub fn simulate_profile_traced(
                     ("rep", (r as u64).into()),
                     ("seed", plan.seed_for(r as u32).into()),
                     ("system_mean", (*values.last().expect("system mean")).into()),
-                    ("p95", (*p95).into()),
                     ("jobs", (*jobs).into()),
                 ],
             );
         }
     }
-    let system_p95 = p95_acc / f64::from(plan.replications);
 
     let summaries = set
         .summaries()
@@ -217,7 +189,6 @@ pub fn simulate_profile_traced(
         user_summaries,
         system_summary,
         replications: plan.replications,
-        system_p95,
     };
     if let Some(c) = collect {
         c.emit(
@@ -225,7 +196,6 @@ pub fn simulate_profile_traced(
             &[
                 ("replications", metrics.replications.into()),
                 ("system_mean", metrics.system_summary.mean.into()),
-                ("system_p95", metrics.system_p95.into()),
                 ("fairness", metrics.fairness.into()),
                 ("precise", metrics.precise.into()),
                 ("worst_rel_err", metrics.worst_relative_error.into()),
@@ -250,11 +220,6 @@ mod tests {
     /// Field-by-field bitwise comparison of two metric sets.
     fn assert_metrics_bit_identical(a: &SimulatedMetrics, b: &SimulatedMetrics, label: &str) {
         assert_eq!(a.replications, b.replications, "{label}: replications");
-        assert_eq!(
-            a.system_p95.to_bits(),
-            b.system_p95.to_bits(),
-            "{label}: p95"
-        );
         assert_eq!(
             a.fairness.to_bits(),
             b.fairness.to_bits(),
@@ -386,27 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_quantile_is_the_nearest_rank() {
-        assert!(exact_quantile(&mut [], 0.95).is_nan());
-        for q in [0.0, 0.5, 0.95, 1.0] {
-            assert_eq!(exact_quantile(&mut [4.5], q), 4.5);
-        }
-        // Shuffled 1..=n (7 and 37 are coprime with 20 and 100): the
-        // p95 is the ⌈0.95·n⌉-th smallest.
-        let mut twenty: Vec<f64> = (0..20).map(|i| ((i * 7) % 20 + 1) as f64).collect();
-        assert_eq!(exact_quantile(&mut twenty, 0.95), 19.0);
-        let mut hundred: Vec<f64> = (0..100).map(|i| ((i * 37) % 100 + 1) as f64).collect();
-        assert_eq!(exact_quantile(&mut hundred, 0.95), 95.0);
-        let mut ties = [2.0, 3.0, 1.0, 2.0, 2.0];
-        assert_eq!(exact_quantile(&mut ties, 0.5), 2.0);
-        assert_eq!(exact_quantile(&mut ties, 0.95), 3.0);
-        // The rank is clamped to [1, n].
-        let mut xs = [5.0, -1.0, 9.0, 3.0];
-        assert_eq!(exact_quantile(&mut xs, 0.0), -1.0);
-        assert_eq!(exact_quantile(&mut xs, 1.0), 9.0);
-    }
-
-    #[test]
     fn zero_replications_is_a_typed_error() {
         let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
         let profile = ProportionalScheme.compute(&model).unwrap();
@@ -436,14 +380,6 @@ mod tests {
             metrics.precise,
             "worst rel err {}",
             metrics.worst_relative_error
-        );
-        // The p95 tail sits well above the mean (exponential-ish sojourns
-        // put p95 near 3x the mean for a single M/M/1).
-        assert!(
-            metrics.system_p95 > 1.5 * metrics.system_summary.mean,
-            "p95 {} vs mean {}",
-            metrics.system_p95,
-            metrics.system_summary.mean
         );
         // CI covers the analytic value.
         let analytic = lb_game::metrics::evaluate_profile(&model, &profile).unwrap();

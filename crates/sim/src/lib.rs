@@ -18,7 +18,11 @@
 //!   round robin.
 //! * [`harness`] — the replication driver (the paper's five runs with
 //!   different random streams), producing per-user means with confidence
-//!   intervals and the empirical fairness index.
+//!   intervals and the empirical fairness index. It keeps no per-job
+//!   response; traced, it emits one `sim.replication {rep, seed,
+//!   system_mean, jobs}` event per replication and a closing
+//!   `sim.summary {replications, system_mean, fairness, precise,
+//!   worst_rel_err}`.
 //! * [`validate`] — compares empirical means against the analytic M/M/1
 //!   predictions of `lb-game::metrics` (used by tests to certify the
 //!   whole stack end to end).
@@ -52,6 +56,7 @@
 //! three forms ([`simulate_profile`], [`simulate_profile_with`],
 //! [`simulate_profile_traced`]).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -123,12 +123,6 @@ impl SimulationConfig {
             arrivals: DistributionFamily::Exponential,
         }
     }
-
-    /// Same config with a different service-time family.
-    pub fn with_service(mut self, service: DistributionFamily) -> Self {
-        self.service = service;
-        self
-    }
 }
 
 /// Measurements from one replication.
@@ -402,7 +396,10 @@ mod tests {
             DistributionFamily::Exponential,
             DistributionFamily::HyperExponential { scv: 4.0 },
         ] {
-            let cfg = SimulationConfig::quick().with_service(service);
+            let cfg = SimulationConfig {
+                service,
+                ..SimulationConfig::quick()
+            };
             let r = run_replication(&model, &profile, cfg, 11, None, None, |_, _| {}).unwrap();
             let theory = lb_queueing::mg1::response_time(7.0, 10.0, service.scv());
             let rel = (r.system_mean - theory).abs() / theory;
@@ -486,7 +483,10 @@ mod tests {
             run_replication(
                 &model,
                 &profile,
-                SimulationConfig::quick().with_service(svc),
+                SimulationConfig {
+                    service: svc,
+                    ..SimulationConfig::quick()
+                },
                 21,
                 None,
                 None,

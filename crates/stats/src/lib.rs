@@ -21,6 +21,7 @@
 //! * [`timeseries`] — iteration traces (used for the paper's Figure 2 norm
 //!   curves).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -44,6 +44,8 @@
 //! byte-identical with collection on or off (property-tested in
 //! `lb-sim` and asserted end-to-end in `lb-experiments`).
 
+#![forbid(unsafe_code)]
+
 pub mod collectors;
 pub mod event;
 pub mod json;

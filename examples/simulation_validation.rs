@@ -71,11 +71,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .into());
     }
-    println!(
-        "simulated p95 response time: {:.4} s ({:.1}x the mean — the tail the mean hides)",
-        simulated.system_p95,
-        simulated.system_p95 / simulated.system_summary.mean
-    );
 
     // One extra replication streamed into a histogram: the sojourn-time
     // distribution at a glance.

@@ -21,6 +21,8 @@
 //! assert!(outcome.converged());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use lb_des as des;
 pub use lb_distributed as distributed;
 pub use lb_experiments as experiments;
