@@ -152,7 +152,6 @@ fn bench_sim_throughput_large(c: &mut Criterion) {
                 &static_policy,
                 config,
                 SIM_THROUGHPUT_SEED,
-                None,
                 |_, _| {},
             )
             .expect("single-calendar replication")

@@ -25,10 +25,8 @@
 //! assert_eq!(eng.now(), SimTime::new(10.0));
 //! ```
 
-use crate::calendar::{Calendar, EventId};
+use crate::calendar::Calendar;
 use crate::time::SimTime;
-use lb_telemetry::Collector;
-use std::sync::Arc;
 
 /// A discrete-event simulation engine over event payloads of type `E`.
 pub struct Engine<E> {
@@ -37,7 +35,6 @@ pub struct Engine<E> {
     processed: u64,
     scheduled: u64,
     horizon: Option<SimTime>,
-    collector: Option<Arc<dyn Collector>>,
 }
 
 impl<E> Engine<E> {
@@ -49,16 +46,7 @@ impl<E> Engine<E> {
             processed: 0,
             scheduled: 0,
             horizon: None,
-            collector: None,
         }
-    }
-
-    /// Attaches a telemetry collector. The engine emits `des.compact`
-    /// whenever a cancellation triggers a calendar compaction (heap
-    /// rebuild); all events are purely observational — simulation results
-    /// are bit-identical with or without a collector.
-    pub fn set_collector(&mut self, collector: Arc<dyn Collector>) {
-        self.collector = Some(collector);
     }
 
     /// Sets the run horizon: events scheduled *after* this time are never
@@ -80,9 +68,7 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events accepted into the calendar so far (including
-    /// later-cancelled ones — cancellation does not unschedule for
-    /// accounting purposes).
+    /// Number of events accepted into the calendar so far.
     #[inline]
     pub fn events_scheduled(&self) -> u64 {
         self.scheduled
@@ -94,7 +80,7 @@ impl<E> Engine<E> {
     ///
     /// Panics if `time` precedes the current clock — delivering an event in
     /// the past would corrupt causality, and doing so is always a model bug.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         if time < self.now {
             panic!(
                 "cannot schedule into the past: t={} < now={}",
@@ -112,7 +98,7 @@ impl<E> Engine<E> {
     ///
     /// Panics on a negative or non-finite delay, before it reaches
     /// [`SimTime`] arithmetic.
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventId {
+    pub fn schedule_in(&mut self, delay: f64, event: E) {
         if !delay.is_finite() {
             panic!("cannot schedule at a non-finite delay ({delay})");
         }
@@ -123,45 +109,9 @@ impl<E> Engine<E> {
         self.calendar.schedule(self.now + delay, event)
     }
 
-    /// Cancels a pending event; `true` if it was still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let before = self.calendar.compactions();
-        let pending = self.calendar.cancel(id);
-        if self.calendar.compactions() > before {
-            if let Some(c) = lb_telemetry::enabled(self.collector.as_ref()) {
-                c.emit(
-                    "des.compact",
-                    &[
-                        ("t", self.now.as_secs().into()),
-                        ("depth", self.calendar.len_upper_bound().into()),
-                        ("tombstones", self.calendar.tombstone_count().into()),
-                        ("compactions", self.calendar.compactions().into()),
-                    ],
-                );
-            }
-        }
-        pending
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.calendar.peek_time()
-    }
-
-    /// Entries currently stored in the calendar (pending events plus
-    /// not-yet-skipped tombstones) — see [`Calendar::len_upper_bound`].
+    /// Number of events pending in the calendar.
     pub fn calendar_depth(&self) -> usize {
-        self.calendar.len_upper_bound()
-    }
-
-    /// Tombstones currently buffered in the calendar.
-    pub fn calendar_tombstones(&self) -> usize {
-        self.calendar.tombstone_count()
-    }
-
-    /// Calendar compactions (heap rebuilds) performed so far.
-    pub fn calendar_compactions(&self) -> u64 {
-        self.calendar.compactions()
+        self.calendar.len()
     }
 
     /// Advances the clock to the next pending event and returns its
@@ -214,7 +164,7 @@ mod tests {
         let mut eng = Engine::new();
         eng.schedule_in(1.0, "ok");
         eng.next_event();
-        let mut message = |request: fn(&mut Engine<&'static str>) -> EventId| {
+        let mut message = |request: fn(&mut Engine<&'static str>)| {
             let payload = catch_unwind(AssertUnwindSafe(|| request(&mut eng)))
                 .expect_err("an invalid request panics");
             *payload.downcast::<String>().expect("a formatted message")
@@ -245,7 +195,8 @@ mod tests {
         assert_eq!(eng.next_event(), None);
         assert_eq!(eng.now(), SimTime::new(5.0));
         // The late event is still pending but never delivered.
-        assert_eq!(eng.peek_time(), Some(SimTime::new(10.0)));
+        assert_eq!(eng.calendar_depth(), 1);
+        assert_eq!(eng.next_event(), None);
     }
 
     #[test]
@@ -254,46 +205,6 @@ mod tests {
         eng.set_horizon(SimTime::new(5.0));
         eng.schedule_in(5.0, "edge");
         assert_eq!(eng.next_event(), Some("edge"));
-    }
-
-    #[test]
-    fn cancel_prevents_delivery() {
-        let mut eng = Engine::new();
-        let id = eng.schedule_in(1.0, "gone");
-        eng.schedule_in(2.0, "kept");
-        assert!(eng.cancel(id));
-        assert_eq!(eng.next_event(), Some("kept"));
-    }
-
-    #[test]
-    fn collector_sees_compactions_without_perturbing_delivery() {
-        use lb_telemetry::MemoryCollector;
-        // Mass cancellation forces at least one calendar compaction; the
-        // delivered event stream must be identical with and without a
-        // collector attached.
-        let run = |collector: Option<Arc<MemoryCollector>>| {
-            let mut eng = Engine::new();
-            if let Some(c) = &collector {
-                eng.set_collector(c.clone());
-            }
-            let ids: Vec<_> = (0..1000)
-                .map(|i| eng.schedule_in(1.0 + i as f64, i))
-                .collect();
-            for id in ids.iter().take(501) {
-                eng.cancel(*id);
-            }
-            let mut seen = Vec::new();
-            while let Some(i) = eng.next_event() {
-                seen.push(i);
-            }
-            seen
-        };
-        let plain = run(None);
-        let mem = Arc::new(MemoryCollector::default());
-        let traced = run(Some(mem.clone()));
-        assert_eq!(plain, traced);
-        assert!(mem.count("des.compact") >= 1, "no compaction observed");
-        assert_eq!(traced.len(), 499);
     }
 
     #[test]

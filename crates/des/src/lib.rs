@@ -8,9 +8,9 @@
 //!
 //! * [`time`] — the simulation clock type [`time::SimTime`].
 //! * [`calendar`] — the future-event list: a pending-event binary heap with
-//!   deterministic FIFO tie-breaking and cancellation tombstones.
-//! * [`engine`] — the event loop: schedule / cancel / advance, with a
-//!   run bound on time.
+//!   deterministic FIFO tie-breaking.
+//! * [`engine`] — the event loop: schedule / advance, with a run bound on
+//!   time.
 //! * [`rng`] — reproducible per-entity random streams (seeded from a master
 //!   seed) and the service/interarrival distributions the experiments use
 //!   (exponential for M/M/1, plus Erlang, hyperexponential and
@@ -41,7 +41,7 @@ pub mod shard;
 pub mod station;
 pub mod time;
 
-pub use calendar::{Calendar, EventId};
+pub use calendar::Calendar;
 pub use engine::Engine;
 pub use lb_retry::RetryBackoff;
 pub use monitor::{GoodputMonitor, ResponseTimeMonitor};

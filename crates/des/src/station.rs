@@ -158,8 +158,9 @@ impl FcfsStation {
     /// (preempted jobs first, in start order, then the queue in FCFS
     /// order) so the caller can retry them elsewhere or count them lost.
     ///
-    /// The caller must also cancel any completion event it scheduled for
-    /// the preempted jobs — the station cannot reach into the calendar.
+    /// A completion event the caller scheduled for a preempted job stays
+    /// in its calendar, so the caller must skip it when it pops (churn
+    /// stamps each completion with its computer's generation).
     /// After `fail` the station is idle and empty, ready to accept
     /// arrivals again once the model declares it repaired.
     pub fn fail(&mut self, now: SimTime) -> Vec<Job> {

@@ -1,8 +1,8 @@
 //! Model-based property test: the event calendar against a reference
 //! implementation (a `BTreeMap` keyed on `(time, seq)`), under random
-//! interleavings of schedule / cancel / pop operations.
+//! interleavings of schedule / peek / pop operations.
 
-use lb_des::calendar::{Calendar, EventId};
+use lb_des::calendar::Calendar;
 use lb_des::time::SimTime;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 enum Op {
     /// Schedule at the given (quantized) time.
     Schedule(u32),
-    /// Cancel the k-th still-live handle (mod live count).
-    Cancel(usize),
+    /// Read the earliest pending time without popping.
+    Peek,
     /// Pop the earliest event.
     Pop,
 }
@@ -21,7 +21,7 @@ enum Op {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (0u32..1000).prop_map(Op::Schedule),
-        1 => (0usize..64).prop_map(Op::Cancel),
+        1 => Just(Op::Peek),
         2 => Just(Op::Pop),
     ]
 }
@@ -41,8 +41,8 @@ impl Reference {
         seq
     }
 
-    fn cancel(&mut self, time: u64, seq: u64) -> bool {
-        self.entries.remove(&(time, seq)).is_some()
+    fn peek_time(&self) -> Option<u64> {
+        self.entries.keys().next().map(|&(time, _)| time)
     }
 
     fn pop(&mut self) -> Option<(u64, u64)> {
@@ -59,25 +59,19 @@ proptest! {
     fn calendar_matches_btreemap_reference(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut cal: Calendar<u64> = Calendar::new();
         let mut reference = Reference::default();
-        // Live handles: (id, time, seq).
-        let mut live: Vec<(EventId, u64, u64)> = Vec::new();
 
         for op in ops {
             match op {
                 Op::Schedule(t) => {
                     let t = u64::from(t);
                     let seq = reference.schedule(t);
-                    let id = cal.schedule(SimTime::new(t as f64), seq);
-                    live.push((id, t, seq));
+                    cal.schedule(SimTime::new(t as f64), seq);
                 }
-                Op::Cancel(k) => {
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let (id, t, seq) = live.remove(k % live.len());
-                    let a = cal.cancel(id);
-                    let b = reference.cancel(t, seq);
-                    prop_assert_eq!(a, b, "cancel outcome diverged");
+                Op::Peek => {
+                    let got = cal.peek_time().map(|time| time.as_secs());
+                    let expected = reference.peek_time().map(|t| t as f64);
+                    prop_assert_eq!(got, expected, "peek diverged");
+                    prop_assert_eq!(cal.is_empty(), expected.is_none());
                 }
                 Op::Pop => {
                     let got = cal.pop();
@@ -87,7 +81,6 @@ proptest! {
                         (Some((time, payload)), Some((t, seq))) => {
                             prop_assert_eq!(time.as_secs(), t as f64);
                             prop_assert_eq!(payload, seq);
-                            live.retain(|&(_, _, s)| s != seq);
                         }
                         other => prop_assert!(false, "pop diverged: {:?}", other),
                     }

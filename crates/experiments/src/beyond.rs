@@ -570,7 +570,7 @@ pub fn dynamic_policies(target_jobs: u64) -> Result<Vec<PolicyRow>, GameError> {
                 target_jobs,
                 ..SimulationConfig::paper()
             };
-            let r = run_policy_replication(&model, &policy, cfg, 0x9019, None, |_, _| {})?;
+            let r = run_policy_replication(&model, &policy, cfg, 0x9019, |_, _| {})?;
             rows.push(PolicyRow {
                 policy: policy.name(),
                 rho,

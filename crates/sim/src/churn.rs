@@ -11,8 +11,8 @@
 //! Poisson sources, probabilistic dispatch, FCFS M/M/1 stations
 //! ([`FcfsStation`]). The run keeps an event loop of its own rather than
 //! the single-calendar loop of [`crate::policies`], because its phase
-//! changes, admission thinning, retries and completion cancellation
-//! belong to churn alone.
+//! changes, admission thinning, retries and stale completions belong to
+//! churn alone.
 //!
 //! The churn mechanics on top:
 //!
@@ -21,11 +21,12 @@
 //!   again Poisson at exactly the shed-to rate); refused jobs are
 //!   counted *shed*;
 //! * **crashes** — a computer whose phase rate drops to zero fails:
-//!   its pending completion is cancelled, the preempted and queued jobs
-//!   are returned by [`FcfsStation::fail`] and re-submitted under the
-//!   capped exponential [`RetryBackoff`] (counted *lost* once the
-//!   budget is exhausted); retried jobs re-dispatch under the *current*
-//!   equilibrium, so they land on live computers;
+//!   its generation is bumped, so its pending completion, stamped with
+//!   the old generation, is skipped when it pops; the preempted and
+//!   queued jobs are returned by [`FcfsStation::fail`] and re-submitted
+//!   under the capped exponential [`RetryBackoff`] (counted *lost* once
+//!   the budget is exhausted); retried jobs re-dispatch under the
+//!   *current* equilibrium, so they land on live computers;
 //! * **accounting** — a [`GoodputMonitor`] separates served, shed and
 //!   lost work; response times are measured from the job's original
 //!   admission instant, so retry delays count against the system.
@@ -39,7 +40,6 @@
 //! queues' relaxation times, which is exactly what the integration tests
 //! verify.
 
-use lb_des::calendar::EventId;
 use lb_des::engine::Engine;
 use lb_des::monitor::{GoodputMonitor, ResponseTimeMonitor};
 use lb_des::rng::{Distribution, RngStream, SampleBlock};
@@ -87,8 +87,6 @@ pub struct ChurnResult {
     pub shed_fraction: f64,
     /// Predicted shed fraction from the per-phase admission decisions.
     pub predicted_shed_fraction: f64,
-    /// Jobs generated over the whole run, warmup included.
-    pub jobs_generated: u64,
 }
 
 /// A phase with its equilibrium dispatch state resolved.
@@ -104,11 +102,12 @@ struct PhaseState {
     predicted_time: f64,
 }
 
-/// Events of the churn simulation.
+/// Events of the churn simulation. A `Completion` carries its computer's
+/// generation when it was scheduled, and is stale once a crash bumps it.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival { user: usize },
-    Completion { computer: usize },
+    Completion { computer: usize, generation: u32 },
     Retry { job: Job, attempts: u32 },
     PhaseChange { next: usize },
 }
@@ -121,12 +120,12 @@ enum Event {
 /// With a `collector`, the run emits one `sim.phase {phase, start, end,
 /// admitted_total, capacity_total, predicted_time}` per resolved phase,
 /// then `sim.goodput {t, phase, served, shed, lost, retries}` plus a
-/// `des.calendar {t, depth, tombstones, compactions, processed}`
-/// snapshot at every phase boundary and once at the end of the run; the
-/// engine itself reports `des.compact` on tombstone-triggered heap
-/// rebuilds. The run is also wrapped in a causal span tree — `sim.churn`
-/// → `sim.phase_run` per phase. Collection is purely observational — the
-/// returned [`ChurnResult`] is bit-identical with or without a collector.
+/// `des.calendar {t, depth, processed}` snapshot at every phase boundary
+/// and once at the end of the run (both counts include stale
+/// completions). The run is also wrapped in a causal span tree —
+/// `sim.churn` → `sim.phase_run` per phase. Collection is purely
+/// observational — the returned [`ChurnResult`] is bit-identical with or
+/// without a collector.
 ///
 /// # Errors
 ///
@@ -261,7 +260,8 @@ pub fn run_churn_replication(
         .collect();
 
     let mut stations: Vec<FcfsStation> = (0..n).map(|_| FcfsStation::new()).collect();
-    let mut completion_ev: Vec<Option<EventId>> = vec![None; n];
+    // Bumped when a computer crashes, so its pending completion goes stale.
+    let mut generation: Vec<u32> = vec![0; n];
     let warmup_t = SimTime::new(warmup);
     let mut monitor = ResponseTimeMonitor::new(m, warmup_t);
     let mut goodput = GoodputMonitor::new(warmup_t);
@@ -269,9 +269,6 @@ pub fn run_churn_replication(
     let mut attempts: HashMap<u64, u32> = HashMap::new();
     let mut engine: Engine<Event> = Engine::new();
     engine.set_horizon(SimTime::new(horizon));
-    if collect.is_some() {
-        engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
-    }
     // Causal spans: one `sim.churn` root for the replication and one
     // `sim.phase_run` child per capacity phase (wall time spent
     // simulating that phase).
@@ -297,14 +294,14 @@ pub fn run_churn_replication(
     }
 
     let mut current = 0usize;
-    let mut jobs_generated: u64 = 0;
+    let mut last_job_id: u64 = 0;
 
     // Dispatches `job` per the current phase's equilibrium and schedules
     // its completion if service starts immediately.
     let dispatch = |job: Job,
                     phase: &PhaseState,
                     stations: &mut [FcfsStation],
-                    completion_ev: &mut [Option<EventId>],
+                    generation: &[u32],
                     dispatch_streams: &mut [RngStream],
                     service_streams: &mut [RngStream],
                     engine: &mut Engine<Event>| {
@@ -314,8 +311,14 @@ pub fn run_churn_replication(
             ..job
         };
         if let Arrival::StartService(done_at) = stations[computer].arrive(job, engine.now()) {
-            completion_ev[computer] =
-                Some(engine.schedule_at(done_at, Event::Completion { computer }));
+            let generation = generation[computer];
+            engine.schedule_at(
+                done_at,
+                Event::Completion {
+                    computer,
+                    generation,
+                },
+            );
         }
     };
 
@@ -331,9 +334,9 @@ pub fn run_churn_replication(
                     goodput.record_shed(engine.now());
                     continue;
                 }
-                jobs_generated += 1;
+                last_job_id += 1;
                 let job = Job {
-                    id: jobs_generated,
+                    id: last_job_id,
                     user,
                     arrival: engine.now(),
                     service_time: 0.0, // sampled at dispatch
@@ -342,21 +345,31 @@ pub fn run_churn_replication(
                     job,
                     phase,
                     &mut stations,
-                    &mut completion_ev,
+                    &generation,
                     &mut dispatch_streams,
                     &mut service_streams,
                     &mut engine,
                 );
             }
-            Event::Completion { computer } => {
-                completion_ev[computer] = None;
+            Event::Completion {
+                computer,
+                generation: stamp,
+            } => {
+                if stamp != generation[computer] {
+                    continue; // its job was preempted by a crash
+                }
                 let (finished, next) = stations[computer].complete(engine.now());
                 monitor.record(finished.user, finished.arrival, engine.now());
                 goodput.record_served(engine.now());
                 attempts.remove(&finished.id);
                 if let Some((_, done_at)) = next {
-                    completion_ev[computer] =
-                        Some(engine.schedule_at(done_at, Event::Completion { computer }));
+                    engine.schedule_at(
+                        done_at,
+                        Event::Completion {
+                            computer,
+                            generation: stamp,
+                        },
+                    );
                 }
             }
             Event::Retry { job, attempts: a } => {
@@ -366,7 +379,7 @@ pub fn run_churn_replication(
                     job,
                     &states[current],
                     &mut stations,
-                    &mut completion_ev,
+                    &generation,
                     &mut dispatch_streams,
                     &mut service_streams,
                     &mut engine,
@@ -379,9 +392,7 @@ pub fn run_churn_replication(
                     let was_up = states[old].capacity[i] > 0.0;
                     let is_up = states[next].capacity[i] > 0.0;
                     if was_up && !is_up {
-                        if let Some(id) = completion_ev[i].take() {
-                            engine.cancel(id);
-                        }
+                        generation[i] += 1;
                         for job in stations[i].fail(engine.now()) {
                             let spent = attempts.remove(&job.id).unwrap_or(0);
                             match backoff.delay(spent) {
@@ -440,7 +451,6 @@ pub fn run_churn_replication(
             0.0
         },
         predicted_shed_fraction,
-        jobs_generated,
     })
 }
 
@@ -470,8 +480,6 @@ fn emit_churn_snapshot(
         &[
             ("t", t.into()),
             ("depth", engine.calendar_depth().into()),
-            ("tombstones", engine.calendar_tombstones().into()),
-            ("compactions", engine.calendar_compactions().into()),
             ("processed", engine.events_processed().into()),
         ],
     );
@@ -563,7 +571,6 @@ mod tests {
         assert_eq!(plain.shed, traced.shed);
         assert_eq!(plain.lost, traced.lost);
         assert_eq!(plain.retries, traced.retries);
-        assert_eq!(plain.jobs_generated, traced.jobs_generated);
         // One sim.phase per schedule entry; a goodput + calendar snapshot
         // at each of the two phase boundaries plus one at the end.
         assert_eq!(mem.count("sim.phase"), 3);
@@ -590,6 +597,43 @@ mod tests {
             3
         );
         assert_eq!(span_names.len(), 4, "{span_names:?}");
+    }
+
+    #[test]
+    fn short_outages_skip_completions_that_pop_after_repair() {
+        // Twenty 0.01-s crashes of the fast computer between 5-s phases:
+        // a crashed job's completion is usually still pending when its
+        // computer comes back, so it pops after the repair and must be
+        // skipped rather than end the job then in service. A stale pop
+        // draws no random number and serves no job, so the expected
+        // values are those of a loop that withdraws each crashed job's
+        // completion from the calendar instead.
+        let m = model();
+        let mut phases = Vec::new();
+        for k in 0..=20 {
+            if k > 0 {
+                phases.push(ChurnPhase {
+                    duration: 0.01,
+                    capacity: vec![10.0, 20.0, 0.0],
+                });
+            }
+            phases.push(ChurnPhase {
+                duration: 5.0,
+                capacity: vec![10.0, 20.0, 30.0],
+            });
+        }
+        let r = run_churn_replication(
+            &m,
+            &phases,
+            OverloadPolicy::ShedProportional { headroom: 0.8 },
+            backoff(),
+            1.0,
+            3,
+            None,
+        )
+        .unwrap();
+        assert_eq!(r.measured_mean.to_bits(), 0x3fb5899c5b2dd257);
+        assert_eq!((r.served, r.shed, r.lost, r.retries), (2895, 1, 0, 21));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   an overload policy, and the measured response times are validated
 //!   against the quasi-static analytic mixture. Churn keeps an event
 //!   loop of its own for its phases, admission thinning, retries and
-//!   event cancellation.
+//!   the completions a crash leaves stale.
 //! * [`parallel`] — `lb_game::parallel` re-exported: the deterministic
 //!   fan-out pool. Replications are pure functions of their seeded index,
 //!   so they spread across threads and merge back in index order,
@@ -43,16 +43,17 @@
 //!   parallel and merge in station-index order, bit-identical at any
 //!   thread count.
 //!
-//! Each simulation operation has one entrypoint, and it takes its
-//! telemetry hooks as arguments: `collector: Option<&Arc<dyn Collector>>`
-//! and, where it opens a span under a caller's (the sharded engine's one
-//! `des.shard` span per station), `span_parent: Option<&SpanHandle>`.
-//! Spans mark layer boundaries only; no event loop cuts its own work
-//! into batch spans. Passing `None` turns collection off; results are
-//! bit-identical either way. [`scenario::run_replication`] is the one
-//! replication (it picks the engine from the arrival family),
-//! [`policies::run_policy_replication`] the one single-calendar run,
-//! [`ParallelRunner::run`] the one fan-out. The replicated study keeps
+//! Each simulation operation has one entrypoint, and a traced one takes
+//! its telemetry hooks as arguments: `collector: Option<&Arc<dyn
+//! Collector>>` and, where it opens a span under a caller's (the sharded
+//! engine's one `des.shard` span per station), `span_parent:
+//! Option<&SpanHandle>`. Spans mark layer boundaries only; no event loop
+//! cuts its own work into batch spans. Passing `None` turns collection
+//! off; results are bit-identical either way. [`scenario::run_replication`]
+//! is the one replication (it picks the engine from the arrival family),
+//! [`policies::run_policy_replication`] the one single-calendar run (it
+//! emits nothing, so it takes no hooks), [`ParallelRunner::run`] the one
+//! fan-out. The replicated study keeps
 //! three forms ([`simulate_profile`], [`simulate_profile_with`],
 //! [`simulate_profile_traced`]).
 

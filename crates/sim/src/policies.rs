@@ -36,8 +36,6 @@ use lb_des::time::SimTime;
 use lb_game::error::GameError;
 use lb_game::model::SystemModel;
 use lb_game::strategy::StrategyProfile;
-use lb_telemetry::Collector;
-use std::sync::Arc;
 
 /// A job-dispatch rule, applied at every arrival.
 #[derive(Debug, Clone)]
@@ -104,8 +102,7 @@ enum Event {
 /// completion order; pass `|_, _| {}` to ignore it.
 ///
 /// Interarrival and service times follow `config.arrivals` and
-/// `config.service`. The collector receives the engine's `des.compact`
-/// events; results are bit-identical with or without it.
+/// `config.service`.
 ///
 /// # Errors
 ///
@@ -119,7 +116,6 @@ pub fn run_policy_replication<F: FnMut(usize, f64)>(
     policy: &DispatchPolicy,
     config: SimulationConfig,
     seed: u64,
-    collector: Option<&Arc<dyn Collector>>,
     sink: F,
 ) -> Result<SimulationResult, GameError> {
     let rule = match policy {
@@ -160,7 +156,6 @@ pub fn run_policy_replication<F: FnMut(usize, f64)>(
         rule,
         config,
         seed,
-        collector,
         sink,
     ))
 }
@@ -177,7 +172,6 @@ pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
     mut rule: Rule<'_>,
     config: SimulationConfig,
     seed: u64,
-    collector: Option<&Arc<dyn Collector>>,
     mut sink: F,
 ) -> SimulationResult {
     let m = user_rates.len();
@@ -210,9 +204,6 @@ pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
     let mut monitor = ResponseTimeMonitor::new(m, warmup);
     let mut engine: Engine<Event> = Engine::new();
     engine.set_horizon(SimTime::new(horizon_secs));
-    if lb_telemetry::enabled(collector).is_some() {
-        engine.set_collector(Arc::clone(collector.expect("enabled implies present")));
-    }
 
     // Prime the arrival processes.
     for j in 0..m {
@@ -326,16 +317,9 @@ mod tests {
     use lb_game::schemes::{LoadBalancingScheme, ProportionalScheme};
 
     fn mean(model: &SystemModel, policy: &DispatchPolicy) -> f64 {
-        run_policy_replication(
-            model,
-            policy,
-            SimulationConfig::quick(),
-            23,
-            None,
-            |_, _| {},
-        )
-        .unwrap()
-        .system_mean
+        run_policy_replication(model, policy, SimulationConfig::quick(), 23, |_, _| {})
+            .unwrap()
+            .system_mean
     }
 
     #[test]
@@ -395,7 +379,6 @@ mod tests {
             &DispatchPolicy::WeightedRoundRobin(nash.profile().clone()),
             SimulationConfig::quick(),
             9,
-            None,
             |_, _| {},
         )
         .unwrap();
@@ -428,7 +411,6 @@ mod tests {
                 &DispatchPolicy::PowerOfD(0),
                 SimulationConfig::quick(),
                 0,
-                None,
                 |_, _| {}
             ),
             Err(GameError::InvalidRate { .. })

@@ -58,7 +58,6 @@ pub fn run_pool_replication(
         Rule::Weighted(flows.iter().map(Vec::as_slice).collect()),
         config,
         seed,
-        None,
         |_, _| {},
     ))
 }

@@ -147,12 +147,12 @@ pub struct SimulationResult {
 /// response_time)` to `sink` — the hook for custom estimators
 /// (histograms, percentile trackers); pass `|_, _| {}` to ignore it.
 ///
-/// Telemetry: the collector receives the engine's `des.compact` events
-/// and the shards' `account.des` snapshots, and — when `span_parent` is
-/// given — the sharded engine opens one `des.shard` span per station
-/// under that parent (typically the caller's `sim.replication` span);
-/// the single calendar opens none. Purely observational; results are
-/// bit-identical with or without either hook.
+/// Telemetry: the collector receives the shards' `account.des`
+/// snapshots, and — when `span_parent` is given — the sharded engine
+/// opens one `des.shard` span per station under that parent (typically
+/// the caller's `sim.replication` span); the single calendar uses
+/// neither hook. Purely observational; results are bit-identical with or
+/// without either hook.
 ///
 /// This is the routing point for the simulation engines; the arrival
 /// family picks one:
@@ -202,7 +202,6 @@ pub fn run_replication<F: FnMut(usize, f64)>(
         &DispatchPolicy::Static(profile.clone()),
         config,
         seed,
-        collector,
         sink,
     )
 }
@@ -237,7 +236,6 @@ mod tests {
             &DispatchPolicy::Static(profile.clone()),
             cfg,
             17,
-            None,
             |_, resp| bm.push(resp),
         )
         .unwrap();

@@ -283,7 +283,6 @@ mod tests {
             &crate::policies::DispatchPolicy::Static(profile.clone()),
             config,
             11,
-            None,
             |_, _| {},
         )
         .unwrap();

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
         ];
         for (name, policy) in policies {
-            let r = run_policy_replication(&model, &policy, cfg, 2002, None, |_, _| {})?;
+            let r = run_policy_replication(&model, &policy, cfg, 2002, |_, _| {})?;
             println!("{name:<44} {:>12.4}", r.system_mean);
         }
         println!();
