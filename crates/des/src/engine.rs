@@ -6,7 +6,8 @@
 //! the kernel reusable for any event type.
 //!
 //! ```
-//! use lb_des::{Engine, SimTime};
+//! use lb_des::engine::Engine;
+//! use lb_des::SimTime;
 //!
 //! #[derive(Debug, PartialEq)]
 //! enum Ev { Ping(u32) }
@@ -33,7 +34,6 @@ pub struct Engine<E> {
     calendar: Calendar<E>,
     now: SimTime,
     processed: u64,
-    scheduled: u64,
     horizon: Option<SimTime>,
 }
 
@@ -44,7 +44,6 @@ impl<E> Engine<E> {
             calendar: Calendar::new(),
             now: SimTime::ZERO,
             processed: 0,
-            scheduled: 0,
             horizon: None,
         }
     }
@@ -68,12 +67,6 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events accepted into the calendar so far.
-    #[inline]
-    pub fn events_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Schedules an event at an absolute time.
     ///
     /// # Panics
@@ -88,7 +81,6 @@ impl<E> Engine<E> {
                 self.now.as_secs()
             );
         }
-        self.scheduled += 1;
         self.calendar.schedule(time, event)
     }
 
@@ -105,7 +97,6 @@ impl<E> Engine<E> {
         if delay < 0.0 {
             panic!("cannot schedule at a negative delay ({delay})");
         }
-        self.scheduled += 1;
         self.calendar.schedule(self.now + delay, event)
     }
 
@@ -179,7 +170,7 @@ mod tests {
         assert_eq!(past, "cannot schedule into the past: t=0.25 < now=1");
         // The rejected requests left the calendar untouched: only the
         // valid follow-up is delivered, in order.
-        assert_eq!(eng.events_scheduled(), 1);
+        assert_eq!(eng.calendar_depth(), 0);
         eng.schedule_in(0.5, "later");
         assert_eq!(eng.next_event(), Some("later"));
         assert_eq!(eng.next_event(), None);

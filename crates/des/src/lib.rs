@@ -42,10 +42,7 @@ pub mod station;
 pub mod time;
 
 pub use calendar::Calendar;
-pub use engine::Engine;
 pub use lb_retry::RetryBackoff;
-pub use monitor::{GoodputMonitor, ResponseTimeMonitor};
-pub use rng::{AliasTable, Distribution, RngStream, SampleBlock};
-pub use shard::{run_station_shard, ShardOutcome, ShardSpec, DEFAULT_SHARD_BATCH};
-pub use station::{FcfsStation, Job};
+pub use rng::{AliasTable, Distribution, RngStream};
+pub use shard::{run_station_shard, ShardSpec, DEFAULT_SHARD_BATCH};
 pub use time::SimTime;

@@ -66,7 +66,7 @@ impl ResponseTimeMonitor {
     }
 
     /// Total measured jobs across users.
-    pub fn total_count(&self) -> u64 {
+    pub(crate) fn total_count(&self) -> u64 {
         self.per_user.iter().map(|&(n, _)| n).sum()
     }
 

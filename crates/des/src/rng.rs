@@ -56,7 +56,7 @@ impl RngStream {
     }
 
     /// Number of base uniform draws taken from this stream so far.
-    pub fn draws(&self) -> u64 {
+    pub(crate) fn draws(&self) -> u64 {
         self.draws
     }
 
@@ -153,7 +153,7 @@ impl RngStream {
     /// Fills `out` with samples from `dist`, consuming exactly the same
     /// uniforms as `out.len()` calls to [`RngStream::sample`] (see
     /// [`RngStream::fill_exponential`] for the bit-identity contract).
-    pub fn fill_samples(&mut self, dist: &Distribution, out: &mut [f64]) {
+    pub(crate) fn fill_samples(&mut self, dist: &Distribution, out: &mut [f64]) {
         match *dist {
             Distribution::Exponential { rate } => self.fill_exponential(rate, out),
             _ => {
@@ -297,18 +297,13 @@ impl AliasTable {
     }
 
     /// Number of categories.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.prob.len()
-    }
-
-    /// Whether the table has no categories (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
     }
 
     /// Draws a category index, consuming exactly two uniforms.
     #[inline]
-    pub fn sample(&self, rng: &mut RngStream) -> usize {
+    pub(crate) fn sample(&self, rng: &mut RngStream) -> usize {
         let n = self.prob.len();
         let bucket = ((rng.uniform01() * n as f64) as usize).min(n - 1);
         // An uneven table accepts at random, so a branch on the
@@ -334,7 +329,7 @@ impl AliasTable {
 /// A buffered sampler: draws from one [`Distribution`] on one stream in
 /// refill blocks, popping one value at a time.
 ///
-/// Because [`RngStream::fill_samples`] consumes exactly the uniforms of
+/// Because `RngStream::fill_samples` consumes exactly the uniforms of
 /// the equivalent per-call draws, a `SampleBlock` yields bit-identical
 /// sequences to calling [`RngStream::sample`] directly — it exists purely
 /// to amortize per-draw call and dispatch overhead in event-generation

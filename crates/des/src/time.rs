@@ -53,7 +53,7 @@ impl SimTime {
     /// Elapsed seconds since `earlier`; saturates at zero if `earlier` is
     /// actually later (guards monitors against clock misuse).
     #[inline]
-    pub fn since(self, earlier: SimTime) -> f64 {
+    pub(crate) fn since(self, earlier: SimTime) -> f64 {
         (self.0 - earlier.0).max(0.0)
     }
 }

@@ -939,8 +939,6 @@ pub struct AsyncOutcome {
     rows: Vec<Vec<f64>>,
     user_times: Vec<f64>,
     phis: Vec<f64>,
-    evicted: Vec<usize>,
-    epoch: u32,
     virtual_time_us: u64,
     updates: u64,
     syncs: u64,
@@ -972,26 +970,9 @@ impl AsyncOutcome {
         self.final_gap
     }
 
-    /// The coordinator's final flow board (jobs/s), one row per user;
-    /// evicted users' rows are zero.
-    pub fn rows(&self) -> &[Vec<f64>] {
-        &self.rows
-    }
-
     /// Final per-user expected response times (`NaN` for evicted users).
     pub fn user_times(&self) -> &[f64] {
         &self.user_times
-    }
-
-    /// Users the coordinator declared failed.
-    pub fn evicted(&self) -> &[usize] {
-        &self.evicted
-    }
-
-    /// The highest partition epoch any user reported (0 when no node
-    /// ever froze).
-    pub fn epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Virtual time consumed, µs.
@@ -1240,8 +1221,7 @@ impl AsyncNash {
         }
 
         let virtual_time_us = net.now().min(self.max_virtual_us);
-        let (evicted, alive): (Vec<usize>, Vec<usize>) =
-            (0..m).partition(|&j| coord.versions[j] == EVICTED);
+        let alive: Vec<usize> = (0..m).filter(|&j| coord.versions[j] != EVICTED).collect();
         let per_user = certificate_rows(&cfg, &coord.rows, &alive, self.threads);
         let mut final_gap: f64 = 0.0;
         let mut user_times = vec![f64::NAN; m];
@@ -1276,8 +1256,6 @@ impl AsyncNash {
             rows: coord.rows,
             user_times,
             phis: cfg.phis.clone(),
-            evicted,
-            epoch: coord.max_epoch,
             virtual_time_us,
             updates,
             syncs: coord.syncs,
@@ -1332,7 +1310,8 @@ mod tests {
         let gap = epsilon_nash_gap(&m, &out.profile().unwrap()).unwrap();
         assert!(gap < 1e-3, "true gap {gap}");
         assert!(out.updates() > 0);
-        assert!(out.evicted().is_empty());
+        // Only an evicted user's response time is NaN.
+        assert!(out.user_times().iter().all(|t| !t.is_nan()));
     }
 
     #[test]
@@ -1395,9 +1374,24 @@ mod tests {
         let plan = NetFaultPlan::new()
             .delay_us(50, 400)
             .partition_at(0, 200_000, vec![0]);
-        let out = AsyncNash::new().seed(9).fault_plan(plan).run(&m).unwrap();
+        let collector = Arc::new(lb_telemetry::MemoryCollector::default());
+        let out = AsyncNash::new()
+            .seed(9)
+            .fault_plan(plan)
+            .collector(collector.clone())
+            .run(&m)
+            .unwrap();
         assert!(out.converged(), "termination {:?}", out.termination());
-        assert!(out.epoch() >= 2, "minority must freeze and unfreeze");
+        let (_, quiesce) = collector
+            .events()
+            .into_iter()
+            .find(|(name, _)| *name == "async.quiesce")
+            .unwrap();
+        let epoch = quiesce.iter().find(|(k, _)| *k == "epoch").unwrap();
+        assert!(
+            matches!(epoch.1, lb_telemetry::FieldValue::U64(e) if e >= 2),
+            "minority must freeze and unfreeze"
+        );
         assert!(out.net_stats().partition_drops > 0);
         let gap = epsilon_nash_gap(&m, &out.profile().unwrap()).unwrap();
         assert!(gap < 1e-3, "true gap {gap}");
@@ -1427,10 +1421,10 @@ mod tests {
             .fault_plan(plan)
             .run(&m)
             .unwrap();
-        assert_eq!(out.evicted(), &[1]);
         assert!(out.converged(), "termination {:?}", out.termination());
-        assert!(out.rows()[1].iter().all(|&x| x == 0.0));
-        assert!(out.user_times()[1].is_nan());
+        assert!(out.rows[1].iter().all(|&x| x == 0.0));
+        let evicted: Vec<usize> = (0..3).filter(|&j| out.user_times()[j].is_nan()).collect();
+        assert_eq!(evicted, [1]);
     }
 
     #[test]

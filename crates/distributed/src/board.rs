@@ -15,7 +15,7 @@
 
 /// The `m × n` matrix of user→computer flows (jobs/s).
 #[derive(Debug)]
-pub struct LoadBoard {
+pub(crate) struct LoadBoard {
     flows: Vec<Vec<f64>>,
     users: usize,
     computers: usize,
@@ -24,7 +24,7 @@ pub struct LoadBoard {
 impl LoadBoard {
     /// An all-zero board for `users × computers` (the NASH_0 start state:
     /// nobody has placed any flow yet).
-    pub fn new(users: usize, computers: usize) -> Self {
+    pub(crate) fn new(users: usize, computers: usize) -> Self {
         Self {
             flows: vec![vec![0.0; computers]; users],
             users,
@@ -32,22 +32,12 @@ impl LoadBoard {
         }
     }
 
-    /// Number of users.
-    pub fn users(&self) -> usize {
-        self.users
-    }
-
-    /// Number of computers.
-    pub fn computers(&self) -> usize {
-        self.computers
-    }
-
     /// Seeds every user's row (e.g. the NASH_P proportional start).
     ///
     /// # Panics
     ///
     /// Panics if `rows` has the wrong shape.
-    pub fn seed(&mut self, rows: &[Vec<f64>]) {
+    pub(crate) fn seed(&mut self, rows: &[Vec<f64>]) {
         assert_eq!(rows.len(), self.users, "seed row count");
         for (dst, src) in self.flows.iter_mut().zip(rows) {
             assert_eq!(src.len(), self.computers, "seed column count");
@@ -60,7 +50,7 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index or row length.
-    pub fn publish(&mut self, j: usize, row: &[f64]) {
+    pub(crate) fn publish(&mut self, j: usize, row: &[f64]) {
         assert!(j < self.users, "user index {j}");
         assert_eq!(row.len(), self.computers, "row length");
         self.flows[j].copy_from_slice(row);
@@ -68,7 +58,7 @@ impl LoadBoard {
 
     /// Total flow at each computer, `λ_i = Σ_j flow[j][i]`, written into
     /// a reused buffer.
-    pub fn total_flows_into(&self, totals: &mut Vec<f64>) {
+    pub(crate) fn total_flows_into(&self, totals: &mut Vec<f64>) {
         totals.clear();
         totals.resize(self.computers, 0.0);
         for row in &self.flows {
@@ -85,7 +75,7 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn flows_excluding_into(&self, j: usize, totals: &mut Vec<f64>) {
+    pub(crate) fn flows_excluding_into(&self, j: usize, totals: &mut Vec<f64>) {
         assert!(j < self.users, "user index {j}");
         totals.clear();
         totals.resize(self.computers, 0.0);
@@ -104,7 +94,7 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn row_into(&self, j: usize, out: &mut Vec<f64>) {
+    pub(crate) fn row_into(&self, j: usize, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(&self.flows[j]);
     }
@@ -116,7 +106,7 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn clear_row(&mut self, j: usize) {
+    pub(crate) fn clear_row(&mut self, j: usize) {
         assert!(j < self.users, "user index {j}");
         self.flows[j].fill(0.0);
     }
@@ -129,7 +119,7 @@ impl LoadBoard {
     /// # Panics
     ///
     /// Panics on a bad index.
-    pub fn clear_column(&mut self, i: usize) {
+    pub(crate) fn clear_column(&mut self, i: usize) {
         assert!(i < self.computers, "computer index {i}");
         for row in &mut self.flows {
             row[i] = 0.0;
@@ -156,8 +146,8 @@ mod tests {
     #[test]
     fn starts_empty() {
         let b = LoadBoard::new(2, 3);
-        assert_eq!(b.users(), 2);
-        assert_eq!(b.computers(), 3);
+        assert_eq!(b.users, 2);
+        assert_eq!(b.computers, 3);
         assert_eq!(totals(&b), vec![0.0, 0.0, 0.0]);
     }
 

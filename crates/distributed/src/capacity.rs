@@ -29,7 +29,7 @@
 
 /// A change to one computer's service rate, applied between rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityEvent {
+pub(crate) enum CapacityEvent {
     /// The computer fails outright: `μ_i → 0`, its board column is
     /// zeroed, and no user may route flow to it until it recovers.
     Crash {
@@ -54,7 +54,7 @@ pub enum CapacityEvent {
 impl CapacityEvent {
     /// The computer the event targets.
     #[must_use]
-    pub fn computer(&self) -> usize {
+    pub(crate) fn computer(&self) -> usize {
         match *self {
             Self::Crash { computer }
             | Self::Degrade { computer, .. }
@@ -83,13 +83,13 @@ pub struct ShedRecord {
 impl ShedRecord {
     /// Total admitted arrival rate.
     #[must_use]
-    pub fn admitted_total(&self) -> f64 {
+    pub(crate) fn admitted_total(&self) -> f64 {
         self.admitted.iter().sum()
     }
 
     /// Total shed arrival rate.
     #[must_use]
-    pub fn shed_total(&self) -> f64 {
+    pub(crate) fn shed_total(&self) -> f64 {
         self.shed.iter().sum()
     }
 }

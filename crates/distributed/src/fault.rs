@@ -21,7 +21,7 @@
 //! * state faults — [`FaultAction::StaleRound`] (the user best-responds
 //!   to its previous observation instead of re-reading the board, so it
 //!   publishes flows computed from stale information).
-//! * capacity faults — [`CapacityEvent`] entries (crash / degrade /
+//! * capacity faults — `CapacityEvent` entries (crash / degrade /
 //!   recover a *computer*), applied by the coordinator between rounds.
 
 use crate::capacity::CapacityEvent;
@@ -65,7 +65,6 @@ pub enum FaultAction {
 ///     .panic_at(2, 5)
 ///     .delay_at(0, 3, Duration::from_millis(10))
 ///     .stale_at(1, 4);
-/// assert!(!plan.is_empty());
 /// ```
 /// Besides user faults, a plan can carry *capacity* events — server
 /// crash / degrade / recover — keyed by the round after which the
@@ -78,7 +77,6 @@ pub enum FaultAction {
 ///     .crash_computer_at(3, 0)
 ///     .degrade_computer_at(5, 2, 4.0)
 ///     .recover_computer_at(8, 0);
-/// assert_eq!(plan.capacity_events_at(3).len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
@@ -96,12 +94,11 @@ impl FaultPlan {
     ///
     /// Duplicate `(user, round)` keys are permitted: [`FaultPlan::action`]
     /// resolves a collision by insertion order, so the **first action
-    /// added wins** and later additions are inert for that key (they
-    /// still count toward [`FaultPlan::len`]). This is pinned,
+    /// added wins** and later additions are inert for that key. This is pinned,
     /// load-bearing behavior — plans are assembled by chaining scenario
     /// fragments, and first-wins lets a caller put an override in front
     /// of a fragment it does not control.
-    pub fn with(mut self, user: usize, round: u32, action: FaultAction) -> Self {
+    pub(crate) fn with(mut self, user: usize, round: u32, action: FaultAction) -> Self {
         self.faults.push((user, round, action));
         self
     }
@@ -158,7 +155,7 @@ impl FaultPlan {
 
     /// Capacity events scheduled for application after `round`
     /// completes, in insertion order.
-    pub fn capacity_events_at(&self, round: u32) -> Vec<CapacityEvent> {
+    pub(crate) fn capacity_events_at(&self, round: u32) -> Vec<CapacityEvent> {
         self.capacity
             .iter()
             .filter(|&&(r, _)| r == round)
@@ -166,20 +163,10 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty() && self.capacity.is_empty()
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
     /// The action planned for `user` at `round`, if any. When several
     /// actions collide on the same `(user, round)`, the first one added
     /// wins.
-    pub fn action(&self, user: usize, round: u32) -> Option<FaultAction> {
+    pub(crate) fn action(&self, user: usize, round: u32) -> Option<FaultAction> {
         self.faults
             .iter()
             .find(|&&(u, r, _)| u == user && r == round)
@@ -194,8 +181,7 @@ mod tests {
     #[test]
     fn empty_plan_has_no_actions() {
         let p = FaultPlan::new();
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
+        assert!(p.faults.is_empty() && p.capacity.is_empty());
         assert_eq!(p.action(0, 0), None);
     }
 
@@ -207,7 +193,7 @@ mod tests {
             .delay_at(0, 1, Duration::from_millis(5))
             .stale_at(1, 4)
             .panic_after_forward_at(3, 2);
-        assert_eq!(p.len(), 5);
+        assert_eq!(p.faults.len(), 5);
         assert_eq!(p.action(1, 3), Some(FaultAction::PanicHoldingToken));
         assert_eq!(p.action(2, 0), Some(FaultAction::DropToken));
         assert_eq!(
@@ -238,7 +224,7 @@ mod tests {
             .drop_token_at(2, 7)
             .panic_at(2, 7)
             .panic_at(1, 7);
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.faults.len(), 4);
         assert_eq!(r.action(2, 7), Some(FaultAction::StaleRound));
         assert_eq!(r.action(1, 7), Some(FaultAction::PanicHoldingToken));
 
@@ -256,7 +242,6 @@ mod tests {
             .crash_computer_at(2, 1)
             .degrade_computer_at(2, 0, 3.5)
             .recover_computer_at(5, 1);
-        assert!(!p.is_empty());
         assert_eq!(
             p.capacity_events_at(2),
             vec![
@@ -274,6 +259,6 @@ mod tests {
         assert!(p.capacity_events_at(0).is_empty());
         // User-fault accessors are unaffected.
         assert_eq!(p.action(1, 2), None);
-        assert_eq!(p.len(), 0);
+        assert_eq!(p.faults.len(), 0);
     }
 }

@@ -15,14 +15,14 @@
 //!
 //! * [`messages`] — the token protocol (with repair epochs and ring
 //!   reconfiguration).
-//! * [`board`] — the shared per-user flow board users observe and update.
-//! * [`observer`] — how users estimate available rates from the board
+//! * `board` — the shared per-user flow board users observe and update.
+//! * `observer` — how users estimate available rates from the board
 //!   (exact, or with multiplicative noise modeling run-queue sampling
 //!   error).
 //! * [`fault`] — deterministic fault injection: crash, token-drop, delay
 //!   and stale-observation faults keyed by `(user, round)`, plus
 //!   capacity events keyed by round.
-//! * [`capacity`] — computer-side churn: crash / degrade / recover
+//! * `capacity` — computer-side churn: crash / degrade / recover
 //!   events and the shed trajectory the coordinator records when its
 //!   overload policy sheds load.
 //! * [`runtime`] — the ring as an event loop over [`net`]: failure
@@ -49,17 +49,16 @@
 #![warn(clippy::all)]
 
 pub mod async_runtime;
-pub mod board;
-pub mod capacity;
+pub(crate) mod board;
+pub(crate) mod capacity;
 pub mod fault;
 pub mod messages;
 pub mod net;
-pub mod observer;
+pub(crate) mod observer;
 pub mod runtime;
 
-pub use async_runtime::{AsyncNash, AsyncOutcome, AsyncTermination};
-pub use capacity::{CapacityEvent, ShedRecord};
-pub use fault::{FaultAction, FaultPlan};
-pub use net::{NetFaultPlan, NetStats, VirtualNet};
+pub use async_runtime::AsyncNash;
+pub use fault::FaultPlan;
+pub use net::NetFaultPlan;
 pub use observer::ObservationModel;
-pub use runtime::{DistributedNash, DistributedOutcome};
+pub use runtime::DistributedNash;

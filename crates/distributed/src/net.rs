@@ -19,14 +19,14 @@
 //!   independently — drop probability, duplication probability, reorder
 //!   probability (an extra-delay roll that lets later sends overtake),
 //!   and a bounded uniform delay window;
-//! * scheduled [`Partition`] windows — between `start_us` and `heal_us`
+//! * scheduled `Partition` windows — between `start_us` and `heal_us`
 //!   messages crossing the cut are dropped, and `net.partition` /
 //!   `net.heal` events mark the boundaries;
 //! * an embedded node-level [`crate::fault::FaultPlan`], so one plan
 //!   can describe both message chaos and process crashes (the async
 //!   runtime maps `(user, round)` entries onto update ticks).
 //!
-//! Timers ([`VirtualNet::schedule`]) share the clock but bypass the
+//! Timers (`VirtualNet::schedule`) share the clock but bypass the
 //! fault model: a node's local alarm cannot be lost to the network.
 
 use crate::fault::FaultPlan;
@@ -107,13 +107,13 @@ impl LinkFaults {
 /// `heal_us` (exclusive), messages between `side` and its complement are
 /// dropped at delivery time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partition {
+pub(crate) struct Partition {
     /// Virtual time the cut appears, µs.
-    pub start_us: u64,
+    pub(crate) start_us: u64,
     /// Virtual time the cut heals, µs.
-    pub heal_us: u64,
+    pub(crate) heal_us: u64,
     /// Node ids on one side of the cut (the complement forms the other).
-    pub side: Vec<usize>,
+    pub(crate) side: Vec<usize>,
 }
 
 /// A deterministic schedule of network faults, composing link chaos,
@@ -128,7 +128,6 @@ pub struct Partition {
 ///     .reordering(0.3)
 ///     .delay_us(100, 500)
 ///     .partition_at(10_000, 60_000, vec![0]);
-/// assert!(plan.partitioned(0, 1, 20_000));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NetFaultPlan {
@@ -199,18 +198,13 @@ impl NetFaultPlan {
     }
 
     /// The embedded node-level fault plan.
-    pub fn node_plan(&self) -> &FaultPlan {
+    pub(crate) fn node_plan(&self) -> &FaultPlan {
         &self.node_faults
-    }
-
-    /// The scheduled partitions.
-    pub fn partitions(&self) -> &[Partition] {
-        &self.partitions
     }
 
     /// Whether `a` and `b` are on opposite sides of an active cut at
     /// virtual time `t_us`.
-    pub fn partitioned(&self, a: usize, b: usize, t_us: u64) -> bool {
+    pub(crate) fn partitioned(&self, a: usize, b: usize, t_us: u64) -> bool {
         self.partitions.iter().any(|p| {
             (p.start_us..p.heal_us).contains(&t_us) && (p.side.contains(&a) != p.side.contains(&b))
         })
@@ -229,7 +223,7 @@ pub struct NetStats {
     /// Extra copies injected by the duplication roll.
     pub duplicated: u64,
     /// Envelopes delivered out of send order on their link.
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Envelopes destroyed by an active partition.
     pub partition_drops: u64,
     /// Payload bytes handed to [`VirtualNet::send`] (`size_of::<M>()`
@@ -278,17 +272,17 @@ impl<M> Ord for Env<M> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery<M> {
     /// Delivery time, virtual µs (the network clock after this step).
-    pub at_us: u64,
+    pub(crate) at_us: u64,
     /// Sending node.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Receiving node.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Causal trace context the sender attached via
     /// [`VirtualNet::send_traced`] (`None` for plain sends and timers).
     /// A duplicated message delivers the same context twice.
-    pub ctx: Option<TraceContext>,
+    pub(crate) ctx: Option<TraceContext>,
     /// The payload.
-    pub msg: M,
+    pub(crate) msg: M,
 }
 
 /// The seeded virtual network: a priority queue of in-flight envelopes
@@ -335,28 +329,23 @@ impl<M: Clone> VirtualNet<M> {
     }
 
     /// Attaches a telemetry collector for the `net.*` event family.
-    pub fn collector(&mut self, collector: Arc<dyn Collector>) {
+    pub(crate) fn collector(&mut self, collector: Arc<dyn Collector>) {
         self.collector = Some(collector);
     }
 
     /// The virtual clock, µs.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.now
     }
 
     /// Network statistics so far.
-    pub fn stats(&self) -> NetStats {
+    pub(crate) fn stats(&self) -> NetStats {
         self.stats
     }
 
     /// The fault plan ruling this network.
-    pub fn plan(&self) -> &NetFaultPlan {
+    pub(crate) fn plan(&self) -> &NetFaultPlan {
         &self.plan
-    }
-
-    /// Whether `a` can currently reach `b` (no active cut between them).
-    pub fn reachable(&self, a: usize, b: usize) -> bool {
-        !self.plan.partitioned(a, b, self.now)
     }
 
     fn link_index(&self, from: usize, to: usize) -> usize {
@@ -380,7 +369,7 @@ impl<M: Clone> VirtualNet<M> {
     /// how loss is attributed to a link). A duplicated message delivers
     /// the same `span` id twice; fault events (`net.drop`, `net.dup`,
     /// `net.reorder`) carry the victim's `trace`/`span` ids.
-    pub fn send_traced(&mut self, from: usize, to: usize, ctx: TraceContext, msg: M) {
+    pub(crate) fn send_traced(&mut self, from: usize, to: usize, ctx: TraceContext, msg: M) {
         self.send_inner(from, to, Some(ctx), msg);
     }
 
@@ -465,7 +454,7 @@ impl<M: Clone> VirtualNet<M> {
 
     /// Schedules a reliable timer: `msg` is delivered back to `node`
     /// exactly `after_us` from now, immune to the fault model.
-    pub fn schedule(&mut self, node: usize, after_us: u64, msg: M) {
+    pub(crate) fn schedule(&mut self, node: usize, after_us: u64, msg: M) {
         assert!(node < self.nodes, "node id out of range");
         self.enqueue(node, node, 0, true, None, after_us, msg);
     }
@@ -691,7 +680,7 @@ mod tests {
         net.schedule(0, 145, 0);
         net.step();
         assert_eq!(net.now(), 150);
-        assert!(!net.reachable(0, 1));
+        assert!(net.plan.partitioned(0, 1, net.now));
         net.send(0, 1, 2);
         net.send(1, 0, 3);
         assert!(net.step().is_none());
@@ -699,7 +688,7 @@ mod tests {
         // After heal: flows again.
         net.schedule(0, 100, 0);
         net.step();
-        assert!(net.reachable(0, 1));
+        assert!(!net.plan.partitioned(0, 1, net.now));
         net.send(1, 0, 4);
         assert_eq!(net.step().unwrap().msg, 4);
     }

@@ -28,7 +28,7 @@ pub enum ObservationModel {
 
 /// A stateful observer owned by one user.
 #[derive(Debug, Clone)]
-pub struct Observer {
+pub(crate) struct Observer {
     model: ObservationModel,
     state: u64,
     last: Option<Vec<f64>>,
@@ -37,7 +37,7 @@ pub struct Observer {
 impl Observer {
     /// Creates an observer for the given model (the per-user seed for a
     /// noisy model is mixed with `user` so users see independent noise).
-    pub fn new(model: ObservationModel, user: usize) -> Self {
+    pub(crate) fn new(model: ObservationModel, user: usize) -> Self {
         let state = match model {
             ObservationModel::Exact => 0,
             ObservationModel::Noisy { seed, .. } => {
@@ -51,16 +51,11 @@ impl Observer {
         }
     }
 
-    /// The observation model this observer applies.
-    pub fn model(&self) -> ObservationModel {
-        self.model
-    }
-
     /// Estimates the available rates `a_i = μ_i − other_flows_i`, applying
     /// the model's observation error. The estimate is cached and stays
     /// available through [`Observer::last_observation`] — a fault-injected
     /// "stale" round replays it instead of sampling the board again.
-    pub fn observe(&mut self, mu: &[f64], other_flows: &[f64]) -> Vec<f64> {
+    pub(crate) fn observe(&mut self, mu: &[f64], other_flows: &[f64]) -> Vec<f64> {
         debug_assert_eq!(mu.len(), other_flows.len());
         let estimate: Vec<f64> = mu
             .iter()
@@ -81,7 +76,7 @@ impl Observer {
     }
 
     /// The most recent estimate returned by [`Observer::observe`], if any.
-    pub fn last_observation(&self) -> Option<&[f64]> {
+    pub(crate) fn last_observation(&self) -> Option<&[f64]> {
         self.last.as_deref()
     }
 
@@ -119,7 +114,7 @@ mod tests {
         assert_eq!(o.last_observation(), Some(&[6.0][..]));
         o.observe(&[10.0], &[1.0]);
         assert_eq!(o.last_observation(), Some(&[9.0][..]));
-        assert_eq!(o.model(), ObservationModel::Exact);
+        assert_eq!(o.model, ObservationModel::Exact);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`crate::net::VirtualNet`]: users `0..m` and a coordinator (node `m`)
 //! exchange the token, progress notes and reconfigurations as messages
 //! with one constant virtual delay. The control token
-//! ([`crate::messages::Token`]) circulates round-robin exactly as in the
+//! (`crate::messages::Token`) circulates round-robin exactly as in the
 //! paper's pseudocode; strategies are *never* exchanged — users observe
-//! each other only through the shared [`crate::board::LoadBoard`],
+//! each other only through the shared `crate::board::LoadBoard`,
 //! matching the paper's run-queue-inspection model. The ring tail (the
 //! highest-indexed live user) owns the convergence test and initiates a
 //! final terminate lap; every user then reports its strategy to the
@@ -35,7 +35,7 @@
 //!   [`DistributedOutcome`] names the failed users instead of discarding
 //!   the partial result;
 //! * *computer* failures (crash / degrade / recover, injected as
-//!   [`crate::capacity::CapacityEvent`]s through the plan) are applied by
+//!   `crate::capacity::CapacityEvent`s through the plan) are applied by
 //!   the coordinator between rounds: it updates the capacity vector,
 //!   zeroes crashed computers' board columns, runs the configured
 //!   [`OverloadPolicy`] to shed load if the survivors cannot carry the

@@ -94,8 +94,8 @@ fn infeasible_crash_sheds_proportionally_and_reconverges() {
     let rec = &out.shed_trajectory()[0];
     assert_eq!(rec.round, 1);
     assert_eq!(rec.capacity, vec![0.0, 20.0, 15.0]);
-    assert!((rec.admitted_total() - 31.5).abs() < 1e-9);
-    assert!((rec.shed_total() - (38.0 - 31.5)).abs() < 1e-9);
+    assert!((rec.admitted.iter().sum::<f64>() - 31.5).abs() < 1e-9);
+    assert!((rec.shed.iter().sum::<f64>() - (38.0 - 31.5)).abs() < 1e-9);
 
     // No flow is routed to the corpse, and the survivors sit at an
     // ε-Nash equilibrium of the residual-capacity game on the admitted
@@ -170,7 +170,7 @@ fn feasible_crash_needs_no_shedding() {
     assert_eq!(out.admitted_rates(), full.user_rates());
     assert!(out.shed_rates().iter().all(|&x| x == 0.0));
     assert_eq!(out.shed_trajectory().len(), 1);
-    assert!(out.shed_trajectory()[0].shed_total() == 0.0);
+    assert!(out.shed_trajectory()[0].shed.iter().sum::<f64>() == 0.0);
     let (reduced, stripped) = residual_game(&out, &[2]);
     let gap = epsilon_nash_gap(&reduced, &stripped).unwrap();
     assert!(gap < 1e-2, "residual-game Nash gap {gap}");
@@ -211,8 +211,8 @@ fn recovery_readmits_previously_shed_load() {
     assert!(out.converged());
     // Two admission decisions: the crash sheds, the recovery re-admits.
     assert_eq!(out.shed_trajectory().len(), 2);
-    assert!(out.shed_trajectory()[0].shed_total() > 0.0);
-    assert_eq!(out.shed_trajectory()[1].shed_total(), 0.0);
+    assert!(out.shed_trajectory()[0].shed.iter().sum::<f64>() > 0.0);
+    assert_eq!(out.shed_trajectory()[1].shed.iter().sum::<f64>(), 0.0);
     // Final state: full capacity back, everything admitted again.
     assert!(out.degraded_computers().is_empty());
     assert_eq!(out.final_capacity(), full.computer_rates());

@@ -396,11 +396,6 @@ fn build_registry(log: &EventLog) -> MetricsRegistry {
                     registry.observe("sim.replication_mean", mean);
                 }
             }
-            "runner.worker" => {
-                if let Some(busy) = f(ev, "busy_us") {
-                    registry.observe("runner.busy_us", busy);
-                }
-            }
             "sim.goodput" => {
                 for key in ["served", "shed", "lost", "retries"] {
                     if let Some(v) = f(ev, key) {

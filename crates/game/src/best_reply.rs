@@ -47,7 +47,7 @@ use crate::strategy::{Strategy, StrategyProfile};
 /// keeps far more headroom (at ρ = 0.999 the equilibrium leaves ~6e-4
 /// of each rate), so solutions away from the pathological sliver are
 /// bit-for-bit unchanged.
-pub const SATURATION_GUARD: f64 = 1e-9;
+pub(crate) const SATURATION_GUARD: f64 = 1e-9;
 
 /// Available processing rate of each computer as seen by user `j`:
 /// `a_i = μ_i − Σ_{k≠j} s_ki φ_k` (paper §2). Values can be ≤ 0 if other
@@ -56,7 +56,7 @@ pub const SATURATION_GUARD: f64 = 1e-9;
 /// # Errors
 ///
 /// [`GameError::DimensionMismatch`] when profile and model disagree.
-pub fn available_rates(
+pub(crate) fn available_rates(
     model: &SystemModel,
     profile: &StrategyProfile,
     j: usize,
@@ -250,27 +250,13 @@ pub fn water_fill_flows_into(
 /// Computes user `j`'s best reply to the rest of `profile` — the OPTIMAL
 /// algorithm. Returns the strategy (fractions) minimizing `D_j`.
 ///
-/// # Examples
-///
-/// ```
-/// use lb_game::best_reply::best_reply;
-/// use lb_game::model::SystemModel;
-/// use lb_game::strategy::{Strategy, StrategyProfile};
-///
-/// let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
-/// let profile = StrategyProfile::replicated(Strategy::uniform(2), 2).unwrap();
-/// let reply = best_reply(&model, &profile, 0).unwrap();
-/// // The best reply favors the faster computer.
-/// assert!(reply.fraction(1) > reply.fraction(0));
-/// ```
-///
 /// # Errors
 ///
 /// * [`GameError::DimensionMismatch`] on shape mismatch.
 /// * [`GameError::InfeasibleBestReply`] when the other users leave user
 ///   `j` less available capacity than its arrival rate (cannot happen from
 ///   a stable profile, but can from an arbitrary one).
-pub fn best_reply(
+pub(crate) fn best_reply(
     model: &SystemModel,
     profile: &StrategyProfile,
     j: usize,
@@ -666,6 +652,14 @@ mod tests {
         let a1 = available_rates(&model, &profile, 1).unwrap();
         assert!((a1[0] - 8.0).abs() < 1e-12);
         assert!((a1[1] - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn best_reply_favors_the_faster_computer() {
+        let model = SystemModel::new(vec![10.0, 20.0], vec![6.0, 6.0]).unwrap();
+        let profile = StrategyProfile::replicated(Strategy::uniform(2), 2).unwrap();
+        let reply = best_reply(&model, &profile, 0).unwrap();
+        assert!(reply.fraction(1) > reply.fraction(0));
     }
 
     #[test]

@@ -15,9 +15,9 @@ pub struct ConvergenceReport {
     /// Norm after the first sweep.
     pub initial_norm: f64,
     /// Norm at termination.
-    pub final_norm: f64,
+    pub(crate) final_norm: f64,
     /// Sweeps performed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Geometric contraction rate fitted to the tail (second half) of the
     /// trace; `None` if the tail is too short or non-positive.
     pub tail_rate: Option<f64>,

@@ -33,7 +33,7 @@ pub struct Rebalance {
     /// Sweeps the solver needed.
     pub iterations: u32,
     /// Restart policy used.
-    pub restart: Restart,
+    pub(crate) restart: Restart,
 }
 
 /// The outcome of a capacity update: the re-equilibration statistics,
@@ -182,19 +182,6 @@ impl DynamicBalancer {
         Ok(step)
     }
 
-    /// Users' nominal arrival rates (what admission control would admit
-    /// at full capacity).
-    pub fn nominal_user_rates(&self) -> &[f64] {
-        &self.nominal_user_rates
-    }
-
-    /// Full-width indices of the computers the current equilibrium
-    /// spans (column `k` of [`Self::equilibrium`] is computer
-    /// `live_computers()[k]`).
-    pub fn live_computers(&self) -> &[usize] {
-        &self.live
-    }
-
     /// Applies a capacity change — server crash (`rate = 0`),
     /// degradation, or recovery — and re-converges on the residual
     /// system, shedding load per `policy` if the survivors cannot carry
@@ -207,7 +194,7 @@ impl DynamicBalancer {
     /// degrades: a shedding policy admits
     /// `min(nominal, headroom · Σ μ)` per its fairness rule and the
     /// equilibrium is recomputed over the admitted rates — reusing
-    /// [`remap_profile_columns`] so a warm restart survives column
+    /// `remap_profile_columns` so a warm restart survives column
     /// removals/additions.
     ///
     /// # Errors
@@ -291,7 +278,7 @@ impl DynamicBalancer {
 /// # Errors
 ///
 /// Propagates strategy-construction failures.
-pub fn remap_profile(
+pub(crate) fn remap_profile(
     old: &StrategyProfile,
     new_model: &SystemModel,
 ) -> Result<StrategyProfile, GameError> {
@@ -311,7 +298,7 @@ pub fn remap_profile(
 /// [`GameError::DimensionMismatch`] when `columns` does not match the
 /// new computer count; otherwise propagates strategy-construction
 /// failures.
-pub fn remap_profile_columns(
+pub(crate) fn remap_profile_columns(
     old: &StrategyProfile,
     new_model: &SystemModel,
     columns: &[Option<usize>],
@@ -359,6 +346,8 @@ pub fn remap_profile_columns(
 mod tests {
     use super::*;
     use crate::equilibrium::epsilon_nash_gap;
+    use crate::strategy::Strategy;
+    use proptest::prelude::*;
 
     fn base_model() -> SystemModel {
         SystemModel::table1_system(0.6).unwrap()
@@ -533,7 +522,7 @@ mod tests {
         // ρ = 0.9 and the two fastest computers die: demand exceeds the
         // survivors' capacity, so the policy sheds; recovery re-admits.
         let mut b = DynamicBalancer::new(SystemModel::table1_system(0.9).unwrap(), 1e-6).unwrap();
-        let nominal_phi: f64 = b.nominal_user_rates().iter().sum();
+        let nominal_phi: f64 = b.nominal_user_rates.iter().sum();
         let full = SystemModel::table1_rates();
         let mut rates = full.clone();
         let mut order: Vec<usize> = (0..rates.len()).collect();
@@ -620,5 +609,81 @@ mod tests {
         assert_eq!(step.live_computers.len(), rates.len());
         let gap = epsilon_nash_gap(b.model(), b.equilibrium()).unwrap();
         assert!(gap < 1e-4, "gap {gap}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn remap_profile_stays_row_stochastic_under_reshaping(
+            m_old in 1usize..6,
+            n_old in 1usize..8,
+            weights in prop::collection::vec(0.0f64..1.0, 48),
+            m_new in 1usize..6,
+            n_new in 1usize..10,
+            rate_pool in prop::collection::vec(0.5f64..100.0, 10),
+            user_pool in prop::collection::vec(0.01f64..1.0, 6),
+            util in 0.1f64..0.9,
+            col_picks in prop::collection::vec(0usize..16, 10),
+        ) {
+            // Arbitrary old profile: m_old rows over n_old computers.
+            let old = profile_from_pool(m_old, n_old, &weights);
+            // Arbitrary new model: n_new computers, m_new users at `util`.
+            let rates: Vec<f64> = rate_pool[..n_new].to_vec();
+            let capacity: f64 = rates.iter().sum();
+            let wsum: f64 = user_pool[..m_new].iter().sum();
+            let users: Vec<f64> = user_pool[..m_new]
+                .iter()
+                .map(|w| w / wsum * util * capacity)
+                .collect();
+            let model = SystemModel::new(rates, users).unwrap();
+
+            // Positional remap (computers appended/truncated at the end).
+            let remapped = remap_profile(&old, &model).unwrap();
+            assert_row_stochastic(&remapped, m_new, n_new)?;
+
+            // Index-aware remap under arbitrary removals/additions: each new
+            // column pulls from a random old column or starts fresh.
+            let columns: Vec<Option<usize>> = col_picks[..n_new]
+                .iter()
+                .map(|&p| if p < n_old { Some(p) } else { None })
+                .collect();
+            let remapped = remap_profile_columns(&old, &model, &columns).unwrap();
+            assert_row_stochastic(&remapped, m_new, n_new)?;
+        }
+    }
+
+    /// Builds an `m × n` strategy profile from a flat weight pool,
+    /// normalizing each row (uniform fallback for all-zero rows).
+    fn profile_from_pool(m: usize, n: usize, weights: &[f64]) -> StrategyProfile {
+        let rows: Vec<Strategy> = (0..m)
+            .map(|j| {
+                let row = &weights[j * n..(j + 1) * n];
+                let sum: f64 = row.iter().sum();
+                let fr: Vec<f64> = if sum > 1e-9 {
+                    row.iter().map(|x| x / sum).collect()
+                } else {
+                    vec![1.0 / n as f64; n]
+                };
+                Strategy::new(fr).unwrap()
+            })
+            .collect();
+        StrategyProfile::new(rows).unwrap()
+    }
+
+    fn assert_row_stochastic(profile: &StrategyProfile, m: usize, n: usize) -> Result<(), String> {
+        prop_assert_eq!(profile.num_users(), m);
+        for j in 0..m {
+            let fr = profile.strategy(j).fractions();
+            prop_assert_eq!(fr.len(), n);
+            let mut sum = 0.0;
+            for &x in fr {
+                prop_assert!(x >= 0.0, "negative fraction {} in row {}", x, j);
+                prop_assert!(x.is_finite(), "non-finite fraction in row {}", j);
+                sum += x;
+            }
+            prop_assert!((sum - 1.0).abs() < 1e-9, "row {} sums to {}", j, sum);
+        }
+        Ok(())
     }
 }

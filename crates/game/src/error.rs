@@ -100,7 +100,7 @@ impl GameError {
     /// Builds an [`GameError::Overloaded`] from the raw demand/capacity
     /// pair, deriving the actionable `utilization` and `min_shed` fields.
     #[must_use]
-    pub fn overloaded(total_arrival_rate: f64, total_capacity: f64) -> Self {
+    pub(crate) fn overloaded(total_arrival_rate: f64, total_capacity: f64) -> Self {
         let utilization = if total_capacity > 0.0 {
             total_arrival_rate / total_capacity
         } else {

@@ -110,7 +110,7 @@ pub fn exponentiated_gradient_flows(
 /// * [`GameError::InvalidRate`] for a non-positive demand.
 /// * [`GameError::InfeasibleBestReply`] when `Σ max(cap_i − base_i, 0)
 ///   <= demand`.
-pub fn minimize_general_split(
+pub(crate) fn minimize_general_split(
     latencies: &[&dyn crate::latency::Latency],
     base: &[f64],
     demand: f64,

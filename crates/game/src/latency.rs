@@ -23,13 +23,16 @@ pub trait Latency {
     fn capacity(&self) -> f64;
 }
 
-/// M/M/1 latency `1/(μ − λ)` — the paper's model.
+/// M/M/1 latency `1/(μ − λ)` — the paper's model, the reference the
+/// tests hold the numeric solver to.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mm1Latency {
+pub(crate) struct Mm1Latency {
     /// Processing rate `μ`.
-    pub mu: f64,
+    pub(crate) mu: f64,
 }
 
+#[cfg(test)]
 impl Latency for Mm1Latency {
     fn response_time(&self, lambda: f64) -> f64 {
         lb_queueing::mm1::response_time(lambda, self.mu)

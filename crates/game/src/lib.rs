@@ -92,7 +92,4 @@ pub mod schemes;
 pub mod stopping;
 pub mod strategy;
 
-pub use error::GameError;
-pub use model::SystemModel;
-pub use stopping::{Certificate, StoppingRule, ViewFreshness};
-pub use strategy::{Strategy, StrategyProfile};
+pub use stopping::{Certificate, StoppingRule};

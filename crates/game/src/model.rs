@@ -22,7 +22,7 @@ use lb_queueing::ParallelQueues;
 /// The IPDPS text does not list the user split; this heavy-tailed split
 /// (few heavy users, many light ones) mirrors the journal version's setup
 /// and is what makes the fairness comparisons informative.
-pub const PAPER_USER_FRACTIONS: [f64; 10] =
+pub(crate) const PAPER_USER_FRACTIONS: [f64; 10] =
     [0.3, 0.2, 0.1, 0.07, 0.07, 0.06, 0.06, 0.05, 0.05, 0.04];
 
 /// Returns the paper-style user fractions as a vector.
@@ -68,7 +68,7 @@ impl SystemModel {
     }
 
     /// The computer bank.
-    pub fn computers(&self) -> &ParallelQueues {
+    pub(crate) fn computers(&self) -> &ParallelQueues {
         &self.computers
     }
 
@@ -105,11 +105,6 @@ impl SystemModel {
     /// System utilization `ρ = Φ / Σ μ_i` (paper §4.2.2).
     pub fn system_utilization(&self) -> f64 {
         self.computers.system_utilization(self.total_arrival_rate)
-    }
-
-    /// Speed skewness `max μ / min μ` (paper §4.2.3).
-    pub fn speed_skewness(&self) -> f64 {
-        self.computers.speed_skewness()
     }
 
     /// The paper's Table 1 computer bank: 6 computers at 10 jobs/s, 5 at
@@ -328,7 +323,7 @@ mod tests {
         assert_eq!(m.total_arrival_rate(), 9.0);
         assert_eq!(m.total_capacity(), 30.0);
         assert!((m.system_utilization() - 0.3).abs() < 1e-12);
-        assert_eq!(m.speed_skewness(), 2.0);
+        assert_eq!(m.computers.speed_skewness(), 2.0);
     }
 
     #[test]
@@ -345,7 +340,7 @@ mod tests {
         assert_eq!(sys.num_users(), 10);
         assert!((sys.total_arrival_rate() - 306.0).abs() < 1e-9);
         assert!((sys.system_utilization() - 0.6).abs() < 1e-12);
-        assert_eq!(sys.speed_skewness(), 10.0);
+        assert_eq!(sys.computers.speed_skewness(), 10.0);
     }
 
     #[test]
@@ -369,10 +364,10 @@ mod tests {
             sys.computer_rates().iter().filter(|&&r| r == 10.0).count(),
             14
         );
-        assert!((sys.speed_skewness() - 20.0).abs() < 1e-12);
+        assert!((sys.computers.speed_skewness() - 20.0).abs() < 1e-12);
         // Skew 1 is a homogeneous system.
         let homo = SystemModel::skewed_system(1.0, 0.6).unwrap();
-        assert_eq!(homo.speed_skewness(), 1.0);
+        assert_eq!(homo.computers.speed_skewness(), 1.0);
         assert!(SystemModel::skewed_system(0.5, 0.6).is_err());
     }
 

@@ -5,7 +5,7 @@
 //! M/M/1 latency becomes Erlang-C, for which no closed-form best reply
 //! exists. This module runs the same greedy round-robin best-reply
 //! dynamics as the paper's NASH algorithm, with the numeric
-//! [`crate::gradient::minimize_general_split`] solver in place of the
+//! `crate::gradient::minimize_general_split` solver in place of the
 //! OPTIMAL water-filling step. With every pool at `c = 1` the results
 //! match the closed-form solver (verified by tests), certifying both
 //! paths against each other.
@@ -109,13 +109,13 @@ impl PoolSystem {
     }
 
     /// Aggregate capacity `Σ c_i μ_i`.
-    pub fn total_capacity(&self) -> f64 {
+    pub(crate) fn total_capacity(&self) -> f64 {
         self.pools.iter().map(Latency::capacity).sum()
     }
 
     /// User `j`'s expected response time under per-user flow matrix
     /// `flows` (rows users, columns pools).
-    pub fn user_time(&self, flows: &[Vec<f64>], j: usize) -> f64 {
+    pub(crate) fn user_time(&self, flows: &[Vec<f64>], j: usize) -> f64 {
         let totals = self.pool_totals(flows);
         let phi = self.user_rates[j];
         flows[j]

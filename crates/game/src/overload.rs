@@ -65,7 +65,7 @@ impl OverloadPolicy {
     /// itself for [`Reject`](Self::Reject) (only strict infeasibility
     /// errors), `headroom · Σ μ_i` for the shedding policies.
     #[must_use]
-    pub fn admitted_target(&self, total_capacity: f64) -> f64 {
+    pub(crate) fn admitted_target(&self, total_capacity: f64) -> f64 {
         match *self {
             Self::Reject => total_capacity,
             Self::ShedProportional { headroom } | Self::ShedMaxMin { headroom } => {
@@ -100,25 +100,26 @@ pub struct ShedPlan {
     /// Per-user shed arrival rate (`φ_j − admitted_j`).
     pub shed: Vec<f64>,
     /// Total capacity `Σ μ_i` the plan was computed against.
-    pub total_capacity: f64,
+    pub(crate) total_capacity: f64,
 }
 
+#[cfg(test)]
 impl ShedPlan {
     /// Total admitted arrival rate.
     #[must_use]
-    pub fn admitted_total(&self) -> f64 {
+    pub(crate) fn admitted_total(&self) -> f64 {
         self.admitted.iter().sum()
     }
 
     /// Total shed arrival rate.
     #[must_use]
-    pub fn shed_total(&self) -> f64 {
+    pub(crate) fn shed_total(&self) -> f64 {
         self.shed.iter().sum()
     }
 
     /// Whether any load was shed at all.
     #[must_use]
-    pub fn sheds(&self) -> bool {
+    pub(crate) fn sheds(&self) -> bool {
         self.shed.iter().any(|&s| s > 0.0)
     }
 }

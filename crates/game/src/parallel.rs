@@ -24,7 +24,7 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 /// Environment variable controlling the default worker count.
-pub const THREADS_ENV: &str = "LB_SIM_THREADS";
+pub(crate) const THREADS_ENV: &str = "LB_SIM_THREADS";
 
 /// The most workers a pool runs. A run starts min(workers, tasks) − 1
 /// threads, and some task counts grow with the input (one task per

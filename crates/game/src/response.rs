@@ -21,7 +21,7 @@ use lb_queueing::mm1;
 /// # Errors
 ///
 /// [`GameError::DimensionMismatch`] when profile and model shapes disagree.
-pub fn computer_response_times(
+pub(crate) fn computer_response_times(
     model: &SystemModel,
     profile: &StrategyProfile,
 ) -> Result<Vec<f64>, GameError> {
@@ -56,7 +56,7 @@ pub fn user_response_time(
 /// # Errors
 ///
 /// [`GameError::DimensionMismatch`] on shape mismatch.
-pub fn user_response_times(
+pub(crate) fn user_response_times(
     model: &SystemModel,
     profile: &StrategyProfile,
 ) -> Result<Vec<f64>, GameError> {

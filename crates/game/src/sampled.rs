@@ -53,7 +53,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// A sparse flow row: `(computer index, flow)` pairs sorted by index.
-pub type SparseRow = Vec<(u32, f64)>;
+pub(crate) type SparseRow = Vec<(u32, f64)>;
 
 /// Best-reply step size β: each update moves the row to
 /// `(1−β)·old + β·best reply`. Pure best replies oscillate at web
@@ -226,7 +226,6 @@ impl SampledNashSolver {
         let mut blend: Vec<f64> = Vec::new();
         let mut wf = WaterFillScratch::default();
         let mut certificates: Vec<Certificate> = Vec::new();
-        let mut norm_trace: Vec<f64> = Vec::new();
 
         let collect = lb_telemetry::enabled(self.collector.as_ref());
         if let Some(c) = collect {
@@ -406,7 +405,6 @@ impl SampledNashSolver {
             });
             let cert = sparse_certificate(model, &rows, &headroom, &by_headroom, &runner);
             certificates.push(cert);
-            norm_trace.push(norm);
             converged = cert.relative <= self.epsilon;
             if let Some(c) = collect {
                 let (s_min, s_max, s_mean) = support_stats(&rows);
@@ -457,8 +455,6 @@ impl SampledNashSolver {
             flows: rows,
             iterations,
             certificates,
-            norm_trace,
-            total_response_time: prev_d.iter().sum(),
         })
     }
 }
@@ -471,8 +467,6 @@ pub struct SampledOutcome {
     flows: Vec<SparseRow>,
     iterations: u32,
     certificates: Vec<Certificate>,
-    norm_trace: Vec<f64>,
-    total_response_time: f64,
 }
 
 impl SampledOutcome {
@@ -495,11 +489,6 @@ impl SampledOutcome {
         true
     }
 
-    /// Per-sweep regret certificates, in sweep order.
-    pub fn certificates(&self) -> &[Certificate] {
-        &self.certificates
-    }
-
     /// The final sweep's certificate — the proved ε-Nash bound the run
     /// was accepted at.
     pub fn certified_gap(&self) -> Certificate {
@@ -507,17 +496,6 @@ impl SampledOutcome {
             .certificates
             .last()
             .expect("a returned outcome ran at least one sweep")
-    }
-
-    /// Per-sweep response-time norms `Σ_j |ΔD_j|` (diagnostic only —
-    /// never the stopping criterion here).
-    pub fn norm_trace(&self) -> &[f64] {
-        &self.norm_trace
-    }
-
-    /// `Σ_j D_j` at the final profile.
-    pub fn total_response_time(&self) -> f64 {
-        self.total_response_time
     }
 
     /// Total support size (number of nonzero flows across all users).
@@ -659,7 +637,7 @@ mod tests {
 
     fn assert_outcomes_bit_identical(a: &SampledOutcome, b: &SampledOutcome, label: &str) {
         assert_eq!(a.iterations(), b.iterations(), "{label}: iterations");
-        for (ca, cb) in a.certificates().iter().zip(b.certificates()) {
+        for (ca, cb) in a.certificates.iter().zip(&b.certificates) {
             assert_eq!(
                 ca.absolute.to_bits(),
                 cb.absolute.to_bits(),

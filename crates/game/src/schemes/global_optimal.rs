@@ -38,7 +38,7 @@ pub enum Decomposition {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GlobalOptimalScheme {
     /// Decomposition of aggregate flows into user strategies.
-    pub decomposition: Decomposition,
+    pub(crate) decomposition: Decomposition,
 }
 
 impl GlobalOptimalScheme {
@@ -53,7 +53,7 @@ impl GlobalOptimalScheme {
     ///
     /// Propagates water-filling failures (cannot occur for a valid model,
     /// whose construction guarantees `Φ < Σ μ_i`).
-    pub fn aggregate_flows(model: &SystemModel) -> Result<Vec<f64>, GameError> {
+    pub(crate) fn aggregate_flows(model: &SystemModel) -> Result<Vec<f64>, GameError> {
         water_fill_flows(model.computer_rates(), model.total_arrival_rate())
     }
 }

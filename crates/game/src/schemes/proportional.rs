@@ -23,7 +23,7 @@ impl ProportionalScheme {
     ///
     /// Propagates strategy-construction failures (cannot occur for a valid
     /// model).
-    pub fn strategy(model: &SystemModel) -> Result<Strategy, GameError> {
+    pub(crate) fn strategy(model: &SystemModel) -> Result<Strategy, GameError> {
         let total: f64 = model.computer_rates().iter().sum();
         Strategy::new(model.computer_rates().iter().map(|mu| mu / total).collect())
     }

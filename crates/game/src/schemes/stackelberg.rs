@@ -44,18 +44,16 @@ impl StackelbergScheme {
         Ok(Self { alpha })
     }
 
-    /// The leader fraction.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Computes the aggregate flows: leader (LLF) plus induced Wardrop
     /// followers. Returns `(leader_flows, follower_flows)`.
     ///
     /// # Errors
     ///
     /// Propagates kernel failures (cannot occur for a valid model).
-    pub fn aggregate_flows(&self, model: &SystemModel) -> Result<(Vec<f64>, Vec<f64>), GameError> {
+    pub(crate) fn aggregate_flows(
+        &self,
+        model: &SystemModel,
+    ) -> Result<(Vec<f64>, Vec<f64>), GameError> {
         let mu = model.computer_rates();
         let n = mu.len();
         let phi = model.total_arrival_rate();
@@ -136,7 +134,7 @@ mod tests {
         assert!(StackelbergScheme::new(-0.1).is_err());
         assert!(StackelbergScheme::new(1.1).is_err());
         assert!(StackelbergScheme::new(f64::NAN).is_err());
-        assert_eq!(StackelbergScheme::new(0.3).unwrap().alpha(), 0.3);
+        assert_eq!(StackelbergScheme::new(0.3).unwrap().alpha, 0.3);
     }
 
     #[test]

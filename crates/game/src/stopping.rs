@@ -88,7 +88,12 @@ impl StoppingRule {
     /// [`StoppingRule::CertifiedGap`], ignored by
     /// [`StoppingRule::AbsoluteNorm`]).
     #[must_use]
-    pub fn accepts(&self, tolerance: f64, norm: f64, certificate: Option<&Certificate>) -> bool {
+    pub(crate) fn accepts(
+        &self,
+        tolerance: f64,
+        norm: f64,
+        certificate: Option<&Certificate>,
+    ) -> bool {
         match self {
             Self::AbsoluteNorm => norm <= tolerance,
             Self::CertifiedGap => certificate.is_some_and(|c| c.relative <= tolerance),
@@ -154,7 +159,7 @@ impl ViewFreshness {
     /// `now`. Saturating: a report timestamped ahead of the acceptor's
     /// clock (possible with per-node clocks) counts as fresh.
     #[must_use]
-    pub fn is_fresh(&self, generated_at: u64, now: u64) -> bool {
+    pub(crate) fn is_fresh(&self, generated_at: u64, now: u64) -> bool {
         now.saturating_sub(generated_at) <= self.staleness_bound
     }
 

@@ -13,7 +13,7 @@ use crate::error::GameError;
 use crate::model::SystemModel;
 
 /// Tolerance for positivity/conservation checks on strategies.
-pub const STRATEGY_EPS: f64 = 1e-7;
+pub(crate) const STRATEGY_EPS: f64 = 1e-7;
 
 /// One user's load-balancing strategy: job fractions over the computers.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +23,7 @@ pub struct Strategy {
 
 impl Strategy {
     /// Builds a strategy, validating positivity and conservation. Tiny
-    /// constraint violations within [`STRATEGY_EPS`] are repaired by
+    /// constraint violations within `STRATEGY_EPS` are repaired by
     /// clamping and renormalizing (solver output hygiene).
     ///
     /// # Errors
@@ -83,7 +83,8 @@ impl Strategy {
     /// # Panics
     ///
     /// Panics when `n == 0`.
-    pub fn uniform(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn uniform(n: usize) -> Self {
         assert!(n > 0, "uniform strategy needs n > 0");
         Self {
             fractions: vec![1.0 / n as f64; n],
@@ -91,13 +92,8 @@ impl Strategy {
     }
 
     /// Number of computers the strategy spans.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.fractions.len()
-    }
-
-    /// Never true for a constructed strategy.
-    pub fn is_empty(&self) -> bool {
-        self.fractions.is_empty()
     }
 
     /// Fraction sent to computer `i`.
@@ -110,22 +106,12 @@ impl Strategy {
         &self.fractions
     }
 
-    /// Indices of computers used with positive probability.
-    pub fn support(&self) -> Vec<usize> {
-        self.fractions
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x > 0.0)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// L1 distance to another strategy.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch (programming error).
-    pub fn l1_distance(&self, other: &Strategy) -> f64 {
+    pub(crate) fn l1_distance(&self, other: &Strategy) -> f64 {
         assert_eq!(self.len(), other.len(), "strategy dimension mismatch");
         self.fractions
             .iter()
@@ -173,7 +159,7 @@ impl StrategyProfile {
     /// # Errors
     ///
     /// [`GameError::InfeasibleStrategy`] when `m == 0`.
-    pub fn replicated(strategy: Strategy, m: usize) -> Result<Self, GameError> {
+    pub(crate) fn replicated(strategy: Strategy, m: usize) -> Result<Self, GameError> {
         Self::new(vec![strategy; m])
     }
 
@@ -183,7 +169,7 @@ impl StrategyProfile {
     }
 
     /// Number of computers `n`.
-    pub fn num_computers(&self) -> usize {
+    pub(crate) fn num_computers(&self) -> usize {
         self.rows[0].len()
     }
 
@@ -203,7 +189,7 @@ impl StrategyProfile {
     ///
     /// [`GameError::DimensionMismatch`] if the new strategy has the wrong
     /// dimension.
-    pub fn set_strategy(&mut self, j: usize, strategy: Strategy) -> Result<(), GameError> {
+    pub(crate) fn set_strategy(&mut self, j: usize, strategy: Strategy) -> Result<(), GameError> {
         if strategy.len() != self.num_computers() {
             return Err(GameError::DimensionMismatch {
                 expected: self.num_computers(),
@@ -309,7 +295,6 @@ mod tests {
         assert!(Strategy::new(vec![f64::NAN, 1.0]).is_err());
         let s = Strategy::new(vec![0.25, 0.75]).unwrap();
         assert_eq!(s.fraction(1), 0.75);
-        assert_eq!(s.support(), vec![0, 1]);
     }
 
     #[test]
@@ -324,7 +309,6 @@ mod tests {
     fn singleton_and_uniform() {
         let s = Strategy::singleton(3, 1);
         assert_eq!(s.fractions(), &[0.0, 1.0, 0.0]);
-        assert_eq!(s.support(), vec![1]);
         let u = Strategy::uniform(4);
         assert!((u.fraction(2) - 0.25).abs() < 1e-15);
     }

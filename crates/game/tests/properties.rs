@@ -3,7 +3,6 @@
 //! invariants).
 
 use lb_game::best_reply::{satisfies_kkt, split_cost, water_fill_flows};
-use lb_game::dynamics::{remap_profile, remap_profile_columns};
 use lb_game::equilibrium::epsilon_nash_gap;
 use lb_game::model::SystemModel;
 use lb_game::sampled::SampledNashSolver;
@@ -143,54 +142,14 @@ proptest! {
         let capacity_needed: f64 = phis.iter().sum::<f64>() * 2.0 + 1.0;
         let rates = vec![capacity_needed; n];
         let model = SystemModel::new(rates, phis.clone()).unwrap();
-        let profile = StrategyProfile::replicated(
-            UserStrategy::new(normalized.clone()).unwrap(),
-            phis.len(),
-        )
-        .unwrap();
+        let profile =
+            StrategyProfile::new(vec![UserStrategy::new(normalized.clone()).unwrap(); phis.len()])
+                .unwrap();
         let flows = profile.computer_flows(&model).unwrap();
         let phi_total: f64 = phis.iter().sum();
         for (i, &f) in flows.iter().enumerate() {
             prop_assert!((f - normalized[i] * phi_total).abs() < 1e-9 * (1.0 + f));
         }
-    }
-
-    #[test]
-    fn remap_profile_stays_row_stochastic_under_reshaping(
-        m_old in 1usize..6,
-        n_old in 1usize..8,
-        weights in prop::collection::vec(0.0f64..1.0, 48),
-        m_new in 1usize..6,
-        n_new in 1usize..10,
-        rate_pool in prop::collection::vec(0.5f64..100.0, 10),
-        user_pool in prop::collection::vec(0.01f64..1.0, 6),
-        util in 0.1f64..0.9,
-        col_picks in prop::collection::vec(0usize..16, 10),
-    ) {
-        // Arbitrary old profile: m_old rows over n_old computers.
-        let old = profile_from_pool(m_old, n_old, &weights);
-        // Arbitrary new model: n_new computers, m_new users at `util`.
-        let rates: Vec<f64> = rate_pool[..n_new].to_vec();
-        let capacity: f64 = rates.iter().sum();
-        let wsum: f64 = user_pool[..m_new].iter().sum();
-        let users: Vec<f64> = user_pool[..m_new]
-            .iter()
-            .map(|w| w / wsum * util * capacity)
-            .collect();
-        let model = SystemModel::new(rates, users).unwrap();
-
-        // Positional remap (computers appended/truncated at the end).
-        let remapped = remap_profile(&old, &model).unwrap();
-        assert_row_stochastic(&remapped, m_new, n_new)?;
-
-        // Index-aware remap under arbitrary removals/additions: each new
-        // column pulls from a random old column or starts fresh.
-        let columns: Vec<Option<usize>> = col_picks[..n_new]
-            .iter()
-            .map(|&p| if p < n_old { Some(p) } else { None })
-            .collect();
-        let remapped = remap_profile_columns(&old, &model, &columns).unwrap();
-        assert_row_stochastic(&remapped, m_new, n_new)?;
     }
 
     #[test]
@@ -210,7 +169,7 @@ proptest! {
         let weights: Vec<f64> = (0..n).map(|i| rates[i] * (1.0 + tilt[i])).collect();
         let wsum: f64 = weights.iter().sum();
         let row = UserStrategy::new(weights.iter().map(|w| w / wsum).collect()).unwrap();
-        let profile = StrategyProfile::replicated(row, model.num_users()).unwrap();
+        let profile = StrategyProfile::new(vec![row; model.num_users()]).unwrap();
 
         let cert = profile_certificate(&model, &profile).unwrap();
         let gap = epsilon_nash_gap(&model, &profile).unwrap();
@@ -275,38 +234,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Builds an `m × n` strategy profile from a flat weight pool,
-/// normalizing each row (uniform fallback for all-zero rows).
-fn profile_from_pool(m: usize, n: usize, weights: &[f64]) -> StrategyProfile {
-    let rows: Vec<UserStrategy> = (0..m)
-        .map(|j| {
-            let row = &weights[j * n..(j + 1) * n];
-            let sum: f64 = row.iter().sum();
-            let fr: Vec<f64> = if sum > 1e-9 {
-                row.iter().map(|x| x / sum).collect()
-            } else {
-                vec![1.0 / n as f64; n]
-            };
-            UserStrategy::new(fr).unwrap()
-        })
-        .collect();
-    StrategyProfile::new(rows).unwrap()
-}
-
-fn assert_row_stochastic(profile: &StrategyProfile, m: usize, n: usize) -> Result<(), String> {
-    prop_assert_eq!(profile.num_users(), m);
-    for j in 0..m {
-        let fr = profile.strategy(j).fractions();
-        prop_assert_eq!(fr.len(), n);
-        let mut sum = 0.0;
-        for &x in fr {
-            prop_assert!(x >= 0.0, "negative fraction {} in row {}", x, j);
-            prop_assert!(x.is_finite(), "non-finite fraction in row {}", j);
-            sum += x;
-        }
-        prop_assert!((sum - 1.0).abs() < 1e-9, "row {} sums to {}", j, sum);
-    }
-    Ok(())
 }

@@ -24,11 +24,6 @@ pub enum QueueingError {
     /// An empty system (zero computers) was supplied where at least one is
     /// required.
     EmptySystem,
-    /// A probability or percentile argument fell outside `(0, 1)`.
-    InvalidProbability {
-        /// The rejected value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for QueueingError {
@@ -45,9 +40,6 @@ impl fmt::Display for QueueingError {
                 "unstable system: arrival rate {arrival_rate} >= capacity {capacity}"
             ),
             Self::EmptySystem => write!(f, "system must contain at least one computer"),
-            Self::InvalidProbability { value } => {
-                write!(f, "probability must lie in (0, 1), got {value}")
-            }
         }
     }
 }
@@ -76,9 +68,6 @@ mod tests {
         assert!(QueueingError::EmptySystem
             .to_string()
             .contains("at least one"));
-
-        let e = QueueingError::InvalidProbability { value: 1.5 };
-        assert!(e.to_string().contains("(0, 1)"));
     }
 
     #[test]

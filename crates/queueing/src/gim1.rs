@@ -54,16 +54,6 @@ impl Interarrival {
             Interarrival::Deterministic => (-s / lambda).exp(),
         }
     }
-
-    /// Squared coefficient of variation of the family.
-    pub fn scv(&self) -> f64 {
-        match *self {
-            Interarrival::Exponential => 1.0,
-            Interarrival::Erlang { k } => 1.0 / f64::from(k.max(1)),
-            Interarrival::HyperExponential { scv } => scv,
-            Interarrival::Deterministic => 0.0,
-        }
-    }
 }
 
 /// Solves `σ = A*(μ(1−σ))` on `(0, 1)` by damped fixed-point iteration
@@ -176,13 +166,5 @@ mod tests {
         assert!(response_time(Interarrival::Exponential, 0.0, 1.0).is_err());
         assert!(response_time(Interarrival::Exponential, 1.0, 1.0).is_err());
         assert!(response_time(Interarrival::Exponential, 1.0, -1.0).is_err());
-    }
-
-    #[test]
-    fn erlang_scv_accessor() {
-        assert_eq!(Interarrival::Erlang { k: 4 }.scv(), 0.25);
-        assert_eq!(Interarrival::Deterministic.scv(), 0.0);
-        assert_eq!(Interarrival::Exponential.scv(), 1.0);
-        assert_eq!(Interarrival::HyperExponential { scv: 3.0 }.scv(), 3.0);
     }
 }

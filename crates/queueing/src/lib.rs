@@ -6,15 +6,15 @@
 //! FCFS discipline, run-to-completion. This crate provides the closed-form
 //! queueing theory that the game sits on:
 //!
-//! * [`mm1`] — single M/M/1 station formulas (utilization, expected response
-//!   time, queue lengths, waiting time, sojourn-time percentiles).
-//! * [`mmc`] — M/M/c (Erlang-C) formulas, used by extension experiments that
+//! * [`mm1`] — the single M/M/1 station's expected response time, paper
+//!   Eq. (1).
+//! * [`Mmc`] — M/M/c (Erlang-C) formulas, used by extension experiments that
 //!   replace each computer with a small multicore pool.
-//! * [`mg1`] — M/G/1 Pollaczek–Khinchine formulas, the theory behind the
-//!   service-distribution robustness extension.
+//! * [`mg1`] — the M/G/1 Pollaczek–Khinchine response time, the theory
+//!   behind the service-distribution robustness extension.
 //! * [`gim1`] — exact GI/M/1 response times (root of `σ = A*(μ(1−σ))`),
 //!   the theory behind the arrival-burstiness extension.
-//! * [`network`] — [`network::ParallelQueues`], a bank of heterogeneous
+//! * [`ParallelQueues`] — a bank of heterogeneous
 //!   M/M/1 queues in parallel: the "distributed system" of the paper, with
 //!   aggregate capacity and utilization functionals.
 //!
@@ -25,15 +25,14 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod error;
+pub(crate) mod error;
 pub mod gim1;
 pub mod mg1;
 pub mod mm1;
-pub mod mmc;
-pub mod network;
+pub(crate) mod mmc;
+pub(crate) mod network;
 
 pub use error::QueueingError;
-pub use mg1::Mg1;
 pub use mm1::Mm1;
 pub use mmc::Mmc;
 pub use network::ParallelQueues;

@@ -14,93 +14,10 @@
 //! M/D/1) queueing delay halves; heavy-tailed service (`c² > 1`) inflates
 //! it linearly.
 
-use crate::error::QueueingError;
-
-/// A stable M/G/1 queue parameterized by arrival rate, service *rate*
-/// (reciprocal mean service time) and the service-time squared
-/// coefficient of variation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mg1 {
-    lambda: f64,
-    mu: f64,
-    scv: f64,
-}
-
-impl Mg1 {
-    /// Builds a stable M/G/1 queue.
-    ///
-    /// # Errors
-    ///
-    /// * [`QueueingError::InvalidRate`] for non-positive/non-finite rates
-    ///   or a negative/non-finite `scv`.
-    /// * [`QueueingError::Unstable`] when `lambda >= mu`.
-    pub fn new(lambda: f64, mu: f64, scv: f64) -> Result<Self, QueueingError> {
-        if !mu.is_finite() || mu <= 0.0 {
-            return Err(QueueingError::InvalidRate {
-                name: "mu",
-                value: mu,
-            });
-        }
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(QueueingError::InvalidRate {
-                name: "lambda",
-                value: lambda,
-            });
-        }
-        if !scv.is_finite() || scv < 0.0 {
-            return Err(QueueingError::InvalidRate {
-                name: "scv",
-                value: scv,
-            });
-        }
-        if lambda >= mu {
-            return Err(QueueingError::Unstable {
-                arrival_rate: lambda,
-                capacity: mu,
-            });
-        }
-        Ok(Self { lambda, mu, scv })
-    }
-
-    /// Arrival rate `λ`.
-    pub fn arrival_rate(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Service rate `μ` (mean service time `1/μ`).
-    pub fn service_rate(&self) -> f64 {
-        self.mu
-    }
-
-    /// Squared coefficient of variation of the service time.
-    pub fn scv(&self) -> f64 {
-        self.scv
-    }
-
-    /// Utilization `ρ = λ/μ`.
-    pub fn utilization(&self) -> f64 {
-        self.lambda / self.mu
-    }
-
-    /// Pollaczek–Khinchine expected waiting time in queue.
-    pub fn waiting_time(&self) -> f64 {
-        let rho = self.utilization();
-        self.lambda * (1.0 + self.scv) / (2.0 * self.mu * self.mu * (1.0 - rho))
-    }
-
-    /// Expected response (sojourn) time `E[T] = 1/μ + E[W_q]`.
-    pub fn response_time(&self) -> f64 {
-        1.0 / self.mu + self.waiting_time()
-    }
-
-    /// Expected number in system (Little's law).
-    pub fn jobs_in_system(&self) -> f64 {
-        self.lambda * self.response_time()
-    }
-}
-
-/// Free-function form of the P-K expected response time, `+∞` at or past
-/// saturation — mirrors [`crate::mm1::response_time`] for optimizer use.
+/// Pollaczek–Khinchine expected response time `E[T]` of a stable M/G/1
+/// queue with service squared coefficient of variation `scv`, `+∞` at or
+/// past saturation — mirrors [`crate::mm1::response_time`] for optimizer
+/// use.
 pub fn response_time(lambda: f64, mu: f64, scv: f64) -> f64 {
     if lambda >= mu {
         f64::INFINITY
@@ -112,55 +29,37 @@ pub fn response_time(lambda: f64, mu: f64, scv: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mm1::Mm1;
 
-    #[test]
-    fn validates_parameters() {
-        assert!(Mg1::new(1.0, 0.0, 1.0).is_err());
-        assert!(Mg1::new(-1.0, 2.0, 1.0).is_err());
-        assert!(Mg1::new(1.0, 2.0, -0.5).is_err());
-        assert!(Mg1::new(2.0, 2.0, 1.0).is_err());
-        assert!(Mg1::new(1.0, 2.0, f64::NAN).is_err());
+    /// P-K waiting time in queue, `E[T] − 1/μ`.
+    fn wait(lambda: f64, mu: f64, scv: f64) -> f64 {
+        response_time(lambda, mu, scv) - 1.0 / mu
     }
 
     #[test]
     fn scv_one_recovers_mm1() {
         for &(l, m) in &[(0.3, 1.0), (1.5, 2.0), (8.0, 10.0)] {
-            let mg1 = Mg1::new(l, m, 1.0).unwrap();
-            let mm1 = Mm1::new(l, m).unwrap();
-            assert!((mg1.response_time() - mm1.response_time()).abs() < 1e-12);
-            assert!((mg1.waiting_time() - mm1.waiting_time()).abs() < 1e-12);
+            let mm1 = crate::mm1::response_time(l, m);
+            assert!((response_time(l, m, 1.0) - mm1).abs() < 1e-12);
         }
     }
 
     #[test]
     fn md1_waits_half_of_mm1() {
-        let md1 = Mg1::new(1.5, 2.0, 0.0).unwrap();
-        let mm1 = Mm1::new(1.5, 2.0).unwrap();
-        assert!((md1.waiting_time() - 0.5 * mm1.waiting_time()).abs() < 1e-12);
-        assert!(md1.response_time() < mm1.response_time());
+        assert!((wait(1.5, 2.0, 0.0) - 0.5 * wait(1.5, 2.0, 1.0)).abs() < 1e-12);
+        assert!(response_time(1.5, 2.0, 0.0) < crate::mm1::response_time(1.5, 2.0));
     }
 
     #[test]
     fn waiting_grows_linearly_in_scv() {
-        let w = |scv: f64| Mg1::new(1.0, 2.0, scv).unwrap().waiting_time();
-        let w0 = w(0.0);
-        let w1 = w(1.0);
-        let w4 = w(4.0);
+        let w0 = wait(1.0, 2.0, 0.0);
+        let w1 = wait(1.0, 2.0, 1.0);
+        let w4 = wait(1.0, 2.0, 4.0);
         assert!((w1 - 2.0 * w0).abs() < 1e-12);
         assert!((w4 - 5.0 * w0).abs() < 1e-12);
     }
 
     #[test]
-    fn littles_law() {
-        let q = Mg1::new(2.0, 3.0, 2.5).unwrap();
-        assert!((q.jobs_in_system() - q.arrival_rate() * q.response_time()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn free_function_matches_and_saturates() {
-        let q = Mg1::new(1.0, 4.0, 2.0).unwrap();
-        assert!((response_time(1.0, 4.0, 2.0) - q.response_time()).abs() < 1e-12);
+    fn saturates() {
         assert!(response_time(4.0, 4.0, 1.0).is_infinite());
     }
 }

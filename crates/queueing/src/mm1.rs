@@ -9,9 +9,7 @@
 //! ```
 //!
 //! (paper Eq. (1), with `λ = Σ_k s_ki φ_k` the total flow directed at the
-//! computer by all users). The remaining formulas (queue lengths, waiting
-//! time, percentiles) are standard Kleinrock Vol. 1 results and are used by
-//! the simulator's validation layer.
+//! computer by all users).
 
 use crate::error::QueueingError;
 
@@ -26,7 +24,6 @@ use crate::error::QueueingError;
 /// ```
 /// use lb_queueing::Mm1;
 /// let q = Mm1::new(0.5, 1.0).unwrap();
-/// assert!((q.utilization() - 0.5).abs() < 1e-12);
 /// assert!((q.response_time() - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,63 +63,10 @@ impl Mm1 {
         Ok(Self { lambda, mu })
     }
 
-    /// Arrival rate `λ` (jobs per unit time).
-    #[inline]
-    pub fn arrival_rate(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Service rate `μ` (jobs per unit time).
-    #[inline]
-    pub fn service_rate(&self) -> f64 {
-        self.mu
-    }
-
-    /// Server utilization `ρ = λ/μ ∈ [0, 1)`.
-    #[inline]
-    pub fn utilization(&self) -> f64 {
-        self.lambda / self.mu
-    }
-
     /// Expected response (sojourn) time `F = 1/(μ − λ)` — paper Eq. (1).
     #[inline]
     pub fn response_time(&self) -> f64 {
         1.0 / (self.mu - self.lambda)
-    }
-
-    /// Expected waiting time in queue (excluding service):
-    /// `W_q = ρ/(μ − λ)`.
-    #[inline]
-    pub fn waiting_time(&self) -> f64 {
-        self.utilization() / (self.mu - self.lambda)
-    }
-
-    /// Expected number of jobs in the system `L = ρ/(1 − ρ)` (Little's law
-    /// applied to the response time).
-    #[inline]
-    pub fn jobs_in_system(&self) -> f64 {
-        let rho = self.utilization();
-        rho / (1.0 - rho)
-    }
-
-    /// Expected number of jobs waiting in queue `L_q = ρ²/(1 − ρ)`.
-    #[inline]
-    pub fn jobs_in_queue(&self) -> f64 {
-        let rho = self.utilization();
-        rho * rho / (1.0 - rho)
-    }
-
-    /// `p`-percentile of the sojourn-time distribution:
-    /// `T_p = −ln(1 − p)/(μ − λ)`.
-    ///
-    /// # Errors
-    ///
-    /// [`QueueingError::InvalidProbability`] unless `0 < p < 1`.
-    pub fn response_time_percentile(&self, p: f64) -> Result<f64, QueueingError> {
-        if !(0.0..1.0).contains(&p) || p <= 0.0 {
-            return Err(QueueingError::InvalidProbability { value: p });
-        }
-        Ok(-(1.0 - p).ln() / (self.mu - self.lambda))
     }
 }
 
@@ -193,58 +137,6 @@ mod tests {
     fn zero_load_queue_is_pure_service() {
         let q = Mm1::new(0.0, 4.0).unwrap();
         assert!((q.response_time() - 0.25).abs() < EPS);
-        assert_eq!(q.utilization(), 0.0);
-        assert_eq!(q.waiting_time(), 0.0);
-        assert_eq!(q.jobs_in_system(), 0.0);
-        assert_eq!(q.jobs_in_queue(), 0.0);
-    }
-
-    #[test]
-    fn textbook_values_at_half_utilization() {
-        // Kleinrock Vol. 1: rho = 0.5 gives L = 1, Lq = 0.5, T = 2/mu.
-        let q = Mm1::new(1.0, 2.0).unwrap();
-        assert!((q.utilization() - 0.5).abs() < EPS);
-        assert!((q.jobs_in_system() - 1.0).abs() < EPS);
-        assert!((q.jobs_in_queue() - 0.5).abs() < EPS);
-        assert!((q.response_time() - 1.0).abs() < EPS);
-        assert!((q.waiting_time() - 0.5).abs() < EPS);
-    }
-
-    #[test]
-    fn littles_law_holds() {
-        let q = Mm1::new(7.3, 11.9).unwrap();
-        // L = lambda * T and Lq = lambda * Wq.
-        assert!((q.jobs_in_system() - q.arrival_rate() * q.response_time()).abs() < 1e-9);
-        assert!((q.jobs_in_queue() - q.arrival_rate() * q.waiting_time()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sojourn_tail_and_percentile_are_inverses() {
-        let q = Mm1::new(2.0, 5.0).unwrap();
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            let t = q.response_time_percentile(p).unwrap();
-            // The sojourn time is exponential: P(T > t) = exp(−(μ − λ) t).
-            let tail = (-(5.0 - 2.0) * t).exp();
-            assert!((tail - (1.0 - p)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn median_sojourn_below_mean() {
-        // Exponential distribution: median = ln(2) * mean < mean.
-        let q = Mm1::new(2.0, 5.0).unwrap();
-        let median = q.response_time_percentile(0.5).unwrap();
-        assert!(median < q.response_time());
-        assert!((median - q.response_time() * std::f64::consts::LN_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_rejects_bad_probabilities() {
-        let q = Mm1::new(1.0, 2.0).unwrap();
-        assert!(q.response_time_percentile(0.0).is_err());
-        assert!(q.response_time_percentile(1.0).is_err());
-        assert!(q.response_time_percentile(-0.5).is_err());
-        assert!(q.response_time_percentile(f64::NAN).is_err());
     }
 
     #[test]

@@ -71,40 +71,22 @@ impl Mmc {
         })
     }
 
-    /// Arrival rate `λ`.
-    #[inline]
-    pub fn arrival_rate(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Per-server service rate `μ`.
-    #[inline]
-    pub fn service_rate(&self) -> f64 {
-        self.mu
-    }
-
-    /// Number of servers `c`.
-    #[inline]
-    pub fn servers(&self) -> u32 {
-        self.servers
-    }
-
     /// Offered load in Erlangs, `a = λ/μ`.
     #[inline]
-    pub fn offered_load(&self) -> f64 {
+    pub(crate) fn offered_load(&self) -> f64 {
         self.lambda / self.mu
     }
 
     /// Per-server utilization `ρ = λ/(c·μ) ∈ [0, 1)`.
     #[inline]
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.lambda / (self.mu * f64::from(self.servers))
     }
 
     /// Erlang-C probability that an arriving job must wait (all servers
     /// busy). Computed with the numerically stable iterative form of the
     /// Erlang-B recursion followed by the B→C conversion.
-    pub fn prob_wait(&self) -> f64 {
+    pub(crate) fn prob_wait(&self) -> f64 {
         if self.lambda == 0.0 {
             return 0.0;
         }
@@ -121,23 +103,13 @@ impl Mmc {
     }
 
     /// Expected waiting time in queue `W_q = C(c, a) / (c·μ − λ)`.
-    pub fn waiting_time(&self) -> f64 {
+    pub(crate) fn waiting_time(&self) -> f64 {
         self.prob_wait() / (self.mu * f64::from(self.servers) - self.lambda)
     }
 
     /// Expected response time `T = W_q + 1/μ`.
     pub fn response_time(&self) -> f64 {
         self.waiting_time() + 1.0 / self.mu
-    }
-
-    /// Expected number of jobs in the system (Little's law).
-    pub fn jobs_in_system(&self) -> f64 {
-        self.lambda * self.response_time()
-    }
-
-    /// Expected number of jobs waiting in queue (Little's law).
-    pub fn jobs_in_queue(&self) -> f64 {
-        self.lambda * self.waiting_time()
     }
 }
 
@@ -169,10 +141,8 @@ mod tests {
                 (mmc.response_time() - mm1.response_time()).abs() < 1e-12,
                 "response mismatch at ({l}, {m})"
             );
-            assert!((mmc.waiting_time() - mm1.waiting_time()).abs() < 1e-12);
-            assert!((mmc.jobs_in_system() - mm1.jobs_in_system()).abs() < 1e-9);
             // For M/M/1, P(wait) = rho.
-            assert!((mmc.prob_wait() - mm1.utilization()).abs() < 1e-12);
+            assert!((mmc.prob_wait() - l / m).abs() < 1e-12);
         }
     }
 
@@ -213,16 +183,5 @@ mod tests {
         assert!(t2 > t3 && t3 > t8);
         // With many servers the response time approaches pure service.
         assert!((t8 - 1.0) < 0.05);
-    }
-
-    #[test]
-    fn littles_law_consistency() {
-        let q = Mmc::new(5.0, 2.0, 4).unwrap();
-        assert!((q.jobs_in_system() - q.arrival_rate() * q.response_time()).abs() < 1e-12);
-        assert!((q.jobs_in_queue() - q.arrival_rate() * q.waiting_time()).abs() < 1e-12);
-        assert!(
-            (q.jobs_in_system() - q.jobs_in_queue() - q.offered_load()).abs() < 1e-9,
-            "L - Lq should equal expected busy servers a = lambda/mu"
-        );
     }
 }

@@ -61,11 +61,6 @@ impl RetryBackoff {
         }
     }
 
-    /// Maximum number of retries per job.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
     /// Delay before retry number `attempt` (0-based), or `None` when the
     /// retry budget is exhausted and the job must be counted lost.
     pub fn delay(&self, attempt: u32) -> Option<f64> {
@@ -141,17 +136,6 @@ impl DecorrelatedJitter {
         }
     }
 
-    /// Maximum number of retries.
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-
-    /// Retries already issued (calls to [`Self::next_delay`] that
-    /// returned `Some`).
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Draws the delay before the next retry, advancing the jitter
     /// stream, or returns `None` when the retry budget is exhausted.
     ///
@@ -172,30 +156,20 @@ impl DecorrelatedJitter {
         self.prev = d;
         Some(d)
     }
-
-    /// The full remaining schedule as a vector (consumes the budget).
-    /// Convenience for tests and planning.
-    pub fn schedule(mut self) -> Vec<f64> {
-        let mut out = Vec::new();
-        while let Some(d) = self.next_delay() {
-            out.push(d);
-        }
-        out
-    }
-
-    /// Resets the policy to attempt 0 with a fresh seed, keeping the
-    /// delay parameters. Used when a peer acks and a later loss starts a
-    /// new retry episode.
-    pub fn reset(&mut self, seed: u64) {
-        self.attempt = 0;
-        self.prev = self.base;
-        self.state = seed ^ 0xD1B5_4A32_D192_ED03;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full remaining schedule (consumes the budget).
+    fn schedule(mut p: DecorrelatedJitter) -> Vec<f64> {
+        let mut out = Vec::new();
+        while let Some(d) = p.next_delay() {
+            out.push(d);
+        }
+        out
+    }
 
     #[test]
     fn backoff_doubles_up_to_the_cap_then_gives_up() {
@@ -205,7 +179,6 @@ mod tests {
         assert_eq!(p.delay(2), Some(0.4));
         assert_eq!(p.delay(3), Some(0.5)); // capped
         assert_eq!(p.delay(4), None); // budget exhausted: job lost
-        assert_eq!(p.max_attempts(), 4);
     }
 
     #[test]
@@ -234,8 +207,8 @@ mod tests {
 
     #[test]
     fn jitter_same_seed_same_schedule() {
-        let a = DecorrelatedJitter::new(0.05, 2.0, 8, 42).schedule();
-        let b = DecorrelatedJitter::new(0.05, 2.0, 8, 42).schedule();
+        let a = schedule(DecorrelatedJitter::new(0.05, 2.0, 8, 42));
+        let b = schedule(DecorrelatedJitter::new(0.05, 2.0, 8, 42));
         assert_eq!(a.len(), 8);
         // Bit-for-bit equality, not approximate: the schedule is a pure
         // function of the seed.
@@ -244,8 +217,8 @@ mod tests {
 
     #[test]
     fn jitter_different_seeds_decorrelate() {
-        let a = DecorrelatedJitter::new(0.05, 2.0, 8, 1).schedule();
-        let b = DecorrelatedJitter::new(0.05, 2.0, 8, 2).schedule();
+        let a = schedule(DecorrelatedJitter::new(0.05, 2.0, 8, 1));
+        let b = schedule(DecorrelatedJitter::new(0.05, 2.0, 8, 2));
         // First delay is deterministic `base` for both; some later delay
         // must differ.
         assert_eq!(a[0], b[0]);
@@ -261,22 +234,8 @@ mod tests {
             assert!(d <= (prev * 3.0).clamp(0.1, 1.0) + 1e-12);
             prev = d;
         }
-        assert_eq!(p.attempts(), 64);
+        assert_eq!(p.attempt, 64);
         assert_eq!(p.next_delay(), None);
-    }
-
-    #[test]
-    fn jitter_reset_replays_from_scratch() {
-        let p = DecorrelatedJitter::new(0.05, 2.0, 4, 9);
-        let first: Vec<f64> = p.schedule();
-        let mut q = DecorrelatedJitter::new(0.05, 2.0, 4, 1234);
-        q.next_delay();
-        q.reset(9);
-        let replay: Vec<f64> = q.schedule();
-        assert!(first
-            .iter()
-            .zip(&replay)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -26,14 +26,7 @@ pub struct SimulatedMetrics {
     /// Worst relative standard error observed.
     pub worst_relative_error: f64,
     /// Replications performed.
-    pub replications: u32,
-}
-
-impl SimulatedMetrics {
-    /// Cross-replication per-user mean response times.
-    pub fn user_means(&self) -> Vec<f64> {
-        self.user_summaries.iter().map(|s| s.mean).collect()
-    }
+    pub(crate) replications: u32,
 }
 
 /// Simulates `profile` on `model` under a replication plan, fanning the

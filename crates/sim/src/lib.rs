@@ -54,8 +54,9 @@
 //! [`policies::run_policy_replication`] the one single-calendar run (it
 //! emits nothing, so it takes no hooks), [`ParallelRunner::run`] the one
 //! fan-out. The replicated study keeps
-//! three forms ([`simulate_profile`], [`simulate_profile_with`],
-//! [`simulate_profile_traced`]).
+//! three forms ([`harness::simulate_profile`],
+//! [`harness::simulate_profile_with`],
+//! [`harness::simulate_profile_traced`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -69,11 +70,5 @@ pub mod scenario;
 pub mod shard;
 pub mod validate;
 
-pub use churn::{run_churn_replication, ChurnPhase, ChurnResult};
-pub use harness::{
-    simulate_profile, simulate_profile_traced, simulate_profile_with, SimulatedMetrics,
-};
 pub use lb_game::parallel;
 pub use parallel::ParallelRunner;
-pub use scenario::{DistributionFamily, SimulationConfig, SimulationResult};
-pub use shard::run_replication_sharded;

@@ -297,7 +297,6 @@ pub(crate) fn run_single_calendar<F: FnMut(usize, f64)>(
         user_counts: (0..m).map(|j| monitor.count(j)).collect(),
         jobs_generated,
         utilizations: fcfs.iter().map(|s| s.utilization(now)).collect(),
-        horizon: horizon_secs,
     }
 }
 

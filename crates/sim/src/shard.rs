@@ -51,7 +51,7 @@ fn station_plans(
     model: &SystemModel,
     profile: &StrategyProfile,
     config: SimulationConfig,
-) -> Result<(Vec<StationPlan>, f64), GameError> {
+) -> Result<Vec<StationPlan>, GameError> {
     profile.check_stability(model)?;
     let m = model.num_users();
     let n = model.num_computers();
@@ -84,7 +84,7 @@ fn station_plans(
             }
         })
         .collect();
-    Ok((plans, horizon_secs))
+    Ok(plans)
 }
 
 /// Runs station `i`'s shard with its `(seed, station)`-keyed streams.
@@ -125,7 +125,7 @@ fn run_plan<F: FnMut(usize, f64)>(
 
 /// Folds per-station outcomes (in station-index order) into one
 /// [`SimulationResult`].
-fn merge_outcomes(outcomes: &[ShardOutcome], users: usize, horizon_secs: f64) -> SimulationResult {
+fn merge_outcomes(outcomes: &[ShardOutcome], users: usize) -> SimulationResult {
     let mut monitor = ResponseTimeMonitor::new(users, SimTime::ZERO);
     let mut jobs_generated = 0u64;
     let mut utilizations = Vec::with_capacity(outcomes.len());
@@ -140,7 +140,6 @@ fn merge_outcomes(outcomes: &[ShardOutcome], users: usize, horizon_secs: f64) ->
         user_counts: (0..users).map(|j| monitor.count(j)).collect(),
         jobs_generated,
         utilizations,
-        horizon: horizon_secs,
     }
 }
 
@@ -158,7 +157,7 @@ pub(crate) fn run_shards_in_order<F: FnMut(usize, f64)>(
     span_parent: Option<&SpanHandle>,
     mut sink: F,
 ) -> Result<SimulationResult, GameError> {
-    let (plans, horizon_secs) = station_plans(model, profile, config)?;
+    let plans = station_plans(model, profile, config)?;
     let m = model.num_users();
     let n = plans.len();
     let outcomes: Vec<ShardOutcome> = plans
@@ -166,7 +165,7 @@ pub(crate) fn run_shards_in_order<F: FnMut(usize, f64)>(
         .enumerate()
         .map(|(i, plan)| run_plan(plan, i, n, m, seed, collector, span_parent, &mut sink))
         .collect();
-    Ok(merge_outcomes(&outcomes, m, horizon_secs))
+    Ok(merge_outcomes(&outcomes, m))
 }
 
 /// Runs one replication with the station shards fanned out across
@@ -186,7 +185,7 @@ pub fn run_replication_sharded(
     config: SimulationConfig,
     seed: u64,
 ) -> Result<SimulationResult, GameError> {
-    let (plans, horizon_secs) = station_plans(model, profile, config)?;
+    let plans = station_plans(model, profile, config)?;
     let m = model.num_users();
     let n = plans.len();
     let outcomes = runner.run(
@@ -195,7 +194,7 @@ pub fn run_replication_sharded(
         None,
         None,
     );
-    Ok(merge_outcomes(&outcomes, m, horizon_secs))
+    Ok(merge_outcomes(&outcomes, m))
 }
 
 #[cfg(test)]

@@ -64,16 +64,6 @@ impl BatchMeans {
         self.batches.count()
     }
 
-    /// The completed batch means.
-    pub fn batch_means(&self) -> &[f64] {
-        &self.batch_means
-    }
-
-    /// Observations in the (incomplete) current batch.
-    pub fn pending(&self) -> u64 {
-        self.current.count()
-    }
-
     /// Grand mean over completed batches (`0` before the first batch).
     pub fn mean(&self) -> f64 {
         self.batches.mean()
@@ -127,11 +117,11 @@ mod tests {
         bm.push(1.0);
         bm.push(2.0);
         assert_eq!(bm.batches(), 0);
-        assert_eq!(bm.pending(), 2);
+        assert_eq!(bm.current.count(), 2);
         bm.push(3.0);
         assert_eq!(bm.batches(), 1);
-        assert_eq!(bm.pending(), 0);
-        assert_eq!(bm.batch_means(), &[2.0]);
+        assert_eq!(bm.current.count(), 0);
+        assert_eq!(bm.batch_means, [2.0]);
         assert_eq!(bm.mean(), 2.0);
     }
 
@@ -144,7 +134,7 @@ mod tests {
         // Batches: (1,3) -> 2, (5,7) -> 6; the 100.0 is pending.
         assert_eq!(bm.batches(), 2);
         assert_eq!(bm.mean(), 4.0);
-        assert_eq!(bm.pending(), 1);
+        assert_eq!(bm.current.count(), 1);
     }
 
     #[test]

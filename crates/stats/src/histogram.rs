@@ -56,23 +56,13 @@ impl Histogram {
         self.count
     }
 
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
     /// Observations at or above the upper bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
 
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// The `[start, end)` interval covered by bin `i`.
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn bin_range(&self, i: usize) -> (f64, f64) {
         let width = (self.high - self.low) / self.bins.len() as f64;
         (
             self.low + width * i as f64,
@@ -119,11 +109,11 @@ mod tests {
         h.record(-1.0); // underflow
         h.record(10.0); // overflow (upper bound exclusive)
         assert_eq!(h.count(), 5);
-        assert_eq!(h.underflow(), 1);
+        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[5], 1);
+        assert_eq!(h.bins[9], 1);
     }
 
     #[test]

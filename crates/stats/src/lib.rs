@@ -8,31 +8,32 @@
 //!
 //! This crate implements that methodology from scratch:
 //!
-//! * [`welford`] — numerically stable online mean/variance accumulation.
+//! * [`Welford`] — numerically stable online mean/variance accumulation.
 //! * [`tdist`] — Student-t quantiles (needed for small-sample confidence
 //!   intervals with 5 replications).
-//! * [`summary`] — sample summaries with confidence intervals and relative
+//! * [`SampleSummary`] — sample summaries with confidence intervals and relative
 //!   standard error.
-//! * [`fairness`] — Jain's fairness index.
-//! * [`replication`] — the replicate-until-precise driver.
-//! * [`batchmeans`] — the single-long-run alternative (batch means with a
+//! * [`jain_index`] — Jain's fairness index.
+//! * [`ReplicationPlan`] and [`ReplicationSet`] — the replicate-until-precise
+//!   driver.
+//! * [`BatchMeans`] — the single-long-run alternative (batch means with a
 //!   lag-1 autocorrelation diagnostic), used in methodology ablations.
 //! * [`histogram`] — fixed-bin histograms for sojourn-time distributions.
-//! * [`timeseries`] — iteration traces (used for the paper's Figure 2 norm
+//! * [`IterationTrace`] — iteration traces (used for the paper's Figure 2 norm
 //!   curves).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod batchmeans;
-pub mod fairness;
+pub(crate) mod batchmeans;
+pub(crate) mod fairness;
 pub mod histogram;
-pub mod replication;
-pub mod summary;
+pub(crate) mod replication;
+pub(crate) mod summary;
 pub mod tdist;
-pub mod timeseries;
-pub mod welford;
+pub(crate) mod timeseries;
+pub(crate) mod welford;
 
 pub use batchmeans::BatchMeans;
 pub use fairness::jain_index;

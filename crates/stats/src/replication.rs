@@ -34,16 +34,6 @@ impl ReplicationPlan {
         }
     }
 
-    /// A faster policy for CI tests: 3 replications, looser precision.
-    pub fn quick() -> Self {
-        Self {
-            replications: 3,
-            confidence: 0.95,
-            max_relative_error: 0.15,
-            base_seed: 0x005e_ed1b,
-        }
-    }
-
     /// Seed for replication index `r` (`0 <= r < replications`), spread by
     /// SplitMix64 so adjacent replications get decorrelated streams.
     pub fn seed_for(&self, replication: u32) -> u64 {
@@ -76,7 +66,6 @@ impl Default for ReplicationPlan {
 /// (e.g. the per-user expected response times of a simulated scheme).
 #[derive(Debug, Clone)]
 pub struct ReplicationSet {
-    names: Vec<String>,
     accumulators: Vec<Welford>,
     replications_recorded: u32,
     confidence: f64,
@@ -85,11 +74,8 @@ pub struct ReplicationSet {
 impl ReplicationSet {
     /// Creates a set tracking the given metric names at a confidence level.
     pub fn new<S: Into<String>>(names: Vec<S>, confidence: f64) -> Self {
-        let names: Vec<String> = names.into_iter().map(Into::into).collect();
-        let accumulators = vec![Welford::new(); names.len()];
         Self {
-            names,
-            accumulators,
+            accumulators: vec![Welford::new(); names.len()],
             replications_recorded: 0,
             confidence,
         }
@@ -115,18 +101,8 @@ impl ReplicationSet {
         self.replications_recorded += 1;
     }
 
-    /// Number of replications recorded so far.
-    pub fn replications(&self) -> u32 {
-        self.replications_recorded
-    }
-
-    /// Metric names, in recording order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Summary for metric `i`; `None` before any replication is recorded.
-    pub fn summary(&self, i: usize) -> Option<SampleSummary> {
+    pub(crate) fn summary(&self, i: usize) -> Option<SampleSummary> {
         SampleSummary::from_welford(&self.accumulators[i], self.confidence)
     }
 
@@ -135,11 +111,6 @@ impl ReplicationSet {
         (0..self.accumulators.len())
             .map(|i| self.summary(i))
             .collect()
-    }
-
-    /// Cross-replication means for all metrics (zeros before recording).
-    pub fn means(&self) -> Vec<f64> {
-        self.accumulators.iter().map(Welford::mean).collect()
     }
 
     /// Whether *every* metric meets the relative-standard-error threshold.
@@ -202,8 +173,7 @@ mod tests {
         set.record(&[1.0, 10.0]);
         set.record(&[2.0, 10.0]);
         set.record(&[3.0, 10.0]);
-        assert_eq!(set.replications(), 3);
-        assert_eq!(set.means(), vec![2.0, 10.0]);
+        assert_eq!(set.replications_recorded, 3);
         let s0 = set.summary(0).unwrap();
         assert_eq!(s0.count, 3);
         assert!((s0.mean - 2.0).abs() < 1e-12);

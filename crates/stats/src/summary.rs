@@ -12,47 +12,41 @@ use crate::welford::Welford;
 /// # Examples
 ///
 /// ```
-/// use lb_stats::SampleSummary;
-/// // Five replications, like the paper's methodology.
-/// let s = SampleSummary::from_slice(&[9.0, 9.5, 10.0, 10.5, 11.0], 0.95).unwrap();
+/// use lb_stats::ReplicationSet;
+/// // Five replications of one metric, like the paper's methodology.
+/// let mut set = ReplicationSet::new(vec!["T"], 0.95);
+/// for x in [9.0, 9.5, 10.0, 10.5, 11.0] {
+///     set.record(&[x]);
+/// }
+/// let s = set.summaries().unwrap()[0];
 /// assert_eq!(s.mean, 10.0);
-/// assert!(s.contains(10.0));
-/// assert!(s.half_width > 0.0);
+/// assert!(s.ci_low() < 10.0 && 10.0 < s.ci_high());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleSummary {
     /// Number of observations.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sample mean.
     pub mean: f64,
     /// Unbiased sample standard deviation.
-    pub std_dev: f64,
+    pub(crate) std_dev: f64,
     /// Standard error of the mean.
-    pub std_error: f64,
+    pub(crate) std_error: f64,
     /// Confidence half-width at the requested level (`0` for n < 2).
     pub half_width: f64,
     /// Confidence level the half-width was computed at (e.g. `0.95`).
-    pub confidence: f64,
+    pub(crate) confidence: f64,
     /// Smallest observation.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest observation.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl SampleSummary {
-    /// Summarizes a slice at the given confidence level (e.g. `0.95`).
-    ///
-    /// Returns `None` for an empty sample or a confidence level outside
-    /// `(0, 1)`.
-    pub fn from_slice(data: &[f64], confidence: f64) -> Option<Self> {
-        let w: Welford = data.iter().copied().collect();
-        Self::from_welford(&w, confidence)
-    }
-
     /// Summarizes an existing accumulator at the given confidence level.
     ///
     /// Returns `None` for an empty accumulator or an invalid level.
-    pub fn from_welford(w: &Welford, confidence: f64) -> Option<Self> {
+    pub(crate) fn from_welford(w: &Welford, confidence: f64) -> Option<Self> {
         if w.count() == 0 || !(0.0..1.0).contains(&confidence) || confidence <= 0.0 {
             return None;
         }
@@ -88,7 +82,7 @@ impl SampleSummary {
 
     /// Relative standard error `SE/|mean|`; `+∞` when the mean is zero but
     /// the error is not, `0` when both are zero.
-    pub fn relative_std_error(&self) -> f64 {
+    pub(crate) fn relative_std_error(&self) -> f64 {
         if self.mean == 0.0 {
             if self.std_error == 0.0 {
                 0.0
@@ -103,34 +97,34 @@ impl SampleSummary {
     /// Whether the sample meets the paper's precision criterion: relative
     /// standard error below `threshold` (the paper uses 5% at the 95%
     /// confidence level).
-    pub fn meets_precision(&self, threshold: f64) -> bool {
+    pub(crate) fn meets_precision(&self, threshold: f64) -> bool {
         self.count >= 2 && self.relative_std_error() < threshold
-    }
-
-    /// Whether a hypothesized mean lies inside the confidence interval.
-    pub fn contains(&self, value: f64) -> bool {
-        value >= self.ci_low() && value <= self.ci_high()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn from_slice(data: &[f64], confidence: f64) -> Option<SampleSummary> {
+        SampleSummary::from_welford(&data.iter().copied().collect(), confidence)
+    }
 
     #[test]
     fn empty_and_invalid_inputs() {
-        assert!(SampleSummary::from_slice(&[], 0.95).is_none());
-        assert!(SampleSummary::from_slice(&[1.0], 0.0).is_none());
-        assert!(SampleSummary::from_slice(&[1.0], 1.0).is_none());
+        assert!(from_slice(&[], 0.95).is_none());
+        assert!(from_slice(&[1.0], 0.0).is_none());
+        assert!(from_slice(&[1.0], 1.0).is_none());
     }
 
     #[test]
     fn single_observation_has_zero_half_width() {
-        let s = SampleSummary::from_slice(&[4.2], 0.95).unwrap();
+        let s = from_slice(&[4.2], 0.95).unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(s.mean, 4.2);
         assert_eq!(s.half_width, 0.0);
-        assert!(s.contains(4.2));
+        assert!(s.ci_low() == 4.2 && s.ci_high() == 4.2);
         assert!(!s.meets_precision(0.05));
     }
 
@@ -138,19 +132,19 @@ mod tests {
     fn five_replications_use_t4() {
         // Five replications, like the paper. Known sample: mean 10, sd 1.
         let data = [9.0, 9.5, 10.0, 10.5, 11.0];
-        let s = SampleSummary::from_slice(&data, 0.95).unwrap();
+        let s = from_slice(&data, 0.95).unwrap();
         assert!((s.mean - 10.0).abs() < 1e-12);
         // Half width = t_{0.975,4} * s/sqrt(5) = 2.7764 * 0.790569/2.23607
         let expected = 2.7764 * s.std_dev / 5.0_f64.sqrt();
         assert!((s.half_width - expected).abs() < 1e-3);
-        assert!(s.contains(10.0));
-        assert!(!s.contains(12.0));
+        assert!(s.ci_low() <= 10.0 && 10.0 <= s.ci_high());
+        assert!(s.ci_high() < 12.0);
     }
 
     #[test]
     fn relative_std_error_matches_definition() {
         let data = [9.0, 11.0];
-        let s = SampleSummary::from_slice(&data, 0.95).unwrap();
+        let s = from_slice(&data, 0.95).unwrap();
         // sd = sqrt(2), se = 1, mean = 10 -> rse = 0.1.
         assert!((s.relative_std_error() - 0.1).abs() < 1e-12);
         assert!(!s.meets_precision(0.05));
@@ -159,17 +153,17 @@ mod tests {
 
     #[test]
     fn zero_mean_relative_error_edge_cases() {
-        let s = SampleSummary::from_slice(&[0.0, 0.0, 0.0], 0.95).unwrap();
+        let s = from_slice(&[0.0, 0.0, 0.0], 0.95).unwrap();
         assert_eq!(s.relative_std_error(), 0.0);
-        let s = SampleSummary::from_slice(&[-1.0, 1.0], 0.95).unwrap();
+        let s = from_slice(&[-1.0, 1.0], 0.95).unwrap();
         assert!(s.relative_std_error().is_infinite());
     }
 
     #[test]
     fn wider_confidence_gives_wider_interval() {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let s95 = SampleSummary::from_slice(&data, 0.95).unwrap();
-        let s99 = SampleSummary::from_slice(&data, 0.99).unwrap();
+        let s95 = from_slice(&data, 0.95).unwrap();
+        let s99 = from_slice(&data, 0.99).unwrap();
         assert!(s99.half_width > s95.half_width);
         assert_eq!(s95.mean, s99.mean);
     }
@@ -177,9 +171,23 @@ mod tests {
     #[test]
     fn bounds_are_symmetric_about_mean() {
         let data = [2.0, 4.0, 6.0, 8.0];
-        let s = SampleSummary::from_slice(&data, 0.9).unwrap();
+        let s = from_slice(&data, 0.9).unwrap();
         assert!(((s.ci_low() + s.ci_high()) / 2.0 - s.mean).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 8.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn confidence_interval_contains_the_sample_mean(
+            data in prop::collection::vec(-1e3f64..1e3, 2..50),
+            conf in 0.5f64..0.999,
+        ) {
+            let s = from_slice(&data, conf).unwrap();
+            prop_assert!(s.ci_low() <= s.mean && s.mean <= s.ci_high());
+            prop_assert!(s.half_width >= 0.0);
+        }
     }
 }

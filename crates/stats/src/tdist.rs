@@ -9,7 +9,7 @@
 
 /// Natural log of the gamma function via the Lanczos approximation
 /// (g = 7, n = 9 coefficients; |error| < 1e-13 over the positive reals).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Coefficients for g = 7.
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -41,7 +41,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Returns `NaN` for arguments outside the domain (`x ∉ [0,1]` or
 /// non-positive `a`, `b`).
-pub fn betai(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn betai(a: f64, b: f64, x: f64) -> f64 {
     if !(0.0..=1.0).contains(&x) || a <= 0.0 || b <= 0.0 {
         return f64::NAN;
     }
@@ -115,7 +115,7 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 /// CDF of the Student-t distribution with `df` degrees of freedom.
 ///
 /// Returns `NaN` for `df <= 0` or non-finite `t`.
-pub fn t_cdf(t: f64, df: f64) -> f64 {
+pub(crate) fn t_cdf(t: f64, df: f64) -> f64 {
     if df <= 0.0 || !t.is_finite() {
         return f64::NAN;
     }
@@ -132,7 +132,7 @@ pub fn t_cdf(t: f64, df: f64) -> f64 {
 /// `P(T <= t) = p`, found by bisection.
 ///
 /// Returns `NaN` unless `0 < p < 1` and `df > 0`.
-pub fn t_quantile(p: f64, df: f64) -> f64 {
+pub(crate) fn t_quantile(p: f64, df: f64) -> f64 {
     if !(0.0..1.0).contains(&p) || p <= 0.0 || df <= 0.0 {
         return f64::NAN;
     }
@@ -176,6 +176,7 @@ pub fn t_critical(confidence: f64, df: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ln_gamma_known_values() {
@@ -270,5 +271,19 @@ mod tests {
     #[test]
     fn critical_value_is_two_sided() {
         assert!((t_critical(0.95, 4.0) - t_quantile(0.975, 4.0)).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn t_quantile_is_monotone_and_symmetric(df in 1.0f64..100.0, p in 0.001f64..0.499) {
+            let lo = t_quantile(p, df);
+            let hi = t_quantile(1.0 - p, df);
+            prop_assert!((lo + hi).abs() < 1e-6 * (1.0 + hi.abs()), "symmetry: {lo} vs {hi}");
+            prop_assert!(lo < 0.0 && hi > 0.0);
+            // CDF round trip.
+            prop_assert!((t_cdf(hi, df) - (1.0 - p)).abs() < 1e-8);
+        }
     }
 }

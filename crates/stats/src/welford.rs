@@ -54,27 +54,6 @@ impl Welford {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator into this one (Chan et al.'s parallel
-    /// combination rule), enabling per-thread accumulation.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -98,7 +77,7 @@ impl Welford {
     }
 
     /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    pub(crate) fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
@@ -114,20 +93,14 @@ impl Welford {
 
     /// Smallest observation; `+∞` when empty.
     #[inline]
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest observation; `−∞` when empty.
     #[inline]
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Sum of all observations (`mean · n`).
-    #[inline]
-    pub fn sum(&self) -> f64 {
-        self.mean * self.count as f64
     }
 }
 
@@ -144,6 +117,7 @@ impl FromIterator<f64> for Welford {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_accumulator_defaults() {
@@ -165,7 +139,6 @@ mod tests {
         assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.min(), 3.5);
         assert_eq!(w.max(), 3.5);
-        assert_eq!(w.sum(), 3.5);
     }
 
     #[test]
@@ -195,32 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..200).map(|i| (i as f64).sqrt()).collect();
-        let all: Welford = data.iter().copied().collect();
-        let mut a: Welford = data[..70].iter().copied().collect();
-        let b: Welford = data[70..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-10);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let data = [1.0, 2.0, 3.0];
-        let mut w: Welford = data.iter().copied().collect();
-        let before = w;
-        w.merge(&Welford::new());
-        assert_eq!(w, before);
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e, before);
-    }
-
-    #[test]
     fn std_error_shrinks_with_n() {
         let mut w = Welford::new();
         for i in 0..100 {
@@ -232,5 +179,26 @@ mod tests {
         }
         let se10000 = w.std_error();
         assert!(se10000 < se100 / 5.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn welford_matches_two_pass(data in prop::collection::vec(-1e6f64..1e6, 1..200)) {
+            let w: Welford = data.iter().copied().collect();
+            let n = data.len() as f64;
+            let mean = data.iter().sum::<f64>() / n;
+            prop_assert!((w.mean() - mean).abs() <= 1e-9 * (1.0 + mean.abs()));
+            if data.len() > 1 {
+                let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+                prop_assert!((w.sample_variance() - var).abs() <= 1e-6 * (1.0 + var));
+            }
+            prop_assert_eq!(w.count(), data.len() as u64);
+            let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
+            let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert_eq!(w.min(), min);
+            prop_assert_eq!(w.max(), max);
+        }
     }
 }

@@ -257,7 +257,7 @@ impl MemoryCollector {
 
     /// The buffered events with their lifetime sequence numbers, oldest
     /// first — the `/trace/recent` payload.
-    pub fn recent(&self) -> Vec<(u64, &'static str, Vec<Field>)> {
+    pub(crate) fn recent(&self) -> Vec<(u64, &'static str, Vec<Field>)> {
         self.inner
             .lock()
             .expect("memory lock")
@@ -268,7 +268,7 @@ impl MemoryCollector {
     }
 
     /// Events evicted by the ring bound (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.lock().expect("memory lock").dropped
     }
 

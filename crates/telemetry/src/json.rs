@@ -54,15 +54,6 @@ impl Json {
         }
     }
 
-    /// The value as `i64` if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(v) => Some(v),
-            Json::UInt(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as `f64` if it is any number.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
@@ -110,9 +101,9 @@ impl Json {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
     /// Byte offset into the input.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {
@@ -476,7 +467,7 @@ pub fn escape_str(out: &mut String, s: &str) {
 /// Formats an `f64` for the event log: shortest round-trip form, with a
 /// forced `.0` on integral finite values so the type survives re-parse.
 /// Non-finite values become the strings `"NaN"` / `"inf"` / `"-inf"`.
-pub fn fmt_f64(out: &mut String, v: f64) {
+pub(crate) fn fmt_f64(out: &mut String, v: f64) {
     if v.is_nan() {
         out.push_str("\"NaN\"");
     } else if v.is_infinite() {

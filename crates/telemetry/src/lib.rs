@@ -16,21 +16,21 @@
 //!   `{"schema":"lb-telemetry","version":2}` followed by one event
 //!   object per line — plus a parser/validator ([`parse_log`]) built on
 //!   the minimal JSON codec in [`json`].
-//! - [`span`]: causal spans ([`Span`], [`SpanId`]) layered on the flat
+//! - `span`: causal spans ([`Span`], [`SpanHandle`]) layered on the flat
 //!   event stream as `span_open`/`span_close` events, giving logs a
 //!   reconstructable parent/child tree for critical-path analysis.
 //! - [`MetricsRegistry`]: counters, gauges, and log-linear histograms
 //!   with p50/p95/p99, exportable as JSON and Prometheus text format
 //!   (strictly checkable via [`validate_exposition`]).
-//! - [`slo`]: declarative [`SloSpec`] objectives evaluated online by
+//! - `slo`: declarative [`SloSpec`] objectives evaluated online by
 //!   the multi-window burn-rate [`SloEngine`], which folds the event
 //!   stream into each SLO's own sliding windows over a virtual-time
 //!   watermark (no full-log buffering) and emits deterministic
 //!   `alert.fire`/`alert.clear` events.
-//! - [`serve`]: [`LiveServer`], a zero-dep `TcpListener` HTTP endpoint
+//! - `serve`: [`LiveServer`], a zero-dep `TcpListener` HTTP endpoint
 //!   exposing `/metrics`, `/healthz`, and `/trace/recent` from live
 //!   state while a scenario runs.
-//! - [`sample`]: [`SamplingCollector`], deterministic seed-keyed head
+//! - `sample`: [`SamplingCollector`], deterministic seed-keyed head
 //!   sampling with exact reweighting via `sample.digest` aggregates,
 //!   for web-scale traces with bounded size.
 //!
@@ -46,22 +46,22 @@
 
 #![forbid(unsafe_code)]
 
-pub mod collectors;
-pub mod event;
+pub(crate) mod collectors;
+pub(crate) mod event;
 pub mod json;
-pub mod metrics;
-pub mod sample;
+pub(crate) mod metrics;
+pub(crate) mod sample;
 pub mod schema;
-pub mod serve;
-pub mod slo;
-pub mod span;
+pub(crate) mod serve;
+pub(crate) mod slo;
+pub(crate) mod span;
 
 pub use collectors::{JsonlCollector, MemoryCollector, StderrCollector, TeeCollector};
 pub use event::{enabled, Collector, Field, FieldValue, NullCollector};
 pub use json::Json;
-pub use metrics::{validate_exposition, HistogramSnapshot, MetricsRegistry};
+pub use metrics::{validate_exposition, MetricsRegistry};
 pub use sample::{SamplingCollector, SamplingConfig};
-pub use schema::{parse_log, EventLog, LogEvent, LogReader, SCHEMA_NAME, SCHEMA_VERSION};
+pub use schema::{parse_log, EventLog, LogEvent, LogReader, SCHEMA_VERSION};
 pub use serve::LiveServer;
-pub use slo::{AlertState, Objective, SloEngine, SloSpec, SloVerdict};
-pub use span::{Span, SpanHandle, SpanId, SPAN_CLOSE, SPAN_OPEN};
+pub use slo::{AlertState, SloEngine, SloSpec, SloVerdict};
+pub use span::{Span, SpanHandle, SPAN_CLOSE, SPAN_OPEN};

@@ -16,7 +16,7 @@ const SUBS_PER_OCTAVE: i64 = 8;
 /// proportional to the number of *occupied* buckets, and quantiles are
 /// answered with bounded relative error without storing samples.
 #[derive(Debug, Default, Clone)]
-pub struct LogLinearHistogram {
+pub(crate) struct LogLinearHistogram {
     buckets: BTreeMap<i64, u64>,
     count: u64,
     sum: f64,
@@ -50,7 +50,7 @@ impl LogLinearHistogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         *self.buckets.entry(Self::key(v)).or_insert(0) += 1;
         if self.count == 0 {
             self.min = v;
@@ -67,15 +67,10 @@ impl LogLinearHistogram {
         self.sum += v;
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Estimated quantile (`q` in `[0, 1]`): the upper bound of the
     /// bucket containing the q-th observation, clamped to the observed
     /// min/max. `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -98,7 +93,7 @@ impl LogLinearHistogram {
     }
 
     /// A summary snapshot (count, sum, min, max, p50/p95/p99).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,
             sum: self.sum,
@@ -113,21 +108,21 @@ impl LogLinearHistogram {
 
 /// Point-in-time summary of a histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// Observations recorded.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of all observations.
-    pub sum: f64,
+    pub(crate) sum: f64,
     /// Smallest observation (`NaN` when empty).
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest observation (`NaN` when empty).
-    pub max: f64,
+    pub(crate) max: f64,
     /// Median estimate.
-    pub p50: f64,
+    pub(crate) p50: f64,
     /// 95th-percentile estimate.
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// 99th-percentile estimate.
-    pub p99: f64,
+    pub(crate) p99: f64,
 }
 
 #[derive(Debug, Default)]
@@ -171,24 +166,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_default()
             .observe(v);
-    }
-
-    /// Current value of a counter (zero if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.gauges.get(name).copied()
-    }
-
-    /// Snapshot of a histogram, if any observations were recorded.
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        let inner = self.inner.lock().expect("metrics lock");
-        inner.histograms.get(name).map(LogLinearHistogram::snapshot)
     }
 
     /// Renders every metric as a single JSON object:
@@ -238,7 +215,7 @@ impl MetricsRegistry {
     /// Histograms are exported as summaries with `quantile` labels plus
     /// derived `_min`/`_max` gauge series (each with its own
     /// `# TYPE`/`# HELP` metadata). Label values go through
-    /// [`escape_label_value`], so a `\`, `"`, or newline cannot corrupt
+    /// `escape_label_value`, so a `\`, `"`, or newline cannot corrupt
     /// the exposition. Non-finite sample values render as Prometheus'
     /// `+Inf`/`-Inf`/`NaN` (Rust's `Display` would write `inf`, which
     /// scrapers reject). The output always satisfies
@@ -287,7 +264,7 @@ impl MetricsRegistry {
 /// non-finite values are spelled `+Inf` / `-Inf` / `NaN` (Rust's
 /// `Display` writes `inf`, which the format does not accept); finite
 /// values use the shortest round-trip form.
-pub fn fmt_prom_value(v: f64) -> String {
+pub(crate) fn fmt_prom_value(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
     } else if v == f64::INFINITY {
@@ -540,7 +517,7 @@ fn check_prom_value(v: &str) -> Result<(), String> {
 
 /// Escapes a Prometheus label value: backslash, double quote, and line
 /// feed become `\\`, `\"`, and `\n` per the text exposition format.
-pub fn escape_label_value(out: &mut String, value: &str) {
+pub(crate) fn escape_label_value(out: &mut String, value: &str) {
     for ch in value.chars() {
         match ch {
             '\\' => out.push_str("\\\\"),
@@ -614,14 +591,12 @@ mod tests {
         for v in [1.0, 2.0, 4.0] {
             reg.observe("sweep.norm", v);
         }
-        assert_eq!(reg.counter("ring.hops"), 5);
-        assert_eq!(reg.gauge("calendar.depth"), Some(17.0));
-        let h = reg.histogram("sweep.norm").unwrap();
+        let inner = reg.inner.lock().unwrap();
+        assert_eq!(inner.counters["ring.hops"], 5);
+        assert_eq!(inner.gauges["calendar.depth"], 17.0);
+        let h = inner.histograms["sweep.norm"].snapshot();
         assert_eq!(h.count, 3);
         assert_eq!(h.sum, 7.0);
-        assert_eq!(reg.counter("absent"), 0);
-        assert!(reg.gauge("absent").is_none());
-        assert!(reg.histogram("absent").is_none());
     }
 
     #[test]

@@ -98,15 +98,15 @@ fn hash_value(value: &FieldValue) -> u64 {
 pub struct SamplingConfig {
     /// Seed keying every hash decision; two collectors with the same
     /// seed keep the same events.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Keep probability for span trees (decided at the root) and
     /// cross-node traces (decided by trace id).
     pub span_rate: f64,
     /// Keep probability for every sampled point event.
-    pub event_rate: f64,
+    pub(crate) event_rate: f64,
     /// Emit accumulated `sample.digest` events after this many
     /// observed events (0 = only on flush).
-    pub digest_every: u64,
+    pub(crate) digest_every: u64,
 }
 
 impl Default for SamplingConfig {
@@ -213,21 +213,6 @@ impl SamplingCollector {
             kept: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Events forwarded to the inner collector (digests excluded).
-    pub fn kept(&self) -> u64 {
-        self.kept.load(Ordering::Relaxed)
-    }
-
-    /// Events absorbed into digests instead of being forwarded.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The sampling policy in force.
-    pub fn config(&self) -> &SamplingConfig {
-        &self.config
     }
 
     /// Whether this event bypasses sampling.
@@ -377,8 +362,8 @@ mod tests {
         assert_eq!(mem.count("io.error"), 1);
         assert_eq!(mem.count("solver.sweep"), 0, "sampled out at rate 0");
         assert_eq!(mem.count("sample.digest"), 1, "the drop was digested");
-        assert_eq!(s.kept(), 6);
-        assert_eq!(s.dropped(), 1);
+        assert_eq!(s.kept.load(Ordering::Relaxed), 6);
+        assert_eq!(s.dropped.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -554,7 +539,12 @@ mod tests {
             }
             assert_eq!(seen_count, emitted_count, "case {case} rate {rate}");
             assert_eq!(seen_sum, emitted_sum, "case {case} rate {rate}");
-            assert_eq!(s.kept() + s.dropped(), events, "case {case}");
+            let kept = s.kept.load(Ordering::Relaxed);
+            assert_eq!(
+                kept + s.dropped.load(Ordering::Relaxed),
+                events,
+                "case {case}"
+            );
         }
     }
 

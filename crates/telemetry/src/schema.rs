@@ -14,7 +14,7 @@
 //! values are numbers, booleans, or strings (non-finite floats are
 //! encoded as the strings `"NaN"`/`"inf"`/`"-inf"`).
 //!
-//! Version 2 adds causal spans (see [`crate::span`]): `span_open`
+//! Version 2 adds causal spans (see [`crate::Span`]): `span_open`
 //! events carry an integer `span` id, a string `name`, and an optional
 //! integer `parent`; `span_close` events carry the `span` id of an
 //! open span. The parser validates span causality — ids are unique,
@@ -72,7 +72,7 @@ pub const SCHEMA_NAME: &str = "lb-telemetry";
 pub const SCHEMA_VERSION: u32 = 4;
 
 /// Oldest schema version the parser still accepts.
-pub const MIN_SCHEMA_VERSION: u32 = 1;
+pub(crate) const MIN_SCHEMA_VERSION: u32 = 1;
 
 /// Renders the header line (without trailing newline).
 pub fn header_line() -> String {
@@ -146,11 +146,6 @@ impl EventLog {
     /// Number of events with the given name.
     pub fn count(&self, name: &str) -> usize {
         self.events.iter().filter(|e| e.name == name).count()
-    }
-
-    /// Iterator over events with the given name.
-    pub fn named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a LogEvent> {
-        self.events.iter().filter(move |e| e.name == name)
     }
 }
 
@@ -485,24 +480,6 @@ fn check_v4_families(event: &LogEvent) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether a parsed field value is the faithful decoding of an emitted
-/// [`FieldValue`] under this schema (used by the round-trip proptest).
-pub fn field_round_trips(original: &FieldValue, parsed: &Json) -> bool {
-    match (original, parsed) {
-        (FieldValue::U64(a), p) => p.as_u64() == Some(*a),
-        (FieldValue::I64(a), p) => p.as_i64() == Some(*a),
-        (FieldValue::Bool(a), Json::Bool(b)) => a == b,
-        (FieldValue::Str(a), Json::Str(b)) => a.as_ref() == b,
-        (FieldValue::F64(a), Json::Float(b)) => a.to_bits() == b.to_bits(),
-        (FieldValue::F64(a), Json::Str(b)) => {
-            (a.is_nan() && b == "NaN")
-                || (*a == f64::INFINITY && b == "inf")
-                || (*a == f64::NEG_INFINITY && b == "-inf")
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +516,6 @@ mod tests {
         );
         assert_eq!(log.events[1].field("norm").unwrap().as_f64(), Some(0.25));
         assert_eq!(log.count("solver.sweep"), 1);
-        assert_eq!(log.named("solver.sweep").count(), 1);
     }
 
     #[test]
@@ -867,21 +843,5 @@ mod tests {
             .map(Result::unwrap)
             .collect();
         assert_eq!(parse_log(&text).unwrap().events, streamed);
-    }
-
-    #[test]
-    fn field_round_trips_covers_non_finite_floats() {
-        assert!(field_round_trips(
-            &FieldValue::F64(f64::NAN),
-            &Json::Str("NaN".into())
-        ));
-        assert!(field_round_trips(
-            &FieldValue::F64(f64::INFINITY),
-            &Json::Str("inf".into())
-        ));
-        assert!(!field_round_trips(
-            &FieldValue::F64(1.0),
-            &Json::Str("inf".into())
-        ));
     }
 }

@@ -183,7 +183,7 @@ fn serve_one(mut stream: TcpStream, routes: &Routes) {
 }
 
 /// Renders the per-SLO verdicts as the `/healthz` JSON document.
-pub fn healthz_json(engine: &SloEngine) -> String {
+pub(crate) fn healthz_json(engine: &SloEngine) -> String {
     let verdicts = engine.verdicts();
     let firing = verdicts
         .iter()
@@ -230,7 +230,7 @@ pub fn healthz_json(engine: &SloEngine) -> String {
 }
 
 /// Renders the ring buffer as the `/trace/recent` JSON document.
-pub fn recent_json(ring: &MemoryCollector) -> String {
+pub(crate) fn recent_json(ring: &MemoryCollector) -> String {
     let events = ring.recent();
     let mut out = String::from("{\n  \"dropped\": ");
     let _ = std::fmt::Write::write_fmt(

@@ -67,7 +67,7 @@ const BINS: u64 = 16;
 
 /// Objective direction: which side of the threshold is healthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Objective {
+pub(crate) enum Objective {
     /// The windowed mean must stay `<= threshold` (gap, staleness,
     /// shed rate).
     Below,
@@ -79,18 +79,18 @@ pub enum Objective {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// Stable SLO name, carried in `alert.*` events and `/healthz`.
-    pub name: String,
+    pub(crate) name: String,
     /// Event name of the observed signal.
-    pub event: String,
+    pub(crate) event: String,
     /// Numeric field of the observed signal.
-    pub field: String,
+    pub(crate) field: String,
     /// Healthy side of the threshold.
-    pub objective: Objective,
+    pub(crate) objective: Objective,
     /// The threshold itself.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// The short window W in virtual µs (at least 16). The long window
     /// is 4W; the clear hold and the refractory period are each W.
-    pub window_us: u64,
+    pub(crate) window_us: u64,
 }
 
 impl SloSpec {
@@ -187,7 +187,7 @@ pub struct SloVerdict {
     pub threshold: f64,
     /// Whether the short window currently satisfies the objective
     /// (`true` when the window is empty: no evidence of violation).
-    pub ok: bool,
+    pub(crate) ok: bool,
     /// Lifetime count of `alert.fire` transitions.
     pub fires: u64,
     /// Lifetime count of `alert.clear` transitions.
@@ -441,7 +441,7 @@ impl SloEngine {
 
     /// The virtual-time watermark: the largest `t_us` payload field
     /// seen so far.
-    pub fn watermark_us(&self) -> u64 {
+    pub(crate) fn watermark_us(&self) -> u64 {
         self.lock().watermark_us
     }
 

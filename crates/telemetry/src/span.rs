@@ -41,7 +41,7 @@ pub const SPAN_CLOSE: &str = "span_close";
 /// Process-unique identity of one span. Ids start at 1; 0 never
 /// denotes a span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
+pub(crate) struct SpanId(pub(crate) u64);
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -115,11 +115,6 @@ impl Span {
         }
     }
 
-    /// This span's identity.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
     /// A cloneable handle for creating children elsewhere.
     pub fn handle(&self) -> SpanHandle {
         SpanHandle {
@@ -159,11 +154,6 @@ impl Drop for Span {
 }
 
 impl SpanHandle {
-    /// The referenced span's identity.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
     /// Opens a child span of the referenced span.
     pub fn child(&self, name: &'static str, fields: &[Field]) -> Span {
         Span::open(Arc::clone(&self.collector), name, Some(self.id), fields)
@@ -257,7 +247,7 @@ mod tests {
         let collector: Arc<dyn Collector> = mem.clone();
         let a = Span::root(Some(&collector), "a", &[]).unwrap();
         let b = Span::root(Some(&collector), "b", &[]).unwrap();
-        assert_ne!(a.id(), b.id());
-        assert_eq!(a.handle().id(), a.id());
+        assert_ne!(a.id, b.id);
+        assert_eq!(a.handle().id, a.id);
     }
 }

@@ -2,7 +2,7 @@
 //! through the schema parser — names, field order, and values (with the
 //! documented non-finite-float encoding) all survive.
 
-use lb_telemetry::schema::{encode_event_line, field_round_trips, header_line, parse_log};
+use lb_telemetry::schema::{encode_event_line, header_line, parse_log};
 use lb_telemetry::{FieldValue, Json};
 use proptest::prelude::*;
 
@@ -11,6 +11,25 @@ use proptest::prelude::*;
 /// test process.
 fn leak(s: String) -> &'static str {
     Box::leak(s.into_boxed_str())
+}
+
+/// Whether a parsed field value is the faithful decoding of an emitted
+/// [`FieldValue`] under the schema.
+fn field_round_trips(original: &FieldValue, parsed: &Json) -> bool {
+    match (original, parsed) {
+        (FieldValue::U64(a), p) => p.as_u64() == Some(*a),
+        (FieldValue::I64(a), Json::Int(b)) => a == b,
+        (FieldValue::I64(a), Json::UInt(b)) => i64::try_from(*b) == Ok(*a),
+        (FieldValue::Bool(a), Json::Bool(b)) => a == b,
+        (FieldValue::Str(a), Json::Str(b)) => a.as_ref() == b,
+        (FieldValue::F64(a), Json::Float(b)) => a.to_bits() == b.to_bits(),
+        (FieldValue::F64(a), Json::Str(b)) => {
+            (a.is_nan() && b == "NaN")
+                || (*a == f64::INFINITY && b == "inf")
+                || (*a == f64::NEG_INFINITY && b == "-inf")
+        }
+        _ => false,
+    }
 }
 
 /// Arbitrary `f64` by bit pattern: hits NaNs, infinities, subnormals,
@@ -127,4 +146,20 @@ fn duplicate_keys_are_preserved_in_order() {
     let log = parse_log(&text).unwrap();
     assert_eq!(log.events[0].fields.len(), 2);
     assert_eq!(log.events[0].field("k"), Some(&Json::UInt(1)));
+}
+
+#[test]
+fn field_round_trips_covers_non_finite_floats() {
+    assert!(field_round_trips(
+        &FieldValue::F64(f64::NAN),
+        &Json::Str("NaN".into())
+    ));
+    assert!(field_round_trips(
+        &FieldValue::F64(f64::INFINITY),
+        &Json::Str("inf".into())
+    ));
+    assert!(!field_round_trips(
+        &FieldValue::F64(1.0),
+        &Json::Str("inf".into())
+    ));
 }
