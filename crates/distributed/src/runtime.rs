@@ -65,7 +65,6 @@ use lb_game::overload::{shed_to_feasible, OverloadPolicy};
 use lb_game::stopping::{placed_user_regret, relative_regret};
 use lb_game::strategy::{Strategy, StrategyProfile};
 use lb_game::{Certificate, StoppingRule};
-use lb_stats::IterationTrace;
 use lb_telemetry::{Collector, Field, Span};
 use std::fmt;
 use std::sync::Arc;
@@ -425,7 +424,7 @@ impl DistributedNash {
         }
         Ok(DistributedOutcome {
             profile: StrategyProfile::new(rows)?,
-            trace: coord.mirror.iter().copied().collect(),
+            trace: coord.mirror.clone(),
             rounds,
             user_times,
             total_updates,
@@ -453,7 +452,7 @@ impl Default for DistributedNash {
 #[derive(Debug, Clone)]
 pub struct DistributedOutcome {
     profile: StrategyProfile,
-    trace: IterationTrace,
+    trace: Vec<f64>,
     rounds: u32,
     user_times: Vec<f64>,
     total_updates: u32,
@@ -476,7 +475,7 @@ impl DistributedOutcome {
     }
 
     /// Per-round norms (the distributed Figure-2 series).
-    pub fn trace(&self) -> &IterationTrace {
+    pub fn trace(&self) -> &[f64] {
         &self.trace
     }
 
@@ -1590,7 +1589,7 @@ mod tests {
 
         // The ring replays the same deterministic dynamics.
         assert_eq!(traced.rounds(), plain.rounds());
-        for (a, b) in traced.trace().values().iter().zip(plain.trace().values()) {
+        for (a, b) in traced.trace().iter().zip(plain.trace()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 

@@ -250,7 +250,7 @@ fn shed_trajectory_replays_byte_identically() {
     assert_eq!(a.shed_rates(), b.shed_rates());
     assert_eq!(a.final_capacity(), b.final_capacity());
     assert_eq!(a.rounds(), b.rounds());
-    assert_eq!(a.trace().values(), b.trace().values());
+    assert_eq!(a.trace(), b.trace());
     let d = a.profile().max_l1_distance(b.profile()).unwrap();
     assert_eq!(d, 0.0, "profiles differ by {d}");
 }
@@ -326,7 +326,7 @@ fn repeated_churn_cycles_stay_deterministic() {
     // carry inf/NaN norms (stale flows at a dead computer), and
     // NaN != NaN would fail a value comparison even on identical runs.
     let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(a.trace().values()), bits(b.trace().values()));
+    assert_eq!(bits(a.trace()), bits(b.trace()));
     // 4 capacity-event rounds per cycle -> 40 shed records, and the
     // final state is fully recovered and converged on the nominal
     // equilibrium.

@@ -82,7 +82,7 @@ fn repair_is_deterministic_under_a_fixed_plan() {
     assert_eq!(a.rounds(), b.rounds());
     assert_eq!(a.failed_users(), b.failed_users());
     assert_eq!(a.survivors(), b.survivors());
-    assert_eq!(a.trace().values(), b.trace().values());
+    assert_eq!(a.trace(), b.trace());
     let d = a.profile().max_l1_distance(b.profile()).unwrap();
     assert_eq!(d, 0.0, "profiles differ by {d}");
     assert_eq!(a.user_times(), b.user_times());
@@ -350,7 +350,7 @@ fn faultless_runs_are_unaffected_by_the_machinery() {
         .run(&full)
         .unwrap();
     assert_eq!(plain.rounds(), with_empty_plan.rounds());
-    assert_eq!(plain.trace().values(), with_empty_plan.trace().values());
+    assert_eq!(plain.trace(), with_empty_plan.trace());
     let d = plain
         .profile()
         .max_l1_distance(with_empty_plan.profile())

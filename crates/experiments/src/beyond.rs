@@ -295,7 +295,7 @@ pub fn anytime_frontier() -> Result<Vec<AnytimePoint>, GameError> {
         let cert = out.certified_gap().unwrap_or_else(Certificate::zero);
         points.push(AnytimePoint {
             budget,
-            norm: out.trace().values().last().copied().unwrap_or(f64::NAN),
+            norm: out.trace().last().copied().unwrap_or(f64::NAN),
             cert_abs: cert.absolute,
             cert_rel: cert.relative,
             exact_gap: epsilon_nash_gap(&model, out.profile())?,

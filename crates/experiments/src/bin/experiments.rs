@@ -45,13 +45,13 @@ fn run(opts: &Options) -> Result<(), String> {
                     r.iterations_nashp(),
                     config::EPSILON
                 );
-                let (d0, dp) = r.diagnostics();
+                let (r0, rp) = r.tail_rates();
                 println!(
                     "tail contraction rates: NASH_0 {:.3}, NASH_P {:.3}; initial norms {:.3} vs {:.3}",
-                    d0.tail_rate.unwrap_or(f64::NAN),
-                    dp.tail_rate.unwrap_or(f64::NAN),
-                    d0.initial_norm,
-                    dp.initial_norm
+                    r0.unwrap_or(f64::NAN),
+                    rp.unwrap_or(f64::NAN),
+                    r.nash0[0],
+                    r.nashp[0]
                 );
                 emit(&fig2::render(&r), &opts.out, "fig2")?;
             }

@@ -32,8 +32,6 @@ pub enum Restart {
 pub struct Rebalance {
     /// Sweeps the solver needed.
     pub iterations: u32,
-    /// Restart policy used.
-    pub(crate) restart: Restart,
 }
 
 /// The outcome of a capacity update: the re-equilibration statistics,
@@ -115,7 +113,6 @@ impl DynamicBalancer {
             .solve(&model)?;
         let history = vec![Rebalance {
             iterations: outcome.iterations(),
-            restart: Restart::Cold,
         }];
         let nominal_user_rates = model.user_rates().to_vec();
         let full_rates = model.computer_rates().to_vec();
@@ -171,7 +168,6 @@ impl DynamicBalancer {
             .solve(&new_model)?;
         let step = Rebalance {
             iterations: outcome.iterations(),
-            restart,
         };
         self.nominal_user_rates = new_model.user_rates().to_vec();
         self.full_rates = new_model.computer_rates().to_vec();
@@ -256,7 +252,6 @@ impl DynamicBalancer {
             .solve(&new_model)?;
         let rebalance = Rebalance {
             iterations: outcome.iterations(),
-            restart,
         };
         self.model = new_model;
         self.equilibrium = outcome.into_profile();

@@ -1,6 +1,5 @@
 //! Error type for the load-balancing game.
 
-use lb_queueing::QueueingError;
 use std::fmt;
 
 /// Errors raised by model construction, best-reply computation and the
@@ -92,8 +91,6 @@ pub enum GameError {
         /// What the coordinator was waiting for when it gave up.
         reason: String,
     },
-    /// An error bubbled up from the queueing substrate.
-    Queueing(QueueingError),
 }
 
 impl GameError {
@@ -183,25 +180,11 @@ impl fmt::Display for GameError {
                 f,
                 "distributed ring timed out at round {round} after {waited_ms} ms: {reason}"
             ),
-            Self::Queueing(e) => write!(f, "queueing error: {e}"),
         }
     }
 }
 
-impl std::error::Error for GameError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Queueing(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<QueueingError> for GameError {
-    fn from(e: QueueingError) -> Self {
-        Self::Queueing(e)
-    }
-}
+impl std::error::Error for GameError {}
 
 #[cfg(test)]
 mod tests {
@@ -241,7 +224,6 @@ mod tests {
                 waited_ms: 250,
                 reason: "token lost at user 1".into(),
             },
-            GameError::Queueing(QueueingError::EmptySystem),
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
@@ -279,15 +261,5 @@ mod tests {
             }
             other => panic!("expected Overloaded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn queueing_error_converts_and_sources() {
-        use std::error::Error;
-        let e: GameError = QueueingError::EmptySystem.into();
-        assert!(matches!(e, GameError::Queueing(_)));
-        assert!(e.source().is_some());
-        let e = GameError::EmptyModel { what: "users" };
-        assert!(e.source().is_none());
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! * [`model`] — the heterogeneous distributed system: `n` M/M/1 computers
 //!   with rates `μ_i` shared by `m` selfish users with Poisson rates `φ_j`,
-//!   including the paper's Table 1 configuration.
+//!   including the paper's Table 1 configuration. The model holds both
+//!   rate vectors itself; lb-queueing supplies only the per-station
+//!   formulas.
 //! * [`strategy`] — user strategies `s_j` (job fractions) and strategy
 //!   profiles with the paper's feasibility constraints.
 //! * [`response`] — the expected-response-time functionals `F_i(s)`,
@@ -74,7 +76,6 @@
 #![warn(clippy::all)]
 
 pub mod best_reply;
-pub mod diagnostics;
 pub mod dynamics;
 pub mod equilibrium;
 pub mod error;

@@ -14,7 +14,6 @@
 //!   and 14 slow computers at a given speed skewness.
 
 use crate::error::GameError;
-use lb_queueing::ParallelQueues;
 
 /// Job fractions of the 10 users in the paper-style experiments, as
 /// fractions of the total arrival rate Φ (they sum to 1).
@@ -34,7 +33,8 @@ pub fn paper_user_fractions() -> Vec<f64> {
 /// `m` users with Poisson job streams.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
-    computers: ParallelQueues,
+    computer_rates: Vec<f64>,
+    total_capacity: f64,
     user_rates: Vec<f64>,
     total_arrival_rate: f64,
 }
@@ -59,7 +59,7 @@ impl SystemModel {
 
     /// Number of computers `n`.
     pub fn num_computers(&self) -> usize {
-        self.computers.len()
+        self.computer_rates.len()
     }
 
     /// Number of users `m`.
@@ -67,19 +67,14 @@ impl SystemModel {
         self.user_rates.len()
     }
 
-    /// The computer bank.
-    pub(crate) fn computers(&self) -> &ParallelQueues {
-        &self.computers
-    }
-
     /// Processing rates `μ_i`, in declaration order.
     pub fn computer_rates(&self) -> &[f64] {
-        self.computers.rates()
+        &self.computer_rates
     }
 
     /// Processing rate of computer `i`.
     pub fn computer_rate(&self, i: usize) -> f64 {
-        self.computers.rate(i)
+        self.computer_rates[i]
     }
 
     /// Arrival rates `φ_j`.
@@ -99,12 +94,12 @@ impl SystemModel {
 
     /// Aggregate capacity `Σ_i μ_i`.
     pub fn total_capacity(&self) -> f64 {
-        self.computers.total_capacity()
+        self.total_capacity
     }
 
     /// System utilization `ρ = Φ / Σ μ_i` (paper §4.2.2).
     pub fn system_utilization(&self) -> f64 {
-        self.computers.system_utilization(self.total_arrival_rate)
+        self.total_arrival_rate / self.total_capacity
     }
 
     /// The paper's Table 1 computer bank: 6 computers at 10 jobs/s, 5 at
@@ -246,16 +241,22 @@ impl SystemModelBuilder {
                 });
             }
         }
-        let computers = ParallelQueues::new(self.computer_rates)?;
+        for &mu in &self.computer_rates {
+            if !mu.is_finite() || mu <= 0.0 {
+                return Err(GameError::InvalidRate {
+                    name: "mu",
+                    value: mu,
+                });
+            }
+        }
+        let total_capacity: f64 = self.computer_rates.iter().sum();
         let total_arrival_rate: f64 = self.user_rates.iter().sum();
-        if total_arrival_rate >= computers.total_capacity() {
-            return Err(GameError::overloaded(
-                total_arrival_rate,
-                computers.total_capacity(),
-            ));
+        if total_arrival_rate >= total_capacity {
+            return Err(GameError::overloaded(total_arrival_rate, total_capacity));
         }
         Ok(SystemModel {
-            computers,
+            computer_rates: self.computer_rates,
+            total_capacity,
             user_rates: self.user_rates,
             total_arrival_rate,
         })
@@ -282,7 +283,7 @@ mod tests {
         ));
         assert!(matches!(
             SystemModel::new(vec![-1.0], vec![0.5]),
-            Err(GameError::Queueing(_))
+            Err(GameError::InvalidRate { name: "mu", .. })
         ));
         assert!(matches!(
             SystemModel::new(vec![1.0, 1.0], vec![1.0, 1.0]),
@@ -295,11 +296,11 @@ mod tests {
         // A NaN or infinite rate that slips past construction poisons
         // every downstream quantity (water-filling sorts, norms,
         // certificates), so the model boundary is where it must die.
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0] {
             assert!(
                 matches!(
                     SystemModel::new(vec![10.0, bad], vec![1.0]),
-                    Err(GameError::Queueing(_))
+                    Err(GameError::InvalidRate { name: "mu", .. })
                 ),
                 "mu = {bad} must be rejected"
             );
@@ -323,7 +324,6 @@ mod tests {
         assert_eq!(m.total_arrival_rate(), 9.0);
         assert_eq!(m.total_capacity(), 30.0);
         assert!((m.system_utilization() - 0.3).abs() < 1e-12);
-        assert_eq!(m.computers.speed_skewness(), 2.0);
     }
 
     #[test]
@@ -340,7 +340,6 @@ mod tests {
         assert_eq!(sys.num_users(), 10);
         assert!((sys.total_arrival_rate() - 306.0).abs() < 1e-9);
         assert!((sys.system_utilization() - 0.6).abs() < 1e-12);
-        assert_eq!(sys.computers.speed_skewness(), 10.0);
     }
 
     #[test]
@@ -364,10 +363,9 @@ mod tests {
             sys.computer_rates().iter().filter(|&&r| r == 10.0).count(),
             14
         );
-        assert!((sys.computers.speed_skewness() - 20.0).abs() < 1e-12);
         // Skew 1 is a homogeneous system.
         let homo = SystemModel::skewed_system(1.0, 0.6).unwrap();
-        assert_eq!(homo.computers.speed_skewness(), 1.0);
+        assert!(homo.computer_rates().iter().all(|&r| r == 10.0));
         assert!(SystemModel::skewed_system(0.5, 0.6).is_err());
     }
 

@@ -43,7 +43,6 @@ use crate::parallel::ParallelRunner;
 use crate::response::user_response_times;
 use crate::stopping::{user_regret, Certificate, StoppingRule};
 use crate::strategy::{Strategy, StrategyProfile};
-use lb_stats::IterationTrace;
 use lb_telemetry::{Collector, SpanHandle};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -266,7 +265,7 @@ impl NashSolver {
         for j in 0..m {
             ws.prev_d[j] = row_time(model, &ws.loads, ws.flows.row(j), model.user_rate(j));
         }
-        let mut trace = IterationTrace::new();
+        let mut trace = Vec::new();
         // One certificate per sweep when the rule needs them (empty for
         // the norm rule, which keeps the repro path cost-free).
         let mut certificates: Vec<Certificate> = Vec::new();
@@ -411,7 +410,7 @@ impl NashSolver {
         }
         // One exit for both outcomes: the terminal events and the root
         // span's close precede the profile assembly, which emits nothing.
-        let final_norm = trace.last().unwrap_or(f64::INFINITY);
+        let final_norm = trace.last().copied().unwrap_or(f64::INFINITY);
         if let Some(c) = collect {
             let mut fields: Vec<lb_telemetry::Field> = vec![
                 ("iterations", iterations.into()),
@@ -464,7 +463,7 @@ impl NashSolver {
 #[derive(Debug, Clone)]
 pub struct NashOutcome {
     profile: StrategyProfile,
-    trace: IterationTrace,
+    trace: Vec<f64>,
     iterations: u32,
     converged: bool,
     user_times: Vec<f64>,
@@ -478,7 +477,7 @@ impl NashOutcome {
     }
 
     /// Per-iteration values of the convergence norm (Figure 2's series).
-    pub fn trace(&self) -> &IterationTrace {
+    pub fn trace(&self) -> &[f64] {
         &self.trace
     }
 
@@ -936,9 +935,9 @@ mod tests {
             .unwrap();
         let trace = out.trace();
         assert_eq!(trace.len() as u32, out.iterations());
-        assert!(trace.last().unwrap() <= 1e-6);
+        assert!(*trace.last().unwrap() <= 1e-6);
         // The norm decays overall (allow small non-monotonicity).
-        assert!(trace.values()[0] > trace.last().unwrap());
+        assert!(trace[0] > *trace.last().unwrap());
     }
 
     #[test]
@@ -1076,7 +1075,7 @@ mod tests {
             .solve(&model)
             .unwrap();
         assert_eq!(a.iterations(), b.iterations());
-        assert_eq!(a.trace().values(), b.trace().values());
+        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
@@ -1104,7 +1103,7 @@ mod tests {
                 reference.iterations(),
                 "{threads} threads"
             );
-            for (a, b) in par.trace().values().iter().zip(reference.trace().values()) {
+            for (a, b) in par.trace().iter().zip(reference.trace()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads: norm differs");
             }
             for j in 0..model.num_users() {
@@ -1158,7 +1157,7 @@ mod tests {
             .solve(&model)
             .unwrap();
         assert_eq!(traced.iterations(), plain.iterations());
-        for (a, b) in traced.trace().values().iter().zip(plain.trace().values()) {
+        for (a, b) in traced.trace().iter().zip(plain.trace()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Always-keep classes survive any rate, so the terminal event
@@ -1183,7 +1182,7 @@ mod tests {
 
         // Bit-identical outcome with the collector attached.
         assert_eq!(traced.iterations(), plain.iterations());
-        for (a, b) in traced.trace().values().iter().zip(plain.trace().values()) {
+        for (a, b) in traced.trace().iter().zip(plain.trace()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -1226,7 +1225,7 @@ mod tests {
                 },
             )
             .collect();
-        for (a, b) in norms.iter().zip(plain.trace().values()) {
+        for (a, b) in norms.iter().zip(plain.trace()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 

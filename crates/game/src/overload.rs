@@ -99,8 +99,6 @@ pub struct ShedPlan {
     pub admitted: Vec<f64>,
     /// Per-user shed arrival rate (`φ_j − admitted_j`).
     pub shed: Vec<f64>,
-    /// Total capacity `Σ μ_i` the plan was computed against.
-    pub(crate) total_capacity: f64,
 }
 
 #[cfg(test)]
@@ -174,7 +172,6 @@ pub fn shed_to_feasible(
         return Ok(ShedPlan {
             admitted: user_rates.to_vec(),
             shed: vec![0.0; user_rates.len()],
-            total_capacity,
         });
     }
 
@@ -194,11 +191,7 @@ pub fn shed_to_feasible(
         .zip(&admitted)
         .map(|(&phi, &a)| (phi - a).max(0.0))
         .collect();
-    Ok(ShedPlan {
-        admitted,
-        shed,
-        total_capacity,
-    })
+    Ok(ShedPlan { admitted, shed })
 }
 
 /// Max-min fair admission: find the common cap `c` with

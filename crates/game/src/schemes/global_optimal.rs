@@ -83,8 +83,7 @@ fn sequential_decomposition(
     flows: &[f64],
 ) -> Result<StrategyProfile, GameError> {
     let mut remaining = flows.to_vec();
-    // Fastest computers first, deterministic on ties.
-    let order = model.computers().descending_order();
+    let order = descending_order(model.computer_rates());
     let mut rows = Vec::with_capacity(model.num_users());
     for j in 0..model.num_users() {
         let phi_j = model.user_rate(j);
@@ -114,6 +113,19 @@ fn sequential_decomposition(
     StrategyProfile::new(rows)
 }
 
+/// Indices sorted by processing rate, fastest first; ties broken by
+/// original index so the order is deterministic.
+fn descending_order(rates: &[f64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..rates.len()).collect();
+    idx.sort_by(|&a, &b| {
+        rates[b]
+            .partial_cmp(&rates[a])
+            .expect("rates are finite")
+            .then(a.cmp(&b))
+    });
+    idx
+}
+
 fn normalize(mut fractions: Vec<f64>) -> Vec<f64> {
     let sum: f64 = fractions.iter().sum();
     if sum > 0.0 {
@@ -130,6 +142,14 @@ mod tests {
     use crate::best_reply::{satisfies_kkt, split_cost};
     use crate::response::{overall_response_time, user_response_times};
     use lb_stats::jain_index;
+
+    #[test]
+    fn descending_order_is_stable() {
+        assert_eq!(
+            descending_order(&[20.0, 50.0, 20.0, 100.0]),
+            vec![3, 1, 0, 2]
+        );
+    }
 
     #[test]
     fn aggregate_flows_are_kkt_optimal() {

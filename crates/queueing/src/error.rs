@@ -13,17 +13,14 @@ pub enum QueueingError {
         /// The rejected value.
         value: f64,
     },
-    /// The queue (or network) is unstable: offered load reaches or exceeds
-    /// capacity, so stationary quantities do not exist.
+    /// The queue is unstable: offered load reaches or exceeds capacity, so
+    /// stationary quantities do not exist.
     Unstable {
         /// Total arrival rate offered.
         arrival_rate: f64,
         /// Capacity it was compared against.
         capacity: f64,
     },
-    /// An empty system (zero computers) was supplied where at least one is
-    /// required.
-    EmptySystem,
 }
 
 impl fmt::Display for QueueingError {
@@ -39,7 +36,6 @@ impl fmt::Display for QueueingError {
                 f,
                 "unstable system: arrival rate {arrival_rate} >= capacity {capacity}"
             ),
-            Self::EmptySystem => write!(f, "system must contain at least one computer"),
         }
     }
 }
@@ -64,10 +60,6 @@ mod tests {
             capacity: 4.0,
         };
         assert!(e.to_string().contains("unstable"));
-
-        assert!(QueueingError::EmptySystem
-            .to_string()
-            .contains("at least one"));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   behind the service-distribution robustness extension.
 //! * [`gim1`] — exact GI/M/1 response times (root of `σ = A*(μ(1−σ))`),
 //!   the theory behind the arrival-burstiness extension.
-//! * [`ParallelQueues`] — a bank of heterogeneous
-//!   M/M/1 queues in parallel: the "distributed system" of the paper, with
-//!   aggregate capacity and utilization functionals.
+//!
+//! The paper's distributed system, `n` such stations in parallel, is
+//! lb-game's `SystemModel`, which holds the rates `μ_i` itself.
 //!
 //! Everything here is deterministic, allocation-light and `f64`-based; the
 //! stochastic counterpart lives in `lb-des` (the discrete-event simulator).
@@ -30,9 +30,6 @@ pub mod gim1;
 pub mod mg1;
 pub mod mm1;
 pub(crate) mod mmc;
-pub(crate) mod network;
 
 pub use error::QueueingError;
-pub use mm1::Mm1;
 pub use mmc::Mmc;
-pub use network::ParallelQueues;

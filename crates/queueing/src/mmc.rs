@@ -15,12 +15,12 @@ use crate::error::QueueingError;
 /// # Examples
 ///
 /// ```
-/// use lb_queueing::{Mmc, Mm1};
+/// use lb_queueing::{mm1, Mmc};
 /// let pool = Mmc::new(0.8, 1.0, 2).unwrap();
 /// assert!(pool.response_time() > 1.0 / 1.0); // queueing adds delay
 /// // c = 1 degenerates to M/M/1:
 /// let a = Mmc::new(0.5, 1.0, 1).unwrap().response_time();
-/// let b = Mm1::new(0.5, 1.0).unwrap().response_time();
+/// let b = mm1::response_time(0.5, 1.0);
 /// assert!((a - b).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +116,7 @@ impl Mmc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mm1::Mm1;
+    use crate::mm1;
 
     #[test]
     fn rejects_zero_servers_and_bad_rates() {
@@ -136,9 +136,8 @@ mod tests {
     fn single_server_matches_mm1_exactly() {
         for &(l, m) in &[(0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (3.0, 7.0)] {
             let mmc = Mmc::new(l, m, 1).unwrap();
-            let mm1 = Mm1::new(l, m).unwrap();
             assert!(
-                (mmc.response_time() - mm1.response_time()).abs() < 1e-12,
+                (mmc.response_time() - mm1::response_time(l, m)).abs() < 1e-12,
                 "response mismatch at ({l}, {m})"
             );
             // For M/M/1, P(wait) = rho.
@@ -171,7 +170,7 @@ mod tests {
         // A pooled M/M/2 always has lower response time than two separate
         // M/M/1 queues each receiving half the traffic.
         let pooled = Mmc::new(1.6, 1.0, 2).unwrap().response_time();
-        let split = Mm1::new(0.8, 1.0).unwrap().response_time();
+        let split = mm1::response_time(0.8, 1.0);
         assert!(pooled < split, "pooled {pooled} vs split {split}");
     }
 

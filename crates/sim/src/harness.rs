@@ -98,9 +98,8 @@ pub fn simulate_profile_traced(
         return Err(GameError::ZeroIterationBudget);
     }
     let m = model.num_users();
-    let mut names: Vec<String> = (0..m).map(|j| format!("user{j}")).collect();
-    names.push("system".into());
-    let mut set = ReplicationSet::new(names, plan.confidence);
+    // One metric per user, then the system mean.
+    let mut set = ReplicationSet::new(m + 1, plan.confidence);
 
     // Root span for the whole simulation study; worker spans from the
     // pool and one `sim.replication` span per task nest under it, and

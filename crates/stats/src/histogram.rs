@@ -4,14 +4,13 @@
 //! times are exponential-shaped (the M/M/1 prediction) and by the examples
 //! to print compact ASCII distributions.
 
-/// A histogram with uniform bins over `[low, high)` plus overflow/underflow
-/// counters.
+/// A histogram with uniform bins over `[low, high)` plus an overflow
+/// counter; an observation below `low` is counted but binned nowhere.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     low: f64,
     high: f64,
     bins: Vec<u64>,
-    underflow: u64,
     overflow: u64,
     count: u64,
 }
@@ -29,7 +28,6 @@ impl Histogram {
             low,
             high,
             bins: vec![0; bins],
-            underflow: 0,
             overflow: 0,
             count: 0,
         })
@@ -39,8 +37,9 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         self.count += 1;
         if x < self.low {
-            self.underflow += 1;
-        } else if x >= self.high {
+            return;
+        }
+        if x >= self.high {
             self.overflow += 1;
         } else {
             let width = (self.high - self.low) / self.bins.len() as f64;
@@ -106,11 +105,11 @@ mod tests {
         h.record(0.5); // bin 0
         h.record(9.99); // bin 9
         h.record(5.0); // bin 5
-        h.record(-1.0); // underflow
+        h.record(-1.0); // below range: counted, not binned
         h.record(10.0); // overflow (upper bound exclusive)
         assert_eq!(h.count(), 5);
-        assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow(), 1);
+        assert_eq!(h.bins.iter().sum::<u64>(), 3);
         assert_eq!(h.bins[0], 1);
         assert_eq!(h.bins[5], 1);
         assert_eq!(h.bins[9], 1);

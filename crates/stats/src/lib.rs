@@ -19,8 +19,6 @@
 //! * [`BatchMeans`] — the single-long-run alternative (batch means with a
 //!   lag-1 autocorrelation diagnostic), used in methodology ablations.
 //! * [`histogram`] — fixed-bin histograms for sojourn-time distributions.
-//! * [`IterationTrace`] — iteration traces (used for the paper's Figure 2 norm
-//!   curves).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -32,12 +30,10 @@ pub mod histogram;
 pub(crate) mod replication;
 pub(crate) mod summary;
 pub mod tdist;
-pub(crate) mod timeseries;
 pub(crate) mod welford;
 
 pub use batchmeans::BatchMeans;
 pub use fairness::jain_index;
 pub use replication::{splitmix64_finalize, ReplicationPlan, ReplicationSet};
 pub use summary::SampleSummary;
-pub use timeseries::IterationTrace;
 pub use welford::Welford;

@@ -3,7 +3,7 @@
 //!
 //! [`ReplicationPlan`] describes the policy (how many replications, which
 //! precision to demand); [`ReplicationSet`] collects per-replication
-//! observations of possibly many named metrics and produces
+//! observations of possibly many metrics and produces
 //! [`SampleSummary`] values plus a precision verdict.
 
 use crate::summary::SampleSummary;
@@ -72,10 +72,10 @@ pub struct ReplicationSet {
 }
 
 impl ReplicationSet {
-    /// Creates a set tracking the given metric names at a confidence level.
-    pub fn new<S: Into<String>>(names: Vec<S>, confidence: f64) -> Self {
+    /// Creates a set tracking `metrics` metrics at a confidence level.
+    pub fn new(metrics: usize, confidence: f64) -> Self {
         Self {
-            accumulators: vec![Welford::new(); names.len()],
+            accumulators: vec![Welford::new(); metrics],
             replications_recorded: 0,
             confidence,
         }
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn records_and_summarizes_per_metric() {
-        let mut set = ReplicationSet::new(vec!["user0", "user1"], 0.95);
+        let mut set = ReplicationSet::new(2, 0.95);
         set.record(&[1.0, 10.0]);
         set.record(&[2.0, 10.0]);
         set.record(&[3.0, 10.0]);
@@ -178,19 +178,19 @@ mod tests {
         assert_eq!(s0.count, 3);
         assert!((s0.mean - 2.0).abs() < 1e-12);
         let s1 = set.summary(1).unwrap();
-        assert_eq!(s1.std_dev, 0.0);
+        assert_eq!(s1.std_error, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "metrics")]
     fn wrong_arity_panics() {
-        let mut set = ReplicationSet::new(vec!["a"], 0.95);
+        let mut set = ReplicationSet::new(1, 0.95);
         set.record(&[1.0, 2.0]);
     }
 
     #[test]
     fn precision_gate_behaves() {
-        let mut set = ReplicationSet::new(vec!["m"], 0.95);
+        let mut set = ReplicationSet::new(1, 0.95);
         assert!(!set.meets_precision(0.5));
         assert!(set.worst_relative_error().is_infinite());
         set.record(&[100.0]);
@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn tight_and_loose_metrics_gate_together() {
-        let mut set = ReplicationSet::new(vec!["tight", "loose"], 0.95);
+        let mut set = ReplicationSet::new(2, 0.95);
         set.record(&[100.0, 1.0]);
         set.record(&[100.5, 3.0]);
         set.record(&[99.5, 5.0]);

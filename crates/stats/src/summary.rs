@@ -1,8 +1,8 @@
 //! Sample summaries with Student-t confidence intervals.
 //!
 //! A [`SampleSummary`] condenses a set of replication results (or any
-//! sample) into mean, deviation, a two-sided confidence interval, and the
-//! *relative* standard error the paper's methodology bounds at 5%.
+//! sample) into mean, a two-sided confidence interval, and the *relative*
+//! standard error the paper's methodology bounds at 5%.
 
 use crate::tdist::t_critical;
 use crate::welford::Welford;
@@ -14,7 +14,7 @@ use crate::welford::Welford;
 /// ```
 /// use lb_stats::ReplicationSet;
 /// // Five replications of one metric, like the paper's methodology.
-/// let mut set = ReplicationSet::new(vec!["T"], 0.95);
+/// let mut set = ReplicationSet::new(1, 0.95);
 /// for x in [9.0, 9.5, 10.0, 10.5, 11.0] {
 ///     set.record(&[x]);
 /// }
@@ -28,18 +28,10 @@ pub struct SampleSummary {
     pub(crate) count: u64,
     /// Sample mean.
     pub mean: f64,
-    /// Unbiased sample standard deviation.
-    pub(crate) std_dev: f64,
     /// Standard error of the mean.
     pub(crate) std_error: f64,
     /// Confidence half-width at the requested level (`0` for n < 2).
     pub half_width: f64,
-    /// Confidence level the half-width was computed at (e.g. `0.95`).
-    pub(crate) confidence: f64,
-    /// Smallest observation.
-    pub(crate) min: f64,
-    /// Largest observation.
-    pub(crate) max: f64,
 }
 
 impl SampleSummary {
@@ -59,12 +51,8 @@ impl SampleSummary {
         Some(Self {
             count: w.count(),
             mean: w.mean(),
-            std_dev: w.sample_std_dev(),
             std_error: w.std_error(),
             half_width,
-            confidence,
-            min: w.min(),
-            max: w.max(),
         })
     }
 
@@ -135,7 +123,7 @@ mod tests {
         let s = from_slice(&data, 0.95).unwrap();
         assert!((s.mean - 10.0).abs() < 1e-12);
         // Half width = t_{0.975,4} * s/sqrt(5) = 2.7764 * 0.790569/2.23607
-        let expected = 2.7764 * s.std_dev / 5.0_f64.sqrt();
+        let expected = 2.7764 * 0.790569 / 5.0_f64.sqrt();
         assert!((s.half_width - expected).abs() < 1e-3);
         assert!(s.ci_low() <= 10.0 && 10.0 <= s.ci_high());
         assert!(s.ci_high() < 12.0);
@@ -173,8 +161,6 @@ mod tests {
         let data = [2.0, 4.0, 6.0, 8.0];
         let s = from_slice(&data, 0.9).unwrap();
         assert!(((s.ci_low() + s.ci_high()) / 2.0 - s.mean).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 8.0);
     }
 
     proptest! {

@@ -8,7 +8,7 @@
 //! simulators' per-job monitor needs only means, so it keeps a count and
 //! a sum per user instead of paying a division per job here.
 
-/// Streaming accumulator for count, mean, variance, min and max.
+/// Streaming accumulator for count, mean and variance.
 ///
 /// # Examples
 ///
@@ -26,20 +26,12 @@ pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Welford {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Adds one observation.
@@ -50,8 +42,6 @@ impl Welford {
         self.mean += delta / self.count as f64;
         let delta2 = x - self.mean;
         self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -90,18 +80,6 @@ impl Welford {
             self.sample_std_dev() / (self.count as f64).sqrt()
         }
     }
-
-    /// Smallest observation; `+∞` when empty.
-    #[inline]
-    pub(crate) fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation; `−∞` when empty.
-    #[inline]
-    pub(crate) fn max(&self) -> f64 {
-        self.max
-    }
 }
 
 impl FromIterator<f64> for Welford {
@@ -126,8 +104,6 @@ mod tests {
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.sample_variance(), 0.0);
         assert_eq!(w.std_error(), 0.0);
-        assert!(w.min().is_infinite());
-        assert!(w.max().is_infinite());
     }
 
     #[test]
@@ -137,8 +113,6 @@ mod tests {
         assert_eq!(w.count(), 1);
         assert_eq!(w.mean(), 3.5);
         assert_eq!(w.sample_variance(), 0.0);
-        assert_eq!(w.min(), 3.5);
-        assert_eq!(w.max(), 3.5);
     }
 
     #[test]
@@ -195,10 +169,6 @@ mod tests {
                 prop_assert!((w.sample_variance() - var).abs() <= 1e-6 * (1.0 + var));
             }
             prop_assert_eq!(w.count(), data.len() as u64);
-            let min = data.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert_eq!(w.min(), min);
-            prop_assert_eq!(w.max(), max);
         }
     }
 }

@@ -92,7 +92,7 @@ fn threaded_ring_replays_the_sequential_dynamics_exactly() {
             let dist = ring.profile().max_l1_distance(seq.profile()).unwrap();
             assert!(dist < 1e-6, "rho {rho}: profiles differ by {dist}");
             // Norm traces agree round by round.
-            for (a, b) in ring.trace().values().iter().zip(seq.trace().values()) {
+            for (a, b) in ring.trace().iter().zip(seq.trace()) {
                 assert!((a - b).abs() < 1e-9, "trace mismatch at rho {rho}");
             }
         }
